@@ -7,8 +7,6 @@ different questions and are never interchangeable.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,15 +18,6 @@ from .graphs import Graph
 from .splits import DatasetSplit, heuristic_value
 
 SWEEPABLE = ("gamma", "lr_gnn", "alpha")
-
-
-def worker_count() -> int:
-    """Thread budget for sweeps, overridable via COUNTERLINK_THREADS."""
-    raw = os.environ.get("COUNTERLINK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"COUNTERLINK_THREADS must be an integer, got {raw!r}")
 
 
 @dataclass
@@ -225,7 +214,8 @@ def run_sweep(
     split: DatasetSplit,
     eval_graph: Graph = None,
 ) -> SweepResult:
-    """Full co-training run per grid point per seed; metric is test Hits@K.
+    """Full co-training run per grid point per seed, one after another;
+    metric is test Hits@K.
 
     Failures are recorded per point and the sweep continues.
     """
@@ -238,40 +228,21 @@ def run_sweep(
     eval_norm = normalize_adjacency(
         (eval_graph if eval_graph is not None else g).adjacency
     )
-
-    def one_run(value, seed):
-        cfg = replace(base_cfg, **{param: value}, seed=seed)
-        result = flex_tune(gnn_params, ggm_params, g, split, cfg, eval_graph=eval_graph)
-        return evaluate_hits(
-            result.gnn, eval_norm, g.features, split.test_pos, split.test_neg,
-            cfg.eval_k,
-        )
-
-    jobs = [(value, seed) for value in grid for seed in seeds]
-    outcomes = {}
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(one_run, v, s): (v, s) for v, s in jobs}
-            for fut, key in futures.items():
-                try:
-                    outcomes[key] = ("ok", fut.result())
-                except Exception as exc:  # recorded, sweep continues
-                    outcomes[key] = ("error", f"{type(exc).__name__}: {exc}")
-    else:
-        for v, s in jobs:
-            try:
-                outcomes[(v, s)] = ("ok", one_run(v, s))
-            except Exception as exc:
-                outcomes[(v, s)] = ("error", f"{type(exc).__name__}: {exc}")
-
     means, stds, per_point = [], [], []
     errors = {}
     for value in grid:
         vals, errs = [], []
         for seed in seeds:
-            status, payload = outcomes[(value, seed)]
-            (vals if status == "ok" else errs).append(payload)
+            try:
+                cfg = replace(base_cfg, **{param: value}, seed=seed)
+                result = flex_tune(gnn_params, ggm_params, g, split, cfg,
+                                   eval_graph=eval_graph)
+                vals.append(evaluate_hits(
+                    result.gnn, eval_norm, g.features, split.test_pos,
+                    split.test_neg, cfg.eval_k,
+                ))
+            except Exception as exc:  # recorded, sweep continues
+                errs.append(f"{type(exc).__name__}: {exc}")
         per_point.append(vals)
         if errs:
             errors[str(value)] = errs

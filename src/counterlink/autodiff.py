@@ -479,13 +479,25 @@ def _write_array(fh, name, arr):
     fh.write(arr.astype("<f8").tobytes())
 
 
+def _read(fh, size):
+    """Exactly size bytes, or an InputError naming the file."""
+    data = fh.read(size) if size >= 0 else b""
+    if len(data) != size:
+        raise InputError(f"{fh.name}: truncated or corrupt checkpoint")
+    return data
+
+
+def _unpack(fh, fmt):
+    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt)))
+
+
 def _read_array(fh):
-    (nlen,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(nlen).decode("utf-8")
-    (ndim,) = struct.unpack("<B", fh.read(1))
-    shape = tuple(struct.unpack("<q", fh.read(8))[0] for _ in range(ndim))
+    (nlen,) = _unpack(fh, "<H")
+    name = _read(fh, nlen).decode("utf-8")
+    (ndim,) = _unpack(fh, "<B")
+    shape = tuple(_unpack(fh, "<q")[0] for _ in range(ndim))
     count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape).copy()
+    data = np.frombuffer(_read(fh, count * 8), dtype="<f8").reshape(shape).copy()
     return name, data
 
 
@@ -511,20 +523,20 @@ def load_checkpoint(path):
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise InputError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = _unpack(fh, "<I")
         if version != _VERSION:
             raise InputError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = _unpack(fh, "<I")
         named = {}
         for _ in range(count):
             name, arr = _read_array(fh)
             named[name] = arr
-        (has_adam,) = struct.unpack("<B", fh.read(1))
+        (has_adam,) = _unpack(fh, "<B")
         adam = None
         if has_adam:
-            lr, b1, b2, eps = struct.unpack("<dddd", fh.read(32))
-            (step,) = struct.unpack("<Q", fh.read(8))
-            (acount,) = struct.unpack("<I", fh.read(4))
+            lr, b1, b2, eps = _unpack(fh, "<dddd")
+            (step,) = _unpack(fh, "<Q")
+            (acount,) = _unpack(fh, "<I")
             adam = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps, step=step)
             for _ in range(acount):
                 name, m = _read_array(fh)

@@ -80,9 +80,8 @@ DEFAULTS = {
         "ggm_ckpt": None, "alpha": 1.05, "tau": None, "tau_offset": 1.0,
         "gamma": 0.9, "lr_gnn": 1e-5, "lr_ggm": 1e-5, "epochs": 5,
         "batch_size": 64, "patience": 2, "update_rule": "check_mode",
-        "num_psi": 3, "mix_ratio": 0.0, "eval_k": 20, "hop_k": 1,
-        "max_nodes": 1000, "seed": 0, "full_adjacency_eval": False,
-        "out": "out",
+        "num_psi": 3, "eval_k": 20, "hop_k": 1, "max_nodes": 1000,
+        "seed": 0, "full_adjacency_eval": False, "out": "out",
     },
     "eval": {
         "edges": None, "features": None, "split": None, "ckpt": None,
@@ -99,8 +98,8 @@ DEFAULTS = {
         "alpha": 1.05, "tau": None, "tau_offset": 1.0, "gamma": 0.9,
         "lr_gnn": 1e-5, "lr_ggm": 1e-5, "epochs": 5, "batch_size": 64,
         "patience": 2, "update_rule": "check_mode", "num_psi": 3,
-        "mix_ratio": 0.0, "eval_k": 20, "hop_k": 1, "max_nodes": 1000,
-        "seed": 0, "full_adjacency_eval": False, "out": "out",
+        "eval_k": 20, "hop_k": 1, "max_nodes": 1000, "seed": 0,
+        "full_adjacency_eval": False, "out": "out",
     },
 }
 
@@ -116,7 +115,6 @@ _FLAG_TYPES = {
     "p_in": float, "p_out": float, "p": float, "t1": float, "t2": float,
     "lr": float, "dropout": float, "alpha": float, "tau": float,
     "tau_offset": float, "gamma": float, "lr_gnn": float, "lr_ggm": float,
-    "mix_ratio": float,
     "full_adjacency_eval": bool,
 }
 
@@ -148,9 +146,16 @@ def build_parser():
 def merge_config(command, args) -> dict:
     cfg = dict(DEFAULTS[command])
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        section = doc.get(command, {})
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{args.config}: unreadable JSON config: {exc}")
+        section = doc.get(command, {}) if isinstance(doc, dict) else None
+        if not isinstance(section, dict):
+            raise ConfigError(
+                f"{args.config}: expected a JSON object whose {command!r} section is an object"
+            )
         unknown = set(section) - set(cfg)
         if unknown:
             raise ConfigError(
@@ -324,7 +329,7 @@ def _cotrain_config(cfg, ggm_meta):
         epochs=cfg["epochs"], batch_size=cfg["batch_size"],
         patience=cfg["patience"], update_rule=cfg["update_rule"],
         seed=cfg["seed"], eval_k=cfg["eval_k"], hop_k=cfg["hop_k"],
-        max_nodes=cfg["max_nodes"], mix_ratio=cfg["mix_ratio"],
+        max_nodes=cfg["max_nodes"],
         noise=NoiseSpec(noise_dim=noise_dim, num_psi=cfg["num_psi"]),
     )
 
@@ -368,11 +373,12 @@ def cmd_flex_tune(cfg):
     trace_path = os.path.join(cfg["out"], "cotrain_trace.csv")
     _write_csv(trace_path, result.trace,
                ["epoch", "lp_loss", "sivi_loss", "kl_estimate", "penalty",
-                "mean_generated_cn", "valid_hits"])
+                "mean_generated_cn", "valid_hits", "seconds"])
     samples = generate_samples(result.ggm, split.observed_graph, split, run_cfg,
                                bucket="train")
     samples_path = os.path.join(cfg["out"], "samples.json")
     dump_samples(samples, samples_path)
+    selected_pretrained = result.best_epoch == 0
     write_manifest(
         cfg["out"], "flex-tune", {**cfg, "tau": result.tau}, cfg["seed"],
         {"edges": cfg["edges"], "features": cfg["features"],
@@ -382,10 +388,12 @@ def cmd_flex_tune(cfg):
          "samples": samples_path},
         time.perf_counter() - t0,
         metrics={"best_epoch": result.best_epoch,
+                 "selected_pretrained": selected_pretrained,
                  "valid_hits": result.best_valid, "test_hits": test_hits,
                  "tau": result.tau},
     )
-    print(f"flex-tune: best epoch {result.best_epoch}, "
+    print(f"flex-tune: best epoch {result.best_epoch}"
+          f"{' (pre-trained state kept)' if selected_pretrained else ''}, "
           f"valid Hits@{cfg['eval_k']} {result.best_valid:.4f}, "
           f"test Hits@{cfg['eval_k']} {test_hits:.4f}")
 

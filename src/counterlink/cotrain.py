@@ -14,21 +14,14 @@ Model selection is validation Hits@K with the pre-update state included as
 a candidate, since over-tuning degrades quickly here.
 """
 
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, InputError, NumericError
-from .generator import (
-    NoiseSpec,
-    SiviParams,
-    decode_logits,
-    encode_semi_implicit,
-    kl_gaussian,
-    recon_loss,
-    reparameterize,
-)
+from .generator import NoiseSpec, SiviParams, encode_semi_implicit, kl_gaussian, sivi_elbo
 from .gnn import (
     GcnParams,
     evaluate_hits,
@@ -61,7 +54,6 @@ class CotrainConfig:
     eval_k: int = 20
     hop_k: int = 1
     max_nodes: int = 1000
-    mix_ratio: float = 0.0
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     zero_labels: bool = False
     zero_noise: bool = False
@@ -75,8 +67,6 @@ class CotrainConfig:
             raise InputError("gamma must be in [0, 1]")
         if self.update_rule not in UPDATE_RULES:
             raise ConfigError(f"update_rule must be one of {UPDATE_RULES}")
-        if not 0.0 <= self.mix_ratio <= 1.0:
-            raise InputError("mix_ratio must be in [0, 1]")
         if self.patience > self.epochs:
             raise InputError("patience must be <= epochs")
 
@@ -104,7 +94,6 @@ class LossBundle:
     lp: ad.Tensor
     sivi_loss: ad.Tensor
     kl: ad.Tensor
-    elbo: ad.Tensor
     gen: ad.Tensor
     penalty: float
     mean_generated_cn: float
@@ -119,61 +108,37 @@ def cotrain_losses(
     cfg: CotrainConfig,
     tau: float,
     rng,
-    use_original_adjacency: bool = False,
 ) -> LossBundle:
     """One joint forward pass on a batch; both loss sides share the tape.
 
-    The predictor runs per block over the generated weighted adjacency
-    (original block adjacency when mixing in original views), scores the
-    target endpoints, and the batch's link labels are the BCE targets.
+    The predictor runs per block over the generated weighted adjacency of
+    the evidence bound's first draw, scores the target endpoints, and the
+    batch's link labels are the BCE targets.
     """
     tape = ad.Tape()
     ggm_leaves = tape.leaves(ggm_params.named())
     gnn_leaves = tape.leaves(gnn_params.named())
 
-    sample = encode_semi_implicit(
+    elbo = sivi_elbo(
         ggm_params, batch, cfg.noise, rng,
         zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise, leaves=ggm_leaves,
     )
-    sample = reparameterize(sample, rng)
-    adjs = batch.block_adjacencies()
-    bce = None
-    kl = None
-    gen_logit_blocks = None
-    for j, (mu, lv, h) in enumerate(zip(sample.mu, sample.log_var, sample.h)):
-        logit_blocks = decode_logits(h, sample.block_sizes)
-        if j == 0:
-            gen_logit_blocks = logit_blocks
-        bce_j = recon_loss(logit_blocks, adjs)
-        kl_j = kl_gaussian(mu, lv)
-        bce = bce_j if bce is None else ad.add(bce, bce_j)
-        kl = kl_j if kl is None else ad.add(kl, kl_j)
-    scale = ad.Tensor(1.0 / cfg.noise.num_psi)
-    bce = ad.mul(bce, scale)
-    kl = ad.mul(kl, scale)
-    sivi_loss = ad.add(bce, kl)
-    elbo = ad.neg(sivi_loss)
-    gen = gen_loss(elbo, kl, tau)
+    kl = elbo.kl
+    gen = gen_loss(ad.neg(elbo.loss), kl, tau)
     penalty = float((kl.value - tau) ** 2)
 
     logits, cns = [], []
-    for b, block in enumerate(batch.blocks):
-        m = block.num_nodes
-        if use_original_adjacency:
-            prop = normalize_dense_adjacency(ad.Tensor(block.local_adjacency))
-            thresholded = block.local_adjacency
-        else:
-            p = ad.sigmoid(gen_logit_blocks[b])
-            mask = (p.value >= cfg.gamma).astype(np.float64)
-            np.fill_diagonal(mask, 0.0)
-            kept = ad.mul(p, ad.Tensor(mask))
-            prop = normalize_dense_adjacency(kept)
-            thresholded = mask
+    for block, logit_block in zip(batch.blocks, elbo.logit_blocks):
+        u, v = block.target
+        p = ad.sigmoid(logit_block)
+        mask = (p.value >= cfg.gamma).astype(np.float64)
+        np.fill_diagonal(mask, 0.0)
+        prop = normalize_dense_adjacency(ad.mul(p, ad.Tensor(mask)))
         emb = gcn_forward(gnn_params, prop, block.local_features, leaves=gnn_leaves)
-        hu = ad.gather_rows(emb, np.array([block.target[0]]))
-        hv = ad.gather_rows(emb, np.array([block.target[1]]))
+        hu = ad.gather_rows(emb, np.array([u]))
+        hv = ad.gather_rows(emb, np.array([v]))
         logits.append(ad.tsum(ad.mul(hu, hv), axis=1))
-        cns.append(float((thresholded[block.target[0]] * thresholded[block.target[1]]).sum()))
+        cns.append(float((mask[u] * mask[v]).sum()))
     joined = ad.concat(logits, axis=0)
     labels = batch.batch_labels
     pos_idx = np.nonzero(labels == POSITIVE)[0]
@@ -182,14 +147,12 @@ def cotrain_losses(
         ad.gather_rows(joined, pos_idx) if pos_idx.size else None,
         ad.gather_rows(joined, neg_idx) if neg_idx.size else None,
     )
-    for name, t in (("classification", lp), ("generation", sivi_loss)):
-        if not np.isfinite(t.value):
-            raise NumericError(f"{name} loss is not finite")
+    if not np.isfinite(lp.value):
+        raise NumericError("classification loss is not finite")
     return LossBundle(
         lp=lp,
-        sivi_loss=sivi_loss,
+        sivi_loss=elbo.loss,
         kl=kl,
-        elbo=elbo,
         gen=gen,
         penalty=penalty,
         mean_generated_cn=float(np.mean(cns)),
@@ -251,8 +214,11 @@ def flex_tune(
 
     g is the training-visible graph; the evaluation adjacency defaults to
     it. Returns the best-validation pair, which may be the untouched
-    pre-trained models when no epoch improves.
+    pre-trained models when no epoch improves. Each trace row records its
+    epoch's wall-clock seconds; row 0 covers extraction, tau and the
+    pre-update validation.
     """
+    t0 = time.perf_counter()
     gnn_params = gnn_params.copy()
     ggm_params = ggm_params.copy()
     links = [Edge(int(u), int(v), POSITIVE) for u, v in split.train_pos] + [
@@ -284,28 +250,25 @@ def flex_tune(
             "penalty": float("nan"),
             "mean_generated_cn": float("nan"),
             "valid_hits": best_valid,
+            "seconds": time.perf_counter() - t0,
         }
     ]
     for epoch in range(1, cfg.epochs + 1):
+        t0 = time.perf_counter()
         order = stream_rng(cfg.seed, f"cot.shuffle.e{epoch}").permutation(len(subs))
-        mix_rng = stream_rng(cfg.seed, f"cot.mix.e{epoch}")
         rows = {"lp_loss": [], "sivi_loss": [], "kl_estimate": [], "penalty": [],
                 "mean_generated_cn": []}
         for bi in range(0, len(subs), size):
             batch = make_batch([subs[i] for i in order[bi : bi + size]])
-            original_view = bool(mix_rng.random() < cfg.mix_ratio)
-
             bundle = cotrain_losses(
                 gnn_params, ggm_params, batch, cfg, tau,
                 stream_rng(cfg.seed, f"cot.noise.e{epoch}.b{bi}.gnn"),
-                use_original_adjacency=original_view,
             )
             gnn_step(bundle, state_gnn, gnn_params, cfg.alpha)
 
             bundle = cotrain_losses(
                 gnn_params, ggm_params, batch, cfg, tau,
                 stream_rng(cfg.seed, f"cot.noise.e{epoch}.b{bi}.ggm"),
-                use_original_adjacency=original_view,
             )
             ggm_step(bundle, state_ggm, ggm_params, cfg)
 
@@ -319,7 +282,7 @@ def flex_tune(
         )
         trace.append(
             {"epoch": epoch, **{k: float(np.mean(v)) for k, v in rows.items()},
-             "valid_hits": valid_hits}
+             "valid_hits": valid_hits, "seconds": time.perf_counter() - t0}
         )
         if valid_hits > best_valid:
             best_valid = valid_hits

@@ -88,19 +88,16 @@ class SiviParams:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Width of injected noise, number of mixing draws, truncation index."""
+    """Width of injected noise and number of mixing draws."""
 
     noise_dim: int = 8
     num_psi: int = 3
-    truncation: int = 0
 
     def __post_init__(self):
         if self.num_psi < 1:
             raise InputError("num_psi must be >= 1")
         if self.noise_dim < 0:
             raise InputError("noise_dim must be >= 0")
-        if self.truncation < 0:
-            raise InputError("truncation must be >= 0")
         if self.noise_dim == 0 and self.num_psi > 1:
             raise ConfigError(
                 "noise_dim=0 with num_psi>1 would mix identical draws; "
@@ -110,13 +107,11 @@ class NoiseSpec:
 
 @dataclass
 class PosteriorSample:
-    """Per-draw posterior moments plus the reparameterized latents."""
+    """Per-draw posterior moments and the injected noise of each draw."""
 
     mu: list
     log_var: list
     psi_draws: list
-    h: list
-    snr: float
     block_sizes: np.ndarray
     target_indices: list
     link_labels: np.ndarray
@@ -124,11 +119,7 @@ class PosteriorSample:
 
 @dataclass
 class GeneratedSample:
-    """Per-block edge probabilities and their thresholded adjacency.
-
-    z_scaled and r_k are reserved for a rate-based decoder variant and are
-    always None here.
-    """
+    """Per-block edge probabilities and their thresholded adjacency."""
 
     edge_probs: list
     thresholded_adj: list
@@ -137,8 +128,6 @@ class GeneratedSample:
     target_indices: list
     block_features: list
     gamma: float = 0.0
-    z_scaled: object = None
-    r_k: object = None
 
     @property
     def num_blocks(self):
@@ -186,23 +175,13 @@ def encode_semi_implicit(
 ) -> PosteriorSample:
     """Posterior moments per mixing draw over the block-diagonal batch.
 
-    Each draw injects fresh N(0, I) noise columns into the node input; the
-    truncation index drops that many leading rows from latent use and is
-    only meaningful when leading rows are noise-only, so dropping a target
-    row is an error.
+    Each draw injects fresh N(0, I) noise columns into the node input.
     """
     if spec.noise_dim != params.noise_dim:
         raise ConfigError(
             f"noise_dim mismatch: spec {spec.noise_dim} vs params {params.noise_dim}"
         )
     n = batch.total_nodes
-    if spec.truncation >= n:
-        raise InputError(f"truncation {spec.truncation} >= batched node count {n}")
-    if spec.truncation > 0:
-        raise InputError(
-            "truncation would drop target rows: endpoints occupy the leading "
-            "rows of every block in this encoder"
-        )
     named = leaves if leaves is not None else params.named()
     x = batch.stacked_features()
     labels = batch.stacked_labels().reshape(-1, 1)
@@ -234,22 +213,18 @@ def encode_semi_implicit(
                 LOG_VAR_CLAMP,
             )
         )
-    sigma = np.exp(0.5 * lvs[0].value)
-    snr = float(np.abs(mus[0].value).mean() / max(sigma.mean(), 1e-12))
     return PosteriorSample(
         mu=mus,
         log_var=lvs,
         psi_draws=draws,
-        h=[],
-        snr=snr,
         block_sizes=batch.block_sizes.copy(),
         target_indices=[b.target for b in batch.blocks],
         link_labels=batch.batch_labels.copy(),
     )
 
 
-def reparameterize(sample: PosteriorSample, rng) -> PosteriorSample:
-    """h = mu + eps * exp(0.5 log var), eps drawn block by block per draw."""
+def reparameterize(sample: PosteriorSample, rng) -> list:
+    """Latents h = mu + eps * exp(0.5 log var) per draw, eps drawn block by block."""
     if not sample.mu:
         raise InputError("posterior sample has no moments to reparameterize")
     hs = []
@@ -260,8 +235,7 @@ def reparameterize(sample: PosteriorSample, rng) -> PosteriorSample:
         eps = np.concatenate(eps_blocks, axis=0)
         std = ad.exp(ad.mul(lv, ad.Tensor(0.5)))
         hs.append(ad.add(mu, ad.mul(ad.Tensor(eps), std)))
-    sample.h = hs
-    return sample
+    return hs
 
 
 def decode_logits(h, block_sizes):
@@ -360,6 +334,7 @@ class ElboResult:
     loss: ad.Tensor
     kl: ad.Tensor
     recon: ad.Tensor
+    logit_blocks: list  # the first draw's per-block decoder logits
 
 
 def sivi_elbo(
@@ -380,12 +355,14 @@ def sivi_elbo(
         params, batch, spec, rng, zero_labels=zero_labels, zero_noise=zero_noise,
         leaves=leaves,
     )
-    sample = reparameterize(sample, rng)
+    hs = reparameterize(sample, rng)
     adjs = batch.block_adjacencies()
-    bce = None
-    kl = None
-    for mu, lv, h in zip(sample.mu, sample.log_var, sample.h):
-        bce_j = recon_loss(decode_logits(h, sample.block_sizes), adjs)
+    bce = kl = first_logits = None
+    for mu, lv, h in zip(sample.mu, sample.log_var, hs):
+        logit_blocks = decode_logits(h, sample.block_sizes)
+        if first_logits is None:
+            first_logits = logit_blocks
+        bce_j = recon_loss(logit_blocks, adjs)
         kl_j = kl_gaussian(mu, lv)
         bce = bce_j if bce is None else ad.add(bce, bce_j)
         kl = kl_j if kl is None else ad.add(kl, kl_j)
@@ -395,7 +372,7 @@ def sivi_elbo(
     loss = ad.add(bce, kl)
     if not np.isfinite(loss.value):
         raise NumericError("generator objective is not finite")
-    return ElboResult(loss=loss, kl=kl, recon=ad.neg(bce))
+    return ElboResult(loss=loss, kl=kl, recon=ad.neg(bce), logit_blocks=first_logits)
 
 
 def threshold_edges(sample: GeneratedSample, gamma) -> GeneratedSample:
@@ -433,9 +410,8 @@ def generate(
     sample = encode_semi_implicit(
         params, batch, one_draw, rng, zero_labels=zero_labels, zero_noise=zero_noise
     )
-    sample = reparameterize(sample, rng)
     raw = decode_node_aware(
-        sample.h[0],
+        reparameterize(sample, rng)[0],
         sample.block_sizes,
         sample.target_indices,
         link_labels=sample.link_labels,

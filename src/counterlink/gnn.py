@@ -143,20 +143,8 @@ def gcn_forward(params, a_norm, x, rng=None, training=False, leaves=None) -> ad.
     return h
 
 
-def score_link(h, u, v):
-    """Dot-product logit for one candidate link; sigmoid of it is the
-    edge probability."""
-    if isinstance(h, ad.Tensor):
-        hu = ad.gather_rows(h, np.array([u]))
-        hv = ad.gather_rows(h, np.array([v]))
-        return ad.tsum(ad.mul(hu, hv))
-    h = np.asarray(h)
-    if not (0 <= u < h.shape[0] and 0 <= v < h.shape[0]):
-        raise InputError(f"node id out of range for {h.shape[0]} embeddings")
-    return float(h[u] @ h[v])
-
-
 def score_pairs(h, pairs) -> ad.Tensor:
+    """Dot-product logit per candidate link; its sigmoid is the edge probability."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     h = h if isinstance(h, ad.Tensor) else ad.Tensor(h)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= h.shape[0]):

@@ -53,9 +53,6 @@ class Csr:
     def row(self, i):
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
-    def row_data(self, i):
-        return self.data[self.indptr[i] : self.indptr[i + 1]]
-
     def degrees(self):
         return np.diff(self.indptr)
 
@@ -308,7 +305,6 @@ def extract_for_links(
     k: int = 1,
     max_nodes: int = 1000,
     seed: int = 0,
-    exclude_positive_target: bool = True,
 ):
     """Extract one labeled subgraph per link, each with its own derived rng.
 
@@ -325,7 +321,7 @@ def extract_for_links(
                 k=k,
                 max_nodes=max_nodes,
                 rng=rng,
-                exclude_target_edge=exclude_positive_target and e.label == POSITIVE,
+                exclude_target_edge=e.label == POSITIVE,
             )
         )
     return out
@@ -349,12 +345,6 @@ class LabeledSubgraphBatch:
 
     def stacked_labels(self):
         return np.concatenate([b.labels for b in self.blocks])
-
-    def target_pairs(self):
-        """(K, 2) global row indices of each block's endpoints."""
-        us = self.offsets + np.array([b.target[0] for b in self.blocks])
-        vs = self.offsets + np.array([b.target[1] for b in self.blocks])
-        return np.stack([us, vs], axis=1)
 
     def block_adjacencies(self):
         return [b.local_adjacency for b in self.blocks]
@@ -445,7 +435,10 @@ def load_features_csv(path):
             line = line.strip()
             if not line:
                 continue
-            vals = [float(x) for x in line.split(",")]
+            try:
+                vals = [float(x) for x in line.split(",")]
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: non-numeric value in {line!r}")
             if width is None:
                 width = len(vals)
             elif len(vals) != width:
@@ -481,21 +474,12 @@ def build_features(mode: str, num_nodes: int, degrees=None):
     raise InputError(f"unknown feature mode {mode!r}")
 
 
-def load_graph(edge_path, feature_spec, num_nodes=None) -> Graph:
-    """Graph from an edge-list file plus a feature CSV path or synthetic mode."""
+def load_graph(edge_path, feature_path) -> Graph:
+    """Graph from an edge-list file plus a feature CSV; one node per CSV row."""
     edges = load_edge_list(edge_path)
     inferred = int(edges.max()) + 1 if edges.size else 0
-    if feature_spec.startswith(("degree-onehot:", "constant:")):
-        n = num_nodes if num_nodes is not None else inferred
-        if n < inferred:
-            raise InputError(f"num_nodes {n} smaller than max edge id {inferred - 1}")
-        tmp = Graph.from_edge_array(n, edges, np.zeros((n, 1)))
-        feats = build_features(feature_spec, n, degrees=tmp.degrees())
-    else:
-        feats = load_features_csv(feature_spec)
-        n = feats.shape[0]
-        if n < inferred:
-            raise InputError(
-                f"feature rows ({n}) fewer than edge ids require ({inferred})"
-            )
+    feats = load_features_csv(feature_path)
+    n = feats.shape[0]
+    if n < inferred:
+        raise InputError(f"feature rows ({n}) fewer than edge ids require ({inferred})")
     return Graph.from_edge_array(n, edges, feats)

@@ -1,8 +1,8 @@
 """Named, reproducible random streams.
 
 Every run owns one root seed; each consumer derives its own generator from
-(root seed, stream name) so that ablations and parallel workers differ only
-in the component under study, never in shared randomness.
+(root seed, stream name) so that ablations and sweep runs differ only in
+the component under study, never in shared randomness.
 """
 
 import hashlib

@@ -281,8 +281,11 @@ def save_split(split: DatasetSplit, path):
 
 def load_split(path, g: Graph) -> DatasetSplit:
     """Load a persisted split and revalidate it against the source graph."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not valid split JSON: {exc}")
     try:
         spec = SplitSpec(**doc["spec"])
         arrays = {

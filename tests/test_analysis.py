@@ -15,7 +15,6 @@ from counterlink.analysis import (
     mean_pairwise_cn,
     run_sweep,
     samples_from_generated,
-    worker_count,
 )
 from counterlink.cotrain import CotrainConfig, flex_tune
 from counterlink.errors import ConfigError, InputError
@@ -238,10 +237,3 @@ class TestSweep:
         g, split, obs, gnn, ggm, cfg = self.fixture()
         with pytest.raises(InputError):
             run_sweep("gamma", [], cfg, [1], gnn, ggm, obs, split)
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("COUNTERLINK_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("COUNTERLINK_THREADS", "zebra")
-        with pytest.raises(ConfigError):
-            worker_count()

@@ -249,6 +249,14 @@ class TestCheckpoint:
         with pytest.raises(InputError):
             ad.load_checkpoint(path)
 
+    @pytest.mark.parametrize("keep", [30, -5, -1])
+    def test_truncated_file_rejected_with_its_name(self, tmp_path, keep):
+        path = tmp_path / "model.ckpt"
+        ad.save_checkpoint(path, {"w": np.ones((3, 4)), "b": np.zeros(4)})
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(InputError, match="model.ckpt: truncated"):
+            ad.load_checkpoint(path)
+
 
 class TestDropout:
     def test_disabled_outside_training(self):

@@ -1,16 +1,27 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import counterlink
 from counterlink.cli import main
 from counterlink.manifest import read_manifest, sha256_file
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_child(args):
+    """The CLI in a child process, so an escaping traceback shows on stderr."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(counterlink.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "counterlink.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
 
 
 def synth_args(out, n=60, p_in=0.5, p_out=0.02, seed=3):
@@ -73,6 +84,51 @@ class TestExitCodes:
                     "--out", d["tuned"]])
         assert code == 3
 
+    def test_non_numeric_feature_cell_is_2(self, tmp_path):
+        d = pipeline_dirs(tmp_path)
+        assert run(synth_args(d["graph"])) == 0
+        feats = d["graph"] / "features.csv"
+        lines = feats.read_text().splitlines()
+        lines[2] = "x" + lines[2]
+        feats.write_text("\n".join(lines) + "\n")
+        code, err = run_child(["split", "--edges", d["graph"] / "edges.tsv",
+                               "--features", feats, "--out", d["split"]])
+        assert code == 2
+        assert "features.csv:3" in err and "Traceback" not in err
+
+    def test_truncated_split_json_is_5(self, tmp_path):
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        split = d["split"] / "split.json"
+        split.write_text(split.read_text()[:100])
+        code, err = run_child(["pretrain-gnn", "--edges", d["graph"] / "edges.tsv",
+                               "--features", d["graph"] / "features.csv",
+                               "--split", split, "--out", d["gnn"]])
+        assert code == 5
+        assert "split.json" in err and "Traceback" not in err
+
+    def test_truncated_config_file_is_2(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text('{"synth": {"n": 40')
+        code, err = run_child(["synth", "--config", cfg_file, "--out", tmp_path])
+        assert code == 2
+        assert "run.json" in err and "Traceback" not in err
+
+    def test_truncated_checkpoint_is_2(self, tmp_path):
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        graph_flags = ["--edges", d["graph"] / "edges.tsv",
+                       "--features", d["graph"] / "features.csv",
+                       "--split", d["split"] / "split.json"]
+        assert run(["pretrain-gnn", *graph_flags, "--epochs", 1, "--patience", 1,
+                    "--hidden", 8, "--eval-k", 3, "--out", d["gnn"]]) == 0
+        ckpt = d["gnn"] / "gnn.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-5])
+        code, err = run_child(["eval", *graph_flags, "--ckpt", ckpt, "--k", 3,
+                               "--out", d["eval"]])
+        assert code == 2
+        assert "gnn.ckpt: truncated" in err and "Traceback" not in err
+
 
 class TestConfigPrecedence:
     def test_flags_beat_file_beat_defaults(self, tmp_path):
@@ -120,6 +176,11 @@ class TestPipeline:
         assert run(["analyze", *graph_flags,
                     "--samples", d["tuned"] / "samples.json",
                     "--out", d["analysis"]]) == 0
+
+        tuned = read_manifest(d["tuned"] / "flex-tune.manifest.json")["metrics"]
+        assert tuned["selected_pretrained"] == (tuned["best_epoch"] == 0)
+        header = (d["tuned"] / "cotrain_trace.csv").read_text().splitlines()[0]
+        assert header.endswith(",valid_hits,seconds")
 
         # manifests chain with hashes present
         for stage, dirname in [("synth", "graph"), ("split", "split"),

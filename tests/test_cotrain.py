@@ -117,6 +117,16 @@ class TestSteps:
         _, after_bundle = self.make_bundle(cfg, gnn, ggm, split, obs)
         assert after_bundle.gen.item() >= before - 1e-12
 
+    def test_literal_minmax_ascent_does_not_decrease_objective(self):
+        g, split, obs, gnn, ggm, spec = pipeline_fixture()
+        cfg = CotrainConfig(alpha=1.05, gamma=0.5, noise=spec, epochs=1, patience=1,
+                            update_rule="literal_minmax")
+        batch, bundle = self.make_bundle(cfg, gnn, ggm, split, obs)
+        before = flex_objective(bundle.lp, bundle.gen, cfg.alpha).item()
+        ggm_step(bundle, ad.AdamState(lr=1e-8), ggm, cfg)
+        _, after = self.make_bundle(cfg, gnn, ggm, split, obs)
+        assert flex_objective(after.lp, after.gen, cfg.alpha).item() >= before - 1e-12
+
     def test_gnn_step_never_touches_ggm_and_vice_versa(self):
         g, split, obs, gnn, ggm, spec = pipeline_fixture()
         cfg = CotrainConfig(alpha=1.0, gamma=0.5, noise=spec, epochs=1, patience=1)
@@ -193,7 +203,7 @@ class TestFlexTune:
         assert [row["epoch"] for row in out.trace] == [0, 1, 2, 3]
         for row in out.trace[1:]:
             for key in ("lp_loss", "sivi_loss", "kl_estimate", "penalty",
-                        "mean_generated_cn", "valid_hits"):
+                        "mean_generated_cn", "valid_hits", "seconds"):
                 assert np.isfinite(row[key]), key
 
     def test_kl_estimate_moves_toward_tau(self):

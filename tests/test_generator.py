@@ -106,12 +106,6 @@ class TestEncode:
             encode_semi_implicit(params, batch, NoiseSpec(noise_dim=5, num_psi=1),
                                  stream_rng(0, "noise"))
 
-    def test_truncation_dropping_targets_rejected(self):
-        _, batch, params = small_batch()
-        spec = NoiseSpec(noise_dim=3, num_psi=1, truncation=1)
-        with pytest.raises(InputError, match="target"):
-            encode_semi_implicit(params, batch, spec, stream_rng(0, "noise"))
-
 
 class TestReparameterize:
     def test_clamped_floor_collapses_to_mu(self):
@@ -122,23 +116,23 @@ class TestReparameterize:
         # clamp floor is -10, so sigma = e^-5 and h stays within a whisker of mu
         clamped = ad.clip(sample.log_var[0], -10.0, 10.0)
         sample.log_var = [clamped]
-        sample = reparameterize(sample, stream_rng(2, "reparam"))
-        assert np.max(np.abs(sample.h[0].value - sample.mu[0].value)) < 0.05
+        hs = reparameterize(sample, stream_rng(2, "reparam"))
+        assert np.max(np.abs(hs[0].value - sample.mu[0].value)) < 0.05
 
     def test_standard_normal_when_mu_zero_sigma_one(self):
         mu = ad.Tensor(np.zeros((10_000, 1)))
         lv = ad.Tensor(np.zeros((10_000, 1)))
         sample = _posterior(mu, lv, block_sizes=np.array([10_000]))
-        sample = reparameterize(sample, np.random.default_rng(3))
-        assert abs(float(sample.h[0].value.mean())) < 0.05
+        hs = reparameterize(sample, np.random.default_rng(3))
+        assert abs(float(hs[0].value.mean())) < 0.05
 
     def test_gradient_wrt_mu_is_identity(self):
         tape = ad.Tape()
         mu = tape.leaf(np.zeros((4, 2)))
         lv = ad.Tensor(np.zeros((4, 2)))
         sample = _posterior(mu, lv, block_sizes=np.array([4]))
-        sample = reparameterize(sample, np.random.default_rng(0))
-        grads = ad.backward(ad.tsum(sample.h[0]))
+        hs = reparameterize(sample, np.random.default_rng(0))
+        grads = ad.backward(ad.tsum(hs[0]))
         assert np.array_equal(grads.of(mu), np.ones((4, 2)))
 
 
@@ -146,7 +140,7 @@ def _posterior(mu, lv, block_sizes):
     from counterlink.generator import PosteriorSample
 
     return PosteriorSample(
-        mu=[mu], log_var=[lv], psi_draws=[], h=[], snr=0.0,
+        mu=[mu], log_var=[lv], psi_draws=[],
         block_sizes=block_sizes, target_indices=[(0, 1)] * len(block_sizes),
         link_labels=np.ones(len(block_sizes)),
     )

@@ -17,7 +17,6 @@ from counterlink.gnn import (
     normalize_adjacency,
     normalize_dense_adjacency,
     pretrain_gnn,
-    score_link,
     score_pairs,
 )
 from counterlink.graphs import Csr, Graph
@@ -113,27 +112,31 @@ class TestScoring:
     def test_zero_row_gives_half_probability(self):
         h = np.zeros((2, 4))
         h[1] = 1.0
-        assert score_link(h, 0, 1) == 0.0
+        assert score_pairs(h, [(0, 1)]).value[0] == 0.0
 
     def test_unit_vectors_give_one(self):
         h = np.zeros((2, 4))
         h[0, 0] = h[1, 0] = 1.0
-        assert score_link(h, 0, 1) == 1.0
+        assert score_pairs(h, [(0, 1)]).value[0] == 1.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal((6, 4))
-        for _ in range(10):
-            u, v = rng.integers(0, 6, size=2)
-            assert score_link(h, int(u), int(v)) == score_link(h, int(v), int(u))
+        pairs = rng.integers(0, 6, size=(10, 2))
+        assert np.array_equal(score_pairs(h, pairs).value,
+                              score_pairs(h, pairs[:, ::-1]).value)
 
-    def test_score_pairs_matches_score_link(self):
+    def test_score_pairs_matches_row_dot_products(self):
         rng = np.random.default_rng(4)
         h = rng.standard_normal((5, 3))
         pairs = np.array([[0, 1], [2, 4], [3, 3]])
         out = score_pairs(h, pairs).value
         for i, (u, v) in enumerate(pairs):
-            assert out[i] == pytest.approx(score_link(h, int(u), int(v)))
+            assert out[i] == pytest.approx(h[u] @ h[v])
+
+    def test_out_of_range_pair_rejected(self):
+        with pytest.raises(InputError):
+            score_pairs(np.zeros((2, 3)), [(0, 2)])
 
 
 class TestLpLoss:

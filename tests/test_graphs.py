@@ -315,14 +315,22 @@ class TestIngestion:
         save_features_csv(p, x)
         assert np.array_equal(load_features_csv(p), x)
 
-    def test_load_graph_with_synthetic_features(self, tmp_path):
-        p = tmp_path / "edges.tsv"
-        save_edge_list(p, [(0, 1), (1, 2)])
-        g = load_graph(p, "degree-onehot:4")
-        assert g.features.shape == (3, 4)
-        assert g.features[1, 2] == 1.0  # degree 2
-        g2 = load_graph(p, "constant:3")
-        assert np.all(g2.features == 1.0)
+    def test_load_graph_needs_a_feature_row_per_node(self, tmp_path):
+        edges, feats = tmp_path / "edges.tsv", tmp_path / "x.csv"
+        save_edge_list(edges, [(0, 1), (1, 2)])
+        save_features_csv(feats, np.eye(3))
+        assert load_graph(edges, feats).num_nodes == 3
+        save_features_csv(feats, np.eye(2))
+        with pytest.raises(InputError, match="feature rows"):
+            load_graph(edges, feats)
+
+    def test_non_numeric_feature_cell_names_line(self, tmp_path):
+        from counterlink.graphs import load_features_csv
+
+        p = tmp_path / "x.csv"
+        p.write_text("1.0,2.0\n0.5,abc\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"x\.csv:2"):
+            load_features_csv(p)
 
     def test_degree_onehot_caps_at_width(self):
         x = build_features("degree-onehot:3", 4, degrees=np.array([0, 1, 5, 2]))
