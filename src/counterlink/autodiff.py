@@ -493,7 +493,10 @@ def _unpack(fh, fmt):
 
 def _read_array(fh):
     (nlen,) = _unpack(fh, "<H")
-    name = _read(fh, nlen).decode("utf-8")
+    try:
+        name = _read(fh, nlen).decode("utf-8")
+    except UnicodeDecodeError:
+        raise InputError(f"{fh.name}: corrupt checkpoint: array name is not UTF-8")
     (ndim,) = _unpack(fh, "<B")
     shape = tuple(_unpack(fh, "<q")[0] for _ in range(ndim))
     count = int(np.prod(shape)) if shape else 1

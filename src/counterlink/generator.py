@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, ValidationError
 from .gnn import normalize_adjacency
 from .graphs import Edge, Graph, LabeledSubgraphBatch, POSITIVE, extract_for_links, make_batch
 from .rng import stream_rng
@@ -556,8 +556,11 @@ def dump_samples(samples, path):
 
 def load_samples(path):
     """Rebuild (adjacency, target, label) triples from a sample dump."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not valid samples JSON: {exc}")
     out = []
     for rec in doc["samples"]:
         m = rec["block_size"]

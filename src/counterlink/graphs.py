@@ -170,31 +170,44 @@ def common_neighbors(g: Graph, u: int, v: int) -> int:
 def shortest_path_length(g: Graph, u: int, v: int, exclude_edge: bool = False):
     """BFS hop count; UNREACHABLE when disconnected.
 
-    With exclude_edge set and (u, v) present, the search runs as if that one
-    edge were removed, so existing edges do not trivially score 1.
+    Level-synchronous over boolean node masks: v is at depth d + 1 exactly
+    when one of v's neighbours is in the depth-d frontier, so the level that
+    contains v is never built. With exclude_edge set and (u, v) present, v
+    is dropped from u's first level, which removes that one edge and nothing
+    else (v never enters a frontier), so existing edges do not trivially
+    score 1.
     """
     g._check_node(u)
     g._check_node(v)
     if u == v:
         return 0
-    skip = exclude_edge and g.has_edge(u, v)
-    dist = np.full(g.num_nodes, -1, dtype=np.int64)
-    dist[u] = 0
-    frontier = [u]
-    d = 0
-    while frontier:
+    indptr, indices = g.adjacency.indptr, g.adjacency.indices
+    level = indices[indptr[u] : indptr[u + 1]]
+    if np.any(level == v):
+        if not exclude_edge:
+            return 1
+        level = level[level != v]
+    target_nbrs = indices[indptr[v] : indptr[v + 1]]
+    frontier = np.zeros(g.num_nodes, dtype=bool)
+    frontier[level] = True
+    seen = frontier.copy()
+    seen[u] = True
+    d = 1
+    while level.size:
+        if frontier[target_nbrs].any():
+            return d + 1
+        # One gather of the frontier's CSR rows: each row's start repeated
+        # over its entries, plus the entry's position within the row.
+        starts = indptr[level]
+        counts = indptr[level + 1] - starts
+        ends = np.cumsum(counts)
+        pos = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+        frontier = np.zeros(g.num_nodes, dtype=bool)
+        frontier[indices[pos]] = True
+        frontier &= ~seen
+        seen |= frontier
+        level = np.flatnonzero(frontier)
         d += 1
-        nxt = []
-        for w in frontier:
-            for x in g.neighbors(w):
-                if skip and ((w == u and x == v) or (w == v and x == u)):
-                    continue
-                if dist[x] < 0:
-                    if x == v:
-                        return d
-                    dist[x] = d
-                    nxt.append(int(x))
-        frontier = nxt
     return UNREACHABLE
 
 

@@ -100,6 +100,25 @@ def _bucket_of(value, ranges):
     raise AssertionError(f"value {value} fell outside all buckets")
 
 
+def _non_edges_at(g: Graph, ranks):
+    """The non-edges (u, v), u < v, at the given sorted ranks of row-major
+    upper-triangle order, in O(n + m + len(ranks)) memory."""
+    n = g.num_nodes
+    e = g.edges()
+    upper_deg = np.bincount(e[:, 0], minlength=n)
+    per_row = (n - 1 - np.arange(n)) - upper_deg
+    row_end = np.cumsum(per_row)
+    u = np.searchsorted(row_end, ranks, side="right")
+    k = ranks - (row_end[u] - per_row[u])
+    # Row u's upper neighbour b_i has s_i = b_i - u - 1 - i non-edges before
+    # it, and lies left of the k-th non-edge exactly when s_i <= k. Keys
+    # row * n + s_i are sorted, so one searchsorted counts those neighbours.
+    first = np.cumsum(upper_deg) - upper_deg
+    s = e[:, 1] - e[:, 0] - 1 - (np.arange(e.shape[0]) - first[e[:, 0]])
+    left = np.searchsorted(e[:, 0] * n + s, u * n + k, side="right") - first[u]
+    return np.stack([u, u + 1 + k + left], axis=1)
+
+
 def sample_negatives(g: Graph, count: int, seed=None, rng=None):
     """Uniform distinct non-edges (u < v) of g, deterministic per seed."""
     if count < 0:
@@ -112,16 +131,10 @@ def sample_negatives(g: Graph, count: int, seed=None, rng=None):
     if count == 0:
         return np.empty((0, 2), dtype=np.int64)
     n = g.num_nodes
-    # Dense graphs: enumerate; sparse: rejection sample.
+    # Dense graphs: pick ranks among all non-edges; sparse: rejection sample.
     if count * 3 > pool:
-        dense = np.zeros((n, n), dtype=bool)
-        e = g.edges()
-        if e.size:
-            dense[e[:, 0], e[:, 1]] = True
-        iu, ju = np.triu_indices(n, k=1)
-        cand = np.stack([iu, ju], axis=1)[~dense[iu, ju]]
-        pick = rng.choice(cand.shape[0], size=count, replace=False)
-        return cand[np.sort(pick)]
+        pick = rng.choice(pool, size=count, replace=False)
+        return _non_edges_at(g, np.sort(pick))
     chosen = set()
     out = []
     while len(out) < count:
@@ -149,9 +162,9 @@ def generate_split(g: Graph, spec: SplitSpec) -> DatasetSplit:
     ranges = spec.bucket_ranges()
     edges = g.edges()
     buckets = {b: [] for b in BUCKETS}
-    for u, v in edges:
-        val = heuristic_value(g, int(u), int(v), spec.heuristic)
-        buckets[_bucket_of(val, ranges)].append((int(u), int(v)))
+    for u, v in edges.tolist():
+        val = heuristic_value(g, u, v, spec.heuristic)
+        buckets[_bucket_of(val, ranges)].append((u, v))
     for b in BUCKETS:
         if not buckets[b]:
             raise DegenerateSplitError(
@@ -206,16 +219,14 @@ def verify_split(g: Graph, split: DatasetSplit) -> SplitReport:
         counts[bucket] = int(edges.shape[0])
         values = []
         lo, hi = ranges[bucket]
-        for u, v in edges:
+        for u, v in edges.tolist():
             val = bruteforce.heuristic_brute(
-                adj, int(u), int(v), spec.heuristic, exclude_edge=spec.heuristic == "SP"
+                adj, u, v, spec.heuristic, exclude_edge=spec.heuristic == "SP"
             )
             values.append(val)
             inside = lo <= val < hi or (val == math.inf and hi == math.inf)
             if not inside:
-                violations.append(
-                    {"bucket": bucket, "edge": [int(u), int(v)], "value": float(val)}
-                )
+                violations.append({"bucket": bucket, "edge": [u, v], "value": float(val)})
         finite = [v for v in values if v != math.inf]
         hists[bucket] = {
             "n": len(values),
@@ -225,11 +236,9 @@ def verify_split(g: Graph, split: DatasetSplit) -> SplitReport:
         }
         if split.neg(bucket).shape[0] == 0:
             raise ValidationError(f"{bucket} negative set is empty")
-        for u, v in split.neg(bucket):
-            if int(v) in adj[int(u)]:
-                violations.append(
-                    {"bucket": f"{bucket}_neg", "edge": [int(u), int(v)], "value": None}
-                )
+        for u, v in split.neg(bucket).tolist():
+            if v in adj[u]:
+                violations.append({"bucket": f"{bucket}_neg", "edge": [u, v], "value": None})
     report = SplitReport(
         bucket_counts=counts,
         bucket_ranges={b: [ranges[b][0], ranges[b][1]] for b in BUCKETS},

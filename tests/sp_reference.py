@@ -1,0 +1,28 @@
+"""Dict-based BFS kept as the test oracle for both shortest-path implementations.
+
+`graphs.shortest_path_length` and `bruteforce.sp_brute` both stop one level
+early (the neighbour-of-target rule); this plain queue BFS builds every level
+and skips the excluded edge where it meets it, so it shares neither trick.
+"""
+
+import math
+from collections import deque
+
+
+def sp_reference(adj, u, v, exclude_edge=False):
+    if u == v:
+        return 0
+    skip = exclude_edge and v in adj[u]
+    dist = {u: 0}
+    q = deque([u])
+    while q:
+        w = q.popleft()
+        for x in adj[w]:
+            if skip and {w, x} == {u, v}:
+                continue
+            if x not in dist:
+                dist[x] = dist[w] + 1
+                if x == v:
+                    return dist[x]
+                q.append(x)
+    return math.inf

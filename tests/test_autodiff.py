@@ -257,6 +257,15 @@ class TestCheckpoint:
         with pytest.raises(InputError, match="model.ckpt: truncated"):
             ad.load_checkpoint(path)
 
+    def test_non_utf8_array_name_rejected_with_its_name(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ad.save_checkpoint(path, {"weights": np.ones(3)})
+        raw = bytearray(path.read_bytes())
+        raw[19] = 0xFF  # inside the first array name
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InputError, match="model.ckpt: corrupt checkpoint"):
+            ad.load_checkpoint(path)
+
 
 class TestDropout:
     def test_disabled_outside_training(self):

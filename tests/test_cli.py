@@ -73,6 +73,24 @@ class TestExitCodes:
                     "--hidden", 8, "--out", tmp_path / "gnn"])
         assert code == 5
 
+    def test_sp_edge_in_wrong_bucket_is_5(self, tmp_path):
+        d = pipeline_dirs(tmp_path)
+        assert run(synth_args(d["graph"], p_in=0.3)) == 0
+        assert run(["split", "--edges", d["graph"] / "edges.tsv",
+                    "--features", d["graph"] / "features.csv",
+                    "--heuristic", "SP", "--direction", "forward",
+                    "--t1", 3, "--t2", 4, "--seed", 5, "--out", d["split"]]) == 0
+        doc = json.loads((d["split"] / "split.json").read_text())
+        # Train holds exclude-edge SP < 3, i.e. 2; the test bucket needs >= 4.
+        doc["edges"]["test_pos"].append(doc["edges"]["train_pos"].pop(0))
+        (d["split"] / "split.json").write_text(json.dumps(doc))
+        code, err = run_child(["pretrain-gnn", "--edges", d["graph"] / "edges.tsv",
+                               "--features", d["graph"] / "features.csv",
+                               "--split", d["split"] / "split.json",
+                               "--out", d["gnn"]])
+        assert code == 5
+        assert "1 bucket violation" in err and "'value': 2.0" in err
+
     def test_flex_tune_without_ggm_checkpoint_is_3(self, tmp_path):
         d = pipeline_dirs(tmp_path)
         run_pipeline_through_split(d)
@@ -128,6 +146,21 @@ class TestExitCodes:
                                "--out", d["eval"]])
         assert code == 2
         assert "gnn.ckpt: truncated" in err and "Traceback" not in err
+
+
+    def test_truncated_samples_json_is_5(self, tmp_path):
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        record = {"block_size": 4, "label": 1, "target": [0, 1], "gamma": 0.5,
+                  "edges": [[0, 1, 0.75], [1, 2, 0.5], [2, 3, 0.625]]}
+        samples = d["tuned"] / "samples.json"
+        samples.write_text(json.dumps({"samples": [record] * 20})[:300])
+        code, err = run_child(["analyze", "--edges", d["graph"] / "edges.tsv",
+                               "--features", d["graph"] / "features.csv",
+                               "--split", d["split"] / "split.json",
+                               "--samples", samples, "--out", d["analysis"]])
+        assert code == 5
+        assert "samples.json" in err and "Traceback" not in err
 
 
 class TestConfigPrecedence:

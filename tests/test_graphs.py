@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from counterlink import bruteforce
 from counterlink.errors import InputError
@@ -21,6 +22,7 @@ from counterlink.graphs import (
     save_features_csv,
     shortest_path_length,
 )
+from sp_reference import sp_reference
 
 
 def graph_of(n, edges):
@@ -126,9 +128,48 @@ class TestHeuristics:
                 assert common_neighbors(g, u, v) == bruteforce.cn_brute(adj, u, v)
                 assert preferential_attachment(g, u, v) == bruteforce.pa_brute(adj, u, v)
                 for excl in (False, True):
-                    assert shortest_path_length(g, u, v, exclude_edge=excl) == (
-                        bruteforce.sp_brute(adj, u, v, exclude_edge=excl)
-                    )
+                    expected = sp_reference(adj, u, v, exclude_edge=excl)
+                    assert shortest_path_length(g, u, v, exclude_edge=excl) == expected
+                    assert bruteforce.sp_brute(adj, u, v, exclude_edge=excl) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sp_agrees_with_reference_bfs(self, data):
+        # Two random parts, each possibly disconnected, joined by at most one
+        # bridge edge, whose exclude-edge value must be unreachable.
+        sizes = data.draw(st.tuples(st.integers(1, 20), st.integers(1, 20)), label="sizes")
+        n = sum(sizes)
+        edges = set()
+        for lo, size in ((0, sizes[0]), (sizes[0], sizes[1])):
+            pairs = [(lo + i, lo + j) for i in range(size) for j in range(i + 1, size)]
+            if pairs:
+                edges |= data.draw(st.sets(st.sampled_from(pairs)), label="part")
+        bridge = data.draw(
+            st.none() | st.tuples(st.integers(0, sizes[0] - 1), st.integers(sizes[0], n - 1)),
+            label="bridge",
+        )
+        if bridge is not None:
+            edges.add(bridge)
+        g = graph_of(n, sorted(edges))
+        adj = bruteforce.adjacency_sets(n, g.edges())
+
+        def agree(u, v, excl):
+            expected = sp_reference(adj, u, v, exclude_edge=excl)
+            assert shortest_path_length(g, u, v, exclude_edge=excl) == expected
+            assert bruteforce.sp_brute(adj, u, v, exclude_edge=excl) == expected
+            return expected
+
+        for u in range(n):
+            assert agree(u, u, False) == agree(u, u, True) == 0
+            for v in range(u + 1, n):
+                if (u, v) in edges:
+                    agree(u, v, True)
+                    agree(v, u, True)
+                else:
+                    agree(u, v, False)
+                    assert agree(v, u, True) == agree(u, v, False)
+        if bridge is not None:
+            assert agree(*bridge, True) == UNREACHABLE
 
 
 class TestExtraction:

@@ -7,6 +7,7 @@ import pytest
 from counterlink import bruteforce
 from counterlink.errors import DegenerateSplitError, InputError, ValidationError
 from counterlink.graphs import Graph
+from counterlink.rng import stream_rng
 from counterlink.splits import (
     DatasetSplit,
     SplitSpec,
@@ -170,6 +171,31 @@ class TestNegatives:
         assert len(keys) == 50
         for u, v in neg:
             assert u < v and not g.has_edge(int(u), int(v))
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_dense_branch_matches_enumeration(self, seed):
+        def enumerated(g, count, rng):
+            # The n x n enumeration the dense branch replaced, kept as the oracle.
+            dense = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
+            e = g.edges()
+            if e.size:
+                dense[e[:, 0], e[:, 1]] = True
+            iu, ju = np.triu_indices(g.num_nodes, k=1)
+            cand = np.stack([iu, ju], axis=1)[~dense[iu, ju]]
+            pick = rng.choice(cand.shape[0], size=count, replace=False)
+            return cand[np.sort(pick)]
+
+        rng = np.random.default_rng(seed)
+        for n, p in ((2, 0.0), (6, 0.0), (9, 0.5), (12, 0.8), (15, 0.95)):
+            iu, ju = np.triu_indices(n, k=1)
+            keep = rng.random(iu.size) < p
+            g = graph_of(n, np.stack([iu[keep], ju[keep]], axis=1))
+            pool = g.non_edge_count()
+            for count in sorted({pool, pool // 2 + 1, pool // 3 + 1} - {0}):
+                got = sample_negatives(g, count, seed=seed)
+                want = enumerated(g, count, stream_rng(seed, "negatives"))
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestVerify:
