@@ -7,7 +7,7 @@ different questions and are never interchangeable.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -191,6 +191,10 @@ class SweepResult:
     stds: list
     per_point: list  # list of per-seed metric lists
     errors: dict  # str(value) -> list of error strings
+    # One {value, seed, best_epoch, selected_pretrained} per finished run.
+    # Reported in the manifest and on stdout, not in as_dict(), so sweep.json
+    # keeps its layout.
+    selections: list = field(default_factory=list)
 
     def as_dict(self):
         return {
@@ -228,7 +232,7 @@ def run_sweep(
     eval_norm = normalize_adjacency(
         (eval_graph if eval_graph is not None else g).adjacency
     )
-    means, stds, per_point = [], [], []
+    means, stds, per_point, selections = [], [], [], []
     errors = {}
     for value in grid:
         vals, errs = [], []
@@ -241,6 +245,9 @@ def run_sweep(
                     result.gnn, eval_norm, g.features, split.test_pos,
                     split.test_neg, cfg.eval_k,
                 ))
+                selections.append({"value": value, "seed": seed,
+                                   "best_epoch": result.best_epoch,
+                                   "selected_pretrained": result.best_epoch == 0})
             except Exception as exc:  # recorded, sweep continues
                 errs.append(f"{type(exc).__name__}: {exc}")
         per_point.append(vals)
@@ -250,5 +257,5 @@ def run_sweep(
         stds.append(float(np.std(vals)) if vals else float("nan"))
     return SweepResult(
         param=param, grid=grid, means=means, stds=stds, per_point=per_point,
-        errors=errors,
+        errors=errors, selections=selections,
     )

@@ -3,7 +3,10 @@
 A Tape owns one forward pass: parameters are wrapped with tape.leaf(...),
 ops record themselves when any input is being traced, and backward(loss)
 returns a gradient map for that tape only. Gradients of tensors that were
-never put on the tape are never written, by construction.
+never put on the tape are never written, by construction. Constant inputs
+get no gradient computed either: matmul and mul return None for an input
+whose tape is None (a fixed feature matrix, a constant propagation matrix),
+so backward does no product whose result it would throw away.
 
 Sparse support is a single op, CSR x dense, which is all the graph
 propagation here needs; everything else is dense numpy.
@@ -212,12 +215,14 @@ def mul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError("mul", f"{a.shape} vs {b.shape}")
     av, bv = a.value, b.value
-    return _emit(
-        "mul",
-        out,
-        [a, b],
-        lambda g: (_unbroadcast(g * bv, a.shape), _unbroadcast(g * av, b.shape)),
-    )
+
+    def back(g):
+        return (
+            None if a.tape is None else _unbroadcast(g * bv, a.shape),
+            None if b.tape is None else _unbroadcast(g * av, b.shape),
+        )
+
+    return _emit("mul", out, [a, b], back)
 
 
 def matmul(a, b) -> Tensor:
@@ -225,9 +230,14 @@ def matmul(a, b) -> Tensor:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", f"{a.shape} @ {b.shape}")
     av, bv = a.value, b.value
-    return _emit(
-        "matmul", av @ bv, [a, b], lambda g: (g @ bv.T, av.T @ g)
-    )
+
+    def back(g):
+        return (
+            None if a.tape is None else g @ bv.T,
+            None if b.tape is None else av.T @ g,
+        )
+
+    return _emit("matmul", av @ bv, [a, b], back)
 
 
 def sparse_matmul(csr, x) -> Tensor:
@@ -329,11 +339,15 @@ def tmean(a, axis=None) -> Tensor:
     return _emit("mean", out, [a], back)
 
 
+def _stable_sigmoid(x, e):
+    """Sigmoid of x given e = exp(-|x|): 1/(1+e) where x >= 0, else e/(1+e)."""
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    av = a.value
-    out = np.where(av >= 0, 1.0 / (1.0 + np.exp(-np.maximum(av, 0))),
-                   np.exp(np.minimum(av, 0)) / (1.0 + np.exp(np.minimum(av, 0))))
+    out = _stable_sigmoid(a.value, np.exp(-np.abs(a.value)))
     return _emit("sigmoid", out, [a], lambda g: (g * out * (1.0 - out),))
 
 
@@ -395,7 +409,8 @@ def bce_with_logits(logits, targets, weights=None, reduction="mean") -> Tensor:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != lv.shape:
             raise ShapeError("bce_with_logits", f"logits {lv.shape} vs weights {w.shape}")
-    loss = np.maximum(lv, 0.0) - lv * t + np.log1p(np.exp(-np.abs(lv)))
+    e = np.exp(-np.abs(lv))
+    loss = np.maximum(lv, 0.0) - lv * t + np.log1p(e)
     if w is not None:
         loss = loss * w
     if reduction == "none":
@@ -407,9 +422,7 @@ def bce_with_logits(logits, targets, weights=None, reduction="mean") -> Tensor:
     else:
         raise InputError(f"unknown reduction {reduction!r}")
 
-    sig = np.where(lv >= 0, 1.0 / (1.0 + np.exp(-np.maximum(lv, 0))),
-                   np.exp(np.minimum(lv, 0)) / (1.0 + np.exp(np.minimum(lv, 0))))
-    base = sig - t
+    base = _stable_sigmoid(lv, e) - t
     if w is not None:
         base = base * w
 

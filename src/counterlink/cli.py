@@ -498,10 +498,15 @@ def cmd_sweep(cfg):
          "ggm_ckpt": cfg["ggm_ckpt"]},
         {"sweep_json": json_path, "sweep_csv": csv_path},
         time.perf_counter() - t0,
-        metrics={"param": cfg["param"], "means": result.means},
+        metrics={"param": cfg["param"], "means": result.means,
+                 "runs": result.selections},
     )
     for v, m, s in zip(result.grid, result.means, result.stds):
         print(f"sweep {cfg['param']}={v}: Hits@{cfg['eval_k']} {m:.4f} +/- {s:.4f}")
+    for run in result.selections:
+        print(f"sweep {cfg['param']}={run['value']} seed {run['seed']}: "
+              f"best epoch {run['best_epoch']}"
+              f"{' (pre-trained state kept)' if run['selected_pretrained'] else ''}")
 
 
 HANDLERS = {

@@ -10,6 +10,11 @@ pins the posterior divergence near a target value; in check mode it also
 descends the classification loss so prediction quality stays a check on
 generation, while literal min-max mode ascends the full combined objective.
 
+The predictor step tapes only the predictor: its forward pass runs the
+generator on raw parameter arrays, so the generated adjacency is a constant
+and backward never walks the encoder, decoder and evidence-bound graph whose
+gradients that step would discard. The generator step tapes both sides.
+
 Model selection is validation Hits@K with the pre-update state included as
 a candidate, since over-tuning degrades quickly here.
 """
@@ -98,7 +103,7 @@ class LossBundle:
     penalty: float
     mean_generated_cn: float
     gnn_leaves: dict
-    ggm_leaves: dict
+    ggm_leaves: dict  # None for a predictor-only bundle
 
 
 def cotrain_losses(
@@ -108,15 +113,19 @@ def cotrain_losses(
     cfg: CotrainConfig,
     tau: float,
     rng,
+    predictor_only: bool = False,
 ) -> LossBundle:
     """One joint forward pass on a batch; both loss sides share the tape.
 
     The predictor runs per block over the generated weighted adjacency of
     the evidence bound's first draw, scores the target endpoints, and the
-    batch's link labels are the BCE targets.
+    batch's link labels are the BCE targets. With predictor_only set, the
+    generator runs on its raw parameter arrays (same rng draws, same values),
+    so only predictor ops are taped and the bundle has no generator leaves:
+    it serves gnn_step, not ggm_step.
     """
     tape = ad.Tape()
-    ggm_leaves = tape.leaves(ggm_params.named())
+    ggm_leaves = None if predictor_only else tape.leaves(ggm_params.named())
     gnn_leaves = tape.leaves(gnn_params.named())
 
     elbo = sivi_elbo(
@@ -170,6 +179,8 @@ def gnn_step(bundle: LossBundle, state: ad.AdamState, params: GcnParams, alpha: 
 
 def ggm_step(bundle: LossBundle, state: ad.AdamState, params: SiviParams, cfg: CotrainConfig):
     """Ascend the generator objective per the configured update rule."""
+    if bundle.ggm_leaves is None:
+        raise InputError("ggm_step needs a bundle whose tape holds the generator")
     if cfg.update_rule == "check_mode":
         # ascend gen, descend alpha*lp
         descend = ad.sub(ad.mul(bundle.lp, ad.Tensor(cfg.alpha)), bundle.gen)
@@ -263,6 +274,7 @@ def flex_tune(
             bundle = cotrain_losses(
                 gnn_params, ggm_params, batch, cfg, tau,
                 stream_rng(cfg.seed, f"cot.noise.e{epoch}.b{bi}.gnn"),
+                predictor_only=True,
             )
             gnn_step(bundle, state_gnn, gnn_params, cfg.alpha)
 

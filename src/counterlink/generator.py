@@ -551,7 +551,7 @@ def dump_samples(samples, path):
                 }
             )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_samples(path):
@@ -562,21 +562,28 @@ def load_samples(path):
     except ValueError as exc:
         raise ValidationError(f"{path}: not valid samples JSON: {exc}")
     out = []
-    for rec in doc["samples"]:
-        m = rec["block_size"]
-        adj = np.zeros((m, m))
-        probs = np.zeros((m, m))
-        for i, j, p in rec["edges"]:
-            adj[i, j] = adj[j, i] = 1.0
-            probs[i, j] = probs[j, i] = p
-        out.append(
-            {
-                "block_size": m,
-                "adjacency": adj,
-                "probs": probs,
-                "target": tuple(rec["target"]),
-                "label": rec["label"],
-                "gamma": rec.get("gamma", 0.0),
-            }
-        )
+    try:
+        for rec in doc["samples"]:
+            m = rec["block_size"]
+            adj = np.zeros((m, m))
+            probs = np.zeros((m, m))
+            for i, j, p in rec["edges"]:
+                if not (0 <= i < m and 0 <= j < m):
+                    raise ValueError(f"edge ({i}, {j}) outside a block of {m} nodes")
+                adj[i, j] = adj[j, i] = 1.0
+                probs[i, j] = probs[j, i] = p
+            out.append(
+                {
+                    "block_size": m,
+                    "adjacency": adj,
+                    "probs": probs,
+                    "target": tuple(rec["target"]),
+                    "label": rec["label"],
+                    "gamma": rec.get("gamma", 0.0),
+                }
+            )
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing field {exc}")
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed samples: {exc}")
     return out

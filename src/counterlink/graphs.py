@@ -60,10 +60,25 @@ class Csr:
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     def matmul_dense(self, x):
+        """Each output row sums its entries' products left to right from 0.0.
+
+        Rows are visited in falling-degree order, so the rows that still have
+        a k-th entry are a prefix and pass k adds all of them in one step.
+        """
         x = np.asarray(x, dtype=np.float64)
-        out = np.zeros((self.shape[0], x.shape[1]), dtype=np.float64)
-        if self.indices.size:
-            np.add.at(out, self.row_ids(), self.data[:, None] * x[self.indices])
+        n = self.shape[0]
+        out = np.zeros((n, x.shape[1]), dtype=np.float64)
+        if not self.indices.size:
+            return out
+        prod = self.data[:, None] * x[self.indices]
+        deg = np.diff(self.indptr)
+        order = np.argsort(-deg, kind="stable")
+        starts = self.indptr[order]
+        live = n - np.searchsorted(deg[order][::-1], np.arange(deg.max()), side="right")
+        acc = np.zeros_like(out)
+        for k, rows in enumerate(live.tolist()):
+            acc[:rows] += prod[starts[:rows] + k]
+        out[order] = acc
         return out
 
     def transpose(self):
@@ -160,6 +175,17 @@ class Graph:
 # Link heuristics
 
 
+def _row_entries(g: Graph, nodes):
+    """Positions in the CSR index array of every entry of the given rows, in
+    row order, plus each row's entry count: one gather, no per-row loop."""
+    indptr = g.adjacency.indptr
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts), counts
+
+
 def common_neighbors(g: Graph, u: int, v: int) -> int:
     g._check_node(u)
     g._check_node(v)
@@ -196,14 +222,8 @@ def shortest_path_length(g: Graph, u: int, v: int, exclude_edge: bool = False):
     while level.size:
         if frontier[target_nbrs].any():
             return d + 1
-        # One gather of the frontier's CSR rows: each row's start repeated
-        # over its entries, plus the entry's position within the row.
-        starts = indptr[level]
-        counts = indptr[level + 1] - starts
-        ends = np.cumsum(counts)
-        pos = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
         frontier = np.zeros(g.num_nodes, dtype=bool)
-        frontier[indices[pos]] = True
+        frontier[indices[_row_entries(g, level)[0]]] = True
         frontier &= ~seen
         seen |= frontier
         level = np.flatnonzero(frontier)
@@ -239,18 +259,17 @@ class LabeledSubgraph:
         return self.node_map.shape[0]
 
 
-def _khop_ball(g: Graph, start: int, k: int) -> set:
-    seen = {start}
-    frontier = [start]
+def _khop_mask(g: Graph, sources, k: int) -> np.ndarray:
+    """Boolean mask of every node within k hops of any source node."""
+    seen = np.zeros(g.num_nodes, dtype=bool)
+    seen[sources] = True
+    level = np.asarray(sources, dtype=np.int64)
     for _ in range(k):
-        nxt = []
-        for w in frontier:
-            for x in g.neighbors(w):
-                xi = int(x)
-                if xi not in seen:
-                    seen.add(xi)
-                    nxt.append(xi)
-        frontier = nxt
+        reached = np.zeros(g.num_nodes, dtype=bool)
+        reached[g.adjacency.indices[_row_entries(g, level)[0]]] = True
+        reached &= ~seen
+        seen |= reached
+        level = np.flatnonzero(reached)
     return seen
 
 
@@ -276,10 +295,9 @@ def extract_enclosing_subgraph(
     g._check_node(u)
     g._check_node(v)
 
-    nodes = _khop_ball(g, u, k) | _khop_ball(g, v, k)
-    nodes.discard(u)
-    nodes.discard(v)
-    rest = np.array(sorted(nodes), dtype=np.int64)
+    ball = _khop_mask(g, [u, v], k)
+    ball[[u, v]] = False
+    rest = np.flatnonzero(ball)
     if rest.size > max_nodes - 2:
         if rng is None:
             rng = np.random.default_rng(0)
@@ -288,13 +306,14 @@ def extract_enclosing_subgraph(
     node_map = np.concatenate([np.array([u, v], dtype=np.int64), rest])
 
     n = node_map.shape[0]
-    local_of = {int(gl): i for i, gl in enumerate(node_map)}
+    local_of = np.full(g.num_nodes, -1, dtype=np.int64)
+    local_of[node_map] = np.arange(n)
+    pos, counts = _row_entries(g, node_map)
+    rows = np.repeat(np.arange(n), counts)
+    cols = local_of[g.adjacency.indices[pos]]
+    inside = cols >= 0
     adj = np.zeros((n, n), dtype=np.float64)
-    for i, gl in enumerate(node_map):
-        for x in g.neighbors(int(gl)):
-            j = local_of.get(int(x))
-            if j is not None:
-                adj[i, j] = 1.0
+    adj[rows[inside], cols[inside]] = 1.0
     if exclude_target_edge:
         adj[0, 1] = 0.0
         adj[1, 0] = 0.0

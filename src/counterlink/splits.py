@@ -285,7 +285,23 @@ def save_split(split: DatasetSplit, path):
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
+
+
+def _edge_array(rows, num_nodes, key):
+    """(m, 2) int64 array from a JSON list of [u, v] node-id pairs.
+
+    Raises ValueError unless every entry is an integer pair of ids in
+    [0, num_nodes); floats are rejected, not truncated.
+    """
+    arr = np.array(rows)
+    if arr.size == 0 and arr.ndim == 1:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        raise ValueError(f"{key} must be a list of [u, v] integer pairs")
+    if arr.min() < 0 or arr.max() >= num_nodes:
+        raise ValueError(f"{key} holds a node id outside [0, {num_nodes})")
+    return arr.astype(np.int64)
 
 
 def load_split(path, g: Graph) -> DatasetSplit:
@@ -298,11 +314,15 @@ def load_split(path, g: Graph) -> DatasetSplit:
     try:
         spec = SplitSpec(**doc["spec"])
         arrays = {
-            key: np.array(doc["edges"][key], dtype=np.int64).reshape(-1, 2)
+            key: _edge_array(doc["edges"][key], g.num_nodes, key)
             for key in (f"{b}_{kind}" for b in BUCKETS for kind in ("pos", "neg"))
         }
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}")
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed split: {exc}")
     split = DatasetSplit(
         observed_graph=g.subgraph_on(arrays["train_pos"]),
         spec=spec,

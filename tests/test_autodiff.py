@@ -6,6 +6,7 @@ import pytest
 from counterlink import autodiff as ad
 from counterlink.errors import InputError, NumericError, ShapeError
 from counterlink.graphs import Csr
+from graphs_reference import matmul_dense_reference
 
 
 def finite_diff(f, arrays, h=1e-5):
@@ -59,12 +60,49 @@ class TestForward:
         dense = (rng.random((6, 6)) < 0.4) * rng.random((6, 6))
         csr = Csr.from_dense(dense)
         x = rng.standard_normal((6, 3))
-        assert np.allclose(csr.matmul_dense(x), dense @ x)
+        want = matmul_dense_reference(csr, x)
+        assert csr.matmul_dense(x).tobytes() == want.tobytes()
+        assert np.allclose(want, dense @ x)
         out = ad.sparse_matmul(csr, ad.Tensor(x))
-        assert np.allclose(out.value, dense @ x)
+        assert out.value.tobytes() == want.tobytes()
+
+    def test_sigmoid_and_bce_match_the_three_exp_forms(self):
+        # The one-exp forms must reproduce the branchwise three-exp formulas
+        # byte for byte, including both tails and signed zeros.
+        x = np.concatenate([np.linspace(-800.0, 800.0, 4001),
+                            [-0.0, 0.0, 1e-300, -1e-300, 36.7, -36.7, 709.8, -745.2]])
+        old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.maximum(x, 0))),
+                       np.exp(np.minimum(x, 0)) / (1.0 + np.exp(np.minimum(x, 0))))
+        assert ad.sigmoid(ad.Tensor(x)).value.tobytes() == old.tobytes()
+        t = (np.arange(x.size) % 2).astype(np.float64)
+        tape = ad.Tape()
+        logits = tape.leaf(x)
+        loss = ad.bce_with_logits(logits, t, reduction="sum")
+        old_loss = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
+        assert loss.value.tobytes() == np.asarray(old_loss.sum()).tobytes()
+        per_entry = ad.bce_with_logits(ad.Tensor(x), t, reduction="none")
+        assert per_entry.value.tobytes() == old_loss.tobytes()
+        grad = ad.backward(loss).of(logits)
+        assert grad.tobytes() == (np.ones(()) * (old - t)).tobytes()
 
 
 class TestBackward:
+    def test_constant_inputs_get_no_gradient(self):
+        tape = ad.Tape()
+        w = tape.leaf(np.arange(6.0).reshape(2, 3))
+        x = ad.Tensor(np.ones((4, 2)))
+        for op, const_first in ((lambda: ad.matmul(x, w), True),
+                                (lambda: ad.mul(w, ad.Tensor(2.0)), False)):
+            out = op()
+            out_id, in_ids, back = tape._records[-1]
+            assert out_id == out.node_id
+            grads = back(np.ones(out.shape))
+            const, traced = (grads[0], grads[1]) if const_first else (grads[1], grads[0])
+            assert const is None
+            assert traced.shape == w.shape
+        g = ad.backward(ad.tsum(ad.matmul(x, w))).of(w)
+        assert np.array_equal(g, x.value.T @ np.ones((4, 3)))
+
     def test_square_at_three(self):
         tape = ad.Tape()
         x = tape.leaf(np.array(3.0))

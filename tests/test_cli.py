@@ -163,6 +163,80 @@ class TestExitCodes:
         assert "samples.json" in err and "Traceback" not in err
 
 
+def _unknown_spec_key(doc):
+    doc["spec"]["wings"] = 2
+    return doc
+
+
+def _list_spec(doc):
+    doc["spec"] = list(doc["spec"].values())
+    return doc
+
+
+def _non_integer_edge(doc):
+    doc["edges"]["valid_pos"][0] = ["a", 1]
+    return doc
+
+
+def _fractional_edge(doc):
+    doc["edges"]["train_pos"][0] = [doc["edges"]["train_pos"][0][0] + 0.5, 1]
+    return doc
+
+
+def _three_element_edge(doc):
+    doc["edges"]["test_neg"][0].append(7)
+    return doc
+
+
+def _out_of_range_edge(doc):
+    doc["edges"]["test_pos"][0] = [0, 60]
+    return doc
+
+
+def _top_level_list(doc):
+    return [doc]
+
+
+class TestMalformedStructure:
+    """Valid JSON with the wrong structure exits 5 without a traceback."""
+
+    @pytest.mark.parametrize("corrupt", [
+        _unknown_spec_key, _list_spec, _non_integer_edge, _fractional_edge,
+        _three_element_edge, _out_of_range_edge, _top_level_list,
+    ])
+    def test_split_json_is_5(self, tmp_path, corrupt):
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        split = d["split"] / "split.json"
+        split.write_text(json.dumps(corrupt(json.loads(split.read_text()))))
+        code, err = run_child(["pretrain-gnn", "--edges", d["graph"] / "edges.tsv",
+                               "--features", d["graph"] / "features.csv",
+                               "--split", split, "--out", d["gnn"]])
+        assert code == 5, err
+        assert "split.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [
+        {"records": []},
+        {"samples": [{"block_size": 4, "label": 1, "target": [0, 1], "gamma": 0.5}]},
+        {"samples": [{"block_size": 4, "label": 1, "target": [0, 1], "gamma": 0.5,
+                      "edges": [[0, 9, 0.75]]}]},
+        {"samples": [{"block_size": 4, "label": 1, "target": [0, 1], "gamma": 0.5,
+                      "edges": [[-1, 2, 0.75]]}]},
+    ], ids=["no_samples_key", "record_without_edges", "edge_outside_block",
+            "negative_edge_id"])
+    def test_samples_json_is_5(self, tmp_path, doc):
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        samples = d["tuned"] / "samples.json"
+        samples.write_text(json.dumps(doc))
+        code, err = run_child(["analyze", "--edges", d["graph"] / "edges.tsv",
+                               "--features", d["graph"] / "features.csv",
+                               "--split", d["split"] / "split.json",
+                               "--samples", samples, "--out", d["analysis"]])
+        assert code == 5, err
+        assert "samples.json" in err and "Traceback" not in err
+
+
 class TestConfigPrecedence:
     def test_flags_beat_file_beat_defaults(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -322,7 +396,7 @@ class TestSweepCommand:
         monkeypatch.setitem(cli.HANDLERS, "synth", boom)
         assert run(["synth", "--out", tmp_path]) == 4
 
-    def test_single_point_sweep(self, tmp_path):
+    def test_single_point_sweep(self, tmp_path, capsys):
         d = pipeline_dirs(tmp_path)
         run_pipeline_through_split(d)
         graph_flags = ["--edges", d["graph"] / "edges.tsv",
@@ -342,3 +416,10 @@ class TestSweepCommand:
         doc = json.loads((out / "sweep.json").read_text())
         assert doc["grid"] == [0.5]
         assert len(doc["means"]) == 1
+        assert sorted(doc) == ["errors", "grid", "means", "param", "per_point", "stds"]
+        runs = read_manifest(out / "sweep.manifest.json")["metrics"]["runs"]
+        assert [(r["value"], r["seed"]) for r in runs] == [(0.5, 0)]
+        assert runs[0]["selected_pretrained"] == (runs[0]["best_epoch"] == 0)
+        kept = " (pre-trained state kept)" if runs[0]["selected_pretrained"] else ""
+        assert (f"sweep gamma=0.5 seed 0: best epoch {runs[0]['best_epoch']}{kept}"
+                in capsys.readouterr().out.splitlines())

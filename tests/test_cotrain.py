@@ -97,14 +97,15 @@ class TestConfig:
 
 
 class TestSteps:
-    def make_bundle(self, cfg, gnn, ggm, split, obs, seed=17):
+    def make_bundle(self, cfg, gnn, ggm, split, obs, seed=17, predictor_only=False):
         links = [Edge(int(u), int(v), POSITIVE) for u, v in split.train_pos[:6]] + [
             Edge(int(u), int(v), NEGATIVE) for u, v in split.train_neg[:6]
         ]
         subs = extract_for_links(obs, links, k=1, max_nodes=30, seed=1)
         batch = make_batch(subs)
         return batch, cotrain_losses(
-            gnn, ggm, batch, cfg, tau=2.0, rng=stream_rng(seed, "probe")
+            gnn, ggm, batch, cfg, tau=2.0, rng=stream_rng(seed, "probe"),
+            predictor_only=predictor_only,
         )
 
     def test_ggm_ascent_does_not_decrease_gen(self):
@@ -141,6 +142,51 @@ class TestSteps:
         ggm_step(bundle, ad.AdamState(lr=1e-2), ggm, cfg)
         for k, v in gnn.named().items():
             assert np.array_equal(v, gnn_before[k]), k
+
+    def test_predictor_only_bundle_matches_joint_tape(self):
+        g, split, obs, gnn, ggm, spec = pipeline_fixture()
+        cfg = CotrainConfig(alpha=1.05, gamma=0.5, noise=spec, epochs=1, patience=1)
+        _, joint = self.make_bundle(cfg, gnn, ggm, split, obs)
+        _, solo = self.make_bundle(cfg, gnn, ggm, split, obs, predictor_only=True)
+        assert np.array_equal(solo.lp.value, joint.lp.value)
+        assert solo.mean_generated_cn == joint.mean_generated_cn
+
+        def grads(bundle):
+            loss = ad.mul(bundle.lp, ad.Tensor(cfg.alpha))
+            return ad.backward(loss).named(bundle.gnn_leaves)
+
+        want, got = grads(joint), grads(solo)
+        assert want.keys() == got.keys()
+        for k in want:
+            assert np.array_equal(got[k], want[k]), k
+
+    def test_predictor_only_tape_holds_no_generator_record(self):
+        g, split, obs, gnn, ggm, spec = pipeline_fixture()
+        cfg = CotrainConfig(alpha=1.05, gamma=0.5, noise=spec, epochs=1, patience=1)
+        _, joint = self.make_bundle(cfg, gnn, ggm, split, obs)
+        _, solo = self.make_bundle(cfg, gnn, ggm, split, obs, predictor_only=True)
+        assert solo.ggm_leaves is None
+        for bundle, pure in ((solo, True), (joint, False)):
+            tape = bundle.lp.tape
+            # Seeded with the predictor's leaves only, every traced input of
+            # every record must be a predictor leaf or a record made from one.
+            derived = {t.node_id for t in bundle.gnn_leaves.values()}
+            ok = True
+            for out_id, in_ids, _ in tape._records:
+                ok &= all(i is None or i in derived for i in in_ids)
+                derived.add(out_id)
+            assert ok == pure
+        assert len(solo.lp.tape._records) < len(joint.lp.tape._records)
+
+    def test_ggm_step_rejects_predictor_only_bundle(self):
+        g, split, obs, gnn, ggm, spec = pipeline_fixture()
+        cfg = CotrainConfig(alpha=1.05, gamma=0.5, noise=spec, epochs=1, patience=1)
+        _, solo = self.make_bundle(cfg, gnn, ggm, split, obs, predictor_only=True)
+        before = {k: v.copy() for k, v in ggm.named().items()}
+        with pytest.raises(InputError, match="generator"):
+            ggm_step(solo, ad.AdamState(lr=1e-2), ggm, cfg)
+        for k, v in ggm.named().items():
+            assert np.array_equal(v, before[k]), k
 
     def test_alpha_zero_freezes_gnn(self):
         g, split, obs, gnn, ggm, spec = pipeline_fixture()

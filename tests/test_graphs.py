@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from counterlink import bruteforce
 from counterlink.errors import InputError
 from counterlink.graphs import (
+    Csr,
     Edge,
     Graph,
+    NEGATIVE,
+    POSITIVE,
     UNREACHABLE,
     build_features,
     common_neighbors,
@@ -22,6 +25,8 @@ from counterlink.graphs import (
     save_features_csv,
     shortest_path_length,
 )
+from counterlink.rng import stream_rng
+from graphs_reference import extract_reference, matmul_dense_reference
 from sp_reference import sp_reference
 
 
@@ -255,6 +260,112 @@ class TestExtraction:
             extract_enclosing_subgraph(g, Edge(0, 1), k=0)
         with pytest.raises(InputError):
             extract_enclosing_subgraph(g, Edge(0, 9), k=1)
+
+
+def drawn_graph(data, max_n=30):
+    n = data.draw(st.integers(2, max_n), label="n")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.sets(st.sampled_from(pairs)), label="edges")
+    return graph_of(n, sorted(edges))
+
+
+def assert_same_subgraph(a, b):
+    for name in ("node_map", "local_adjacency", "local_features", "labels"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert (a.target, a.hop_k, a.link_label) == (b.target, b.hop_k, b.link_label)
+
+
+class TestExtractionMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_single_link_byte_identical(self, data):
+        g = drawn_graph(data)
+        n = g.num_nodes
+        u = data.draw(st.integers(0, n - 1), label="u")
+        v = data.draw(st.integers(0, n - 1).filter(lambda x: x != u), label="v")
+        k = data.draw(st.integers(1, 3), label="k")
+        max_nodes = data.draw(st.integers(2, n + 1), label="max_nodes")
+        exclude = data.draw(st.booleans(), label="exclude")
+        label = data.draw(st.sampled_from([POSITIVE, NEGATIVE]), label="label")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        e = Edge(u, v, label)
+        got = extract_enclosing_subgraph(g, e, k=k, max_nodes=max_nodes,
+                                         rng=np.random.default_rng(seed),
+                                         exclude_target_edge=exclude)
+        want = extract_reference(g, e, k=k, max_nodes=max_nodes,
+                                 rng=np.random.default_rng(seed),
+                                 exclude_target_edge=exclude)
+        assert_same_subgraph(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_for_links_byte_identical_with_subsampling_and_negatives(self, data):
+        # Negatives keep their target edge (exclude_target_edge=False).
+        g = drawn_graph(data, max_n=40)
+        n = g.num_nodes
+        links = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.sampled_from([POSITIVE, NEGATIVE])).filter(lambda t: t[0] != t[1]),
+            min_size=1, max_size=8), label="links")
+        links = [Edge(u, v, lab) for u, v, lab in links]
+        k = data.draw(st.integers(1, 3), label="k")
+        max_nodes = data.draw(st.integers(2, 12), label="max_nodes")
+        got = extract_for_links(g, links, k=k, max_nodes=max_nodes, seed=11)
+        for e, sub in zip(links, got):
+            want = extract_reference(
+                g, e, k=k, max_nodes=max_nodes,
+                rng=stream_rng(11, f"extract.{e.u}.{e.v}.{e.label}"),
+                exclude_target_edge=e.label == POSITIVE,
+            )
+            assert_same_subgraph(sub, want)
+
+    def test_subsampling_and_kept_negative_edge_are_exercised(self):
+        g = random_graph(40, 0.5, np.random.default_rng(5))
+        u, v = g.edges()[0].tolist()
+        e = Edge(u, v, NEGATIVE)
+        got = extract_enclosing_subgraph(g, e, k=2, max_nodes=7,
+                                         rng=np.random.default_rng(1),
+                                         exclude_target_edge=False)
+        want = extract_reference(g, e, k=2, max_nodes=7, rng=np.random.default_rng(1),
+                                 exclude_target_edge=False)
+        assert got.num_nodes == 7 and got.local_adjacency[0, 1] == 1.0
+        assert_same_subgraph(got, want)
+
+
+class TestCsrMatmulMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_byte_identical_to_add_at(self, data):
+        # Rows below `lead` and from `n - trail` on stay empty; entries are
+        # not mirrored, so the matrix is in general not symmetric.
+        n = data.draw(st.integers(1, 25), label="n")
+        lead = data.draw(st.integers(0, n), label="lead")
+        trail = data.draw(st.integers(0, n - lead), label="trail")
+        cells = [(r, c) for r in range(lead, n - trail) for c in range(n)]
+        picked = sorted(data.draw(st.sets(st.sampled_from(cells)), label="cells")
+                        if cells else set())
+        values = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+        vals = [data.draw(values, label="val") for _ in picked]
+        rows = [r for r, _ in picked]
+        cols = [c for _, c in picked]
+        csr = Csr.from_coo(n, rows, cols, vals)
+        d = data.draw(st.integers(1, 4), label="d")
+        x = np.array(data.draw(st.lists(values, min_size=n * d, max_size=n * d),
+                               label="x")).reshape(n, d)
+        got = csr.matmul_dense(x)
+        want = matmul_dense_reference(csr, x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_edge_cases(self):
+        x = np.arange(8, dtype=np.float64).reshape(4, 2)
+        empty = Csr.from_coo(4, [], [])
+        assert empty.matmul_dense(x).tobytes() == np.zeros((4, 2)).tobytes()
+        # Only the middle rows hold entries; one row has more than the rest.
+        csr = Csr.from_coo(4, [1, 1, 1, 2], [0, 3, 2, 1], [0.5, -2.0, 1e-17, 3.0])
+        assert csr.matmul_dense(x).tobytes() == matmul_dense_reference(csr, x).tobytes()
+        assert not csr.matmul_dense(x)[[0, 3]].any()
 
 
 class TestBatching:
