@@ -12,6 +12,8 @@ Sparse support is a single op, CSR x dense, which is all the graph
 propagation here needs; everything else is dense numpy.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -23,11 +25,10 @@ from .errors import InputError, NumericError, ShapeError
 class Tensor:
     """Value plus optional tape handle; .value is the raw ndarray."""
 
-    __slots__ = ("value", "requires_grad", "tape", "node_id")
+    __slots__ = ("value", "tape", "node_id")
 
-    def __init__(self, value, requires_grad=False, tape=None, node_id=None):
+    def __init__(self, value, tape=None, node_id=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.requires_grad = requires_grad
         self.tape = tape
         self.node_id = node_id
 
@@ -73,7 +74,6 @@ class Tape:
     def __init__(self):
         self._records = []
         self._next_id = 0
-        self._leaf_ids = []
 
     def _fresh(self):
         nid = self._next_id
@@ -81,15 +81,13 @@ class Tape:
         return nid
 
     def leaf(self, value) -> Tensor:
-        t = Tensor(value, requires_grad=True, tape=self, node_id=self._fresh())
-        self._leaf_ids.append(t.node_id)
-        return t
+        return Tensor(value, tape=self, node_id=self._fresh())
 
     def leaves(self, named: dict) -> dict:
         return {k: self.leaf(v) for k, v in named.items()}
 
     def record(self, out_value, inputs, backward_fn) -> Tensor:
-        out = Tensor(out_value, requires_grad=True, tape=self, node_id=self._fresh())
+        out = Tensor(out_value, tape=self, node_id=self._fresh())
         self._records.append((out.node_id, [t.node_id for t in inputs], backward_fn))
         return out
 
@@ -494,7 +492,7 @@ def _write_array(fh, name, arr):
 
 def _read(fh, size):
     """Exactly size bytes, or an InputError naming the file."""
-    data = fh.read(size) if size >= 0 else b""
+    data = fh.read(size)
     if len(data) != size:
         raise InputError(f"{fh.name}: truncated or corrupt checkpoint")
     return data
@@ -512,7 +510,11 @@ def _read_array(fh):
         raise InputError(f"{fh.name}: corrupt checkpoint: array name is not UTF-8")
     (ndim,) = _unpack(fh, "<B")
     shape = tuple(_unpack(fh, "<q")[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
+    count = math.prod(shape)  # Python ints, so a huge shape cannot wrap to 0
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if min(shape, default=0) < 0 or count * 8 > left:
+        raise InputError(f"{fh.name}: truncated or corrupt checkpoint: array {name!r} "
+                         f"claims shape {shape} with {left} bytes left")
     data = np.frombuffer(_read(fh, count * 8), dtype="<f8").reshape(shape).copy()
     return name, data
 

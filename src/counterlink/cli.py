@@ -91,16 +91,10 @@ DEFAULTS = {
         "edges": None, "features": None, "split": None, "samples": None,
         "out": "out",
     },
-    "sweep": {
-        "edges": None, "features": None, "split": None, "gnn_ckpt": None,
-        "ggm_ckpt": None, "param": "gamma",
-        "grid": "0.0,0.25,0.5,0.75,0.9,0.9999", "seeds": "0,1,2",
-        "alpha": 1.05, "tau": None, "tau_offset": 1.0, "gamma": 0.9,
-        "lr_gnn": 1e-5, "lr_ggm": 1e-5, "epochs": 5, "batch_size": 64,
-        "patience": 2, "update_rule": "check_mode", "num_psi": 3,
-        "eval_k": 20, "hop_k": 1, "max_nodes": 1000, "seed": 0,
-        "full_adjacency_eval": False, "out": "out",
-    },
+}
+DEFAULTS["sweep"] = {
+    **DEFAULTS["flex-tune"], "param": "gamma",
+    "grid": "0.0,0.25,0.5,0.75,0.9,0.9999", "seeds": "0,1,2",
 }
 
 _FLAG_TYPES = {
@@ -158,15 +152,39 @@ def merge_config(command, args) -> dict:
             )
         unknown = set(section) - set(cfg)
         if unknown:
-            raise ConfigError(
-                f"unknown config keys for {command}: {sorted(unknown)}"
-            )
-        cfg.update(section)
+            raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+        for key, val in section.items():
+            cfg[key] = _config_value(args.config, command, key, val)
     for key in DEFAULTS[command]:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
+
+
+def _config_value(path, command, key, val):
+    """val if it has the flag's type: an int passes (as a float) for a float,
+    a bool never for a number, null only where the default is None."""
+    kind, default = _FLAG_TYPES[key], DEFAULTS[command][key]
+    if val is None and default is None:
+        return None
+    if isinstance(val, bool) != (kind is bool) or not isinstance(
+            val, {float: (int, float)}.get(kind, kind)):
+        raise ConfigError(f"{path}: {command}.{key} must be {kind.__name__}"
+                          f"{' or null' if default is None else ''}, got {val!r}")
+    return float(val) if kind is float else val
+
+
+def _csv_list(cfg, key, kind):
+    """A non-empty comma-separated flag value, parsed item by item."""
+    try:
+        items = [kind(x) for x in str(cfg[key]).split(",") if x != ""]
+    except ValueError:
+        items = []
+    if not items:
+        raise ConfigError(f"--{key} must be a non-empty comma-separated list of "
+                          f"{kind.__name__} values, got {cfg[key]!r}")
+    return items
 
 
 def _require(cfg, *keys):
@@ -318,8 +336,7 @@ def cmd_pretrain_ggm(cfg):
           f"loss {result.best_loss:.4f}, kl {result.final_kl:.4f}")
 
 
-def _cotrain_config(cfg, ggm_meta):
-    noise_dim = int(ggm_meta.get("noise_dim", cfg.get("noise_dim", 8)))
+def _cotrain_config(cfg, ggm_params, ggm_meta):
     tau = cfg["tau"]
     if tau is None and "final_kl" in ggm_meta:
         tau = ggm_meta["final_kl"] + cfg["tau_offset"]
@@ -330,7 +347,7 @@ def _cotrain_config(cfg, ggm_meta):
         patience=cfg["patience"], update_rule=cfg["update_rule"],
         seed=cfg["seed"], eval_k=cfg["eval_k"], hop_k=cfg["hop_k"],
         max_nodes=cfg["max_nodes"],
-        noise=NoiseSpec(noise_dim=noise_dim, num_psi=cfg["num_psi"]),
+        noise=NoiseSpec(noise_dim=ggm_params.noise_dim, num_psi=cfg["num_psi"]),
     )
 
 
@@ -352,7 +369,7 @@ def cmd_flex_tune(cfg):
     _require(cfg, "gnn_ckpt", "ggm_ckpt")
     os.makedirs(cfg["out"], exist_ok=True)
     gnn_params, ggm_params, ggm_meta = _load_pretrained(cfg)
-    run_cfg = _cotrain_config(cfg, ggm_meta)
+    run_cfg = _cotrain_config(cfg, ggm_params, ggm_meta)
     eval_graph = g if cfg["full_adjacency_eval"] else None
     t0 = time.perf_counter()
     result = flex_tune(gnn_params, ggm_params, split.observed_graph, split,
@@ -367,9 +384,7 @@ def cmd_flex_tune(cfg):
     save_gnn_checkpoint(gnn_out, result.gnn,
                         extra_meta={"best_valid": result.best_valid,
                                     "test_hits": test_hits})
-    save_ggm_checkpoint(ggm_out, result.ggm,
-                        extra_meta={"noise_dim": result.ggm.noise_dim,
-                                    "tau": result.tau})
+    save_ggm_checkpoint(ggm_out, result.ggm, extra_meta={"tau": result.tau})
     trace_path = os.path.join(cfg["out"], "cotrain_trace.csv")
     _write_csv(trace_path, result.trace,
                ["epoch", "lp_loss", "sivi_loss", "kl_estimate", "penalty",
@@ -470,13 +485,13 @@ def cmd_analyze(cfg):
 
 
 def cmd_sweep(cfg):
+    grid = _csv_list(cfg, "grid", float)
+    seeds = _csv_list(cfg, "seeds", int)
     g, split = _load_graph_and_split(cfg)
     _require(cfg, "gnn_ckpt", "ggm_ckpt")
     os.makedirs(cfg["out"], exist_ok=True)
     gnn_params, ggm_params, ggm_meta = _load_pretrained(cfg)
-    base = _cotrain_config(cfg, ggm_meta)
-    grid = [float(x) for x in str(cfg["grid"]).split(",") if x != ""]
-    seeds = [int(x) for x in str(cfg["seeds"]).split(",") if x != ""]
+    base = _cotrain_config(cfg, ggm_params, ggm_meta)
     eval_graph = g if cfg["full_adjacency_eval"] else None
     t0 = time.perf_counter()
     result = run_sweep(cfg["param"], grid, base, seeds, gnn_params, ggm_params,

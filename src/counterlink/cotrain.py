@@ -10,10 +10,10 @@ pins the posterior divergence near a target value; in check mode it also
 descends the classification loss so prediction quality stays a check on
 generation, while literal min-max mode ascends the full combined objective.
 
-The predictor step tapes only the predictor: its forward pass runs the
-generator on raw parameter arrays, so the generated adjacency is a constant
-and backward never walks the encoder, decoder and evidence-bound graph whose
-gradients that step would discard. The generator step tapes both sides.
+The predictor step reads only the generated adjacency: it decodes the
+generator's first mixing draw untaped (same rng draws as the evidence bound,
+which it never computes) and descends predictor_loss on a tape holding the
+predictor alone. The generator step tapes both sides and the whole bound.
 
 Model selection is validation Hits@K with the pre-update state included as
 a candidate, since over-tuning degrades quickly here.
@@ -26,7 +26,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, InputError, NumericError
-from .generator import NoiseSpec, SiviParams, encode_semi_implicit, kl_gaussian, sivi_elbo
+from .generator import (NoiseSpec, SiviParams, encode_semi_implicit, first_draw_logits,
+                        kl_gaussian, sivi_elbo)
 from .gnn import (
     GcnParams,
     evaluate_hits,
@@ -103,47 +104,21 @@ class LossBundle:
     penalty: float
     mean_generated_cn: float
     gnn_leaves: dict
-    ggm_leaves: dict  # None for a predictor-only bundle
+    ggm_leaves: dict
 
 
-def cotrain_losses(
-    gnn_params: GcnParams,
-    ggm_params: SiviParams,
-    batch,
-    cfg: CotrainConfig,
-    tau: float,
-    rng,
-    predictor_only: bool = False,
-) -> LossBundle:
-    """One joint forward pass on a batch; both loss sides share the tape.
-
-    The predictor runs per block over the generated weighted adjacency of
-    the evidence bound's first draw, scores the target endpoints, and the
-    batch's link labels are the BCE targets. With predictor_only set, the
-    generator runs on its raw parameter arrays (same rng draws, same values),
-    so only predictor ops are taped and the bundle has no generator leaves:
-    it serves gnn_step, not ggm_step.
-    """
-    tape = ad.Tape()
-    ggm_leaves = None if predictor_only else tape.leaves(ggm_params.named())
-    gnn_leaves = tape.leaves(gnn_params.named())
-
-    elbo = sivi_elbo(
-        ggm_params, batch, cfg.noise, rng,
-        zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise, leaves=ggm_leaves,
-    )
-    kl = elbo.kl
-    gen = gen_loss(ad.neg(elbo.loss), kl, tau)
-    penalty = float((kl.value - tau) ** 2)
-
+def predictor_loss(gnn_params: GcnParams, batch, logit_blocks, gamma: float, leaves=None):
+    """(classification loss, mean generated CN of the targets) of the predictor
+    run per block over its thresholded edge probabilities; the batch's link
+    labels are the BCE targets."""
     logits, cns = [], []
-    for block, logit_block in zip(batch.blocks, elbo.logit_blocks):
+    for block, logit_block in zip(batch.blocks, logit_blocks):
         u, v = block.target
         p = ad.sigmoid(logit_block)
-        mask = (p.value >= cfg.gamma).astype(np.float64)
+        mask = (p.value >= gamma).astype(np.float64)
         np.fill_diagonal(mask, 0.0)
         prop = normalize_dense_adjacency(ad.mul(p, ad.Tensor(mask)))
-        emb = gcn_forward(gnn_params, prop, block.local_features, leaves=gnn_leaves)
+        emb = gcn_forward(gnn_params, prop, block.local_features, leaves=leaves)
         hu = ad.gather_rows(emb, np.array([u]))
         hv = ad.gather_rows(emb, np.array([v]))
         logits.append(ad.tsum(ad.mul(hu, hv), axis=1))
@@ -158,29 +133,52 @@ def cotrain_losses(
     )
     if not np.isfinite(lp.value):
         raise NumericError("classification loss is not finite")
+    return lp, float(np.mean(cns))
+
+
+def cotrain_losses(
+    gnn_params: GcnParams,
+    ggm_params: SiviParams,
+    batch,
+    cfg: CotrainConfig,
+    tau: float,
+    rng,
+) -> LossBundle:
+    """One joint forward pass on a batch; both loss sides share the tape, and
+    the predictor scores the evidence bound's first draw."""
+    tape = ad.Tape()
+    ggm_leaves = tape.leaves(ggm_params.named())
+    gnn_leaves = tape.leaves(gnn_params.named())
+
+    elbo = sivi_elbo(
+        ggm_params, batch, cfg.noise, rng,
+        zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise, leaves=ggm_leaves,
+    )
+    kl = elbo.kl
+    gen = gen_loss(ad.neg(elbo.loss), kl, tau)
+    penalty = float((kl.value - tau) ** 2)
+    lp, mean_cn = predictor_loss(gnn_params, batch, elbo.logit_blocks, cfg.gamma, gnn_leaves)
     return LossBundle(
         lp=lp,
         sivi_loss=elbo.loss,
         kl=kl,
         gen=gen,
         penalty=penalty,
-        mean_generated_cn=float(np.mean(cns)),
+        mean_generated_cn=mean_cn,
         gnn_leaves=gnn_leaves,
         ggm_leaves=ggm_leaves,
     )
 
 
-def gnn_step(bundle: LossBundle, state: ad.AdamState, params: GcnParams, alpha: float):
-    """Descend alpha * classification loss on the predictor only."""
-    loss = ad.mul(bundle.lp, ad.Tensor(float(alpha)))
-    grads = ad.backward(loss).named(bundle.gnn_leaves)
+def gnn_step(lp: ad.Tensor, leaves: dict, state: ad.AdamState, params: GcnParams, alpha: float):
+    """Descend alpha * classification loss on the predictor leaves only."""
+    loss = ad.mul(lp, ad.Tensor(float(alpha)))
+    grads = ad.backward(loss).named(leaves)
     ad.adam_step(state, params.named(), grads)
 
 
 def ggm_step(bundle: LossBundle, state: ad.AdamState, params: SiviParams, cfg: CotrainConfig):
     """Ascend the generator objective per the configured update rule."""
-    if bundle.ggm_leaves is None:
-        raise InputError("ggm_step needs a bundle whose tape holds the generator")
     if cfg.update_rule == "check_mode":
         # ascend gen, descend alpha*lp
         descend = ad.sub(ad.mul(bundle.lp, ad.Tensor(cfg.alpha)), bundle.gen)
@@ -271,12 +269,14 @@ def flex_tune(
                 "mean_generated_cn": []}
         for bi in range(0, len(subs), size):
             batch = make_batch([subs[i] for i in order[bi : bi + size]])
-            bundle = cotrain_losses(
-                gnn_params, ggm_params, batch, cfg, tau,
+            leaves = ad.Tape().leaves(gnn_params.named())
+            logit_blocks = first_draw_logits(
+                ggm_params, batch, cfg.noise,
                 stream_rng(cfg.seed, f"cot.noise.e{epoch}.b{bi}.gnn"),
-                predictor_only=True,
+                zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise,
             )
-            gnn_step(bundle, state_gnn, gnn_params, cfg.alpha)
+            lp, _ = predictor_loss(gnn_params, batch, logit_blocks, cfg.gamma, leaves)
+            gnn_step(lp, leaves, state_gnn, gnn_params, cfg.alpha)
 
             bundle = cotrain_losses(
                 gnn_params, ggm_params, batch, cfg, tau,
@@ -340,7 +340,6 @@ def generate_samples(
 class AblationResult:
     switch: str
     result: CotrainResult
-    valid_hits: float
     test_hits: float
 
 
@@ -378,9 +377,4 @@ def ablation_run(
     test_hits = evaluate_hits(
         result.gnn, eval_norm, g.features, split.test_pos, split.test_neg, cfg.eval_k
     )
-    return AblationResult(
-        switch=switch or "full",
-        result=result,
-        valid_hits=result.best_valid,
-        test_hits=test_hits,
-    )
+    return AblationResult(switch=switch or "full", result=result, test_hits=test_hits)

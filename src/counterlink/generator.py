@@ -375,6 +375,15 @@ def sivi_elbo(
     return ElboResult(loss=loss, kl=kl, recon=ad.neg(bce), logit_blocks=first_logits)
 
 
+def first_draw_logits(params, batch, spec, rng, zero_labels=False, zero_noise=False):
+    """sivi_elbo(..., leaves=None).logit_blocks without the bound: every draw's
+    noise and latents still come off rng in sivi_elbo's order; nothing taped."""
+    sample = encode_semi_implicit(
+        params, batch, spec, rng, zero_labels=zero_labels, zero_noise=zero_noise
+    )
+    return decode_logits(reparameterize(sample, rng)[0], sample.block_sizes)
+
+
 def threshold_edges(sample: GeneratedSample, gamma) -> GeneratedSample:
     """Drop edge probabilities below gamma; survivors keep their value."""
     if not 0.0 <= gamma <= 1.0:

@@ -196,8 +196,6 @@ def generate_split(g: Graph, spec: SplitSpec) -> DatasetSplit:
 @dataclass
 class SplitReport:
     bucket_counts: dict
-    bucket_ranges: dict
-    histograms: dict
     violations: list
     interpretation: str
 
@@ -213,27 +211,17 @@ def verify_split(g: Graph, split: DatasetSplit) -> SplitReport:
     adj = bruteforce.adjacency_sets(g.num_nodes, g.edges())
     violations = []
     counts = {}
-    hists = {}
     for bucket in BUCKETS:
         edges = split.pos(bucket)
         counts[bucket] = int(edges.shape[0])
-        values = []
         lo, hi = ranges[bucket]
         for u, v in edges.tolist():
             val = bruteforce.heuristic_brute(
                 adj, u, v, spec.heuristic, exclude_edge=spec.heuristic == "SP"
             )
-            values.append(val)
             inside = lo <= val < hi or (val == math.inf and hi == math.inf)
             if not inside:
                 violations.append({"bucket": bucket, "edge": [u, v], "value": float(val)})
-        finite = [v for v in values if v != math.inf]
-        hists[bucket] = {
-            "n": len(values),
-            "n_unreachable": len(values) - len(finite),
-            "mean_finite": float(np.mean(finite)) if finite else None,
-            "counts": _int_histogram(finite),
-        }
         if split.neg(bucket).shape[0] == 0:
             raise ValidationError(f"{bucket} negative set is empty")
         for u, v in split.neg(bucket).tolist():
@@ -241,8 +229,6 @@ def verify_split(g: Graph, split: DatasetSplit) -> SplitReport:
                 violations.append({"bucket": f"{bucket}_neg", "edge": [u, v], "value": None})
     report = SplitReport(
         bucket_counts=counts,
-        bucket_ranges={b: [ranges[b][0], ranges[b][1]] for b in BUCKETS},
-        histograms=hists,
         violations=violations,
         interpretation=(
             f"{spec.heuristic} {spec.direction} thresholds ({spec.t1}, {spec.t2}) "
@@ -256,14 +242,6 @@ def verify_split(g: Graph, split: DatasetSplit) -> SplitReport:
             f"{len(violations)} bucket violation(s), first {len(shown)}: {shown}"
         )
     return report
-
-
-def _int_histogram(values):
-    out = {}
-    for v in values:
-        key = str(int(v)) if float(v).is_integer() else str(float(v))
-        out[key] = out.get(key, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------

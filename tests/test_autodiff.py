@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -293,6 +294,19 @@ class TestCheckpoint:
         ad.save_checkpoint(path, {"w": np.ones((3, 4)), "b": np.zeros(4)})
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(InputError, match="model.ckpt: truncated"):
+            ad.load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(2**40,), (2**32, 2**32), (-2, -2)])
+    def test_claimed_size_beyond_the_file_rejected_with_its_name(self, tmp_path, dims):
+        # 2**40 elements would ask for 8 TB; 2**32 x 2**32 wraps np.prod to 0;
+        # two negative dims multiply to a size the file does hold.
+        path = tmp_path / "model.ckpt"
+        ad.save_checkpoint(path, {"w": np.ones((2,) * len(dims))})
+        raw = bytearray(path.read_bytes())
+        assert raw[19] == len(dims)  # ndim of "w", its dims follow
+        raw[20 : 20 + 8 * len(dims)] = struct.pack(f"<{len(dims)}q", *dims)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InputError, match="model.ckpt: truncated or corrupt"):
             ad.load_checkpoint(path)
 
     def test_non_utf8_array_name_rejected_with_its_name(self, tmp_path):

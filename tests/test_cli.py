@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -148,6 +149,50 @@ class TestExitCodes:
         assert "gnn.ckpt: truncated" in err and "Traceback" not in err
 
 
+    def test_checkpoint_claiming_more_than_the_file_is_2(self, tmp_path):
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        graph_flags = ["--edges", d["graph"] / "edges.tsv",
+                       "--features", d["graph"] / "features.csv",
+                       "--split", d["split"] / "split.json"]
+        assert run(["pretrain-gnn", *graph_flags, "--epochs", 1, "--patience", 1,
+                    "--hidden", 8, "--eval-k", 3, "--out", d["gnn"]]) == 0
+        ckpt = d["gnn"] / "gnn.ckpt"
+        raw = bytearray(ckpt.read_bytes())
+        (nlen,) = struct.unpack("<H", raw[16:18])
+        at = 18 + nlen + 1  # first array's first dim, after its name and ndim
+        raw[at : at + 8] = struct.pack("<q", 2**40)
+        ckpt.write_bytes(bytes(raw))
+        code, err = run_child(["eval", *graph_flags, "--ckpt", ckpt, "--k", 3,
+                               "--out", d["eval"]])
+        assert code == 2, err
+        assert "gnn.ckpt: truncated or corrupt" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,section", [
+        ("pretrain-gnn", {"epochs": "five"}),
+        ("synth", {"n": "60"}),
+        ("synth", {"n": True}),
+        ("synth", {"p_in": False}),
+        ("synth", {"n": None}),
+        ("synth", {"n": 60.0}),
+        ("eval", {"full_adjacency_eval": 1}),
+        ("sweep", {"grid": [0.5, 0.9]}),
+    ])
+    def test_config_value_of_the_wrong_type_is_2(self, tmp_path, command, section):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({command: section}))
+        code, err = run_child([command, "--config", cfg_file, "--out", tmp_path])
+        assert code == 2, err
+        key = next(iter(section))
+        assert f"run.json: {command}.{key} must be" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [("--grid", "0.5,x"), ("--seeds", "1.5"),
+                                       ("--seeds", ""), ("--grid", ",")])
+    def test_bad_sweep_list_is_2(self, tmp_path, flags):
+        code, err = run_child(["sweep", *flags, "--out", tmp_path])
+        assert code == 2, err
+        assert f"{flags[0]} must be a non-empty" in err and "Traceback" not in err
+
     def test_truncated_samples_json_is_5(self, tmp_path):
         d = pipeline_dirs(tmp_path)
         run_pipeline_through_split(d)
@@ -247,6 +292,17 @@ class TestConfigPrecedence:
         manifest = read_manifest(out / "synth.manifest.json")
         assert manifest["config"]["n"] == 50      # flag wins
         assert manifest["config"]["seed"] == 9    # file beats default
+
+    def test_config_int_counts_as_float_and_null_only_where_default_is_none(self, tmp_path):
+        from counterlink.cli import build_parser, merge_config
+
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"flex-tune": {"gamma": 1, "tau": None,
+                                                      "epochs": 3}}))
+        args = build_parser().parse_args(["flex-tune", "--config", str(cfg_file)])
+        cfg = merge_config("flex-tune", args)
+        assert cfg["gamma"] == 1.0 and isinstance(cfg["gamma"], float)
+        assert cfg["tau"] is None and cfg["epochs"] == 3
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.json"

@@ -13,10 +13,11 @@ from counterlink.cotrain import (
     gen_loss,
     ggm_step,
     gnn_step,
+    predictor_loss,
     resolve_tau,
 )
 from counterlink.errors import ConfigError, InputError
-from counterlink.generator import GgmTrainConfig, NoiseSpec, pretrain_ggm
+from counterlink.generator import GgmTrainConfig, NoiseSpec, first_draw_logits, pretrain_ggm
 from counterlink.gnn import TrainConfig, pretrain_gnn
 from counterlink.graphs import Edge, Graph, NEGATIVE, POSITIVE, extract_for_links, make_batch
 from counterlink.rng import stream_rng
@@ -97,7 +98,7 @@ class TestConfig:
 
 
 class TestSteps:
-    def make_bundle(self, cfg, gnn, ggm, split, obs, seed=17, predictor_only=False):
+    def make_bundle(self, cfg, gnn, ggm, split, obs, seed=17):
         links = [Edge(int(u), int(v), POSITIVE) for u, v in split.train_pos[:6]] + [
             Edge(int(u), int(v), NEGATIVE) for u, v in split.train_neg[:6]
         ]
@@ -105,8 +106,17 @@ class TestSteps:
         batch = make_batch(subs)
         return batch, cotrain_losses(
             gnn, ggm, batch, cfg, tau=2.0, rng=stream_rng(seed, "probe"),
-            predictor_only=predictor_only,
         )
+
+    def predictor_step_loss(self, cfg, gnn, ggm, batch, seed=17):
+        """flex_tune's predictor update up to gnn_step: (lp, mean CN, leaves)."""
+        leaves = ad.Tape().leaves(gnn.named())
+        logit_blocks = first_draw_logits(
+            ggm, batch, cfg.noise, stream_rng(seed, "probe"),
+            zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise,
+        )
+        lp, mean_cn = predictor_loss(gnn, batch, logit_blocks, cfg.gamma, leaves)
+        return lp, mean_cn, leaves
 
     def test_ggm_ascent_does_not_decrease_gen(self):
         g, split, obs, gnn, ggm, spec = pipeline_fixture()
@@ -133,7 +143,7 @@ class TestSteps:
         cfg = CotrainConfig(alpha=1.0, gamma=0.5, noise=spec, epochs=1, patience=1)
         batch, bundle = self.make_bundle(cfg, gnn, ggm, split, obs)
         ggm_before = {k: v.copy() for k, v in ggm.named().items()}
-        gnn_step(bundle, ad.AdamState(lr=1e-2), gnn, cfg.alpha)
+        gnn_step(bundle.lp, bundle.gnn_leaves, ad.AdamState(lr=1e-2), gnn, cfg.alpha)
         for k, v in ggm.named().items():
             assert np.array_equal(v, ggm_before[k]), k
 
@@ -143,57 +153,45 @@ class TestSteps:
         for k, v in gnn.named().items():
             assert np.array_equal(v, gnn_before[k]), k
 
-    def test_predictor_only_bundle_matches_joint_tape(self):
+    def test_predictor_step_matches_joint_tape(self):
         g, split, obs, gnn, ggm, spec = pipeline_fixture()
         cfg = CotrainConfig(alpha=1.05, gamma=0.5, noise=spec, epochs=1, patience=1)
-        _, joint = self.make_bundle(cfg, gnn, ggm, split, obs)
-        _, solo = self.make_bundle(cfg, gnn, ggm, split, obs, predictor_only=True)
-        assert np.array_equal(solo.lp.value, joint.lp.value)
-        assert solo.mean_generated_cn == joint.mean_generated_cn
+        batch, joint = self.make_bundle(cfg, gnn, ggm, split, obs)
+        lp, mean_cn, leaves = self.predictor_step_loss(cfg, gnn, ggm, batch)
+        assert np.array_equal(lp.value, joint.lp.value)
+        assert mean_cn == joint.mean_generated_cn
 
-        def grads(bundle):
-            loss = ad.mul(bundle.lp, ad.Tensor(cfg.alpha))
-            return ad.backward(loss).named(bundle.gnn_leaves)
+        def grads(lp, leaves):
+            return ad.backward(ad.mul(lp, ad.Tensor(cfg.alpha))).named(leaves)
 
-        want, got = grads(joint), grads(solo)
+        want, got = grads(joint.lp, joint.gnn_leaves), grads(lp, leaves)
         assert want.keys() == got.keys()
         for k in want:
             assert np.array_equal(got[k], want[k]), k
 
-    def test_predictor_only_tape_holds_no_generator_record(self):
+    def test_predictor_step_tape_holds_no_generator_record(self):
         g, split, obs, gnn, ggm, spec = pipeline_fixture()
         cfg = CotrainConfig(alpha=1.05, gamma=0.5, noise=spec, epochs=1, patience=1)
-        _, joint = self.make_bundle(cfg, gnn, ggm, split, obs)
-        _, solo = self.make_bundle(cfg, gnn, ggm, split, obs, predictor_only=True)
-        assert solo.ggm_leaves is None
-        for bundle, pure in ((solo, True), (joint, False)):
-            tape = bundle.lp.tape
+        batch, joint = self.make_bundle(cfg, gnn, ggm, split, obs)
+        lp, _, leaves = self.predictor_step_loss(cfg, gnn, ggm, batch)
+        for tape, gnn_leaves, pure in ((lp.tape, leaves, True),
+                                       (joint.lp.tape, joint.gnn_leaves, False)):
             # Seeded with the predictor's leaves only, every traced input of
             # every record must be a predictor leaf or a record made from one.
-            derived = {t.node_id for t in bundle.gnn_leaves.values()}
+            derived = {t.node_id for t in gnn_leaves.values()}
             ok = True
             for out_id, in_ids, _ in tape._records:
                 ok &= all(i is None or i in derived for i in in_ids)
                 derived.add(out_id)
             assert ok == pure
-        assert len(solo.lp.tape._records) < len(joint.lp.tape._records)
-
-    def test_ggm_step_rejects_predictor_only_bundle(self):
-        g, split, obs, gnn, ggm, spec = pipeline_fixture()
-        cfg = CotrainConfig(alpha=1.05, gamma=0.5, noise=spec, epochs=1, patience=1)
-        _, solo = self.make_bundle(cfg, gnn, ggm, split, obs, predictor_only=True)
-        before = {k: v.copy() for k, v in ggm.named().items()}
-        with pytest.raises(InputError, match="generator"):
-            ggm_step(solo, ad.AdamState(lr=1e-2), ggm, cfg)
-        for k, v in ggm.named().items():
-            assert np.array_equal(v, before[k]), k
+        assert len(lp.tape._records) < len(joint.lp.tape._records)
 
     def test_alpha_zero_freezes_gnn(self):
         g, split, obs, gnn, ggm, spec = pipeline_fixture()
         cfg = CotrainConfig(alpha=0.0, gamma=0.5, noise=spec, epochs=1, patience=1)
         batch, bundle = self.make_bundle(cfg, gnn, ggm, split, obs)
         before = {k: v.copy() for k, v in gnn.named().items()}
-        gnn_step(bundle, ad.AdamState(lr=1e-2), gnn, 0.0)
+        gnn_step(bundle.lp, bundle.gnn_leaves, ad.AdamState(lr=1e-2), gnn, 0.0)
         for k, v in gnn.named().items():
             assert np.array_equal(v, before[k]), k
 

@@ -14,6 +14,7 @@ from counterlink.generator import (
     decode_node_aware,
     dump_samples,
     encode_semi_implicit,
+    first_draw_logits,
     generate,
     init_sivi_params,
     kl_gaussian,
@@ -252,6 +253,32 @@ class TestElbo:
         loss, _ = ref.forward(a_norm, x_in, batch.block_sizes,
                               batch.block_adjacencies(), stream_rng(13, "noise"))
         assert res.loss.item() == pytest.approx(loss, abs=1e-10)
+
+
+class TestFirstDrawLogits:
+    @pytest.mark.parametrize("noise_dim,num_psi,zero_labels,zero_noise", [
+        (3, 3, False, False),
+        (3, 1, False, False),
+        (0, 1, False, False),
+        (3, 3, False, True),
+        (3, 3, True, False),
+    ])
+    def test_equals_untaped_elbo_first_draw(self, noise_dim, num_psi, zero_labels,
+                                            zero_noise):
+        g, batch, _ = small_batch(seed=2, n_links=4)
+        params = init_sivi_params(g.features.shape[1], hidden=8, zdim=4,
+                                  noise_dim=noise_dim, rng=np.random.default_rng(5))
+        spec = NoiseSpec(noise_dim=noise_dim, num_psi=num_psi)
+        flags = {"zero_labels": zero_labels, "zero_noise": zero_noise}
+        rng_elbo, rng_first = stream_rng(21, "noise"), stream_rng(21, "noise")
+        want = sivi_elbo(params, batch, spec, rng_elbo, leaves=None, **flags).logit_blocks
+        got = first_draw_logits(params, batch, spec, rng_first, **flags)
+        assert len(got) == len(want) == len(batch.blocks)
+        for a, b in zip(got, want):
+            assert a.tape is None
+            assert a.value.tobytes() == b.value.tobytes()
+        # Same draws in the same order: both streams end at the same place.
+        assert rng_first.random() == rng_elbo.random()
 
 
 class TestThreshold:
