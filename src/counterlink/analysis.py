@@ -70,13 +70,6 @@ def histogram_of_values(values, heuristic, source) -> HeuristicHistogram:
     )
 
 
-def _target_of(sample):
-    if isinstance(sample, dict):
-        return sample["adjacency"], sample.get("target")
-    adj, target = sample
-    return np.asarray(adj), target
-
-
 def cn_at_target(adjacency, target) -> int:
     u, v = target
     m = adjacency.shape[0]
@@ -89,17 +82,19 @@ def cn_distribution(samples, source="generated") -> HeuristicHistogram:
     """CN at each sample's target link, over its own adjacency."""
     values = []
     for sample in samples:
-        adjacency, target = _target_of(sample)
+        target = sample.get("target")
         if target is None:
             raise InputError("sample carries no target endpoints")
-        values.append(cn_at_target(adjacency, target))
+        values.append(cn_at_target(sample["adjacency"], target))
     return histogram_of_values(values, "CN", source)
 
 
 def samples_from_generated(gen) -> list:
-    """(adjacency, target) pairs from a GeneratedSample's thresholded blocks."""
+    """{"adjacency", "target"} records, as load_samples yields them, from a
+    GeneratedSample's thresholded blocks."""
     return [
-        (gen.thresholded_adj[b], gen.target_indices[b]) for b in range(gen.num_blocks)
+        {"adjacency": adj, "target": target}
+        for adj, target in zip(gen.thresholded_adj, gen.target_indices)
     ]
 
 
@@ -175,7 +170,7 @@ def degree_bias_scan(samples) -> DegreeBiasScan:
     """Mean pairwise CN against node count, with the least-squares slope."""
     points = []
     for sample in samples:
-        adjacency, _ = _target_of(sample)
+        adjacency = sample["adjacency"]
         points.append((mean_pairwise_cn(adjacency), int(adjacency.shape[0])))
     if not points:
         raise InputError("degree-bias scan needs at least one sample")

@@ -519,21 +519,15 @@ def _read_array(fh):
     return name, data
 
 
-def save_checkpoint(path, named: dict, adam: AdamState = None):
+def save_checkpoint(path, named: dict):
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<I", len(named)))
         for name in sorted(named):
             _write_array(fh, name, named[name])
-        fh.write(struct.pack("<B", 1 if adam is not None else 0))
-        if adam is not None:
-            fh.write(struct.pack("<dddd", adam.lr, adam.beta1, adam.beta2, adam.eps))
-            fh.write(struct.pack("<Q", adam.step))
-            fh.write(struct.pack("<I", len(adam.m)))
-            for name in sorted(adam.m):
-                _write_array(fh, name, adam.m[name])
-                _write_array(fh, name, adam.v[name])
+        # Optimizer-state flag: always 0, kept so the format stays unchanged.
+        fh.write(struct.pack("<B", 0))
 
 
 def load_checkpoint(path):
@@ -549,16 +543,8 @@ def load_checkpoint(path):
         for _ in range(count):
             name, arr = _read_array(fh)
             named[name] = arr
-        (has_adam,) = _unpack(fh, "<B")
-        adam = None
-        if has_adam:
-            lr, b1, b2, eps = _unpack(fh, "<dddd")
-            (step,) = _unpack(fh, "<Q")
-            (acount,) = _unpack(fh, "<I")
-            adam = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps, step=step)
-            for _ in range(acount):
-                name, m = _read_array(fh)
-                _, v = _read_array(fh)
-                adam.m[name] = m
-                adam.v[name] = v
-    return named, adam
+        (flag,) = _unpack(fh, "<B")
+        if flag != 0:
+            raise InputError(f"{path}: corrupt checkpoint: optimizer-state flag is "
+                             f"{flag}, only parameters are stored")
+    return named

@@ -97,20 +97,12 @@ DEFAULTS["sweep"] = {
     "grid": "0.0,0.25,0.5,0.75,0.9,0.9999", "seeds": "0,1,2",
 }
 
-_FLAG_TYPES = {
-    "family": str, "feature_mode": str, "heuristic": str, "direction": str,
-    "update_rule": str, "param": str, "grid": str, "seeds": str,
-    "edges": str, "features": str, "split": str, "gnn_ckpt": str,
-    "ggm_ckpt": str, "ckpt": str, "samples": str, "out": str,
-    "n": int, "blocks": int, "m": int, "neg_ratio": int, "seed": int,
-    "epochs": int, "patience": int, "batch_size": int, "hidden": int,
-    "layers": int, "eval_k": int, "k": int, "noise_dim": int, "num_psi": int,
-    "hop_k": int, "max_nodes": int,
-    "p_in": float, "p_out": float, "p": float, "t1": float, "t2": float,
-    "lr": float, "dropout": float, "alpha": float, "tau": float,
-    "tau_offset": float, "gamma": float, "lr_gnn": float, "lr_ggm": float,
-    "full_adjacency_eval": bool,
-}
+
+def _flag_type(key, default):
+    """A flag takes its default's type; a None default is a path, or tau."""
+    if default is None:
+        return float if key == "tau" else str
+    return type(default)
 
 
 def build_parser():
@@ -127,7 +119,7 @@ def build_parser():
                             "command supplies values (flags still win)")
         for key, default in defaults.items():
             flag = "--" + key.replace("_", "-")
-            kind = _FLAG_TYPES[key]
+            kind = _flag_type(key, default)
             if kind is bool:
                 p.add_argument(flag, action="store_const", const=True,
                                default=None, help=f"(default {default})")
@@ -165,7 +157,8 @@ def merge_config(command, args) -> dict:
 def _config_value(path, command, key, val):
     """val if it has the flag's type: an int passes (as a float) for a float,
     a bool never for a number, null only where the default is None."""
-    kind, default = _FLAG_TYPES[key], DEFAULTS[command][key]
+    default = DEFAULTS[command][key]
+    kind = _flag_type(key, default)
     if val is None and default is None:
         return None
     if isinstance(val, bool) != (kind is bool) or not isinstance(
@@ -354,8 +347,8 @@ def _cotrain_config(cfg, ggm_params, ggm_meta):
 def _load_pretrained(cfg):
     require_artifact(cfg["gnn_ckpt"], "pretrain-gnn")
     require_artifact(cfg["ggm_ckpt"], "pretrain-ggm")
-    gnn_params, _, _ = load_gnn_checkpoint(cfg["gnn_ckpt"])
-    ggm_params, ggm_meta, _ = load_ggm_checkpoint(cfg["ggm_ckpt"])
+    gnn_params, _ = load_gnn_checkpoint(cfg["gnn_ckpt"])
+    ggm_params, ggm_meta = load_ggm_checkpoint(cfg["ggm_ckpt"])
     for ckpt_key, stage in (("gnn_ckpt", "pretrain-gnn"), ("ggm_ckpt", "pretrain-ggm")):
         mpath = manifest_path(os.path.dirname(cfg[ckpt_key]) or ".", stage)
         if os.path.exists(mpath):
@@ -418,7 +411,7 @@ def cmd_eval(cfg):
     _require(cfg, "ckpt")
     require_artifact(cfg["ckpt"], "pretrain-gnn or flex-tune")
     os.makedirs(cfg["out"], exist_ok=True)
-    params, _, _ = load_gnn_checkpoint(cfg["ckpt"])
+    params, _ = load_gnn_checkpoint(cfg["ckpt"])
     eval_g = g if cfg["full_adjacency_eval"] else split.observed_graph
     a_norm = normalize_adjacency(eval_g.adjacency)
     t0 = time.perf_counter()

@@ -10,10 +10,12 @@ pins the posterior divergence near a target value; in check mode it also
 descends the classification loss so prediction quality stays a check on
 generation, while literal min-max mode ascends the full combined objective.
 
-The predictor step reads only the generated adjacency: it decodes the
-generator's first mixing draw untaped (same rng draws as the evidence bound,
-which it never computes) and descends predictor_loss on a tape holding the
-predictor alone. The generator step tapes both sides and the whole bound.
+The predictor step reads only the generated adjacency: it encodes and decodes
+the generator's first mixing draw untaped (the other draws' noise is drawn
+and dropped, so the rng stream matches the evidence bound, which it never
+computes) and descends predictor_loss on a tape holding the predictor alone.
+Node features and link labels always come from the batch. The generator
+step tapes both sides and the whole bound.
 
 Model selection is validation Hits@K with the pre-update state included as
 a candidate, since over-tuning degrades quickly here.
@@ -193,11 +195,11 @@ def resolve_tau(ggm_params, probe_batch, cfg: CotrainConfig) -> float:
     """Explicit tau, or the pre-trained posterior's KL plus the offset."""
     if cfg.tau is not None:
         return float(cfg.tau)
-    sample = encode_semi_implicit(
+    moments = encode_semi_implicit(
         ggm_params, probe_batch, cfg.noise, stream_rng(cfg.seed, "cot.tau"),
         zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise,
     )
-    kls = [kl_gaussian(mu, lv).item() for mu, lv in zip(sample.mu, sample.log_var)]
+    kls = [kl_gaussian(mu, lv).item() for mu, lv in moments]
     return float(np.mean(kls)) + cfg.tau_offset
 
 

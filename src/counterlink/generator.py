@@ -7,11 +7,14 @@ over the mixing draws gives the Monte-Carlo surrogate used in the training
 objective. The decoder is a parameter-free inner product applied per block,
 so no probability mass ever exists between distinct samples. Setting one
 mixing draw and zero noise width collapses the whole stack to a plain
-variational graph auto-encoder.
+variational graph auto-encoder. The mixing draws are independent, so a
+caller that reads one draw (co-tuning's predictor step) encodes only that
+one and just draws the others' noise to keep the random stream aligned.
 
-Generated samples keep their block's node count, original features, and
-originating link label; the threshold indicator then removes low-confidence
-edges, which is the control that keeps generation from densifying.
+Generated samples keep their block's node count, target pair and originating
+link label; node features stay on the batch the samples were drawn from. The
+threshold indicator then removes low-confidence edges, which is the control
+that keeps generation from densifying.
 """
 
 import copy
@@ -106,18 +109,6 @@ class NoiseSpec:
 
 
 @dataclass
-class PosteriorSample:
-    """Per-draw posterior moments and the injected noise of each draw."""
-
-    mu: list
-    log_var: list
-    psi_draws: list
-    block_sizes: np.ndarray
-    target_indices: list
-    link_labels: np.ndarray
-
-
-@dataclass
 class GeneratedSample:
     """Per-block edge probabilities and their thresholded adjacency."""
 
@@ -126,7 +117,6 @@ class GeneratedSample:
     block_sizes: np.ndarray
     link_labels: np.ndarray
     target_indices: list
-    block_features: list
     gamma: float = 0.0
 
     @property
@@ -172,8 +162,8 @@ def encode_semi_implicit(
     zero_labels=False,
     zero_noise=False,
     leaves=None,
-) -> PosteriorSample:
-    """Posterior moments per mixing draw over the block-diagonal batch.
+) -> list:
+    """(mu, log_var) per mixing draw over the block-diagonal batch.
 
     Each draw injects fresh N(0, I) noise columns into the node input.
     """
@@ -189,7 +179,7 @@ def encode_semi_implicit(
         labels = np.zeros_like(labels)
     a_norm = normalize_adjacency(batch.block_diag_csr())
 
-    mus, lvs, draws = [], [], []
+    moments = []
     for _ in range(spec.num_psi):
         cols = [ad.Tensor(x), ad.Tensor(labels)]
         if spec.noise_dim > 0:
@@ -198,41 +188,31 @@ def encode_semi_implicit(
                 if zero_noise
                 else rng.standard_normal((n, spec.noise_dim))
             )
-            draws.append(eps)
             cols.append(ad.Tensor(eps))
         x_in = ad.concat(cols, axis=1)
         hid = ad.relu(_conv(a_norm, x_in, named["ggm.w_in"], named["ggm.b_in"]))
         # Heads are linear, not convolutional: a second propagation round
         # smooths dense blocks into near-constant latents, which destroys
         # the per-pair separability the inner-product decoder relies on.
-        mus.append(ad.add(ad.matmul(hid, named["ggm.w_mu"]), named["ggm.b_mu"]))
-        lvs.append(
-            ad.clip(
-                ad.add(ad.matmul(hid, named["ggm.w_lv"]), named["ggm.b_lv"]),
-                -LOG_VAR_CLAMP,
-                LOG_VAR_CLAMP,
-            )
+        mu = ad.add(ad.matmul(hid, named["ggm.w_mu"]), named["ggm.b_mu"])
+        log_var = ad.clip(
+            ad.add(ad.matmul(hid, named["ggm.w_lv"]), named["ggm.b_lv"]),
+            -LOG_VAR_CLAMP,
+            LOG_VAR_CLAMP,
         )
-    return PosteriorSample(
-        mu=mus,
-        log_var=lvs,
-        psi_draws=draws,
-        block_sizes=batch.block_sizes.copy(),
-        target_indices=[b.target for b in batch.blocks],
-        link_labels=batch.batch_labels.copy(),
-    )
+        moments.append((mu, log_var))
+    return moments
 
 
-def reparameterize(sample: PosteriorSample, rng) -> list:
-    """Latents h = mu + eps * exp(0.5 log var) per draw, eps drawn block by block."""
-    if not sample.mu:
-        raise InputError("posterior sample has no moments to reparameterize")
+def reparameterize(moments, rng) -> list:
+    """Latents h = mu + eps * exp(0.5 log var) per (mu, log_var) draw.
+
+    One standard_normal call per draw fills eps row by row, so it holds the
+    same values, and leaves rng at the same place, as drawing block by block.
+    """
     hs = []
-    for mu, lv in zip(sample.mu, sample.log_var):
-        eps_blocks = [
-            rng.standard_normal((int(m), mu.shape[1])) for m in sample.block_sizes
-        ]
-        eps = np.concatenate(eps_blocks, axis=0)
+    for mu, lv in moments:
+        eps = rng.standard_normal(mu.shape)
         std = ad.exp(ad.mul(lv, ad.Tensor(0.5)))
         hs.append(ad.add(mu, ad.mul(ad.Tensor(eps), std)))
     return hs
@@ -254,8 +234,7 @@ def decode_logits(h, block_sizes):
     return out
 
 
-def decode_node_aware(h, block_sizes, target_indices, link_labels=None,
-                      block_features=None) -> GeneratedSample:
+def decode_node_aware(h, block_sizes, target_indices, link_labels) -> GeneratedSample:
     """Edge probabilities per block from raw latents (no tape needed)."""
     h = h.value if isinstance(h, ad.Tensor) else np.asarray(h, dtype=np.float64)
     block_sizes = np.asarray(block_sizes, dtype=np.int64)
@@ -275,16 +254,12 @@ def decode_node_aware(h, block_sizes, target_indices, link_labels=None,
         probs.append(p)
         adjs.append((p > 0).astype(np.float64))
         at += m
-    k = block_sizes.shape[0]
     return GeneratedSample(
         edge_probs=probs,
         thresholded_adj=adjs,
         block_sizes=block_sizes,
-        link_labels=np.asarray(
-            link_labels if link_labels is not None else np.ones(k), dtype=np.float64
-        ),
+        link_labels=np.asarray(link_labels, dtype=np.float64),
         target_indices=list(target_indices),
-        block_features=list(block_features) if block_features is not None else [None] * k,
         gamma=0.0,
     )
 
@@ -351,15 +326,15 @@ def sivi_elbo(
     recon is the (negative) reconstruction term and kl the draw-averaged
     Gaussian KL, so loss = -(recon - kl); minimizing it maximizes the bound.
     """
-    sample = encode_semi_implicit(
+    moments = encode_semi_implicit(
         params, batch, spec, rng, zero_labels=zero_labels, zero_noise=zero_noise,
         leaves=leaves,
     )
-    hs = reparameterize(sample, rng)
+    hs = reparameterize(moments, rng)
     adjs = batch.block_adjacencies()
     bce = kl = first_logits = None
-    for mu, lv, h in zip(sample.mu, sample.log_var, hs):
-        logit_blocks = decode_logits(h, sample.block_sizes)
+    for (mu, lv), h in zip(moments, hs):
+        logit_blocks = decode_logits(h, batch.block_sizes)
         if first_logits is None:
             first_logits = logit_blocks
         bce_j = recon_loss(logit_blocks, adjs)
@@ -376,12 +351,22 @@ def sivi_elbo(
 
 
 def first_draw_logits(params, batch, spec, rng, zero_labels=False, zero_noise=False):
-    """sivi_elbo(..., leaves=None).logit_blocks without the bound: every draw's
-    noise and latents still come off rng in sivi_elbo's order; nothing taped."""
-    sample = encode_semi_implicit(
-        params, batch, spec, rng, zero_labels=zero_labels, zero_noise=zero_noise
+    """sivi_elbo(..., leaves=None).logit_blocks without the bound, untaped.
+
+    Only the first mixing draw is encoded and decoded. The other draws' noise
+    and latents are drawn and dropped where sivi_elbo draws them, so the first
+    draw's values and rng's end position are the same as there.
+    """
+    rest = spec.num_psi - 1
+    moments = encode_semi_implicit(
+        params, batch, replace(spec, num_psi=1), rng,
+        zero_labels=zero_labels, zero_noise=zero_noise,
     )
-    return decode_logits(reparameterize(sample, rng)[0], sample.block_sizes)
+    if not zero_noise:
+        rng.standard_normal((rest, batch.total_nodes, spec.noise_dim))
+    [h] = reparameterize(moments, rng)
+    rng.standard_normal((rest, *h.shape))
+    return decode_logits(h, batch.block_sizes)
 
 
 def threshold_edges(sample: GeneratedSample, gamma) -> GeneratedSample:
@@ -400,7 +385,6 @@ def threshold_edges(sample: GeneratedSample, gamma) -> GeneratedSample:
         block_sizes=sample.block_sizes.copy(),
         link_labels=sample.link_labels.copy(),
         target_indices=list(sample.target_indices),
-        block_features=list(sample.block_features),
         gamma=float(gamma),
     )
 
@@ -415,16 +399,13 @@ def generate(
     zero_noise=False,
 ) -> GeneratedSample:
     """One mixing draw end to end: encode, reparameterize, decode, threshold."""
-    one_draw = replace(spec, num_psi=1)
-    sample = encode_semi_implicit(
-        params, batch, one_draw, rng, zero_labels=zero_labels, zero_noise=zero_noise
+    moments = encode_semi_implicit(
+        params, batch, replace(spec, num_psi=1), rng,
+        zero_labels=zero_labels, zero_noise=zero_noise,
     )
+    [h] = reparameterize(moments, rng)
     raw = decode_node_aware(
-        reparameterize(sample, rng)[0],
-        sample.block_sizes,
-        sample.target_indices,
-        link_labels=sample.link_labels,
-        block_features=[b.local_features for b in batch.blocks],
+        h, batch.block_sizes, [b.target for b in batch.blocks], batch.batch_labels
     )
     return threshold_edges(raw, gamma)
 
@@ -523,17 +504,17 @@ def pretrain_ggm(
     )
 
 
-def save_ggm_checkpoint(path, params: SiviParams, adam=None, extra_meta: dict = None):
+def save_ggm_checkpoint(path, params: SiviParams, extra_meta: dict = None):
     named = {**params.named(), **params.meta()}
     for key, val in (extra_meta or {}).items():
         named[f"meta.{key}"] = np.atleast_1d(np.asarray(val, dtype=np.float64))
-    ad.save_checkpoint(path, named, adam=adam)
+    ad.save_checkpoint(path, named)
 
 
 def load_ggm_checkpoint(path):
-    named, adam = ad.load_checkpoint(path)
+    named = ad.load_checkpoint(path)
     meta = {k[5:]: float(v[0]) for k, v in named.items() if k.startswith("meta.")}
-    return SiviParams.from_named(named), meta, adam
+    return SiviParams.from_named(named), meta
 
 
 # ---------------------------------------------------------------------------

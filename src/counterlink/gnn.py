@@ -201,18 +201,17 @@ def evaluate_hits(params, a_norm, x, pos_edges, neg_edges, k) -> float:
     return hits_at_k(pos_scores, neg_scores, k)
 
 
-def save_gnn_checkpoint(path, params: GcnParams, adam: ad.AdamState = None,
-                        extra_meta: dict = None):
+def save_gnn_checkpoint(path, params: GcnParams, extra_meta: dict = None):
     named = {**params.named(), **params.meta()}
     for key, val in (extra_meta or {}).items():
         named[f"meta.{key}"] = np.atleast_1d(np.asarray(val, dtype=np.float64))
-    ad.save_checkpoint(path, named, adam=adam)
+    ad.save_checkpoint(path, named)
 
 
 def load_gnn_checkpoint(path):
-    named, adam = ad.load_checkpoint(path)
+    named = ad.load_checkpoint(path)
     meta = {k[5:]: float(v[0]) for k, v in named.items() if k.startswith("meta.")}
-    return GcnParams.from_named(named), meta, adam
+    return GcnParams.from_named(named), meta
 
 
 @dataclass

@@ -44,9 +44,13 @@ def adjacency_of(edge_pairs, n):
     return a
 
 
+def record(adjacency, target):
+    return {"adjacency": adjacency, "target": target}
+
+
 class TestCnDistribution:
     def test_all_zero_adjacencies(self):
-        samples = [(np.zeros((4, 4)), (0, 1)) for _ in range(5)]
+        samples = [record(np.zeros((4, 4)), (0, 1)) for _ in range(5)]
         h = cn_distribution(samples)
         assert h.mean == 0.0
         assert h.counts[0] == 5
@@ -54,11 +58,11 @@ class TestCnDistribution:
 
     def test_hand_built_mean(self):
         # target CNs 0, 0, 1, 3
-        s0 = (np.zeros((3, 3)), (0, 1))
-        s1 = (np.zeros((3, 3)), (0, 1))
-        s2 = (adjacency_of([(0, 2), (1, 2)], 3), (0, 1))
+        s0 = record(np.zeros((3, 3)), (0, 1))
+        s1 = record(np.zeros((3, 3)), (0, 1))
+        s2 = record(adjacency_of([(0, 2), (1, 2)], 3), (0, 1))
         a3 = adjacency_of([(0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)], 5)
-        s3 = (a3, (0, 1))
+        s3 = record(a3, (0, 1))
         h = cn_distribution([s0, s1, s2, s3])
         assert h.mean == pytest.approx(1.0)
 
@@ -74,7 +78,7 @@ class TestCnDistribution:
             a = (rng.random((n, n)) < 0.4).astype(float)
             a = np.triu(a, 1)
             a = a + a.T
-            samples.append((a, (0, 1)))
+            samples.append(record(a, (0, 1)))
         h1 = cn_distribution(samples)
         h2 = cn_distribution(list(reversed(samples)))
         assert np.array_equal(h1.counts, h2.counts)
@@ -152,15 +156,15 @@ class TestAlignment:
 
 class TestDegreeBias:
     def test_single_node_blocks(self):
-        scan = degree_bias_scan([(np.zeros((1, 1)), (0, 0))] * 3)
+        scan = degree_bias_scan([record(np.zeros((1, 1)), (0, 0))] * 3)
         assert all(cn == 0.0 for cn, _ in scan.points)
 
     def test_constant_cn_zero_slope(self):
         tri = adjacency_of([(0, 1), (1, 2), (0, 2)], 3)
-        samples = [(tri, (0, 1)), (tri, (0, 1))]
+        samples = [record(tri, (0, 1)), record(tri, (0, 1))]
         big = np.zeros((5, 5))
         big[:3, :3] = tri
-        samples.append((big, (0, 1)))
+        samples.append(record(big, (0, 1)))
         scan = degree_bias_scan(samples)
         # same mean CN would give slope 0; here mean CN differs so just check
         # the pure constant case explicitly:
@@ -168,7 +172,8 @@ class TestDegreeBias:
 
     def test_two_point_closed_form(self):
         scan = degree_bias_scan(
-            [(np.zeros((2, 2)), (0, 1)), (adjacency_of([(0, 2), (1, 2)], 3), (0, 1))]
+            [record(np.zeros((2, 2)), (0, 1)),
+             record(adjacency_of([(0, 2), (1, 2)], 3), (0, 1))]
         )
         (cn1, n1), (cn2, n2) = scan.points
         assert scan.slope == pytest.approx((cn2 - cn1) / (n2 - n1))

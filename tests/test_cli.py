@@ -304,6 +304,28 @@ class TestConfigPrecedence:
         assert cfg["gamma"] == 1.0 and isinstance(cfg["gamma"], float)
         assert cfg["tau"] is None and cfg["epochs"] == 3
 
+    def test_every_config_key_checked_against_its_flag_type(self, tmp_path):
+        from counterlink.cli import DEFAULTS, build_parser, merge_config
+        from counterlink.errors import ConfigError
+
+        cfg_file = tmp_path / "run.json"
+        parser = build_parser()
+
+        def merged(command, key, val):
+            cfg_file.write_text(json.dumps({command: {key: val}}))
+            args = parser.parse_args([command, "--config", str(cfg_file)])
+            return merge_config(command, args)[key]
+
+        for command, defaults in DEFAULTS.items():
+            for key, default in defaults.items():
+                if default is None:  # tau is a number, every other None a path
+                    right, wrong = (0.5, "0.5") if key == "tau" else ("a/path", 7)
+                else:
+                    right, wrong = default, 7 if isinstance(default, str) else "7"
+                assert merged(command, key, right) == right, (command, key)
+                with pytest.raises(ConfigError, match=f"{command}.{key} must be"):
+                    merged(command, key, wrong)
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"synth": {"wings": 2}}))

@@ -79,27 +79,29 @@ class TestEncode:
     def test_zero_weights_zero_moments(self):
         _, batch, params = small_batch(zero_weights=True)
         spec = NoiseSpec(noise_dim=3, num_psi=2)
-        sample = encode_semi_implicit(params, batch, spec, stream_rng(0, "noise"))
-        for mu, lv in zip(sample.mu, sample.log_var):
+        moments = encode_semi_implicit(params, batch, spec, stream_rng(0, "noise"))
+        for mu, lv in moments:
             assert np.array_equal(mu.value, np.zeros_like(mu.value))
             assert np.array_equal(lv.value, np.zeros_like(lv.value))
 
     def test_one_moment_pair_per_draw(self):
         _, batch, params = small_batch()
         spec = NoiseSpec(noise_dim=3, num_psi=4)
-        sample = encode_semi_implicit(params, batch, spec, stream_rng(0, "noise"))
-        assert len(sample.mu) == 4 and len(sample.psi_draws) == 4
-        assert sample.mu[0].shape == (batch.total_nodes, params.zdim)
+        moments = encode_semi_implicit(params, batch, spec, stream_rng(0, "noise"))
+        assert len(moments) == 4
+        for mu, lv in moments:
+            assert mu.shape == lv.shape == (batch.total_nodes, params.zdim)
 
     def test_determinism(self):
         _, batch, params = small_batch()
         spec = NoiseSpec(noise_dim=3, num_psi=2)
         a = encode_semi_implicit(params, batch, spec, stream_rng(5, "noise"))
         b = encode_semi_implicit(params, batch, spec, stream_rng(5, "noise"))
-        for da, db in zip(a.psi_draws, b.psi_draws):
-            assert np.array_equal(da, db)
-        for ma, mb in zip(a.mu, b.mu):
-            assert np.array_equal(ma.value, mb.value)
+        for (mu_a, lv_a), (mu_b, lv_b) in zip(a, b):
+            assert np.array_equal(mu_a.value, mu_b.value)
+            assert np.array_equal(lv_a.value, lv_b.value)
+        # each draw injects its own noise
+        assert not np.array_equal(a[0][0].value, a[1][0].value)
 
     def test_noise_dim_mismatch_rejected(self):
         _, batch, params = small_batch()
@@ -112,44 +114,44 @@ class TestReparameterize:
     def test_clamped_floor_collapses_to_mu(self):
         _, batch, params = small_batch()
         spec = NoiseSpec(noise_dim=3, num_psi=1)
-        sample = encode_semi_implicit(params, batch, spec, stream_rng(1, "noise"))
-        sample.log_var = [ad.Tensor(np.full(sample.mu[0].shape, -1e9))]
+        [(mu, _)] = encode_semi_implicit(params, batch, spec, stream_rng(1, "noise"))
         # clamp floor is -10, so sigma = e^-5 and h stays within a whisker of mu
-        clamped = ad.clip(sample.log_var[0], -10.0, 10.0)
-        sample.log_var = [clamped]
-        hs = reparameterize(sample, stream_rng(2, "reparam"))
-        assert np.max(np.abs(hs[0].value - sample.mu[0].value)) < 0.05
+        clamped = ad.clip(ad.Tensor(np.full(mu.shape, -1e9)), -10.0, 10.0)
+        hs = reparameterize([(mu, clamped)], stream_rng(2, "reparam"))
+        assert np.max(np.abs(hs[0].value - mu.value)) < 0.05
 
     def test_standard_normal_when_mu_zero_sigma_one(self):
         mu = ad.Tensor(np.zeros((10_000, 1)))
         lv = ad.Tensor(np.zeros((10_000, 1)))
-        sample = _posterior(mu, lv, block_sizes=np.array([10_000]))
-        hs = reparameterize(sample, np.random.default_rng(3))
+        hs = reparameterize([(mu, lv)], np.random.default_rng(3))
         assert abs(float(hs[0].value.mean())) < 0.05
 
     def test_gradient_wrt_mu_is_identity(self):
         tape = ad.Tape()
         mu = tape.leaf(np.zeros((4, 2)))
         lv = ad.Tensor(np.zeros((4, 2)))
-        sample = _posterior(mu, lv, block_sizes=np.array([4]))
-        hs = reparameterize(sample, np.random.default_rng(0))
+        hs = reparameterize([(mu, lv)], np.random.default_rng(0))
         grads = ad.backward(ad.tsum(hs[0]))
         assert np.array_equal(grads.of(mu), np.ones((4, 2)))
 
-
-def _posterior(mu, lv, block_sizes):
-    from counterlink.generator import PosteriorSample
-
-    return PosteriorSample(
-        mu=[mu], log_var=[lv], psi_draws=[],
-        block_sizes=block_sizes, target_indices=[(0, 1)] * len(block_sizes),
-        link_labels=np.ones(len(block_sizes)),
-    )
+    def test_one_draw_per_moment_pair_equals_block_by_block_draws(self):
+        _, batch, params = small_batch(n_links=4)
+        assert len(batch.block_sizes) > 1
+        moments = encode_semi_implicit(params, batch, NoiseSpec(noise_dim=3, num_psi=2),
+                                       stream_rng(1, "noise"))
+        rng, rng_blocks = stream_rng(2, "reparam"), stream_rng(2, "reparam")
+        hs = reparameterize(moments, rng)
+        for (mu, lv), h in zip(moments, hs):
+            eps = np.concatenate([rng_blocks.standard_normal((int(m), params.zdim))
+                                  for m in batch.block_sizes], axis=0)
+            want = mu.value + eps * np.exp(lv.value * 0.5)
+            assert h.value.tobytes() == want.tobytes()
+        assert rng.random() == rng_blocks.random()
 
 
 class TestDecode:
     def test_zero_latents_give_half_probabilities(self):
-        sample = decode_node_aware(np.zeros((5, 3)), np.array([5]), [(0, 1)])
+        sample = decode_node_aware(np.zeros((5, 3)), np.array([5]), [(0, 1)], np.ones(1))
         p = sample.edge_probs[0]
         off = ~np.eye(5, dtype=bool)
         assert np.all(p[off] == 0.5)
@@ -157,17 +159,17 @@ class TestDecode:
 
     def test_cross_block_mass_never_materialized(self):
         sample = decode_node_aware(np.random.default_rng(0).standard_normal((7, 3)),
-                                   np.array([3, 4]), [(0, 1), (0, 1)])
+                                   np.array([3, 4]), [(0, 1), (0, 1)], np.ones(2))
         assert sample.edge_probs[0].shape == (3, 3)
         assert sample.edge_probs[1].shape == (4, 4)
 
     def test_single_node_block_empty(self):
-        sample = decode_node_aware(np.zeros((1, 3)), np.array([1]), [(0, 0)])
+        sample = decode_node_aware(np.zeros((1, 3)), np.array([1]), [(0, 0)], np.ones(1))
         assert sample.edge_count() == 0
 
     def test_symmetry_and_range(self):
         h = np.random.default_rng(1).standard_normal((6, 4))
-        sample = decode_node_aware(h, np.array([6]), [(0, 1)])
+        sample = decode_node_aware(h, np.array([6]), [(0, 1)], np.ones(1))
         p = sample.edge_probs[0]
         assert np.allclose(p, p.T)
         assert p.min() >= 0.0 and p.max() <= 1.0
@@ -175,7 +177,7 @@ class TestDecode:
     def test_logits_match_probabilities(self):
         h = np.random.default_rng(2).standard_normal((5, 3))
         logits = decode_logits(ad.Tensor(h), np.array([5]))[0].value
-        sample = decode_node_aware(h, np.array([5]), [(0, 1)])
+        sample = decode_node_aware(h, np.array([5]), [(0, 1)], np.ones(1))
         off = ~np.eye(5, dtype=bool)
         assert np.allclose(1 / (1 + np.exp(-logits[off])), sample.edge_probs[0][off])
 
@@ -280,11 +282,23 @@ class TestFirstDrawLogits:
         # Same draws in the same order: both streams end at the same place.
         assert rng_first.random() == rng_elbo.random()
 
+    def test_encodes_only_the_first_draw(self, monkeypatch):
+        g, batch, _ = small_batch(seed=2, n_links=4)
+        params = init_sivi_params(g.features.shape[1], hidden=8, zdim=4, noise_dim=3,
+                                  rng=np.random.default_rng(5))
+        calls = []
+        sparse_matmul = ad.sparse_matmul
+        monkeypatch.setattr(ad, "sparse_matmul",
+                            lambda *a: calls.append(1) or sparse_matmul(*a))
+        first_draw_logits(params, batch, NoiseSpec(noise_dim=3, num_psi=3),
+                          stream_rng(21, "noise"))
+        assert len(calls) == 1  # one encoder propagation, not one per draw
+
 
 class TestThreshold:
     def make_sample(self):
         h = np.random.default_rng(5).standard_normal((8, 3))
-        return decode_node_aware(h, np.array([4, 4]), [(0, 1), (0, 1)])
+        return decode_node_aware(h, np.array([4, 4]), [(0, 1), (0, 1)], np.ones(2))
 
     def test_keeps_above_drops_below(self):
         p = np.zeros((2, 2))
@@ -293,8 +307,7 @@ class TestThreshold:
                                      thresholded_adj=[(p > 0).astype(float)],
                                      block_sizes=np.array([2]),
                                      target_indices=[(0, 1)],
-                                     link_labels=np.ones(1),
-                                     block_features=[None])
+                                     link_labels=np.ones(1))
         kept = threshold_edges(sample, 0.75)
         assert kept.edge_probs[0][0, 1] == 0.8
         p2 = p * 0.625  # 0.5 everywhere it was 0.8
@@ -362,13 +375,6 @@ class TestGenerate:
             direct = int((adj[i] * adj[j]).sum())
             assert common_neighbors(gb, i, j) == direct
 
-    def test_features_carried_forward(self):
-        g, batch, params = small_batch()
-        spec = NoiseSpec(noise_dim=3, num_psi=1)
-        out = generate(params, batch, spec, 0.5, stream_rng(5, "gen"))
-        for feat, block in zip(out.block_features, batch.blocks):
-            assert np.array_equal(feat, block.local_features)
-
 
 class TestPretrain:
     def make_split(self, seed=3):
@@ -407,10 +413,10 @@ class TestPretrain:
         held = [Edge(int(u), int(v)) for u, v in pos[perm[cut:]]]
         subs = extract_for_links(split.observed_graph, held, k=1, max_nodes=30, seed=9)
         batch = make_batch(subs)
-        sample = encode_semi_implicit(res.params, batch, spec, stream_rng(10, "noise"),
-                                      zero_noise=True)
-        recon = decode_node_aware(sample.mu[0], batch.block_sizes,
-                                  sample.target_indices)
+        [(mu, _)] = encode_semi_implicit(res.params, batch, spec, stream_rng(10, "noise"),
+                                         zero_noise=True)
+        recon = decode_node_aware(mu, batch.block_sizes,
+                                  [b.target for b in batch.blocks], batch.batch_labels)
         scores_pos, scores_neg = [], []
         for p, block in zip(recon.edge_probs, batch.blocks):
             adj = block.local_adjacency
