@@ -8,6 +8,12 @@ get no gradient computed either: matmul and mul return None for an input
 whose tape is None (a fixed feature matrix, a constant propagation matrix),
 so backward does no product whose result it would throw away.
 
+emit(op, value, inputs, backward_fn) is how an op records itself, and a
+fused op outside this module does the same: the generator's block decoder
+and reconstruction loss and co-tuning's generated-graph predictor each
+record once per batch and loop over the blocks in plain numpy inside their
+forward and backward, so the tape does not grow with the number of blocks.
+
 Sparse support is a single op, CSR x dense, which is all the graph
 propagation here needs; everything else is dense numpy.
 """
@@ -151,14 +157,21 @@ def _tape_of(op, *tensors):
     return tape
 
 
-def _emit(op, out_value, inputs, backward_fn) -> Tensor:
+def emit(op, out_value, inputs, backward_fn) -> Tensor:
+    """Record one op on its inputs' tape, or return a constant if none is traced.
+
+    backward_fn(g_out) returns one gradient (or None) per input, in order. It
+    must hold arrays and flags, not Tensors: a Tensor refers to its tape, so
+    the tape would sit in a reference cycle and keep every array of its step
+    alive until the cyclic garbage collector happens to run.
+    """
     tape = _tape_of(op, *inputs)
     if tape is None:
         return Tensor(out_value)
     return tape.record(out_value, inputs, backward_fn)
 
 
-def _unbroadcast(grad, shape):
+def unbroadcast(grad, shape):
     """Sum a broadcast gradient back down to the original shape."""
     extra = grad.ndim - len(shape)
     if extra > 0:
@@ -179,12 +192,8 @@ def add(a, b) -> Tensor:
         out = a.value + b.value
     except ValueError:
         raise ShapeError("add", f"{a.shape} vs {b.shape}")
-    return _emit(
-        "add",
-        out,
-        [a, b],
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return emit("add", out, [a, b], lambda g: (unbroadcast(g, sa), unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
@@ -193,17 +202,13 @@ def sub(a, b) -> Tensor:
         out = a.value - b.value
     except ValueError:
         raise ShapeError("sub", f"{a.shape} vs {b.shape}")
-    return _emit(
-        "sub",
-        out,
-        [a, b],
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return emit("sub", out, [a, b], lambda g: (unbroadcast(g, sa), unbroadcast(-g, sb)))
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _emit("neg", -a.value, [a], lambda g: (-g,))
+    return emit("neg", -a.value, [a], lambda g: (-g,))
 
 
 def mul(a, b) -> Tensor:
@@ -213,14 +218,15 @@ def mul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError("mul", f"{a.shape} vs {b.shape}")
     av, bv = a.value, b.value
+    a_const, b_const = a.tape is None, b.tape is None
 
     def back(g):
         return (
-            None if a.tape is None else _unbroadcast(g * bv, a.shape),
-            None if b.tape is None else _unbroadcast(g * av, b.shape),
+            None if a_const else unbroadcast(g * bv, av.shape),
+            None if b_const else unbroadcast(g * av, bv.shape),
         )
 
-    return _emit("mul", out, [a, b], back)
+    return emit("mul", out, [a, b], back)
 
 
 def matmul(a, b) -> Tensor:
@@ -228,14 +234,15 @@ def matmul(a, b) -> Tensor:
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", f"{a.shape} @ {b.shape}")
     av, bv = a.value, b.value
+    a_const, b_const = a.tape is None, b.tape is None
 
     def back(g):
         return (
-            None if a.tape is None else g @ bv.T,
-            None if b.tape is None else av.T @ g,
+            None if a_const else g @ bv.T,
+            None if b_const else av.T @ g,
         )
 
-    return _emit("matmul", av @ bv, [a, b], back)
+    return emit("matmul", av @ bv, [a, b], back)
 
 
 def sparse_matmul(csr, x) -> Tensor:
@@ -245,24 +252,7 @@ def sparse_matmul(csr, x) -> Tensor:
         raise ShapeError("sparse_matmul", f"{csr.shape} @ {x.shape}")
     out = csr.matmul_dense(x.value)
     csr_t = csr.transpose()
-    return _emit("sparse_matmul", out, [x], lambda g: (csr_t.matmul_dense(g),))
-
-
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    try:
-        out = a.value.reshape(shape)
-    except ValueError:
-        raise ShapeError("reshape", f"{a.shape} -> {shape}")
-    src = a.shape
-    return _emit("reshape", out.copy(), [a], lambda g: (g.reshape(src),))
-
-
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.value.ndim != 2:
-        raise ShapeError("transpose", f"expected 2-d, got {a.shape}")
-    return _emit("transpose", a.value.T.copy(), [a], lambda g: (g.T,))
+    return emit("sparse_matmul", out, [x], lambda g: (csr_t.matmul_dense(g),))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -275,24 +265,9 @@ def concat(tensors, axis=0) -> Tensor:
         raise ShapeError("concat", f"{[t.shape for t in ts]} along axis {axis}")
     sizes = [t.shape[axis] for t in ts]
     splits = np.cumsum(sizes)[:-1]
-    return _emit(
+    return emit(
         "concat", out, ts, lambda g: tuple(np.split(g, splits, axis=axis))
     )
-
-
-def slice_rows(a, start, stop) -> Tensor:
-    a = _as_tensor(a)
-    n = a.shape[0]
-    if not (0 <= start <= stop <= n):
-        raise ShapeError("slice_rows", f"[{start}:{stop}] of {n} rows")
-    av = a.value
-
-    def back(g):
-        full = np.zeros_like(av)
-        full[start:stop] = g
-        return (full,)
-
-    return _emit("slice_rows", av[start:stop].copy(), [a], back)
 
 
 def gather_rows(a, idx) -> Tensor:
@@ -307,7 +282,7 @@ def gather_rows(a, idx) -> Tensor:
         np.add.at(full, idx, g)
         return (full,)
 
-    return _emit("gather_rows", av[idx], [a], back)
+    return emit("gather_rows", av[idx], [a], back)
 
 
 def tsum(a, axis=None) -> Tensor:
@@ -320,7 +295,7 @@ def tsum(a, axis=None) -> Tensor:
             return (np.full(av.shape, g),)
         return (np.broadcast_to(np.expand_dims(g, axis), av.shape).copy(),)
 
-    return _emit("sum", out, [a], back)
+    return emit("sum", out, [a], back)
 
 
 def tmean(a, axis=None) -> Tensor:
@@ -334,43 +309,31 @@ def tmean(a, axis=None) -> Tensor:
             return (np.full(av.shape, g / count),)
         return (np.broadcast_to(np.expand_dims(g, axis), av.shape).copy() / count,)
 
-    return _emit("mean", out, [a], back)
+    return emit("mean", out, [a], back)
 
 
-def _stable_sigmoid(x, e):
+def stable_sigmoid(x, e):
     """Sigmoid of x given e = exp(-|x|): 1/(1+e) where x >= 0, else e/(1+e)."""
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    out = _stable_sigmoid(a.value, np.exp(-np.abs(a.value)))
-    return _emit("sigmoid", out, [a], lambda g: (g * out * (1.0 - out),))
-
-
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.value > 0
-    return _emit("relu", a.value * mask, [a], lambda g: (g * mask,))
+    return emit("relu", a.value * mask, [a], lambda g: (g * mask,))
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.value)
-    return _emit("exp", out, [a], lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    av = a.value
-    return _emit("log", np.log(av), [a], lambda g: (g / av,))
+    return emit("exp", out, [a], lambda g: (g * out,))
 
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
     av = a.value
-    return _emit("square", av * av, [a], lambda g: (g * 2.0 * av,))
+    return emit("square", av * av, [a], lambda g: (g * 2.0 * av,))
 
 
 def clip(a, lo, hi) -> Tensor:
@@ -378,7 +341,7 @@ def clip(a, lo, hi) -> Tensor:
     a = _as_tensor(a)
     av = a.value
     mask = (av >= lo) & (av <= hi)
-    return _emit("clip", np.clip(av, lo, hi), [a], lambda g: (g * mask,))
+    return emit("clip", np.clip(av, lo, hi), [a], lambda g: (g * mask,))
 
 
 def dropout(a, rate, rng, training=True) -> Tensor:
@@ -388,7 +351,7 @@ def dropout(a, rate, rng, training=True) -> Tensor:
     if not training or rate == 0.0:
         return a
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return _emit("dropout", a.value * mask, [a], lambda g: (g * mask,))
+    return emit("dropout", a.value * mask, [a], lambda g: (g * mask,))
 
 
 def bce_with_logits(logits, targets, weights=None, reduction="mean") -> Tensor:
@@ -420,7 +383,7 @@ def bce_with_logits(logits, targets, weights=None, reduction="mean") -> Tensor:
     else:
         raise InputError(f"unknown reduction {reduction!r}")
 
-    base = _stable_sigmoid(lv, e) - t
+    base = stable_sigmoid(lv, e) - t
     if w is not None:
         base = base * w
 
@@ -431,7 +394,7 @@ def bce_with_logits(logits, targets, weights=None, reduction="mean") -> Tensor:
             return (g * base,)
         return (g * base / lv.size,)
 
-    return _emit("bce_with_logits", out, [logits], back)
+    return emit("bce_with_logits", out, [logits], back)
 
 
 # ---------------------------------------------------------------------------

@@ -368,10 +368,11 @@ def cmd_flex_tune(cfg):
     result = flex_tune(gnn_params, ggm_params, split.observed_graph, split,
                        run_cfg, eval_graph=eval_graph)
     eval_g = g if cfg["full_adjacency_eval"] else split.observed_graph
-    test_hits = evaluate_hits(
-        result.gnn, normalize_adjacency(eval_g.adjacency), g.features,
-        split.test_pos, split.test_neg, cfg["eval_k"],
-    )
+    eval_norm = normalize_adjacency(eval_g.adjacency)
+    test_hits = evaluate_hits(result.gnn, eval_norm, g.features, split.test_pos,
+                              split.test_neg, cfg["eval_k"])
+    base_test_hits = evaluate_hits(gnn_params, eval_norm, g.features, split.test_pos,
+                                   split.test_neg, cfg["eval_k"])
     gnn_out = os.path.join(cfg["out"], "gnn_tuned.ckpt")
     ggm_out = os.path.join(cfg["out"], "ggm_tuned.ckpt")
     save_gnn_checkpoint(gnn_out, result.gnn,
@@ -398,12 +399,14 @@ def cmd_flex_tune(cfg):
         metrics={"best_epoch": result.best_epoch,
                  "selected_pretrained": selected_pretrained,
                  "valid_hits": result.best_valid, "test_hits": test_hits,
-                 "tau": result.tau},
+                 "base_test_hits": base_test_hits,
+                 "test_delta": test_hits - base_test_hits, "tau": result.tau},
     )
     print(f"flex-tune: best epoch {result.best_epoch}"
           f"{' (pre-trained state kept)' if selected_pretrained else ''}, "
           f"valid Hits@{cfg['eval_k']} {result.best_valid:.4f}, "
-          f"test Hits@{cfg['eval_k']} {test_hits:.4f}")
+          f"test Hits@{cfg['eval_k']} {test_hits:.4f} "
+          f"(pre-trained {base_test_hits:.4f}, delta {test_hits - base_test_hits:+.4f})")
 
 
 def cmd_eval(cfg):

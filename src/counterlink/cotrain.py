@@ -17,6 +17,10 @@ computes) and descends predictor_loss on a tape holding the predictor alone.
 Node features and link labels always come from the batch. The generator
 step tapes both sides and the whole bound.
 
+predictor_loss runs the predictor on every block of a batch as one tape op:
+its forward and backward loop over the blocks in plain numpy, so a step's
+tape holds the same few records whatever the batch size.
+
 Model selection is validation Hits@K with the pre-update state included as
 a candidate, since over-tuning degrades quickly here.
 """
@@ -29,11 +33,11 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, InputError, NumericError
 from .generator import (NoiseSpec, SiviParams, encode_semi_implicit, first_draw_logits,
-                        kl_gaussian, sivi_elbo)
+                        kl_gaussian, packed_layout, sivi_elbo)
 from .gnn import (
     GcnParams,
+    dense_gcn_forward,
     evaluate_hits,
-    gcn_forward,
     lp_loss,
     normalize_adjacency,
     normalize_dense_adjacency,
@@ -109,23 +113,63 @@ class LossBundle:
     ggm_leaves: dict
 
 
-def predictor_loss(gnn_params: GcnParams, batch, logit_blocks, gamma: float, leaves=None):
+def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=None):
     """(classification loss, mean generated CN of the targets) of the predictor
     run per block over its thresholded edge probabilities; the batch's link
-    labels are the BCE targets."""
-    logits, cns = [], []
-    for block, logit_block in zip(batch.blocks, logit_blocks):
+    labels are the BCE targets.
+
+    logits are decode_logits' packed blocks, taped in the generator step and
+    constant in the predictor step. The per-block work (sigmoid, gamma mask,
+    normalization, the dense GCN and the target dot product) is one tape
+    record whose output is every block's target logit.
+    """
+    sizes = batch.block_sizes
+    offsets, diagonal = packed_layout(sizes)
+    named = leaves if leaves is not None else gnn_params.named()
+    params = [t if isinstance(t, ad.Tensor) else ad.Tensor(t)
+              for t in (named[k] for k in gnn_params.named())]
+    weights = [t.value for t in params[0::2]]
+    biases = [t.value for t in params[1::2]]
+    lv = logits.value
+    p = ad.stable_sigmoid(lv, np.exp(-np.abs(lv)))
+    mask = (p >= gamma).astype(np.float64)
+    mask[diagonal] = 0.0
+    kept = p * mask
+    target_logits = np.empty(len(batch.blocks))
+    cns, saved = [], []
+    for b, block in enumerate(batch.blocks):
+        m = int(sizes[b])
         u, v = block.target
-        p = ad.sigmoid(logit_block)
-        mask = (p.value >= gamma).astype(np.float64)
-        np.fill_diagonal(mask, 0.0)
-        prop = normalize_dense_adjacency(ad.mul(p, ad.Tensor(mask)))
-        emb = gcn_forward(gnn_params, prop, block.local_features, leaves=leaves)
-        hu = ad.gather_rows(emb, np.array([u]))
-        hv = ad.gather_rows(emb, np.array([v]))
-        logits.append(ad.tsum(ad.mul(hu, hv), axis=1))
-        cns.append(float((mask[u] * mask[v]).sum()))
-    joined = ad.concat(logits, axis=0)
+        at = slice(offsets[b], offsets[b + 1])
+        prop, prop_vjp = normalize_dense_adjacency(kept[at].reshape(m, m))
+        emb, gcn_vjp = dense_gcn_forward(
+            weights, biases, prop, np.asarray(block.local_features, dtype=np.float64)
+        )
+        hu, hv = emb[u], emb[v]
+        target_logits[b] = (hu * hv).sum()
+        block_mask = mask[at].reshape(m, m)
+        cns.append(float((block_mask[u] * block_mask[v]).sum()))
+        saved.append((at, u, v, hu, hv, emb.shape, prop_vjp, gcn_vjp))
+    taped = logits.tape is not None
+    constant = [t.tape is None for t in params]
+
+    def back(g):
+        g_logits = np.empty_like(lv) if taped else None
+        g_params = None
+        for b in reversed(range(len(saved))):
+            at, u, v, hu, hv, shape, prop_vjp, gcn_vjp = saved[b]
+            g_emb = np.zeros(shape)
+            g_emb[v] = g[b] * hu
+            g_emb[u] += g[b] * hv  # u == v in a single-node block
+            g_prop, g_block = gcn_vjp(g_emb, taped)
+            g_params = g_block if g_params is None else [
+                acc + grad for acc, grad in zip(g_params, g_block)]
+            if taped:
+                g_p = prop_vjp(g_prop).ravel() * mask[at]
+                g_logits[at] = g_p * p[at] * (1.0 - p[at])
+        return (g_logits, *(None if c else gk for c, gk in zip(constant, g_params)))
+
+    joined = ad.emit("predictor_loss", target_logits, [logits, *params], back)
     labels = batch.batch_labels
     pos_idx = np.nonzero(labels == POSITIVE)[0]
     neg_idx = np.nonzero(labels == NEGATIVE)[0]
@@ -159,7 +203,7 @@ def cotrain_losses(
     kl = elbo.kl
     gen = gen_loss(ad.neg(elbo.loss), kl, tau)
     penalty = float((kl.value - tau) ** 2)
-    lp, mean_cn = predictor_loss(gnn_params, batch, elbo.logit_blocks, cfg.gamma, gnn_leaves)
+    lp, mean_cn = predictor_loss(gnn_params, batch, elbo.logits, cfg.gamma, gnn_leaves)
     return LossBundle(
         lp=lp,
         sivi_loss=elbo.loss,
@@ -272,12 +316,12 @@ def flex_tune(
         for bi in range(0, len(subs), size):
             batch = make_batch([subs[i] for i in order[bi : bi + size]])
             leaves = ad.Tape().leaves(gnn_params.named())
-            logit_blocks = first_draw_logits(
+            logits = first_draw_logits(
                 ggm_params, batch, cfg.noise,
                 stream_rng(cfg.seed, f"cot.noise.e{epoch}.b{bi}.gnn"),
                 zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise,
             )
-            lp, _ = predictor_loss(gnn_params, batch, logit_blocks, cfg.gamma, leaves)
+            lp, _ = predictor_loss(gnn_params, batch, logits, cfg.gamma, leaves)
             gnn_step(lp, leaves, state_gnn, gnn_params, cfg.alpha)
 
             bundle = cotrain_losses(

@@ -5,9 +5,11 @@ node input is [features || endpoint label || injected noise]; mixing noise
 makes the posterior semi-implicit, and averaging the analytic Gaussian KL
 over the mixing draws gives the Monte-Carlo surrogate used in the training
 objective. The decoder is a parameter-free inner product applied per block,
-so no probability mass ever exists between distinct samples. Setting one
-mixing draw and zero noise width collapses the whole stack to a plain
-variational graph auto-encoder. The mixing draws are independent, so a
+so no probability mass ever exists between distinct samples. Its logits are
+packed into one vector, block after block (packed_layout), and the decoder
+and the reconstruction loss each put one record per batch on the tape.
+Setting one mixing draw and zero noise width collapses the whole stack to a
+plain variational graph auto-encoder. The mixing draws are independent, so a
 caller that reads one draw (co-tuning's predictor step) encodes only that
 one and just draws the others' noise to keep the random stream aligned.
 
@@ -218,20 +220,45 @@ def reparameterize(moments, rng) -> list:
     return hs
 
 
-def decode_logits(h, block_sizes):
-    """Per-block inner-product logit matrices; nothing crosses blocks."""
-    if int(np.sum(block_sizes)) != h.shape[0]:
-        raise InputError(
-            f"block sizes sum to {int(np.sum(block_sizes))} but h has {h.shape[0]} rows"
-        )
-    out = []
-    at = 0
-    for m in block_sizes:
-        m = int(m)
-        z = ad.slice_rows(h, at, at + m)
-        out.append(ad.matmul(z, ad.transpose(z)))
-        at += m
-    return out
+def packed_layout(block_sizes):
+    """(offsets, diagonal) of per-block m x m matrices packed into one vector.
+
+    Block b sits row-major at offsets[b] : offsets[b + 1], one block after
+    another; diagonal indexes every block's diagonal entries.
+    """
+    sizes = np.asarray(block_sizes, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    row = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    diagonal = np.repeat(offsets[:-1], sizes) + row * (np.repeat(sizes, sizes) + 1)
+    return offsets, diagonal
+
+
+def decode_logits(h, block_sizes) -> ad.Tensor:
+    """Every block's inner-product logits z z^T, packed; nothing crosses blocks.
+
+    The result holds each block's m x m logits in the packed_layout order.
+    It is one tape record for the whole batch.
+    """
+    sizes = [int(m) for m in block_sizes]
+    if sum(sizes) != h.shape[0]:
+        raise InputError(f"block sizes sum to {sum(sizes)} but h has {h.shape[0]} rows")
+    hv = h.value
+    starts = np.cumsum([0] + sizes[:-1])
+    offsets, _ = packed_layout(sizes)
+    # z @ z.T would take numpy's symmetric-product path, which sums in another
+    # order; the transposed copy keeps a plain matrix product.
+    blocks = [(at, off, m, hv[at : at + m], hv[at : at + m].T.copy())
+              for at, off, m in zip(starts, offsets, sizes)]
+    out = np.concatenate([(z @ zt).ravel() for *_, z, zt in blocks])
+
+    def back(g):
+        g_h = np.empty_like(hv)
+        for at, off, m, z, zt in blocks:
+            g_z = g[off : off + m * m].reshape(m, m)
+            g_h[at : at + m] = g_z @ zt.T + (z.T @ g_z).T
+        return (g_h,)
+
+    return ad.emit("decode_logits", out, [h], back)
 
 
 def decode_node_aware(h, block_sizes, target_indices, link_labels) -> GeneratedSample:
@@ -274,34 +301,49 @@ def kl_gaussian(mu, log_var) -> ad.Tensor:
     return ad.mul(ad.tmean(ad.tsum(terms, axis=1)), ad.Tensor(0.5))
 
 
-def recon_loss(logits_blocks, adj_blocks) -> ad.Tensor:
+def recon_loss(logits, adj_blocks) -> ad.Tensor:
     """Mean over blocks of per-node sparsity-weighted BCE against the truth.
 
-    Positive entries are upweighted by the block's non-edge/edge ratio and
-    the diagonal is masked out. Each block's weighted sum is divided by its
-    node count, matching the per-node KL normalization so neither term
-    swamps the other. Single-node blocks contribute zero.
+    logits are decode_logits' packed blocks. Positive entries are upweighted
+    by the block's non-edge/edge ratio and the diagonal is masked out. Each
+    block's weighted sum is divided by its node count, matching the per-node
+    KL normalization so neither term swamps the other. Single-node blocks
+    contribute zero. One tape record for the whole batch.
     """
-    if len(logits_blocks) != len(adj_blocks):
+    sizes = np.array([adj.shape[0] for adj in adj_blocks], dtype=np.int64)
+    offsets, diagonal = packed_layout(sizes)
+    lv = logits.value
+    if lv.shape != (offsets[-1],):
         raise InputError("one adjacency per logit block required")
-    total = None
-    for logits, adj in zip(logits_blocks, adj_blocks):
-        m = adj.shape[0]
-        if m <= 1:
-            continue
-        pairs = m * (m - 1)
-        edges = float(adj.sum())
-        pos_w = (pairs - edges) / edges if edges > 0 else 1.0
-        weights = np.where(adj > 0, pos_w, 1.0)
-        np.fill_diagonal(weights, 0.0)
-        term = ad.mul(
-            ad.bce_with_logits(logits, adj, weights=weights, reduction="sum"),
-            ad.Tensor(1.0 / m),
-        )
-        total = term if total is None else ad.add(total, term)
-    if total is None:
+    kept = np.nonzero(sizes > 1)[0]
+    if kept.size == 0:
         return ad.Tensor(0.0)
-    return ad.mul(total, ad.Tensor(1.0 / len(logits_blocks)))
+    t = np.concatenate([adj.ravel() for adj in adj_blocks])
+    pos_w = np.ones(sizes.size)
+    for b in kept:
+        m = sizes[b]
+        pairs = m * (m - 1)
+        edges = float(adj_blocks[b].sum())
+        if edges > 0:
+            pos_w[b] = (pairs - edges) / edges
+    weights = np.where(t > 0, np.repeat(pos_w, sizes * sizes), 1.0)
+    weights[diagonal] = 0.0
+    e = np.exp(-np.abs(lv))
+    loss = (np.maximum(lv, 0.0) - lv * t + np.log1p(e)) * weights
+    base = (ad.stable_sigmoid(lv, e) - t) * weights
+    total = None
+    for b in kept:
+        term = loss[offsets[b] : offsets[b + 1]].sum() * (1.0 / sizes[b])
+        total = term if total is None else total + term
+    scale = 1.0 / sizes.size
+
+    def back(g):
+        per_block = (g * scale) * (1.0 / sizes)
+        g_logits = np.repeat(per_block, sizes * sizes) * base
+        g_logits[np.repeat(sizes <= 1, sizes * sizes)] = 0.0
+        return (g_logits,)
+
+    return ad.emit("recon_loss", total * scale, [logits], back)
 
 
 @dataclass
@@ -309,7 +351,7 @@ class ElboResult:
     loss: ad.Tensor
     kl: ad.Tensor
     recon: ad.Tensor
-    logit_blocks: list  # the first draw's per-block decoder logits
+    logits: ad.Tensor  # the first draw's packed decoder logits
 
 
 def sivi_elbo(
@@ -334,10 +376,10 @@ def sivi_elbo(
     adjs = batch.block_adjacencies()
     bce = kl = first_logits = None
     for (mu, lv), h in zip(moments, hs):
-        logit_blocks = decode_logits(h, batch.block_sizes)
+        logits = decode_logits(h, batch.block_sizes)
         if first_logits is None:
-            first_logits = logit_blocks
-        bce_j = recon_loss(logit_blocks, adjs)
+            first_logits = logits
+        bce_j = recon_loss(logits, adjs)
         kl_j = kl_gaussian(mu, lv)
         bce = bce_j if bce is None else ad.add(bce, bce_j)
         kl = kl_j if kl is None else ad.add(kl, kl_j)
@@ -347,11 +389,11 @@ def sivi_elbo(
     loss = ad.add(bce, kl)
     if not np.isfinite(loss.value):
         raise NumericError("generator objective is not finite")
-    return ElboResult(loss=loss, kl=kl, recon=ad.neg(bce), logit_blocks=first_logits)
+    return ElboResult(loss=loss, kl=kl, recon=ad.neg(bce), logits=first_logits)
 
 
 def first_draw_logits(params, batch, spec, rng, zero_labels=False, zero_noise=False):
-    """sivi_elbo(..., leaves=None).logit_blocks without the bound, untaped.
+    """sivi_elbo(..., leaves=None).logits without the bound, untaped.
 
     Only the first mixing draw is encoded and decoded. The other draws' noise
     and latents are drawn and dropped where sivi_elbo draws them, so the first

@@ -4,6 +4,11 @@ The encoder is a plain layered propagate-transform-ReLU stack; the link
 predictor is the inner product of the two endpoint embeddings. Training is
 minibatched over positive edges with fresh uniform negatives every epoch,
 model selection by validation Hits@K with early stopping.
+
+Co-tuning runs the same stack on each generated block's dense, normalized
+adjacency. normalize_dense_adjacency and dense_gcn_forward do that in plain
+numpy and hand back their backward, so the caller can record a whole batch
+of blocks as one tape op.
 """
 
 import copy
@@ -106,22 +111,33 @@ def normalize_adjacency(a: Csr) -> Csr:
     return Csr.from_coo(n, rows, cols, dinv[rows] * vals * dinv[cols], symmetric=True)
 
 
-def normalize_dense_adjacency(a) -> ad.Tensor:
-    """Differentiable D^-1/2 (A + I) D^-1/2 for generated weighted blocks."""
-    a = a if isinstance(a, ad.Tensor) else ad.Tensor(a)
+def normalize_dense_adjacency(a):
+    """D^-1/2 (A + I) D^-1/2 of one dense weighted block, with its backward.
+
+    Returns (prop, vjp): vjp(g) maps the gradient of prop to that of a.
+    """
     n = a.shape[0]
-    m = ad.add(a, ad.Tensor(np.eye(n)))
-    d = ad.tsum(m, axis=1)
-    dinv = ad.exp(ad.mul(ad.log(d), ad.Tensor(-0.5)))
-    scaled = ad.mul(m, dinv)  # column scaling via broadcast
-    return ad.mul(scaled, ad.reshape(dinv, (n, 1)))  # row scaling
+    m = a + np.eye(n)
+    d = m.sum(axis=1)
+    dinv = np.exp(np.log(d) * -0.5)
+    scaled = m * dinv  # column scaling via broadcast
+    col = dinv.reshape(n, 1)
+    prop = scaled * col  # row scaling
+
+    def vjp(g):
+        g_scaled = g * col
+        g_dinv = (ad.unbroadcast(g * scaled, (n, 1)).reshape(n)
+                  + ad.unbroadcast(g_scaled * m, (n,)))
+        g_d = g_dinv * dinv * -0.5 / d
+        return g_scaled * dinv + g_d[:, None]
+
+    return prop, vjp
 
 
-def gcn_forward(params, a_norm, x, rng=None, training=False, leaves=None) -> ad.Tensor:
+def gcn_forward(params, a_norm: Csr, x, rng=None, training=False, leaves=None) -> ad.Tensor:
     """Embeddings for every node; pass tape leaves to make it differentiable.
 
-    a_norm is either a Csr (fixed propagation) or a Tensor (generated,
-    differentiable, dense). Dropout runs between layers only while training.
+    Dropout runs between layers only while training.
     """
     named = leaves if leaves is not None else params.named()
     h = x if isinstance(x, ad.Tensor) else ad.Tensor(x)
@@ -129,11 +145,9 @@ def gcn_forward(params, a_norm, x, rng=None, training=False, leaves=None) -> ad.
     order = a_norm.shape[0]
     if order != n:
         raise InputError(f"adjacency order {order} != feature rows {n}")
-    sparse = isinstance(a_norm, Csr)
     for i in range(params.layer_count):
         z = ad.matmul(h, named[f"gnn.w{i}"])
-        prop = ad.sparse_matmul(a_norm, z) if sparse else ad.matmul(a_norm, z)
-        h = ad.add(prop, named[f"gnn.b{i}"])
+        h = ad.add(ad.sparse_matmul(a_norm, z), named[f"gnn.b{i}"])
         if i < params.layer_count - 1:
             h = ad.relu(h)
             if training and params.dropout > 0.0:
@@ -141,6 +155,45 @@ def gcn_forward(params, a_norm, x, rng=None, training=False, leaves=None) -> ad.
                     raise InputError("training-mode dropout needs an rng")
                 h = ad.dropout(h, params.dropout, rng, training=True)
     return h
+
+
+def dense_gcn_forward(weights, biases, prop, x):
+    """gcn_forward without dropout over one dense propagation matrix, with its backward.
+
+    Plain numpy, for a caller that records a whole batch of blocks as one op.
+    Returns (emb, vjp): vjp(g, need_prop) maps the gradient of emb to the
+    gradient of prop (None unless need_prop) and a list of the weight and
+    bias gradients in GcnParams.named() order.
+    """
+    count = len(weights)
+    inputs, zs, masks = [], [], []
+    h = x
+    for i in range(count):
+        z = h @ weights[i]
+        inputs.append(h)
+        zs.append(z)
+        h = prop @ z + biases[i]
+        if i < count - 1:
+            masks.append(h > 0)
+            h = h * masks[i]
+
+    def vjp(g, need_prop):
+        g_prop = None
+        g_params = [None] * (2 * count)
+        for i in reversed(range(count)):
+            if i < count - 1:
+                g = g * masks[i]
+            g_params[2 * i + 1] = ad.unbroadcast(g, biases[i].shape)
+            if need_prop:
+                g_p = g @ zs[i].T
+                g_prop = g_p if g_prop is None else g_prop + g_p
+            g_z = prop.T @ g
+            g_params[2 * i] = inputs[i].T @ g_z
+            if i > 0:
+                g = g_z @ weights[i].T
+        return g_prop, g_params
+
+    return h, vjp
 
 
 def score_pairs(h, pairs) -> ad.Tensor:

@@ -1,7 +1,8 @@
 """The benchmark's tracer patches package functions by name; keep them there.
 
-perfbench/tracer.py is loaded by path and not imported as a package, so this
-test reads its TIMED and COUNTED tables without running the benchmark.
+perfbench/tracer.py and perfbench/workloads.py are loaded by path and not
+imported as a package, so this test reads the tracer's TIMED and COUNTED
+tables and the spans each workload expects without running the benchmark.
 """
 
 import importlib
@@ -10,17 +11,19 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = load_tracer()
+tracer = load("tracer")
+workloads = load("workloads")
 
 
 @pytest.mark.parametrize("modname,path", tracer.TIMED + tracer.COUNTED,
@@ -36,3 +39,11 @@ def test_traced_name_resolves(modname, path):
 def test_hooks_name_traced_functions():
     traced = {f"{m}.{p}" for m, p in tracer.TIMED}
     assert set(tracer.HOOKS) <= traced
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_expected_spans_are_timed(name):
+    # A span the tracer does not time can never fire, so the traced
+    # self-test would fail on it long after the rename that caused it.
+    timed = {f"{m}.{p}" for m, p in tracer.TIMED}
+    assert set(workloads.WORKLOADS[name].expect) <= timed

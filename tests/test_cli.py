@@ -394,6 +394,32 @@ class TestPipeline:
         assert eval_manifest["metrics"]["valid_hits"] == train_manifest["metrics"]["valid_hits"]
         assert eval_manifest["metrics"]["test_hits"] == train_manifest["metrics"]["test_hits"]
 
+    def test_flex_tune_reports_test_hits_against_pretrained(self, tmp_path, capsys):
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        graph_flags = ["--edges", d["graph"] / "edges.tsv",
+                       "--features", d["graph"] / "features.csv",
+                       "--split", d["split"] / "split.json"]
+        assert run(["pretrain-gnn", *graph_flags, "--epochs", 5, "--patience", 5,
+                    "--hidden", 8, "--eval-k", 3, "--seed", 2, "--out", d["gnn"]]) == 0
+        assert run(["pretrain-ggm", *graph_flags, "--epochs", 2, "--patience", 2,
+                    "--noise-dim", 4, "--num-psi", 1, "--out", d["ggm"]]) == 0
+        capsys.readouterr()
+        assert run(["flex-tune", *graph_flags,
+                    "--gnn-ckpt", d["gnn"] / "gnn.ckpt",
+                    "--ggm-ckpt", d["ggm"] / "ggm.ckpt",
+                    "--epochs", 1, "--patience", 1, "--batch-size", 32,
+                    "--lr-gnn", 1e-2, "--num-psi", 1, "--eval-k", 3,
+                    "--out", d["tuned"]]) == 0
+        printed = capsys.readouterr().out
+        tuned = read_manifest(d["tuned"] / "flex-tune.manifest.json")["metrics"]
+        # The pre-trained predictor's test Hits@K on the same eval adjacency.
+        base = read_manifest(d["gnn"] / "pretrain-gnn.manifest.json")["metrics"]["test_hits"]
+        assert tuned["base_test_hits"] == base
+        assert tuned["test_delta"] == tuned["test_hits"] - base
+        assert (f"test Hits@3 {tuned['test_hits']:.4f} (pre-trained {base:.4f}, "
+                f"delta {tuned['test_delta']:+.4f})") in printed
+
     def test_rerun_is_hash_identical(self, tmp_path):
         d = pipeline_dirs(tmp_path)
         hashes = {}

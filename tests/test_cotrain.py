@@ -111,11 +111,11 @@ class TestSteps:
     def predictor_step_loss(self, cfg, gnn, ggm, batch, seed=17):
         """flex_tune's predictor update up to gnn_step: (lp, mean CN, leaves)."""
         leaves = ad.Tape().leaves(gnn.named())
-        logit_blocks = first_draw_logits(
+        logits = first_draw_logits(
             ggm, batch, cfg.noise, stream_rng(seed, "probe"),
             zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise,
         )
-        lp, mean_cn = predictor_loss(gnn, batch, logit_blocks, cfg.gamma, leaves)
+        lp, mean_cn = predictor_loss(gnn, batch, logits, cfg.gamma, leaves)
         return lp, mean_cn, leaves
 
     def test_ggm_ascent_does_not_decrease_gen(self):
