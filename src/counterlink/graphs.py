@@ -5,6 +5,7 @@ construction. The adjacency lives in a small CSR structure with sorted rows;
 every sampling operation draws from it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -259,18 +260,91 @@ class LabeledSubgraph:
         return self.node_map.shape[0]
 
 
-def _khop_mask(g: Graph, sources, k: int) -> np.ndarray:
-    """Boolean mask of every node within k hops of any source node."""
-    seen = np.zeros(g.num_nodes, dtype=bool)
-    seen[sources] = True
-    level = np.asarray(sources, dtype=np.int64)
+def _extract(g: Graph, links, k, max_nodes, exclude, rng_of) -> list:
+    """One labeled subgraph per link, all links in one pass.
+
+    Every link's k-hop ball is a run of sorted `link * n + node` keys, grown
+    one level at a time for all links together, so a link listed twice gets
+    two blocks. exclude[i] drops link i's target edge; rng_of(i) is called
+    only for a link whose ball exceeds max_nodes and gives its subsampling rng.
+    """
+    if k < 1:
+        raise InputError(f"hop count must be >= 1, got {k}")
+    if max_nodes < 2:
+        raise InputError(f"max_nodes must be >= 2, got {max_nodes}")
+    n = g.num_nodes
+    ends = np.array([(int(e.u), int(e.v)) for e in links], dtype=np.int64).reshape(-1, 2)
+    bad = ends[(ends < 0) | (ends >= n)]
+    if bad.size:
+        g._check_node(int(bad[0]))
+    num = ends.shape[0]
+    indices = g.adjacency.indices
+
+    end_keys = np.sort((np.arange(num, dtype=np.int64)[:, None] * n + ends).ravel())
+    ball = level = end_keys
     for _ in range(k):
-        reached = np.zeros(g.num_nodes, dtype=bool)
-        reached[g.adjacency.indices[_row_entries(g, level)[0]]] = True
-        reached &= ~seen
-        seen |= reached
-        level = np.flatnonzero(reached)
-    return seen
+        pos, counts = _row_entries(g, level % n)
+        level = np.setdiff1d(np.repeat(level - level % n, counts) + indices[pos], ball)
+        ball = np.union1d(ball, level)
+    rest = np.setdiff1d(ball, end_keys, assume_unique=True)
+    rest_sizes = np.bincount(rest // n, minlength=num)
+    over = np.flatnonzero(rest_sizes > max_nodes - 2)
+    if over.size:
+        keep = np.ones(rest.size, dtype=bool)
+        starts = np.cumsum(rest_sizes) - rest_sizes
+        for i in over.tolist():
+            start, size = int(starts[i]), int(rest_sizes[i])
+            picked = rng_of(i).choice(size, size=max_nodes - 2, replace=False)
+            keep[start : start + size] = False
+            keep[start + picked] = True
+        rest = rest[keep]
+        rest_sizes[over] = max_nodes - 2
+
+    # Flat member list: each link's block is u, v, then its rest ascending.
+    sizes = rest_sizes + 2
+    offsets = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(num), sizes)
+    local = np.arange(owner.size) - offsets[owner]
+    nodes = np.empty(owner.size, dtype=np.int64)
+    nodes[offsets] = ends[:, 0]
+    nodes[offsets + 1] = ends[:, 1]
+    nodes[local >= 2] = rest % n
+
+    # Induced edges: neighbour keys of every member looked up among members.
+    members = owner * n + nodes
+    order = np.argsort(members)
+    members = members[order]
+    pos, counts = _row_entries(g, nodes)
+    row = np.repeat(np.arange(nodes.size), counts)
+    nbr = owner[row] * n + indices[pos]
+    at = np.minimum(np.searchsorted(members, nbr), members.size - 1)
+    hit = members[at] == nbr
+    row, col = row[hit], order[at[hit]]
+    cells = sizes * sizes
+    cell_offsets = np.cumsum(cells) - cells
+    blk = owner[row]
+    adj = np.zeros(int(cells.sum()), dtype=np.float64)
+    adj[cell_offsets[blk] + local[row] * sizes[blk] + local[col]] = 1.0
+    exclude = np.asarray(exclude, dtype=bool)
+    adj[cell_offsets[exclude] + 1] = 0.0
+    adj[cell_offsets[exclude] + sizes[exclude]] = 0.0
+
+    feats = g.features[nodes]
+    labels = (local < 2).astype(np.float64)
+    out = []
+    for e, a, m, c in zip(links, offsets.tolist(), sizes.tolist(), cell_offsets.tolist()):
+        out.append(
+            LabeledSubgraph(
+                node_map=nodes[a : a + m],
+                local_adjacency=adj[c : c + m * m].reshape(m, m),
+                local_features=feats[a : a + m],
+                labels=labels[a : a + m],
+                target=(0, 1),
+                hop_k=k,
+                link_label=int(e.label),
+            )
+        )
+    return out
 
 
 def extract_enclosing_subgraph(
@@ -287,48 +361,9 @@ def extract_enclosing_subgraph(
     When the union exceeds max_nodes the surplus is dropped by uniform
     subsampling from the seeded rng; the endpoints are never dropped.
     """
-    if k < 1:
-        raise InputError(f"hop count must be >= 1, got {k}")
-    if max_nodes < 2:
-        raise InputError(f"max_nodes must be >= 2, got {max_nodes}")
-    u, v = int(e.u), int(e.v)
-    g._check_node(u)
-    g._check_node(v)
-
-    ball = _khop_mask(g, [u, v], k)
-    ball[[u, v]] = False
-    rest = np.flatnonzero(ball)
-    if rest.size > max_nodes - 2:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        keep = rng.choice(rest.size, size=max_nodes - 2, replace=False)
-        rest = np.sort(rest[keep])
-    node_map = np.concatenate([np.array([u, v], dtype=np.int64), rest])
-
-    n = node_map.shape[0]
-    local_of = np.full(g.num_nodes, -1, dtype=np.int64)
-    local_of[node_map] = np.arange(n)
-    pos, counts = _row_entries(g, node_map)
-    rows = np.repeat(np.arange(n), counts)
-    cols = local_of[g.adjacency.indices[pos]]
-    inside = cols >= 0
-    adj = np.zeros((n, n), dtype=np.float64)
-    adj[rows[inside], cols[inside]] = 1.0
-    if exclude_target_edge:
-        adj[0, 1] = 0.0
-        adj[1, 0] = 0.0
-
-    labels = np.zeros(n, dtype=np.float64)
-    labels[0] = labels[1] = 1.0
-    return LabeledSubgraph(
-        node_map=node_map,
-        local_adjacency=adj,
-        local_features=g.features[node_map],
-        labels=labels,
-        target=(0, 1),
-        hop_k=k,
-        link_label=int(e.label),
-    )
+    if rng is None:
+        rng = np.random.default_rng(0)
+    return _extract(g, [e], k, max_nodes, [exclude_target_edge], lambda i: rng)[0]
 
 
 def extract_for_links(
@@ -338,25 +373,34 @@ def extract_for_links(
     max_nodes: int = 1000,
     seed: int = 0,
 ):
-    """Extract one labeled subgraph per link, each with its own derived rng.
+    """extract_enclosing_subgraph for every link, in list order, in one pass.
 
-    Per-edge rng derivation keeps the output independent of iteration order,
-    so parallel extraction over edges stays deterministic.
+    Positive links drop their target edge, negatives keep it. A link whose
+    ball exceeds max_nodes subsamples with its own stream
+    `extract.{u}.{v}.{label}`, so each subgraph is independent of the list's
+    order and of the other links in it.
     """
-    out = []
-    for e in links:
-        rng = stream_rng(seed, f"extract.{e.u}.{e.v}.{e.label}")
-        out.append(
-            extract_enclosing_subgraph(
-                g,
-                e,
-                k=k,
-                max_nodes=max_nodes,
-                rng=rng,
-                exclude_target_edge=e.label == POSITIVE,
-            )
-        )
-    return out
+    return _extract(
+        g, links, k, max_nodes,
+        [e.label == POSITIVE for e in links],
+        lambda i: stream_rng(seed, f"extract.{links[i].u}.{links[i].v}.{links[i].label}"),
+    )
+
+
+def _once_per_batch(method):
+    """Compute a batch method's result on the first call and return that
+    same object on later calls, so callers must not write to it."""
+    key = "_" + method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        if key not in self.__dict__:
+            # The dataclass is frozen; like functools.cached_property, store
+            # straight into the instance dict.
+            self.__dict__[key] = method(self)
+        return self.__dict__[key]
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -372,15 +416,18 @@ class LabeledSubgraphBatch:
     def total_nodes(self):
         return int(self.block_sizes.sum())
 
+    @_once_per_batch
     def stacked_features(self):
         return np.concatenate([b.local_features for b in self.blocks], axis=0)
 
+    @_once_per_batch
     def stacked_labels(self):
         return np.concatenate([b.labels for b in self.blocks])
 
     def block_adjacencies(self):
         return [b.local_adjacency for b in self.blocks]
 
+    @_once_per_batch
     def block_diag_csr(self) -> Csr:
         rows, cols = [], []
         for off, b in zip(self.offsets, self.blocks):

@@ -120,7 +120,16 @@ def _non_edges_at(g: Graph, ranks):
 
 
 def sample_negatives(g: Graph, count: int, seed=None, rng=None):
-    """Uniform distinct non-edges (u < v) of g, deterministic per seed."""
+    """Uniform distinct non-edges (u < v) of g, deterministic per seed.
+
+    Sparse graphs are rejection-sampled from (u, v) draws of rng.integers(0, n)
+    in rounds: each round draws 2 * need values at once and reads them as
+    pairs in draw order, dropping self-pairs, edges, pairs already chosen and
+    repeats within the round (the first is kept). Array draws give the values
+    of one-at-a-time draws, so the result equals drawing pair by pair and
+    stopping at the count-th survivor. Only rng's end position differs, since
+    the last round over-draws; no caller reads rng afterwards.
+    """
     if count < 0:
         raise InputError("negative sample count must be >= 0")
     pool = g.non_edge_count()
@@ -135,19 +144,17 @@ def sample_negatives(g: Graph, count: int, seed=None, rng=None):
     if count * 3 > pool:
         pick = rng.choice(pool, size=count, replace=False)
         return _non_edges_at(g, np.sort(pick))
-    chosen = set()
-    out = []
-    while len(out) < count:
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in chosen or g.has_edge(*key):
-            continue
-        chosen.add(key)
-        out.append(key)
-    return np.array(out, dtype=np.int64)
+    e = g.edges()
+    edge_keys = e[:, 0] * n + e[:, 1]
+    chosen = np.empty(0, dtype=np.int64)
+    while chosen.size < count:
+        need = count - chosen.size
+        u, v = rng.integers(0, n, size=2 * need).reshape(-1, 2).T
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        keys = keys[(u != v) & ~np.isin(keys, edge_keys) & ~np.isin(keys, chosen)]
+        _, first = np.unique(keys, return_index=True)
+        chosen = np.concatenate([chosen, keys[np.sort(first)][:need]])
+    return np.stack([chosen // n, chosen % n], axis=1)
 
 
 def generate_split(g: Graph, spec: SplitSpec) -> DatasetSplit:
@@ -204,13 +211,16 @@ def verify_split(g: Graph, split: DatasetSplit) -> SplitReport:
     """Recheck every bucket assignment with the set/BFS reference heuristics.
 
     Independent of the CSR production path by design. Raises ValidationError
-    on any violated membership, non-edge negatives, or empty negative sets.
+    on any violated membership, on a negative that is an edge, a self-pair or
+    a repeat of an earlier negative (in any bucket), and on an empty
+    negative set.
     """
     spec = split.spec
     ranges = spec.bucket_ranges()
     adj = bruteforce.adjacency_sets(g.num_nodes, g.edges())
     violations = []
     counts = {}
+    negative_bucket = {}
     for bucket in BUCKETS:
         edges = split.pos(bucket)
         counts[bucket] = int(edges.shape[0])
@@ -225,6 +235,15 @@ def verify_split(g: Graph, split: DatasetSplit) -> SplitReport:
         if split.neg(bucket).shape[0] == 0:
             raise ValidationError(f"{bucket} negative set is empty")
         for u, v in split.neg(bucket).tolist():
+            if u == v:
+                raise ValidationError(f"{bucket}_neg holds the self-pair {[u, v]}")
+            key = (min(u, v), max(u, v))
+            if key in negative_bucket:
+                raise ValidationError(
+                    f"{bucket}_neg repeats the pair {[u, v]}, "
+                    f"already in {negative_bucket[key]}_neg"
+                )
+            negative_bucket[key] = bucket
             if v in adj[u]:
                 violations.append({"bucket": f"{bucket}_neg", "edge": [u, v], "value": None})
     report = SplitReport(

@@ -1,9 +1,10 @@
 """Per-entry CSR propagation and set-and-dict subgraph extraction, kept as oracles.
 
-`graphs.Csr.matmul_dense` sums each row's entries in falling-degree passes
-and `graphs.extract_enclosing_subgraph` works on boolean masks and index
-gathers over the CSR. These are the implementations they replaced: one
-`np.add.at` scatter, and per-neighbour Python sets plus a dict from global to
+`graphs.Csr.matmul_dense` sums each row's entries in falling-degree passes,
+and `graphs.extract_for_links` extracts a whole link list at once over sorted
+`link * n + node` keys (`extract_enclosing_subgraph` is its one-link case).
+These are the implementations they replaced: one `np.add.at` scatter, and
+one link at a time with per-neighbour Python sets plus a dict from global to
 local ids. Both results must match these byte for byte.
 """
 

@@ -115,6 +115,28 @@ class TestExitCodes:
         assert code == 2
         assert "features.csv:3" in err and "Traceback" not in err
 
+    def test_malformed_negatives_are_5(self, tmp_path):
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        split = d["split"] / "split.json"
+        doc = json.loads(split.read_text())
+        negs = doc["edges"]["test_neg"]
+        negs[0] = [5, 5]
+        negs[1] = list(negs[2])
+        split.write_text(json.dumps(doc))
+        argv = ["eval", "--edges", d["graph"] / "edges.tsv",
+                "--features", d["graph"] / "features.csv",
+                "--split", split, "--ckpt", d["gnn"] / "gnn.ckpt", "--out", d["eval"]]
+        code, err = run_child(argv)
+        assert code == 5, err
+        assert "test_neg holds the self-pair [5, 5]" in err and "Traceback" not in err
+        negs[0] = list(negs[3])
+        split.write_text(json.dumps(doc))
+        code, err = run_child(argv)
+        assert code == 5, err
+        assert f"test_neg repeats the pair {negs[2]}, already in test_neg" in err
+        assert "Traceback" not in err
+
     def test_truncated_split_json_is_5(self, tmp_path):
         d = pipeline_dirs(tmp_path)
         run_pipeline_through_split(d)

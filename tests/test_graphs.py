@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from counterlink import bruteforce
+from counterlink import bruteforce, graphs
 from counterlink.errors import InputError
 from counterlink.graphs import (
     Csr,
@@ -299,20 +299,23 @@ class TestExtractionMatchesReference:
                                  exclude_target_edge=exclude)
         assert_same_subgraph(got, want)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_for_links_byte_identical_with_subsampling_and_negatives(self, data):
-        # Negatives keep their target edge (exclude_target_edge=False).
+        # Up to 40 links of both labels in one call, some listed more than
+        # once; negatives keep their target edge (exclude_target_edge=False).
         g = drawn_graph(data, max_n=40)
         n = g.num_nodes
         links = data.draw(st.lists(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                       st.sampled_from([POSITIVE, NEGATIVE])).filter(lambda t: t[0] != t[1]),
-            min_size=1, max_size=8), label="links")
-        links = [Edge(u, v, lab) for u, v, lab in links]
+            min_size=1, max_size=30), label="links")
+        repeats = data.draw(st.lists(st.sampled_from(links), max_size=10), label="repeats")
+        links = [Edge(u, v, lab) for u, v, lab in links + repeats]
         k = data.draw(st.integers(1, 3), label="k")
         max_nodes = data.draw(st.integers(2, 12), label="max_nodes")
         got = extract_for_links(g, links, k=k, max_nodes=max_nodes, seed=11)
+        assert len(got) == len(links)
         for e, sub in zip(links, got):
             want = extract_reference(
                 g, e, k=k, max_nodes=max_nodes,
@@ -320,6 +323,41 @@ class TestExtractionMatchesReference:
                 exclude_target_edge=e.label == POSITIVE,
             )
             assert_same_subgraph(sub, want)
+
+    def test_repeated_links_get_separate_blocks(self):
+        g = random_graph(30, 0.3, np.random.default_rng(2))
+        u, v = g.edges()[0].tolist()
+        links = [Edge(u, v, POSITIVE), Edge(u, v, NEGATIVE), Edge(u, v, POSITIVE)]
+        a, b, c = extract_for_links(g, links, k=2, max_nodes=1000)
+        assert_same_subgraph(a, c)
+        assert a.local_adjacency[0, 1] == 0.0 and b.local_adjacency[0, 1] == 1.0
+        assert not np.shares_memory(a.local_adjacency, c.local_adjacency)
+        a.local_adjacency[0, 1] = 7.0
+        assert c.local_adjacency[0, 1] == 0.0 and b.local_adjacency[0, 1] == 1.0
+
+    @pytest.mark.parametrize("max_nodes", [1000, 40, 8])
+    def test_streams_made_only_for_subsampled_links(self, monkeypatch, max_nodes):
+        made = []
+
+        def counting_stream_rng(seed, name):
+            made.append(name)
+            return stream_rng(seed, name)
+
+        monkeypatch.setattr(graphs, "stream_rng", counting_stream_rng)
+        g = random_graph(40, 0.2, np.random.default_rng(4))
+        links = [Edge(int(u), int(v), lab) for (u, v), lab in
+                 zip(np.random.default_rng(5).choice(40, size=(25, 2)), [0, 1] * 13)
+                 if u != v]
+        subs = extract_for_links(g, links, k=2, max_nodes=max_nodes, seed=3)
+        balls = [extract_reference(g, e, k=2, max_nodes=1000).num_nodes for e in links]
+        over = [f"extract.{e.u}.{e.v}.{e.label}"
+                for e, size in zip(links, balls) if size > max_nodes]
+        assert made == over
+        assert [s.num_nodes for s in subs] == [min(size, max_nodes) for size in balls]
+        if max_nodes >= g.num_nodes:
+            assert made == []
+        else:
+            assert made
 
     def test_subsampling_and_kept_negative_edge_are_exercised(self):
         g = random_graph(40, 0.5, np.random.default_rng(5))
@@ -405,6 +443,19 @@ class TestBatching:
     def test_empty_list_rejected(self):
         with pytest.raises(InputError):
             make_batch([])
+
+    def test_stacked_inputs_built_once_per_batch(self):
+        g = random_graph(20, 0.3, np.random.default_rng(8))
+        links = [Edge(0, 1), Edge(2, 3, NEGATIVE), Edge(0, 1)]
+        subs = extract_for_links(g, links, k=1, max_nodes=1000)
+        batch = make_batch(subs)
+        for name in ("stacked_features", "stacked_labels", "block_diag_csr"):
+            first = getattr(batch, name)()
+            assert getattr(batch, name)() is first, name
+            assert getattr(make_batch(subs), name)() is not first, name
+        assert batch.stacked_features().tobytes() == np.concatenate(
+            [s.local_features for s in subs]).tobytes()
+        assert np.array_equal(batch.block_diag_csr().to_dense(), batch.to_dense_adjacency())
 
     def test_random_batches_block_isolated(self):
         rng = np.random.default_rng(21)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from counterlink import bruteforce
 from counterlink.errors import DegenerateSplitError, InputError, ValidationError
@@ -18,6 +19,7 @@ from counterlink.splits import (
     save_split,
     verify_split,
 )
+from negatives_reference import sparse_negatives_reference
 
 
 def graph_of(n, edges):
@@ -198,6 +200,59 @@ class TestNegatives:
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+class TestSparseNegativesMatchReference:
+    @pytest.mark.parametrize("n", [2, 3, 7, 300, 1500, 2**31 - 1, 2**33])
+    def test_array_draws_equal_scalar_draws(self, n):
+        # The premise of the batched branch: one array call of integers()
+        # returns the scalar calls' values and leaves the generator where
+        # they leave it.
+        for seed in range(3):
+            scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+            one_by_one = [int(scalar.integers(0, n)) for _ in range(301)]
+            assert batched.integers(0, n, size=301).tolist() == one_by_one
+            assert scalar.bit_generator.state == batched.bit_generator.state
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_byte_identical_to_one_pair_loop(self, data):
+        n = data.draw(st.integers(3, 40), label="n")
+        iu, ju = np.triu_indices(n, k=1)
+        p = data.draw(st.sampled_from([0.0, 0.1, 0.4, 0.8]), label="p")
+        keep = np.random.default_rng(data.draw(st.integers(0, 99), label="graph")).random(
+            iu.size) < p
+        g = graph_of(n, np.stack([iu[keep], ju[keep]], axis=1))
+        pool = g.non_edge_count()
+        # count * 3 <= pool forces the sparse branch.
+        count = data.draw(st.one_of(st.just(0), st.just(pool // 3),
+                                    st.integers(0, pool // 3)), label="count")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        got = sample_negatives(g, count, seed=seed)
+        want = sparse_negatives_reference(g, count, stream_rng(seed, "negatives"))
+        assert got.dtype == want.dtype and got.shape == (count, 2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_multi_round_draws_are_exercised(self):
+        # 51 of 66 pairs are edges, so a round keeps few of its candidates
+        # and the next round must continue the stream where it stopped.
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.rounds = rng, 0
+
+            def integers(self, *args, **kwargs):
+                self.rounds += 1
+                return self.rng.integers(*args, **kwargs)
+
+        g = graph_of(12, [(i, j) for i in range(12) for j in range(i + 1, 12)
+                          if (i + j) % 4])
+        count = g.non_edge_count() // 3
+        for seed in range(10):
+            rng = CountingRng(stream_rng(seed, "negatives"))
+            got = sample_negatives(g, count, rng=rng)
+            want = sparse_negatives_reference(g, count, stream_rng(seed, "negatives"))
+            assert rng.rounds > 1
+            assert got.tobytes() == want.tobytes()
+
+
 class TestVerify:
     def make_split(self):
         g = sbm_graph([40, 40], 0.25, 0.02, seed=9)
@@ -216,6 +271,32 @@ class TestVerify:
         split.train_pos = split.train_pos[1:]
         split.test_pos = np.concatenate([split.test_pos, moved])
         with pytest.raises(ValidationError, match="1 bucket violation"):
+            verify_split(g, split)
+
+    def test_self_pair_negative_rejected(self):
+        g, split = self.make_split()
+        split.test_neg = split.test_neg.copy()
+        split.test_neg[0] = [5, 5]
+        with pytest.raises(ValidationError, match=r"test_neg holds the self-pair \[5, 5\]"):
+            verify_split(g, split)
+
+    def test_negative_repeated_within_bucket_rejected(self):
+        g, split = self.make_split()
+        split.valid_neg = split.valid_neg.copy()
+        split.valid_neg[1] = split.valid_neg[2]
+        u, v = split.valid_neg[2].tolist()
+        with pytest.raises(ValidationError,
+                           match=rf"valid_neg repeats the pair \[{u}, {v}\], already in valid_neg"):
+            verify_split(g, split)
+
+    def test_negative_repeated_across_buckets_rejected(self):
+        # Reversed endpoints name the same undirected pair.
+        g, split = self.make_split()
+        split.test_neg = split.test_neg.copy()
+        split.test_neg[0] = split.train_neg[3][::-1]
+        v, u = split.train_neg[3].tolist()
+        with pytest.raises(ValidationError,
+                           match=rf"test_neg repeats the pair \[{u}, {v}\], already in train_neg"):
             verify_split(g, split)
 
     def test_empty_negative_set_rejected(self):
@@ -246,6 +327,17 @@ class TestPersistence:
         doc["edges"]["train_pos"] = doc["edges"]["train_pos"][1:]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
+            load_split(path, g)
+
+    def test_loader_rejects_malformed_negatives(self, tmp_path):
+        g = sbm_graph([40, 40], 0.25, 0.02, seed=9)
+        split = generate_split(g, SplitSpec("CN", "backward", 2, 1, seed=3))
+        path = tmp_path / "split.json"
+        save_split(split, path)
+        doc = json.loads(path.read_text())
+        doc["edges"]["test_neg"][1] = doc["edges"]["test_neg"][2]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="test_neg repeats the pair"):
             load_split(path, g)
 
     def test_ranges_surfaced_in_json(self, tmp_path):
