@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cotrain import CotrainConfig, flex_tune
+from .cotrain import CotrainConfig, flex_tune, train_subgraphs
 from .errors import ConfigError, InputError
 from .gnn import evaluate_hits, normalize_adjacency
 from .graphs import Graph
@@ -186,9 +186,10 @@ class SweepResult:
     stds: list
     per_point: list  # list of per-seed metric lists
     errors: dict  # str(value) -> list of error strings
-    # One {value, seed, best_epoch, selected_pretrained} per finished run.
-    # Reported in the manifest and on stdout, not in as_dict(), so sweep.json
-    # keeps its layout.
+    # One {value, seed, best_epoch, selected_pretrained, test_hits,
+    # base_test_hits, test_delta} per finished run, where base_test_hits is
+    # the pre-trained predictor's. Reported in the manifest and on stdout,
+    # not in as_dict(), so sweep.json keeps its layout.
     selections: list = field(default_factory=list)
 
     def as_dict(self):
@@ -216,7 +217,9 @@ def run_sweep(
     """Full co-training run per grid point per seed, one after another;
     metric is test Hits@K.
 
-    Failures are recorded per point and the sweep continues.
+    No sweepable parameter changes subgraph extraction, so each seed's train
+    subgraphs are extracted once and reused at every grid point. Failures
+    are recorded per point and the sweep continues.
     """
     if param not in SWEEPABLE:
         raise ConfigError(f"sweepable parameters are {SWEEPABLE}, got {param!r}")
@@ -227,6 +230,9 @@ def run_sweep(
     eval_norm = normalize_adjacency(
         (eval_graph if eval_graph is not None else g).adjacency
     )
+    base_test_hits = evaluate_hits(gnn_params, eval_norm, g.features, split.test_pos,
+                                   split.test_neg, base_cfg.eval_k)
+    subgraphs = {}  # seed -> train subgraphs
     means, stds, per_point, selections = [], [], [], []
     errors = {}
     for value in grid:
@@ -234,15 +240,21 @@ def run_sweep(
         for seed in seeds:
             try:
                 cfg = replace(base_cfg, **{param: value}, seed=seed)
+                if seed not in subgraphs:
+                    subgraphs[seed] = train_subgraphs(g, split, cfg)
                 result = flex_tune(gnn_params, ggm_params, g, split, cfg,
-                                   eval_graph=eval_graph)
-                vals.append(evaluate_hits(
+                                   eval_graph=eval_graph, subgraphs=subgraphs[seed])
+                test_hits = evaluate_hits(
                     result.gnn, eval_norm, g.features, split.test_pos,
                     split.test_neg, cfg.eval_k,
-                ))
+                )
+                vals.append(test_hits)
                 selections.append({"value": value, "seed": seed,
                                    "best_epoch": result.best_epoch,
-                                   "selected_pretrained": result.best_epoch == 0})
+                                   "selected_pretrained": result.best_epoch == 0,
+                                   "test_hits": test_hits,
+                                   "base_test_hits": base_test_hits,
+                                   "test_delta": test_hits - base_test_hits})
             except Exception as exc:  # recorded, sweep continues
                 errs.append(f"{type(exc).__name__}: {exc}")
         per_point.append(vals)

@@ -354,47 +354,18 @@ def dropout(a, rate, rng, training=True) -> Tensor:
     return emit("dropout", a.value * mask, [a], lambda g: (g * mask,))
 
 
-def bce_with_logits(logits, targets, weights=None, reduction="mean") -> Tensor:
-    """Numerically stable binary cross-entropy on logits.
-
-    targets (and optional weights) are constants with the same shape as the
-    logits; reduction is "mean", "sum", or "none".
-    """
+def bce_with_logits(logits, targets) -> Tensor:
+    """Mean numerically stable binary cross-entropy on logits; targets are
+    constants with the logits' shape."""
     logits = _as_tensor(logits)
     lv = logits.value
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != lv.shape:
         raise ShapeError("bce_with_logits", f"logits {lv.shape} vs targets {t.shape}")
-    w = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != lv.shape:
-            raise ShapeError("bce_with_logits", f"logits {lv.shape} vs weights {w.shape}")
     e = np.exp(-np.abs(lv))
-    loss = np.maximum(lv, 0.0) - lv * t + np.log1p(e)
-    if w is not None:
-        loss = loss * w
-    if reduction == "none":
-        out = loss
-    elif reduction == "sum":
-        out = loss.sum()
-    elif reduction == "mean":
-        out = loss.mean()
-    else:
-        raise InputError(f"unknown reduction {reduction!r}")
-
+    out = (np.maximum(lv, 0.0) - lv * t + np.log1p(e)).mean()
     base = stable_sigmoid(lv, e) - t
-    if w is not None:
-        base = base * w
-
-    def back(g):
-        if reduction == "none":
-            return (g * base,)
-        if reduction == "sum":
-            return (g * base,)
-        return (g * base / lv.size,)
-
-    return emit("bce_with_logits", out, [logits], back)
+    return emit("bce_with_logits", out, [logits], lambda g: (g * base / lv.size,))
 
 
 # ---------------------------------------------------------------------------

@@ -517,7 +517,9 @@ def cmd_sweep(cfg):
     for run in result.selections:
         print(f"sweep {cfg['param']}={run['value']} seed {run['seed']}: "
               f"best epoch {run['best_epoch']}"
-              f"{' (pre-trained state kept)' if run['selected_pretrained'] else ''}")
+              f"{' (pre-trained state kept)' if run['selected_pretrained'] else ''}, "
+              f"test Hits@{cfg['eval_k']} {run['test_hits']:.4f} "
+              f"(pre-trained {run['base_test_hits']:.4f}, delta {run['test_delta']:+.4f})")
 
 
 HANDLERS = {

@@ -121,10 +121,12 @@ def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=No
     logits are decode_logits' packed blocks, taped in the generator step and
     constant in the predictor step. The per-block work (sigmoid, gamma mask,
     normalization, the dense GCN and the target dot product) is one tape
-    record whose output is every block's target logit.
+    record whose output is every block's target logit. Each block's GCN
+    reads its contiguous rows of the batch's one feature gather.
     """
     sizes = batch.block_sizes
     offsets, diagonal = packed_layout(sizes)
+    x = batch.stacked_features()
     named = leaves if leaves is not None else gnn_params.named()
     params = [t if isinstance(t, ad.Tensor) else ad.Tensor(t)
               for t in (named[k] for k in gnn_params.named())]
@@ -142,9 +144,8 @@ def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=No
         u, v = block.target
         at = slice(offsets[b], offsets[b + 1])
         prop, prop_vjp = normalize_dense_adjacency(kept[at].reshape(m, m))
-        emb, gcn_vjp = dense_gcn_forward(
-            weights, biases, prop, np.asarray(block.local_features, dtype=np.float64)
-        )
+        rows = x[batch.offsets[b] : batch.offsets[b] + m]
+        emb, gcn_vjp = dense_gcn_forward(weights, biases, prop, rows)
         hu, hv = emb[u], emb[v]
         target_logits[b] = (hu * hv).sum()
         block_mask = mask[at].reshape(m, m)
@@ -257,6 +258,17 @@ class CotrainResult:
     tau: float
 
 
+def train_subgraphs(g: Graph, split: DatasetSplit, cfg: CotrainConfig) -> list:
+    """Labeled subgraphs of the split's train positives, then its train
+    negatives; they depend on cfg only through hop_k, max_nodes and seed."""
+    links = [Edge(int(u), int(v), POSITIVE) for u, v in split.train_pos] + [
+        Edge(int(u), int(v), NEGATIVE) for u, v in split.train_neg
+    ]
+    return extract_for_links(
+        g, links, k=cfg.hop_k, max_nodes=cfg.max_nodes, seed=cfg.seed
+    )
+
+
 def flex_tune(
     gnn_params: GcnParams,
     ggm_params: SiviParams,
@@ -264,24 +276,21 @@ def flex_tune(
     split: DatasetSplit,
     cfg: CotrainConfig,
     eval_graph: Graph = None,
+    subgraphs: list = None,
 ) -> CotrainResult:
     """Alternate predictor and generator updates over generated samples.
 
     g is the training-visible graph; the evaluation adjacency defaults to
-    it. Returns the best-validation pair, which may be the untouched
-    pre-trained models when no epoch improves. Each trace row records its
-    epoch's wall-clock seconds; row 0 covers extraction, tau and the
-    pre-update validation.
+    it. subgraphs, when given, must be train_subgraphs(g, split, cfg); they
+    are extracted here otherwise. Returns the best-validation pair, which
+    may be the untouched pre-trained models when no epoch improves. Each
+    trace row records its epoch's wall-clock seconds; row 0 covers any
+    extraction, tau and the pre-update validation.
     """
     t0 = time.perf_counter()
     gnn_params = gnn_params.copy()
     ggm_params = ggm_params.copy()
-    links = [Edge(int(u), int(v), POSITIVE) for u, v in split.train_pos] + [
-        Edge(int(u), int(v), NEGATIVE) for u, v in split.train_neg
-    ]
-    subs = extract_for_links(
-        g, links, k=cfg.hop_k, max_nodes=cfg.max_nodes, seed=cfg.seed
-    )
+    subs = subgraphs if subgraphs is not None else train_subgraphs(g, split, cfg)
     eval_norm = normalize_adjacency(
         (eval_graph if eval_graph is not None else g).adjacency
     )

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, InputError, NumericError, ValidationError
-from .gnn import normalize_adjacency
 from .graphs import Edge, Graph, LabeledSubgraphBatch, POSITIVE, extract_for_links, make_batch
 from .rng import stream_rng
 from .splits import DatasetSplit
@@ -179,7 +178,7 @@ def encode_semi_implicit(
     labels = batch.stacked_labels().reshape(-1, 1)
     if zero_labels:
         labels = np.zeros_like(labels)
-    a_norm = normalize_adjacency(batch.block_diag_csr())
+    a_norm = batch.normalized_adjacency()
 
     moments = []
     for _ in range(spec.num_psi):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InputError, NumericError
-from .graphs import Csr, Graph
+from .graphs import Csr, Graph, normalize_adjacency
 from .rng import stream_rng
 from .splits import DatasetSplit, sample_negatives
 
@@ -97,18 +97,6 @@ def init_gcn_params(d_in, hidden=128, layers=2, out_dim=None, dropout=0.1, rng=N
         weights.append(rng.uniform(-bound, bound, size=(a, b)))
         biases.append(np.zeros(b))
     return GcnParams(weights=weights, biases=biases, dropout=dropout, hidden=hidden)
-
-
-def normalize_adjacency(a: Csr) -> Csr:
-    """D^-1/2 (A + I) D^-1/2 over CSR; self-loops cover isolated nodes."""
-    n = a.shape[0]
-    rows = np.concatenate([a.row_ids(), np.arange(n)])
-    cols = np.concatenate([a.indices, np.arange(n)])
-    vals = np.concatenate([a.data, np.ones(n)])
-    deg = np.zeros(n)
-    np.add.at(deg, rows, vals)
-    dinv = 1.0 / np.sqrt(deg)
-    return Csr.from_coo(n, rows, cols, dinv[rows] * vals * dinv[cols], symmetric=True)
 
 
 def normalize_dense_adjacency(a):

@@ -3,6 +3,12 @@
 Graphs are undirected, unweighted, self-loop free, and immutable after
 construction. The adjacency lives in a small CSR structure with sorted rows;
 every sampling operation draws from it.
+
+Enclosing subgraphs hold node indices, not node features: each one keeps its
+node_map and a reference to the graph's one feature matrix, and a batch
+gathers its blocks' rows from that matrix once (the SEAL / PyTorch Geometric
+layout). Extraction memory therefore grows with the subgraphs' adjacency,
+not with subgraph size times feature width.
 """
 
 import functools
@@ -92,6 +98,18 @@ class Csr:
         if self.indices.size:
             out[self.row_ids(), self.indices] = self.data
         return out
+
+
+def normalize_adjacency(a: Csr) -> Csr:
+    """D^-1/2 (A + I) D^-1/2 over CSR; self-loops cover isolated nodes."""
+    n = a.shape[0]
+    rows = np.concatenate([a.row_ids(), np.arange(n)])
+    cols = np.concatenate([a.indices, np.arange(n)])
+    vals = np.concatenate([a.data, np.ones(n)])
+    deg = np.zeros(n)
+    np.add.at(deg, rows, vals)
+    dinv = 1.0 / np.sqrt(deg)
+    return Csr.from_coo(n, rows, cols, dinv[rows] * vals * dinv[cols], symmetric=True)
 
 
 @dataclass(frozen=True)
@@ -245,11 +263,16 @@ def preferential_attachment(g: Graph, u: int, v: int) -> int:
 
 @dataclass(frozen=True)
 class LabeledSubgraph:
-    """k-hop neighborhood union around a target link, endpoints marked 1."""
+    """k-hop neighborhood union around a target link, endpoints marked 1.
+
+    Local node i is graph node node_map[i]. graph_features is the source
+    graph's whole feature matrix, shared by every subgraph of that graph and
+    never copied; the block's own rows are graph_features[node_map].
+    """
 
     node_map: np.ndarray
     local_adjacency: np.ndarray
-    local_features: np.ndarray
+    graph_features: np.ndarray
     labels: np.ndarray
     target: tuple
     hop_k: int
@@ -258,6 +281,9 @@ class LabeledSubgraph:
     @property
     def num_nodes(self):
         return self.node_map.shape[0]
+
+
+_LOOKUP_LINKS = 256
 
 
 def _extract(g: Graph, links, k, max_nodes, exclude, rng_of) -> list:
@@ -310,26 +336,30 @@ def _extract(g: Graph, links, k, max_nodes, exclude, rng_of) -> list:
     nodes[offsets + 1] = ends[:, 1]
     nodes[local >= 2] = rest % n
 
-    # Induced edges: neighbour keys of every member looked up among members.
+    # Induced edges: neighbour keys of every member looked up among members,
+    # _LOOKUP_LINKS links at a time, so the lookup arrays (one entry per
+    # member's neighbour) stay small next to the adjacency buffer.
     members = owner * n + nodes
     order = np.argsort(members)
     members = members[order]
-    pos, counts = _row_entries(g, nodes)
-    row = np.repeat(np.arange(nodes.size), counts)
-    nbr = owner[row] * n + indices[pos]
-    at = np.minimum(np.searchsorted(members, nbr), members.size - 1)
-    hit = members[at] == nbr
-    row, col = row[hit], order[at[hit]]
     cells = sizes * sizes
     cell_offsets = np.cumsum(cells) - cells
-    blk = owner[row]
     adj = np.zeros(int(cells.sum()), dtype=np.float64)
-    adj[cell_offsets[blk] + local[row] * sizes[blk] + local[col]] = 1.0
+    bounds = np.append(offsets, nodes.size)
+    for lo in range(0, num, _LOOKUP_LINKS):
+        span = np.arange(bounds[lo], bounds[min(lo + _LOOKUP_LINKS, num)])
+        pos, counts = _row_entries(g, nodes[span])
+        row = np.repeat(span, counts)
+        nbr = owner[row] * n + indices[pos]
+        at = np.minimum(np.searchsorted(members, nbr), members.size - 1)
+        hit = members[at] == nbr
+        row, col = row[hit], order[at[hit]]
+        blk = owner[row]
+        adj[cell_offsets[blk] + local[row] * sizes[blk] + local[col]] = 1.0
     exclude = np.asarray(exclude, dtype=bool)
     adj[cell_offsets[exclude] + 1] = 0.0
     adj[cell_offsets[exclude] + sizes[exclude]] = 0.0
 
-    feats = g.features[nodes]
     labels = (local < 2).astype(np.float64)
     out = []
     for e, a, m, c in zip(links, offsets.tolist(), sizes.tolist(), cell_offsets.tolist()):
@@ -337,7 +367,7 @@ def _extract(g: Graph, links, k, max_nodes, exclude, rng_of) -> list:
             LabeledSubgraph(
                 node_map=nodes[a : a + m],
                 local_adjacency=adj[c : c + m * m].reshape(m, m),
-                local_features=feats[a : a + m],
+                graph_features=g.features,
                 labels=labels[a : a + m],
                 target=(0, 1),
                 hop_k=k,
@@ -418,7 +448,17 @@ class LabeledSubgraphBatch:
 
     @_once_per_batch
     def stacked_features(self):
-        return np.concatenate([b.local_features for b in self.blocks], axis=0)
+        """Every block's feature rows, block after block: one gather from the
+        blocks' shared feature matrix; block b's rows are
+        offsets[b] : offsets[b] + m.
+
+        Blocks of different feature matrices batch for their adjacency
+        alone; asking such a batch for features raises InputError.
+        """
+        features = self.blocks[0].graph_features
+        if any(b.graph_features is not features for b in self.blocks):
+            raise InputError("batch blocks do not share one feature matrix")
+        return features[np.concatenate([b.node_map for b in self.blocks])]
 
     @_once_per_batch
     def stacked_labels(self):
@@ -437,6 +477,10 @@ class LabeledSubgraphBatch:
         rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
         cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
         return Csr.from_coo(self.total_nodes, rows, cols, symmetric=True)
+
+    @_once_per_batch
+    def normalized_adjacency(self) -> Csr:
+        return normalize_adjacency(self.block_diag_csr())
 
     def to_dense_adjacency(self):
         n = self.total_nodes

@@ -6,7 +6,8 @@ numpy, forward and backward. These are the implementations they replaced:
 chains of tape ops per block. The ops only they used (`reshape`,
 `slice_rows`, `transpose`, `sigmoid`, `log`) and the tape-op forms of
 `gnn.normalize_dense_adjacency` and of the dense branch of `gnn.gcn_forward`
-moved here with them. Losses and gradients must match these
+moved here with them, as did the weighted and "sum"/"none" forms of
+`autodiff.bce_with_logits`. Losses and gradients must match these
 byte for byte.
 
 `use_reference_blocks()` swaps the three functions into the package, so the
@@ -73,6 +74,48 @@ def log(a) -> ad.Tensor:
     return ad.emit("log", np.log(av), [a], lambda g: (g / av,))
 
 
+def bce_with_logits(logits, targets, weights=None, reduction="mean") -> ad.Tensor:
+    """Numerically stable binary cross-entropy on logits, general form.
+
+    targets (and optional weights) are constants with the same shape as the
+    logits; reduction is "mean", "sum", or "none". `autodiff.bce_with_logits`
+    keeps only the unweighted mean.
+    """
+    logits = _as_tensor(logits)
+    lv = logits.value
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != lv.shape:
+        raise ShapeError("bce_with_logits", f"logits {lv.shape} vs targets {t.shape}")
+    w = None
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != lv.shape:
+            raise ShapeError("bce_with_logits", f"logits {lv.shape} vs weights {w.shape}")
+    e = np.exp(-np.abs(lv))
+    loss = np.maximum(lv, 0.0) - lv * t + np.log1p(e)
+    if w is not None:
+        loss = loss * w
+    if reduction == "none":
+        out = loss
+    elif reduction == "sum":
+        out = loss.sum()
+    elif reduction == "mean":
+        out = loss.mean()
+    else:
+        raise InputError(f"unknown reduction {reduction!r}")
+
+    base = ad.stable_sigmoid(lv, e) - t
+    if w is not None:
+        base = base * w
+
+    def back(g):
+        if reduction == "mean":
+            return (g * base / lv.size,)
+        return (g * base,)
+
+    return ad.emit("bce_with_logits", out, [logits], back)
+
+
 def decode_logits(h, block_sizes):
     """Per-block inner-product logit matrices; nothing crosses blocks."""
     if int(np.sum(block_sizes)) != h.shape[0]:
@@ -110,7 +153,7 @@ def recon_loss(logits_blocks, adj_blocks) -> ad.Tensor:
         weights = np.where(adj > 0, pos_w, 1.0)
         np.fill_diagonal(weights, 0.0)
         term = ad.mul(
-            ad.bce_with_logits(logits, adj, weights=weights, reduction="sum"),
+            bce_with_logits(logits, adj, weights=weights, reduction="sum"),
             ad.Tensor(1.0 / m),
         )
         total = term if total is None else ad.add(total, term)
@@ -167,7 +210,8 @@ def predictor_loss(gnn_params, batch, logit_blocks, gamma: float, leaves=None):
         mask = (p.value >= gamma).astype(np.float64)
         np.fill_diagonal(mask, 0.0)
         prop = normalize_dense_adjacency(ad.mul(p, ad.Tensor(mask)))
-        emb = gcn_forward(gnn_params, prop, block.local_features, leaves=leaves)
+        emb = gcn_forward(gnn_params, prop, block.graph_features[block.node_map],
+                          leaves=leaves)
         hu = ad.gather_rows(emb, np.array([u]))
         hv = ad.gather_rows(emb, np.array([v]))
         logits.append(ad.tsum(ad.mul(hu, hv), axis=1))

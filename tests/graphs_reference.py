@@ -81,7 +81,7 @@ def extract_reference(
     return LabeledSubgraph(
         node_map=node_map,
         local_adjacency=adj,
-        local_features=g.features[node_map],
+        graph_features=g.features,
         labels=labels,
         target=(0, 1),
         hop_k=k,

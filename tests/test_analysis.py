@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from counterlink.analysis import (
     mean_pairwise_cn,
     run_sweep,
     samples_from_generated,
+    SweepResult,
 )
+from counterlink import cotrain
 from counterlink.cotrain import CotrainConfig, flex_tune
 from counterlink.errors import ConfigError, InputError
 from counterlink.generator import GgmTrainConfig, NoiseSpec, generate, pretrain_ggm
@@ -214,8 +218,6 @@ class TestSweep:
     def test_single_point_grid_equals_direct_run(self):
         g, split, obs, gnn, ggm, cfg = self.fixture()
         sweep = run_sweep("gamma", [0.5], cfg, [7], gnn, ggm, obs, split)
-        from dataclasses import replace
-
         direct = flex_tune(gnn, ggm, obs, split, replace(cfg, gamma=0.5, seed=7))
         direct_test = evaluate_hits(
             direct.gnn, normalize_adjacency(obs.adjacency), obs.features,
@@ -224,6 +226,34 @@ class TestSweep:
         assert len(sweep.grid) == 1
         assert sweep.means[0] == pytest.approx(direct_test)
         assert sweep.errors == {}
+
+    def test_extracts_once_per_seed_with_unchanged_bytes(self, monkeypatch):
+        g, split, obs, gnn, ggm, cfg = self.fixture()
+        cfg = replace(cfg, max_nodes=6)  # subsampling makes extraction seed-dependent
+        grid, seeds = [0.3, 0.5, 0.9], [7, 8]
+        calls = []
+        real = cotrain.extract_for_links
+        monkeypatch.setattr(cotrain, "extract_for_links",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        sweep = run_sweep("gamma", grid, cfg, seeds, gnn, ggm, obs, split)
+        assert len(calls) == len(seeds)
+        # One-point sweeps extract for every point; stitched together they
+        # must give the same sweep.json bytes.
+        points = [run_sweep("gamma", [v], cfg, seeds, gnn, ggm, obs, split) for v in grid]
+        assert len(calls) == len(seeds) * (1 + len(grid))
+        stitched = SweepResult("gamma", grid, *(
+            [x for p in points for x in getattr(p, key)]
+            for key in ("means", "stds", "per_point")), errors={})
+        assert (json.dumps(sweep.as_dict(), indent=2)
+                == json.dumps(stitched.as_dict(), indent=2))
+        # Each run reports its paired delta against the pre-trained predictor.
+        base = evaluate_hits(gnn, normalize_adjacency(obs.adjacency), obs.features,
+                             split.test_pos, split.test_neg, cfg.eval_k)
+        runs = sweep.selections
+        assert [(r["value"], r["seed"]) for r in runs] == [(v, s) for v in grid for s in seeds]
+        assert [r["test_hits"] for r in runs] == [x for vals in sweep.per_point for x in vals]
+        assert all(r["base_test_hits"] == base for r in runs)
+        assert all(r["test_delta"] == r["test_hits"] - base for r in runs)
 
     def test_failures_recorded_and_sweep_continues(self):
         g, split, obs, gnn, ggm, cfg = self.fixture()

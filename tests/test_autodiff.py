@@ -7,7 +7,7 @@ import pytest
 from counterlink import autodiff as ad
 from counterlink.errors import InputError, NumericError, ShapeError
 from counterlink.graphs import Csr
-from blocks_reference import sigmoid
+from blocks_reference import bce_with_logits, sigmoid
 from graphs_reference import matmul_dense_reference
 
 
@@ -79,13 +79,31 @@ class TestForward:
         t = (np.arange(x.size) % 2).astype(np.float64)
         tape = ad.Tape()
         logits = tape.leaf(x)
-        loss = ad.bce_with_logits(logits, t, reduction="sum")
+        loss = bce_with_logits(logits, t, reduction="sum")
         old_loss = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
         assert loss.value.tobytes() == np.asarray(old_loss.sum()).tobytes()
-        per_entry = ad.bce_with_logits(ad.Tensor(x), t, reduction="none")
+        per_entry = bce_with_logits(ad.Tensor(x), t, reduction="none")
         assert per_entry.value.tobytes() == old_loss.tobytes()
         grad = ad.backward(loss).of(logits)
         assert grad.tobytes() == (np.ones(()) * (old - t)).tobytes()
+
+
+    def test_bce_mean_equals_the_general_form(self):
+        # The package keeps only lp_loss's unweighted mean; the weighted and
+        # summed forms live in the test oracle and must agree with it.
+        rng = np.random.default_rng(4)
+        x = np.concatenate([rng.standard_normal(97) * 30.0,
+                            [-0.0, 0.0, 1e-300, 36.7, -36.7, 709.8, -745.2]])
+        t = (rng.random(x.size) < 0.5).astype(np.float64)
+        got, want = [], []
+        for out, bce in ((got, ad.bce_with_logits), (want, bce_with_logits)):
+            tape = ad.Tape()
+            logits = tape.leaf(x)
+            loss = bce(logits, t)
+            out += [loss.value.tobytes(), ad.backward(loss).of(logits).tobytes()]
+        assert got == want
+        with pytest.raises(ShapeError, match="bce_with_logits"):
+            ad.bce_with_logits(ad.Tensor(x), t[:-1])
 
 
 class TestBackward:
@@ -216,8 +234,8 @@ class TestBackward:
             def run(arrs, collect=False):
                 tape = ad.Tape()
                 leaves = tape.leaves(arrs)
-                loss = wrap(ad.bce_with_logits(leaves["l"], targets, weights=weights,
-                                               reduction=reduction))
+                loss = wrap(bce_with_logits(leaves["l"], targets, weights=weights,
+                                            reduction=reduction))
                 if collect:
                     return ad.backward(loss).named(leaves)
                 return loss.item()

@@ -7,6 +7,8 @@ tables and the spans each workload expects without running the benchmark.
 
 import importlib
 import importlib.util
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,22 @@ def test_traced_name_resolves(modname, path):
 def test_hooks_name_traced_functions():
     traced = {f"{m}.{p}" for m, p in tracer.TIMED}
     assert set(tracer.HOOKS) <= traced
+
+
+def test_hook_arguments_are_parameters():
+    # A hook reads the hooked call's arguments by name (bound["links"]), so
+    # renaming a parameter would break the traced run, not this suite.
+    read = set()
+    for name, hook in tracer.HOOKS.items():
+        modname, path = name.split(".", 1)
+        fn = importlib.import_module(f"{tracer.PACKAGE}.{modname}")
+        for attr in path.split("."):
+            fn = getattr(fn, attr)
+        params = inspect.signature(fn).parameters
+        for arg in re.findall(r'bound\["(\w+)"\]', inspect.getsource(hook)):
+            assert arg in params, f"{name} has no parameter {arg!r}"
+            read.add(arg)
+    assert read == {"links", "split", "path"}
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

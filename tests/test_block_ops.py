@@ -29,24 +29,30 @@ from test_autodiff import finite_diff, max_rel_err
 FEATURES = 3
 
 
-def block(rng, m, density, label):
-    """A random labeled block; one node marks a single-node target (0, 0)."""
-    upper = np.triu(rng.random((m, m)) < density, 1)
-    labels = np.zeros(m)
-    labels[: min(2, m)] = 1.0
-    return LabeledSubgraph(
-        node_map=np.arange(m),
-        local_adjacency=(upper | upper.T).astype(np.float64),
-        local_features=rng.random((m, FEATURES)),
-        labels=labels,
-        target=(0, 1) if m > 1 else (0, 0),
-        hop_k=1,
-        link_label=label,
-    )
-
-
 def batch_of(rng, sizes, densities, labels):
-    return make_batch([block(rng, m, d, l) for m, d, l in zip(sizes, densities, labels)])
+    """Random labeled blocks over one shared feature matrix, each block on its
+    own rows; one node marks a single-node target (0, 0)."""
+    drawn = []
+    for m, density in zip(sizes, densities):
+        upper = np.triu(rng.random((m, m)) < density, 1)
+        drawn.append(((upper | upper.T).astype(np.float64), rng.random((m, FEATURES))))
+    features = np.concatenate([x for _, x in drawn])
+    blocks, start = [], 0
+    for (adj, _), label in zip(drawn, labels):
+        m = adj.shape[0]
+        marks = np.zeros(m)
+        marks[: min(2, m)] = 1.0
+        blocks.append(LabeledSubgraph(
+            node_map=np.arange(start, start + m),
+            local_adjacency=adj,
+            graph_features=features,
+            labels=marks,
+            target=(0, 1) if m > 1 else (0, 0),
+            hop_k=1,
+            link_label=label,
+        ))
+        start += m
+    return make_batch(blocks)
 
 
 def models(seed, spec, hidden=3):

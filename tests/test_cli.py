@@ -545,7 +545,16 @@ class TestSweepCommand:
         assert sorted(doc) == ["errors", "grid", "means", "param", "per_point", "stds"]
         runs = read_manifest(out / "sweep.manifest.json")["metrics"]["runs"]
         assert [(r["value"], r["seed"]) for r in runs] == [(0.5, 0)]
-        assert runs[0]["selected_pretrained"] == (runs[0]["best_epoch"] == 0)
-        kept = " (pre-trained state kept)" if runs[0]["selected_pretrained"] else ""
-        assert (f"sweep gamma=0.5 seed 0: best epoch {runs[0]['best_epoch']}{kept}"
+        run_ = runs[0]
+        assert run_["selected_pretrained"] == (run_["best_epoch"] == 0)
+        # The paired delta against the pre-trained predictor on the same eval
+        # adjacency, as flex-tune reports it.
+        base = read_manifest(d["gnn"] / "pretrain-gnn.manifest.json")["metrics"]["test_hits"]
+        assert run_["base_test_hits"] == base
+        assert run_["test_hits"] == doc["per_point"][0][0]
+        assert run_["test_delta"] == run_["test_hits"] - base
+        kept = " (pre-trained state kept)" if run_["selected_pretrained"] else ""
+        assert (f"sweep gamma=0.5 seed 0: best epoch {run_['best_epoch']}{kept}, "
+                f"test Hits@3 {run_['test_hits']:.4f} (pre-trained {base:.4f}, "
+                f"delta {run_['test_delta']:+.4f})"
                 in capsys.readouterr().out.splitlines())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from counterlink import autodiff as ad
+from counterlink import cotrain, graphs
 from counterlink.cotrain import (
     AblationResult,
     CotrainConfig,
@@ -258,6 +259,33 @@ class TestFlexTune:
         out = flex_tune(gnn, ggm, obs, split, cfg)
         gaps = [abs(row["kl_estimate"] - out.tau) for row in out.trace[1:]]
         assert gaps[-1] < gaps[0]
+
+    def test_batch_adjacency_normalized_once_per_batch(self, monkeypatch):
+        g, split, obs, gnn, ggm, spec = pipeline_fixture()
+        cfg = CotrainConfig(alpha=1.05, gamma=0.5, lr_gnn=1e-3, lr_ggm=1e-3,
+                            epochs=1, patience=1, batch_size=16, noise=spec,
+                            eval_k=3, seed=9)
+
+        def outputs(result):
+            named = {**result.gnn.named(), **result.ggm.named()}
+            rows = [{k: v for k, v in row.items() if k != "seconds"}
+                    for row in result.trace]
+            return [named[k].tobytes() for k in sorted(named)] + [repr(rows)]
+
+        batches, normalized = [], []
+        real_batch, real_norm = cotrain.make_batch, graphs.normalize_adjacency
+        monkeypatch.setattr(cotrain, "make_batch",
+                            lambda subs: batches.append(1) or real_batch(subs))
+        monkeypatch.setattr(graphs, "normalize_adjacency",
+                            lambda a: normalized.append(1) or real_norm(a))
+        once = outputs(flex_tune(gnn, ggm, obs, split, cfg))
+        # The tau probe batch plus every training batch; the predictor and
+        # generator steps of a batch share its normalized adjacency.
+        assert len(batches) > 2 and len(normalized) == len(batches)
+
+        monkeypatch.setattr(graphs.LabeledSubgraphBatch, "normalized_adjacency",
+                            lambda batch: real_norm(batch.block_diag_csr()))
+        assert outputs(flex_tune(gnn, ggm, obs, split, cfg)) == once
 
     def test_resolve_tau_prefers_explicit(self):
         g, split, obs, gnn, ggm, spec = pipeline_fixture()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from counterlink.graphs import (
     load_edge_list,
     load_graph,
     make_batch,
+    normalize_adjacency,
     preferential_attachment,
     save_edge_list,
     save_features_csv,
     shortest_path_length,
 )
 from counterlink.rng import stream_rng
+from counterlink.synth import SyntheticGraphSpec, synth_graph
 from graphs_reference import extract_reference, matmul_dense_reference
 from sp_reference import sp_reference
 
@@ -270,10 +273,11 @@ def drawn_graph(data, max_n=30):
 
 
 def assert_same_subgraph(a, b):
-    for name in ("node_map", "local_adjacency", "local_features", "labels"):
+    for name in ("node_map", "local_adjacency", "labels"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), name
+    assert a.graph_features is b.graph_features
     assert (a.target, a.hop_k, a.link_label) == (b.target, b.hop_k, b.link_label)
 
 
@@ -429,10 +433,11 @@ class TestBatching:
 
     def test_offsets(self):
         class Stub:
+            graph_features = np.zeros((10, 1))
+
             def __init__(self, n):
                 self.num_nodes = n
                 self.local_adjacency = np.zeros((n, n))
-                self.local_features = np.zeros((n, 1))
                 self.labels = np.zeros(n)
                 self.target = (0, 1)
                 self.link_label = 1
@@ -449,13 +454,59 @@ class TestBatching:
         links = [Edge(0, 1), Edge(2, 3, NEGATIVE), Edge(0, 1)]
         subs = extract_for_links(g, links, k=1, max_nodes=1000)
         batch = make_batch(subs)
-        for name in ("stacked_features", "stacked_labels", "block_diag_csr"):
+        for name in ("stacked_features", "stacked_labels", "block_diag_csr",
+                     "normalized_adjacency"):
             first = getattr(batch, name)()
             assert getattr(batch, name)() is first, name
             assert getattr(make_batch(subs), name)() is not first, name
-        assert batch.stacked_features().tobytes() == np.concatenate(
-            [s.local_features for s in subs]).tobytes()
         assert np.array_equal(batch.block_diag_csr().to_dense(), batch.to_dense_adjacency())
+        want = normalize_adjacency(batch.block_diag_csr())
+        got = batch.normalized_adjacency()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_stacked_features_equal_the_per_block_concatenation(self):
+        # The blocks' rows used to be copied at extraction and concatenated
+        # per batch; one gather from the shared matrix gives the same bytes.
+        rng = np.random.default_rng(8)
+        base = random_graph(30, 0.2, rng)
+        g = Graph.from_edge_array(30, base.edges(), rng.standard_normal((30, 5)))
+        links = [Edge(0, 1), Edge(2, 3, NEGATIVE), Edge(0, 1), Edge(4, 29)]
+        subs = extract_for_links(g, links, k=2, max_nodes=7, seed=1)
+        old = np.concatenate([g.features[s.node_map] for s in subs], axis=0)
+        got = make_batch(subs).stacked_features()
+        assert got.shape == old.shape and got.tobytes() == old.tobytes()
+
+    def test_features_of_mixed_feature_matrices_rejected(self):
+        g = random_graph(12, 0.4, np.random.default_rng(3))
+        same = g.subgraph_on(g.edges()[:5])  # shares g.features
+        copied = Graph.from_edge_array(12, g.edges(), g.features.copy())
+        sub = extract_enclosing_subgraph(g, Edge(0, 1))
+        ok = make_batch([sub, extract_enclosing_subgraph(same, Edge(2, 3))])
+        assert ok.stacked_features().shape[0] == ok.total_nodes
+        # Blocks of two graphs still batch for their adjacency alone.
+        mixed = make_batch([sub, extract_enclosing_subgraph(copied, Edge(2, 3))])
+        assert mixed.block_diag_csr().shape == (mixed.total_nodes,) * 2
+        with pytest.raises(InputError, match="one feature matrix"):
+            mixed.stacked_features()
+
+    def test_extraction_copies_no_node_features(self):
+        # The benchmark's graph shape: 300 nodes, node-onehot (d = 300).
+        g = synth_graph(SyntheticGraphSpec("sbm", 300, "node-onehot", blocks=2,
+                                           p_in=0.1, p_out=0.004))
+        pairs = np.random.default_rng(0).choice(300, size=(1000, 2))
+        links = [Edge(int(u), int(v)) for u, v in g.edges()[:1000]] + [
+            Edge(int(u), int(v), NEGATIVE) for u, v in pairs if u != v]
+        assert len(links) > 1900
+        tracemalloc.start()
+        try:
+            subs = extract_for_links(g, links, k=1, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        feature_copy = sum(s.num_nodes for s in subs) * g.features.shape[1] * 8
+        assert peak < feature_copy / 4
+        assert all(s.graph_features is g.features for s in subs)
 
     def test_random_batches_block_isolated(self):
         rng = np.random.default_rng(21)
