@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 from .analysis import (
     alignment_report,
@@ -43,13 +44,7 @@ from .gnn import (
     save_gnn_checkpoint,
 )
 from .graphs import load_graph
-from .manifest import (
-    manifest_path,
-    read_manifest,
-    require_artifact,
-    staleness_warnings,
-    write_manifest,
-)
+from .manifest import require_artifact, staleness_warnings, write_manifest
 from .splits import SplitSpec, generate_split, load_split, save_split, verify_split
 from .synth import SyntheticGraphSpec, synth_graph, write_graph_files
 
@@ -95,6 +90,15 @@ DEFAULTS = {
 DEFAULTS["sweep"] = {
     **DEFAULTS["flex-tune"], "param": "gamma",
     "grid": "0.0,0.25,0.5,0.75,0.9,0.9999", "seeds": "0,1,2",
+}
+# Comma-separated list flags and the type of their items.
+LIST_ITEMS = {"grid": float, "seeds": int}
+# Path flags of input files, and the stage that writes each; a command's
+# manifest records its path flags, in the order its DEFAULTS list them.
+PRODUCED_BY = {
+    "edges": "synth", "features": "synth", "split": "split",
+    "gnn_ckpt": "pretrain-gnn", "ggm_ckpt": "pretrain-ggm",
+    "ckpt": "pretrain-gnn or flex-tune", "samples": "flex-tune",
 }
 
 
@@ -151,6 +155,9 @@ def merge_config(command, args) -> dict:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
+    for key in LIST_ITEMS:
+        if key in cfg:
+            _csv_list(cfg, key)
     return cfg
 
 
@@ -168,8 +175,9 @@ def _config_value(path, command, key, val):
     return float(val) if kind is float else val
 
 
-def _csv_list(cfg, key, kind):
+def _csv_list(cfg, key):
     """A non-empty comma-separated flag value, parsed item by item."""
+    kind = LIST_ITEMS[key]
     try:
         items = [kind(x) for x in str(cfg[key]).split(",") if x != ""]
     except ValueError:
@@ -180,20 +188,17 @@ def _csv_list(cfg, key, kind):
     return items
 
 
-def _require(cfg, *keys):
-    for key in keys:
-        if cfg[key] is None:
-            raise ConfigError(f"--{key.replace('_', '-')} is required")
+def _from_flags(cls, cfg, **given):
+    """A config dataclass built from the flags named like its fields; values
+    in `given` win."""
+    return cls(**{**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg},
+                  **given})
 
 
-def _load_graph_and_split(cfg):
-    _require(cfg, "edges", "features", "split")
-    require_artifact(cfg["edges"], "synth")
-    require_artifact(cfg["features"], "synth")
-    g = load_graph(cfg["edges"], str(cfg["features"]))
-    require_artifact(cfg["split"], "split")
-    split = load_split(cfg["split"], g)
-    return g, split
+def _eval_graph(cfg, graph, split):
+    """The graph whose adjacency Hits@K is scored on: the full graph with
+    --full-adjacency-eval, else the training-visible one."""
+    return graph if cfg["full_adjacency_eval"] else split.observed_graph
 
 
 def _write_csv(path, rows, columns):
@@ -204,80 +209,41 @@ def _write_csv(path, rows, columns):
             writer.writerow({k: row[k] for k in columns})
 
 
-def _warn(notes):
-    for note in notes:
-        print(f"warning: stale input: {note}", file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
-# Handlers
+# Handlers: each does its command's own work on the inputs the runner loaded
+# (graph after --features, split after --split) and returns the manifest's
+# outputs and metrics plus its stdout lines.
 
 
 def cmd_synth(cfg):
-    _require(cfg, "out")
-    os.makedirs(cfg["out"], exist_ok=True)
-    spec = SyntheticGraphSpec(
-        family=cfg["family"], n=cfg["n"], feature_mode=cfg["feature_mode"],
-        seed=cfg["seed"], blocks=cfg["blocks"], p_in=cfg["p_in"],
-        p_out=cfg["p_out"], m=cfg["m"], p=cfg["p"],
-    )
-    t0 = time.perf_counter()
-    g = synth_graph(spec)
+    g = synth_graph(_from_flags(SyntheticGraphSpec, cfg))
     edges_path = os.path.join(cfg["out"], "edges.tsv")
     feats_path = os.path.join(cfg["out"], "features.csv")
     write_graph_files(g, edges_path, feats_path)
-    write_manifest(
-        cfg["out"], "synth", cfg, cfg["seed"], {},
-        {"edges": edges_path, "features": feats_path},
-        time.perf_counter() - t0,
-        metrics={"num_nodes": g.num_nodes, "edge_count": g.edge_count},
-    )
-    print(f"synth: {g.num_nodes} nodes, {g.edge_count} edges -> {cfg['out']}")
+    return ({"edges": edges_path, "features": feats_path},
+            {"num_nodes": g.num_nodes, "edge_count": g.edge_count},
+            [f"synth: {g.num_nodes} nodes, {g.edge_count} edges -> {cfg['out']}"])
 
 
-def cmd_split(cfg):
-    _require(cfg, "edges", "features", "out")
-    require_artifact(cfg["edges"], "synth")
-    require_artifact(cfg["features"], "synth")
-    os.makedirs(cfg["out"], exist_ok=True)
-    g = load_graph(cfg["edges"], str(cfg["features"]))
-    spec = SplitSpec(
-        heuristic=cfg["heuristic"], direction=cfg["direction"],
-        t1=cfg["t1"], t2=cfg["t2"], neg_ratio=cfg["neg_ratio"], seed=cfg["seed"],
-    )
-    t0 = time.perf_counter()
-    split = generate_split(g, spec)
-    report = verify_split(g, split)
+def cmd_split(cfg, graph):
+    split = generate_split(graph, _from_flags(SplitSpec, cfg))
+    report = verify_split(graph, split)
     split_path = os.path.join(cfg["out"], "split.json")
     save_split(split, split_path)
-    write_manifest(
-        cfg["out"], "split", cfg, cfg["seed"],
-        {"edges": cfg["edges"], "features": cfg["features"]},
-        {"split": split_path},
-        time.perf_counter() - t0,
-        metrics={"bucket_counts": report.bucket_counts,
-                 "interpretation": report.interpretation},
-    )
-    print(f"split: {report.bucket_counts} ({report.interpretation}) -> {split_path}")
+    return ({"split": split_path},
+            {"bucket_counts": report.bucket_counts,
+             "interpretation": report.interpretation},
+            [f"split: {report.bucket_counts} ({report.interpretation}) -> {split_path}"])
 
 
-def cmd_pretrain_gnn(cfg):
-    g, split = _load_graph_and_split(cfg)
-    os.makedirs(cfg["out"], exist_ok=True)
-    train_cfg = TrainConfig(
-        epochs=cfg["epochs"], patience=cfg["patience"], lr=cfg["lr"],
-        dropout=cfg["dropout"], batch_size=cfg["batch_size"], seed=cfg["seed"],
-        eval_k=cfg["eval_k"],
-    )
-    eval_graph = g if cfg["full_adjacency_eval"] else None
-    t0 = time.perf_counter()
+def cmd_pretrain_gnn(cfg, graph, split):
+    eval_g = _eval_graph(cfg, graph, split)
     result = pretrain_gnn(
-        split.observed_graph, split, train_cfg, hidden=cfg["hidden"],
-        layers=cfg["layers"], eval_graph=eval_graph,
+        split.observed_graph, split, _from_flags(TrainConfig, cfg),
+        hidden=cfg["hidden"], layers=cfg["layers"], eval_graph=eval_g,
     )
-    eval_g = g if cfg["full_adjacency_eval"] else split.observed_graph
     test_hits = evaluate_hits(
-        result.params, normalize_adjacency(eval_g.adjacency), g.features,
+        result.params, normalize_adjacency(eval_g.adjacency), graph.features,
         split.test_pos, split.test_neg, cfg["eval_k"],
     )
     ckpt = os.path.join(cfg["out"], "gnn.ckpt")
@@ -287,92 +253,57 @@ def cmd_pretrain_gnn(cfg):
     trace_path = os.path.join(cfg["out"], "gnn_trace.csv")
     _write_csv(trace_path, result.trace,
                ["epoch", "train_loss", "valid_hits", "seconds"])
-    write_manifest(
-        cfg["out"], "pretrain-gnn", cfg, cfg["seed"],
-        {"edges": cfg["edges"], "features": cfg["features"], "split": cfg["split"]},
-        {"checkpoint": ckpt, "trace": trace_path},
-        time.perf_counter() - t0,
-        metrics={"best_epoch": result.best_epoch, "valid_hits": result.best_valid,
-                 "test_hits": test_hits},
-    )
-    print(f"pretrain-gnn: best epoch {result.best_epoch}, "
-          f"valid Hits@{cfg['eval_k']} {result.best_valid:.4f}, "
-          f"test Hits@{cfg['eval_k']} {test_hits:.4f}")
+    return ({"checkpoint": ckpt, "trace": trace_path},
+            {"best_epoch": result.best_epoch, "valid_hits": result.best_valid,
+             "test_hits": test_hits},
+            [f"pretrain-gnn: best epoch {result.best_epoch}, "
+             f"valid Hits@{cfg['eval_k']} {result.best_valid:.4f}, "
+             f"test Hits@{cfg['eval_k']} {test_hits:.4f}"])
 
 
-def cmd_pretrain_ggm(cfg):
-    g, split = _load_graph_and_split(cfg)
-    os.makedirs(cfg["out"], exist_ok=True)
-    spec = NoiseSpec(noise_dim=cfg["noise_dim"], num_psi=cfg["num_psi"])
-    ggm_cfg = GgmTrainConfig(
-        epochs=cfg["epochs"], patience=cfg["patience"], lr=cfg["lr"],
-        batch_size=cfg["batch_size"], seed=cfg["seed"], hop_k=cfg["hop_k"],
-        max_nodes=cfg["max_nodes"],
-    )
-    t0 = time.perf_counter()
-    result = pretrain_ggm(split.observed_graph, split, ggm_cfg, spec)
+def cmd_pretrain_ggm(cfg, graph, split):
+    spec = _from_flags(NoiseSpec, cfg)
+    result = pretrain_ggm(split.observed_graph, split,
+                          _from_flags(GgmTrainConfig, cfg), spec)
     ckpt = os.path.join(cfg["out"], "ggm.ckpt")
     save_ggm_checkpoint(ckpt, result.params,
                         extra_meta={"final_kl": result.final_kl,
                                     "best_loss": result.best_loss})
     trace_path = os.path.join(cfg["out"], "ggm_trace.csv")
     _write_csv(trace_path, result.trace, ["epoch", "loss", "kl", "seconds"])
-    write_manifest(
-        cfg["out"], "pretrain-ggm", cfg, cfg["seed"],
-        {"edges": cfg["edges"], "features": cfg["features"], "split": cfg["split"]},
-        {"checkpoint": ckpt, "trace": trace_path},
-        time.perf_counter() - t0,
-        metrics={"best_epoch": result.best_epoch, "best_loss": result.best_loss,
-                 "final_kl": result.final_kl},
-    )
-    print(f"pretrain-ggm: best epoch {result.best_epoch}, "
-          f"loss {result.best_loss:.4f}, kl {result.final_kl:.4f}")
+    return ({"checkpoint": ckpt, "trace": trace_path},
+            {"best_epoch": result.best_epoch, "best_loss": result.best_loss,
+             "final_kl": result.final_kl},
+            [f"pretrain-ggm: best epoch {result.best_epoch}, "
+             f"loss {result.best_loss:.4f}, kl {result.final_kl:.4f}"])
 
 
-def _cotrain_config(cfg, ggm_params, ggm_meta):
+def _pretrained(cfg):
+    """Both pre-trained models, warnings about their upstream manifests, and
+    the co-tuning config; an unset tau is the generator's final KL plus
+    tau_offset."""
+    gnn_params, _ = load_gnn_checkpoint(cfg["gnn_ckpt"])
+    ggm_params, ggm_meta = load_ggm_checkpoint(cfg["ggm_ckpt"])
+    for key, stage in (("gnn_ckpt", "pretrain-gnn"), ("ggm_ckpt", "pretrain-ggm")):
+        for note in staleness_warnings(cfg[key], stage, {"split": cfg["split"]}):
+            print(f"warning: {note}", file=sys.stderr)
     tau = cfg["tau"]
     if tau is None and "final_kl" in ggm_meta:
         tau = ggm_meta["final_kl"] + cfg["tau_offset"]
-    return CotrainConfig(
-        alpha=cfg["alpha"], tau=tau, tau_offset=cfg["tau_offset"],
-        gamma=cfg["gamma"], lr_gnn=cfg["lr_gnn"], lr_ggm=cfg["lr_ggm"],
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-        patience=cfg["patience"], update_rule=cfg["update_rule"],
-        seed=cfg["seed"], eval_k=cfg["eval_k"], hop_k=cfg["hop_k"],
-        max_nodes=cfg["max_nodes"],
-        noise=NoiseSpec(noise_dim=ggm_params.noise_dim, num_psi=cfg["num_psi"]),
-    )
+    noise = _from_flags(NoiseSpec, cfg, noise_dim=ggm_params.noise_dim)
+    return gnn_params, ggm_params, _from_flags(CotrainConfig, cfg, tau=tau, noise=noise)
 
 
-def _load_pretrained(cfg):
-    require_artifact(cfg["gnn_ckpt"], "pretrain-gnn")
-    require_artifact(cfg["ggm_ckpt"], "pretrain-ggm")
-    gnn_params, _ = load_gnn_checkpoint(cfg["gnn_ckpt"])
-    ggm_params, ggm_meta = load_ggm_checkpoint(cfg["ggm_ckpt"])
-    for ckpt_key, stage in (("gnn_ckpt", "pretrain-gnn"), ("ggm_ckpt", "pretrain-ggm")):
-        mpath = manifest_path(os.path.dirname(cfg[ckpt_key]) or ".", stage)
-        if os.path.exists(mpath):
-            _warn(staleness_warnings(read_manifest(mpath),
-                                     {"split": cfg["split"]}))
-    return gnn_params, ggm_params, ggm_meta
-
-
-def cmd_flex_tune(cfg):
-    g, split = _load_graph_and_split(cfg)
-    _require(cfg, "gnn_ckpt", "ggm_ckpt")
-    os.makedirs(cfg["out"], exist_ok=True)
-    gnn_params, ggm_params, ggm_meta = _load_pretrained(cfg)
-    run_cfg = _cotrain_config(cfg, ggm_params, ggm_meta)
-    eval_graph = g if cfg["full_adjacency_eval"] else None
-    t0 = time.perf_counter()
+def cmd_flex_tune(cfg, graph, split):
+    gnn_params, ggm_params, run_cfg = _pretrained(cfg)
+    eval_g = _eval_graph(cfg, graph, split)
     result = flex_tune(gnn_params, ggm_params, split.observed_graph, split,
-                       run_cfg, eval_graph=eval_graph)
-    eval_g = g if cfg["full_adjacency_eval"] else split.observed_graph
+                       run_cfg, eval_graph=eval_g)
     eval_norm = normalize_adjacency(eval_g.adjacency)
-    test_hits = evaluate_hits(result.gnn, eval_norm, g.features, split.test_pos,
+    test_hits = evaluate_hits(result.gnn, eval_norm, graph.features, split.test_pos,
                               split.test_neg, cfg["eval_k"])
-    base_test_hits = evaluate_hits(gnn_params, eval_norm, g.features, split.test_pos,
-                                   split.test_neg, cfg["eval_k"])
+    base_test_hits = evaluate_hits(gnn_params, eval_norm, graph.features,
+                                   split.test_pos, split.test_neg, cfg["eval_k"])
     gnn_out = os.path.join(cfg["out"], "gnn_tuned.ckpt")
     ggm_out = os.path.join(cfg["out"], "ggm_tuned.ckpt")
     save_gnn_checkpoint(gnn_out, result.gnn,
@@ -388,66 +319,42 @@ def cmd_flex_tune(cfg):
     samples_path = os.path.join(cfg["out"], "samples.json")
     dump_samples(samples, samples_path)
     selected_pretrained = result.best_epoch == 0
-    write_manifest(
-        cfg["out"], "flex-tune", {**cfg, "tau": result.tau}, cfg["seed"],
-        {"edges": cfg["edges"], "features": cfg["features"],
-         "split": cfg["split"], "gnn_ckpt": cfg["gnn_ckpt"],
-         "ggm_ckpt": cfg["ggm_ckpt"]},
-        {"gnn_tuned": gnn_out, "ggm_tuned": ggm_out, "trace": trace_path,
-         "samples": samples_path},
-        time.perf_counter() - t0,
-        metrics={"best_epoch": result.best_epoch,
-                 "selected_pretrained": selected_pretrained,
-                 "valid_hits": result.best_valid, "test_hits": test_hits,
-                 "base_test_hits": base_test_hits,
-                 "test_delta": test_hits - base_test_hits, "tau": result.tau},
-    )
-    print(f"flex-tune: best epoch {result.best_epoch}"
-          f"{' (pre-trained state kept)' if selected_pretrained else ''}, "
-          f"valid Hits@{cfg['eval_k']} {result.best_valid:.4f}, "
-          f"test Hits@{cfg['eval_k']} {test_hits:.4f} "
-          f"(pre-trained {base_test_hits:.4f}, delta {test_hits - base_test_hits:+.4f})")
+    cfg["tau"] = result.tau  # the manifest records the tau the run used
+    return ({"gnn_tuned": gnn_out, "ggm_tuned": ggm_out, "trace": trace_path,
+             "samples": samples_path},
+            {"best_epoch": result.best_epoch,
+             "selected_pretrained": selected_pretrained,
+             "valid_hits": result.best_valid, "test_hits": test_hits,
+             "base_test_hits": base_test_hits,
+             "test_delta": test_hits - base_test_hits, "tau": result.tau},
+            [f"flex-tune: best epoch {result.best_epoch}"
+             f"{' (pre-trained state kept)' if selected_pretrained else ''}, "
+             f"valid Hits@{cfg['eval_k']} {result.best_valid:.4f}, "
+             f"test Hits@{cfg['eval_k']} {test_hits:.4f} "
+             f"(pre-trained {base_test_hits:.4f}, "
+             f"delta {test_hits - base_test_hits:+.4f})"])
 
 
-def cmd_eval(cfg):
-    g, split = _load_graph_and_split(cfg)
-    _require(cfg, "ckpt")
-    require_artifact(cfg["ckpt"], "pretrain-gnn or flex-tune")
-    os.makedirs(cfg["out"], exist_ok=True)
+def cmd_eval(cfg, graph, split):
     params, _ = load_gnn_checkpoint(cfg["ckpt"])
-    eval_g = g if cfg["full_adjacency_eval"] else split.observed_graph
-    a_norm = normalize_adjacency(eval_g.adjacency)
-    t0 = time.perf_counter()
-    valid = evaluate_hits(params, a_norm, g.features, split.valid_pos,
+    a_norm = normalize_adjacency(_eval_graph(cfg, graph, split).adjacency)
+    valid = evaluate_hits(params, a_norm, graph.features, split.valid_pos,
                           split.valid_neg, cfg["k"])
-    test = evaluate_hits(params, a_norm, g.features, split.test_pos,
+    test = evaluate_hits(params, a_norm, graph.features, split.test_pos,
                          split.test_neg, cfg["k"])
     csv_path = os.path.join(cfg["out"], "eval.csv")
     _write_csv(csv_path,
                [{"bucket": "valid", "hits": valid}, {"bucket": "test", "hits": test}],
                ["bucket", "hits"])
-    write_manifest(
-        cfg["out"], "eval", cfg, 0,
-        {"edges": cfg["edges"], "features": cfg["features"],
-         "split": cfg["split"], "ckpt": cfg["ckpt"]},
-        {"csv": csv_path},
-        time.perf_counter() - t0,
-        metrics={"valid_hits": valid, "test_hits": test},
-    )
-    print(f"Hits@{cfg['k']} valid: {valid:.6f}")
-    print(f"Hits@{cfg['k']} test: {test:.6f}")
+    return ({"csv": csv_path}, {"valid_hits": valid, "test_hits": test},
+            [f"Hits@{cfg['k']} valid: {valid:.6f}", f"Hits@{cfg['k']} test: {test:.6f}"])
 
 
-def cmd_analyze(cfg):
-    g, split = _load_graph_and_split(cfg)
-    _require(cfg, "samples")
-    require_artifact(cfg["samples"], "flex-tune")
-    os.makedirs(cfg["out"], exist_ok=True)
-    t0 = time.perf_counter()
+def cmd_analyze(cfg, graph, split):
     records = load_samples(cfg["samples"])
     gen_hist = cn_distribution(records, source="generated")
-    train_hist = link_heuristic_histogram(g, split.train_pos, "CN", "train")
-    valid_hist = link_heuristic_histogram(g, split.valid_pos, "CN", "valid")
+    train_hist = link_heuristic_histogram(graph, split.train_pos, "CN", "train")
+    valid_hist = link_heuristic_histogram(graph, split.valid_pos, "CN", "valid")
     report = alignment_report(train_hist, valid_hist, gen_hist)
     scan = degree_bias_scan(records)
     doc = {
@@ -466,32 +373,20 @@ def cmd_analyze(cfg):
     _write_csv(hist_csv, rows, ["source", "bucket_start", "count"])
     scatter_csv = os.path.join(cfg["out"], "degree_bias.csv")
     _write_csv(scatter_csv, scan.as_rows(), ["mean_cn", "num_nodes"])
-    write_manifest(
-        cfg["out"], "analyze", cfg, 0,
-        {"edges": cfg["edges"], "features": cfg["features"],
-         "split": cfg["split"], "samples": cfg["samples"]},
-        {"analysis": json_path, "cn_distribution": hist_csv,
-         "degree_bias": scatter_csv},
-        time.perf_counter() - t0,
-        metrics={"gen_gap": report.gen_gap, "train_gap": report.train_gap,
-                 "degree_bias_slope": scan.slope},
-    )
-    print(f"analyze: gen gap {report.gen_gap:.4f} vs train gap "
-          f"{report.train_gap:.4f}; degree-bias slope {scan.slope:.4f}")
+    return ({"analysis": json_path, "cn_distribution": hist_csv,
+             "degree_bias": scatter_csv},
+            {"gen_gap": report.gen_gap, "train_gap": report.train_gap,
+             "degree_bias_slope": scan.slope},
+            [f"analyze: gen gap {report.gen_gap:.4f} vs train gap "
+             f"{report.train_gap:.4f}; degree-bias slope {scan.slope:.4f}"])
 
 
-def cmd_sweep(cfg):
-    grid = _csv_list(cfg, "grid", float)
-    seeds = _csv_list(cfg, "seeds", int)
-    g, split = _load_graph_and_split(cfg)
-    _require(cfg, "gnn_ckpt", "ggm_ckpt")
-    os.makedirs(cfg["out"], exist_ok=True)
-    gnn_params, ggm_params, ggm_meta = _load_pretrained(cfg)
-    base = _cotrain_config(cfg, ggm_params, ggm_meta)
-    eval_graph = g if cfg["full_adjacency_eval"] else None
-    t0 = time.perf_counter()
-    result = run_sweep(cfg["param"], grid, base, seeds, gnn_params, ggm_params,
-                       split.observed_graph, split, eval_graph=eval_graph)
+def cmd_sweep(cfg, graph, split):
+    gnn_params, ggm_params, base = _pretrained(cfg)
+    result = run_sweep(cfg["param"], _csv_list(cfg, "grid"), base,
+                       _csv_list(cfg, "seeds"), gnn_params, ggm_params,
+                       split.observed_graph, split,
+                       eval_graph=_eval_graph(cfg, graph, split))
     json_path = os.path.join(cfg["out"], "sweep.json")
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(result.as_dict(), fh, indent=2)
@@ -502,24 +397,18 @@ def cmd_sweep(cfg):
          for v, m, s in zip(result.grid, result.means, result.stds)],
         ["value", "mean_hits", "std_hits"],
     )
-    write_manifest(
-        cfg["out"], "sweep", cfg, cfg["seed"],
-        {"edges": cfg["edges"], "features": cfg["features"],
-         "split": cfg["split"], "gnn_ckpt": cfg["gnn_ckpt"],
-         "ggm_ckpt": cfg["ggm_ckpt"]},
-        {"sweep_json": json_path, "sweep_csv": csv_path},
-        time.perf_counter() - t0,
-        metrics={"param": cfg["param"], "means": result.means,
-                 "runs": result.selections},
-    )
-    for v, m, s in zip(result.grid, result.means, result.stds):
-        print(f"sweep {cfg['param']}={v}: Hits@{cfg['eval_k']} {m:.4f} +/- {s:.4f}")
+    lines = [f"sweep {cfg['param']}={v}: Hits@{cfg['eval_k']} {m:.4f} +/- {s:.4f}"
+             for v, m, s in zip(result.grid, result.means, result.stds)]
     for run in result.selections:
-        print(f"sweep {cfg['param']}={run['value']} seed {run['seed']}: "
-              f"best epoch {run['best_epoch']}"
-              f"{' (pre-trained state kept)' if run['selected_pretrained'] else ''}, "
-              f"test Hits@{cfg['eval_k']} {run['test_hits']:.4f} "
-              f"(pre-trained {run['base_test_hits']:.4f}, delta {run['test_delta']:+.4f})")
+        lines.append(
+            f"sweep {cfg['param']}={run['value']} seed {run['seed']}: "
+            f"best epoch {run['best_epoch']}"
+            f"{' (pre-trained state kept)' if run['selected_pretrained'] else ''}, "
+            f"test Hits@{cfg['eval_k']} {run['test_hits']:.4f} "
+            f"(pre-trained {run['base_test_hits']:.4f}, delta {run['test_delta']:+.4f})")
+    return ({"sweep_json": json_path, "sweep_csv": csv_path},
+            {"param": cfg["param"], "means": result.means, "runs": result.selections},
+            lines)
 
 
 HANDLERS = {
@@ -534,12 +423,43 @@ HANDLERS = {
 }
 
 
+def run_stage(command, cfg):
+    """The protocol every command shares, in this order: each path flag is
+    required (exit 2); each input file must exist as a regular file, checked
+    in flag order (exit 3), with the graph loaded once --features passes and
+    the split loaded and verified once --split passes; --out is created
+    (exit 2 if it cannot be); the handler runs under the clock; then the
+    manifest is written and the handler's lines are printed."""
+    paths = [key for key in DEFAULTS[command] if key in PRODUCED_BY]
+    for key in paths:
+        if cfg[key] is None:
+            raise ConfigError(f"--{key.replace('_', '-')} is required")
+    loaded = {}
+    for key in paths:
+        require_artifact(cfg[key], PRODUCED_BY[key])
+        if key == "features":
+            loaded["graph"] = load_graph(cfg["edges"], cfg["features"])
+        elif key == "split":
+            loaded["split"] = load_split(cfg["split"], loaded["graph"])
+    try:
+        os.makedirs(cfg["out"], exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {cfg['out']!r} is not a usable directory: "
+                          f"{exc.strerror or exc}")
+    t0 = time.perf_counter()
+    outputs, metrics, lines = HANDLERS[command](cfg, **loaded)
+    write_manifest(cfg["out"], command, cfg, cfg.get("seed", 0),
+                   {key: cfg[key] for key in paths}, outputs,
+                   time.perf_counter() - t0, metrics=metrics)
+    for line in lines:
+        print(line)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = merge_config(args.command, args)
-        HANDLERS[args.command](cfg)
+        run_stage(args.command, merge_config(args.command, args))
         return 0
     except CounterlinkError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -597,17 +597,15 @@ def load_samples(path):
         for rec in doc["samples"]:
             m = rec["block_size"]
             adj = np.zeros((m, m))
-            probs = np.zeros((m, m))
             for i, j, p in rec["edges"]:
                 if not (0 <= i < m and 0 <= j < m):
                     raise ValueError(f"edge ({i}, {j}) outside a block of {m} nodes")
                 adj[i, j] = adj[j, i] = 1.0
-                probs[i, j] = probs[j, i] = p
+                float(p)  # an edge's probability must be a number
             out.append(
                 {
                     "block_size": m,
                     "adjacency": adj,
-                    "probs": probs,
                     "target": tuple(rec["target"]),
                     "label": rec["label"],
                     "gamma": rec.get("gamma", 0.0),

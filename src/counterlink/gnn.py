@@ -284,7 +284,8 @@ def pretrain_gnn(
     params = init_gcn_params(d_in, hidden=hidden, layers=layers,
                              dropout=cfg.dropout, rng=init_rng)
     a_norm = normalize_adjacency(g.adjacency)
-    eval_norm = a_norm if eval_graph is None else normalize_adjacency(eval_graph.adjacency)
+    eval_norm = (a_norm if eval_graph is None or eval_graph is g
+                 else normalize_adjacency(eval_graph.adjacency))
     state = ad.AdamState(lr=cfg.lr)
     pos_all = split.train_pos
     best = params.copy()

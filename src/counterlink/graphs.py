@@ -469,14 +469,20 @@ class LabeledSubgraphBatch:
 
     @_once_per_batch
     def block_diag_csr(self) -> Csr:
-        rows, cols = [], []
-        for off, b in zip(self.offsets, self.blocks):
-            r, c = np.nonzero(b.local_adjacency)
-            rows.append(r + off)
-            cols.append(c + off)
-        rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        return Csr.from_coo(self.total_nodes, rows, cols, symmetric=True)
+        """One pass over the row-major concatenated blocks: their nonzero cells
+        come out sorted by (row, col), so no sort is needed."""
+        sizes = self.block_sizes
+        starts = np.concatenate([[0], np.cumsum(sizes * sizes)[:-1]])
+        cells = np.flatnonzero(np.concatenate(
+            [b.local_adjacency.ravel() for b in self.blocks]))
+        block = np.searchsorted(starts, cells, side="right") - 1
+        local_row, local_col = np.divmod(cells - starts[block], sizes[block])
+        rows = local_row + self.offsets[block]
+        indptr = np.zeros(self.total_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.total_nodes), out=indptr[1:])
+        return Csr(indptr, local_col + self.offsets[block],
+                   np.ones(cells.size, dtype=np.float64),
+                   (self.total_nodes, self.total_nodes), symmetric=True)
 
     @_once_per_batch
     def normalized_adjacency(self) -> Csr:
@@ -509,35 +515,45 @@ def make_batch(subgraphs) -> LabeledSubgraphBatch:
 # File ingestion
 
 
+def _text_lines(path):
+    """(line number, line) pairs of a text file; a byte that is not UTF-8 is
+    an InputError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}")
+    return enumerate(text.split("\n"), start=1)
+
+
 def load_edge_list(path):
     """Parse "u<TAB>v" lines, 0-based ids; rejects self-loops and duplicates
     with their line numbers."""
     edges = []
     seen = {}
     bad = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise InputError(f"{path}:{lineno}: expected 'u<TAB>v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: non-integer node id in {line!r}")
-            if u < 0 or v < 0:
-                raise InputError(f"{path}:{lineno}: negative node id")
-            if u == v:
-                bad.append((lineno, "self-loop"))
-                continue
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                bad.append((lineno, f"duplicate of line {seen[key]}"))
-                continue
-            seen[key] = lineno
-            edges.append(key)
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise InputError(f"{path}:{lineno}: expected 'u<TAB>v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-integer node id in {line!r}")
+        if u < 0 or v < 0:
+            raise InputError(f"{path}:{lineno}: negative node id")
+        if u == v:
+            bad.append((lineno, "self-loop"))
+            continue
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            bad.append((lineno, f"duplicate of line {seen[key]}"))
+            continue
+        seen[key] = lineno
+        edges.append(key)
     if bad:
         detail = "; ".join(f"line {ln}: {why}" for ln, why in bad[:20])
         raise InputError(f"{path}: rejected {len(bad)} line(s): {detail}")
@@ -553,20 +569,19 @@ def save_edge_list(path, edges):
 def load_features_csv(path):
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                vals = [float(x) for x in line.split(",")]
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: non-numeric value in {line!r}")
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise InputError(f"{path}:{lineno}: expected {width} columns")
-            rows.append(vals)
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            vals = [float(x) for x in line.split(",")]
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: non-numeric value in {line!r}")
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise InputError(f"{path}:{lineno}: expected {width} columns")
+        rows.append(vals)
     if not rows:
         raise InputError(f"{path}: empty feature file")
     return np.array(rows, dtype=np.float64)

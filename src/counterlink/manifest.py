@@ -16,11 +16,15 @@ def sha256_file(path) -> str:
 
 
 def require_artifact(path, produced_by: str):
+    """Raise DependencyError unless path names a regular file: a missing path
+    and a directory both fail."""
     if not os.path.exists(path):
         raise DependencyError(
             f"missing required artifact {path} (produced by the {produced_by} stage)"
         )
-    return str(path)
+    if not os.path.isfile(path):
+        raise DependencyError(f"required artifact {path} is not a regular file "
+                              f"(produced by the {produced_by} stage)")
 
 
 def manifest_path(out_dir, stage) -> str:
@@ -28,7 +32,7 @@ def manifest_path(out_dir, stage) -> str:
 
 
 def write_manifest(out_dir, stage, config, seed, inputs, outputs, seconds,
-                   metrics=None) -> str:
+                   metrics=None):
     doc = {
         "stage": stage,
         "config": config,
@@ -43,7 +47,6 @@ def write_manifest(out_dir, stage, config, seed, inputs, outputs, seconds,
     path = manifest_path(out_dir, stage)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
-    return path
 
 
 def read_manifest(path) -> dict:
@@ -51,18 +54,20 @@ def read_manifest(path) -> dict:
         return json.load(fh)
 
 
-def staleness_warnings(upstream_manifest: dict, current_inputs: dict) -> list:
-    """Hash mismatches between an upstream stage's recorded inputs and the
-    files as they exist now; warnings only, never fatal."""
-    notes = []
-    recorded = {**upstream_manifest.get("inputs", {}),
-                **upstream_manifest.get("outputs", {})}
-    for name, path in current_inputs.items():
-        for rec_name, rec in recorded.items():
-            if os.path.abspath(rec["path"]) == os.path.abspath(str(path)):
-                if os.path.exists(path) and sha256_file(path) != rec["sha256"]:
-                    notes.append(
-                        f"{path} changed since the {upstream_manifest.get('stage')} "
-                        f"stage recorded it"
-                    )
-    return notes
+def staleness_warnings(artifact, stage, current_inputs: dict) -> list:
+    """Warnings about the manifest `stage` wrote next to `artifact`: each
+    current input whose hash no longer matches the one it recorded, or that
+    the manifest cannot be read. No manifest, no warning; never fatal."""
+    path = manifest_path(os.path.dirname(artifact) or ".", stage)
+    if not os.path.exists(path):
+        return []
+    try:
+        doc = read_manifest(path)
+        recorded = {**doc.get("inputs", {}), **doc.get("outputs", {})}.values()
+        return [f"stale input: {p} changed since the {doc.get('stage')} stage recorded it"
+                for p in current_inputs.values() for rec in recorded
+                if os.path.abspath(rec["path"]) == os.path.abspath(str(p))
+                and os.path.exists(p) and sha256_file(p) != rec["sha256"]]
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        return [f"unreadable manifest {path} ({type(exc).__name__}: {exc}); "
+                f"inputs not checked for staleness"]

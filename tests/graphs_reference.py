@@ -1,17 +1,20 @@
-"""Per-entry CSR propagation and set-and-dict subgraph extraction, kept as oracles.
+"""Per-entry CSR propagation, set-and-dict subgraph extraction and per-block
+batch adjacency, kept as oracles.
 
 `graphs.Csr.matmul_dense` sums each row's entries in falling-degree passes,
-and `graphs.extract_for_links` extracts a whole link list at once over sorted
-`link * n + node` keys (`extract_enclosing_subgraph` is its one-link case).
-These are the implementations they replaced: one `np.add.at` scatter, and
-one link at a time with per-neighbour Python sets plus a dict from global to
-local ids. Both results must match these byte for byte.
+`graphs.extract_for_links` extracts a whole link list at once over sorted
+`link * n + node` keys (`extract_enclosing_subgraph` is its one-link case),
+and `LabeledSubgraphBatch.block_diag_csr` takes one `flatnonzero` over the
+concatenated blocks. These are the implementations they replaced: one
+`np.add.at` scatter; one link at a time with per-neighbour Python sets plus
+a dict from global to local ids; one `np.nonzero` per block and a sort in
+`Csr.from_coo`. Every result must match these byte for byte.
 """
 
 import numpy as np
 
 from counterlink.errors import InputError
-from counterlink.graphs import Edge, Graph, LabeledSubgraph
+from counterlink.graphs import Csr, Edge, Graph, LabeledSubgraph
 
 
 def matmul_dense_reference(csr, x):
@@ -87,3 +90,14 @@ def extract_reference(
         hop_k=k,
         link_label=int(e.label),
     )
+
+
+def block_diag_csr_reference(batch) -> Csr:
+    rows, cols = [], []
+    for off, b in zip(batch.offsets, batch.blocks):
+        r, c = np.nonzero(b.local_adjacency)
+        rows.append(r + off)
+        cols.append(c + off)
+    rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
+    return Csr.from_coo(batch.total_nodes, rows, cols, symmetric=True)

@@ -229,6 +229,61 @@ class TestExitCodes:
         assert code == 5
         assert "samples.json" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path_under_file"])
+    def test_out_that_is_not_a_directory_is_2(self, tmp_path, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = blocker / "sub" if under else blocker
+        code, err = run_child(synth_args(out))
+        assert code == 2, err
+        assert f"--out '{out}'" in err and "Traceback" not in err
+
+    def test_input_that_is_a_directory_is_3(self, tmp_path):
+        d = pipeline_dirs(tmp_path)
+        assert run(synth_args(d["graph"])) == 0
+        code, err = run_child(["split", "--edges", d["graph"],
+                               "--features", d["graph"] / "features.csv",
+                               "--out", d["split"]])
+        assert code == 3, err
+        assert f"{d['graph']} is not a regular file" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["edges.tsv", "features.csv"])
+    def test_non_utf8_graph_file_is_2(self, tmp_path, name):
+        d = pipeline_dirs(tmp_path)
+        assert run(synth_args(d["graph"])) == 0
+        path = d["graph"] / name
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] = 0xFF
+        path.write_bytes(bytes(raw))
+        code, err = run_child(["split", "--edges", d["graph"] / "edges.tsv",
+                               "--features", d["graph"] / "features.csv",
+                               "--out", d["split"]])
+        assert code == 2, err
+        assert f"{name}: not UTF-8 text" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("flex-tune", []), ("sweep", ["--grid", "0.5", "--seeds", "0"])])
+    def test_truncated_upstream_manifest_only_warns(self, tmp_path, command, flags):
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        graph_flags = ["--edges", d["graph"] / "edges.tsv",
+                       "--features", d["graph"] / "features.csv",
+                       "--split", d["split"] / "split.json"]
+        assert run(["pretrain-gnn", *graph_flags, "--epochs", 1, "--patience", 1,
+                    "--hidden", 8, "--eval-k", 3, "--out", d["gnn"]]) == 0
+        assert run(["pretrain-ggm", *graph_flags, "--epochs", 1, "--patience", 1,
+                    "--noise-dim", 4, "--num-psi", 1, "--out", d["ggm"]]) == 0
+        manifest = d["gnn"] / "pretrain-gnn.manifest.json"
+        manifest.write_text(manifest.read_text()[:50])
+        code, err = run_child([command, *graph_flags, *flags,
+                               "--gnn-ckpt", d["gnn"] / "gnn.ckpt",
+                               "--ggm-ckpt", d["ggm"] / "ggm.ckpt",
+                               "--epochs", 1, "--patience", 1, "--batch-size", 32,
+                               "--num-psi", 1, "--eval-k", 3, "--out", d["tuned"]])
+        assert code == 0, err
+        assert f"warning: unreadable manifest {manifest}" in err
+        assert "Traceback" not in err
+
 
 def _unknown_spec_key(doc):
     doc["spec"]["wings"] = 2
@@ -289,8 +344,10 @@ class TestMalformedStructure:
                       "edges": [[0, 9, 0.75]]}]},
         {"samples": [{"block_size": 4, "label": 1, "target": [0, 1], "gamma": 0.5,
                       "edges": [[-1, 2, 0.75]]}]},
+        {"samples": [{"block_size": 4, "label": 1, "target": [0, 1], "gamma": 0.5,
+                      "edges": [[0, 1, [0.75]]]}]},
     ], ids=["no_samples_key", "record_without_edges", "edge_outside_block",
-            "negative_edge_id"])
+            "negative_edge_id", "probability_not_a_number"])
     def test_samples_json_is_5(self, tmp_path, doc):
         d = pipeline_dirs(tmp_path)
         run_pipeline_through_split(d)
@@ -347,6 +404,30 @@ class TestConfigPrecedence:
                 assert merged(command, key, right) == right, (command, key)
                 with pytest.raises(ConfigError, match=f"{command}.{key} must be"):
                     merged(command, key, wrong)
+
+    def test_defaults_match_the_config_dataclass_defaults(self):
+        # Commands build their config objects from the flags named like the
+        # fields, so a flag default must not drift from its field's default.
+        from dataclasses import MISSING, fields
+
+        from counterlink.cli import DEFAULTS
+        from counterlink.cotrain import CotrainConfig
+        from counterlink.generator import GgmTrainConfig, NoiseSpec
+        from counterlink.gnn import TrainConfig
+        from counterlink.splits import SplitSpec
+        from counterlink.synth import SyntheticGraphSpec
+
+        built = {"synth": [SyntheticGraphSpec], "split": [SplitSpec],
+                 "pretrain-gnn": [TrainConfig], "pretrain-ggm": [GgmTrainConfig, NoiseSpec],
+                 "flex-tune": [CotrainConfig, NoiseSpec], "sweep": [CotrainConfig, NoiseSpec]}
+        compared = 0
+        for command, classes in built.items():
+            for cls in classes:
+                for f in fields(cls):
+                    if f.name in DEFAULTS[command] and f.default is not MISSING:
+                        assert DEFAULTS[command][f.name] == f.default, (command, f.name)
+                        compared += 1
+        assert compared == 55
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.json"

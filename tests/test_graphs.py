@@ -29,7 +29,11 @@ from counterlink.graphs import (
 )
 from counterlink.rng import stream_rng
 from counterlink.synth import SyntheticGraphSpec, synth_graph
-from graphs_reference import extract_reference, matmul_dense_reference
+from graphs_reference import (
+    block_diag_csr_reference,
+    extract_reference,
+    matmul_dense_reference,
+)
 from sp_reference import sp_reference
 
 
@@ -541,6 +545,23 @@ class TestBatching:
         ]
         batch = make_batch(subs)
         assert np.array_equal(batch.block_diag_csr().to_dense(), batch.to_dense_adjacency())
+
+    def test_block_diag_csr_equals_the_per_block_oracle(self):
+        g = random_graph(40, 0.15, np.random.default_rng(5))
+        links = [Edge(int(u), int(v)) for u, v in g.edges()[:10]] + [Edge(0, 39, NEGATIVE)]
+        subs = extract_for_links(g, links, k=2, max_nodes=9, seed=2)
+        isolated = graph_of(6, [(2, 3)])
+        edgeless = [extract_enclosing_subgraph(isolated, Edge(0, 1)),
+                    extract_enclosing_subgraph(isolated, Edge(4, 5))]
+        assert not any(s.local_adjacency.any() for s in edgeless)
+        for blocks in (subs, [edgeless[0], *subs[:3], edgeless[1]], subs[:1],
+                       edgeless[:1], edgeless):
+            got = make_batch(blocks).block_diag_csr()
+            want = block_diag_csr_reference(make_batch(blocks))
+            assert got.shape == want.shape and got.symmetric
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestIngestion:
