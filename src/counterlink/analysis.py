@@ -13,8 +13,7 @@ import numpy as np
 
 from .cotrain import CotrainConfig, flex_tune, train_subgraphs
 from .errors import ConfigError, InputError
-from .gnn import evaluate_hits, normalize_adjacency
-from .graphs import Graph
+from .graphs import Csr, Graph
 from .splits import DatasetSplit, heuristic_value
 
 SWEEPABLE = ("gamma", "lr_gnn", "alpha")
@@ -186,10 +185,9 @@ class SweepResult:
     stds: list
     per_point: list  # list of per-seed metric lists
     errors: dict  # str(value) -> list of error strings
-    # One {value, seed, best_epoch, selected_pretrained, test_hits,
-    # base_test_hits, test_delta} per finished run, where base_test_hits is
-    # the pre-trained predictor's. Reported in the manifest and on stdout,
-    # not in as_dict(), so sweep.json keeps its layout.
+    # One {value, seed, **CotrainResult.selection()} per finished run.
+    # Reported in the manifest and on stdout, not in as_dict(), so
+    # sweep.json keeps its layout.
     selections: list = field(default_factory=list)
 
     def as_dict(self):
@@ -212,14 +210,16 @@ def run_sweep(
     ggm_params,
     g: Graph,
     split: DatasetSplit,
-    eval_graph: Graph = None,
+    eval_norm: Csr = None,
 ) -> SweepResult:
     """Full co-training run per grid point per seed, one after another;
-    metric is test Hits@K.
+    metric is each run's own test Hits@K on eval_norm.
 
-    No sweepable parameter changes subgraph extraction, so each seed's train
-    subgraphs are extracted once and reused at every grid point. Failures
-    are recorded per point and the sweep continues.
+    eval_norm is the normalized evaluation adjacency handed to every run;
+    when it is None, each run normalizes g's own. No sweepable parameter
+    changes subgraph extraction, so each seed's train subgraphs are
+    extracted once and reused at every grid point. Failures are recorded
+    per point and the sweep continues.
     """
     if param not in SWEEPABLE:
         raise ConfigError(f"sweepable parameters are {SWEEPABLE}, got {param!r}")
@@ -227,11 +227,6 @@ def run_sweep(
     if not grid:
         raise InputError("sweep grid is empty")
     seeds = list(seeds)
-    eval_norm = normalize_adjacency(
-        (eval_graph if eval_graph is not None else g).adjacency
-    )
-    base_test_hits = evaluate_hits(gnn_params, eval_norm, g.features, split.test_pos,
-                                   split.test_neg, base_cfg.eval_k)
     subgraphs = {}  # seed -> train subgraphs
     means, stds, per_point, selections = [], [], [], []
     errors = {}
@@ -243,18 +238,9 @@ def run_sweep(
                 if seed not in subgraphs:
                     subgraphs[seed] = train_subgraphs(g, split, cfg)
                 result = flex_tune(gnn_params, ggm_params, g, split, cfg,
-                                   eval_graph=eval_graph, subgraphs=subgraphs[seed])
-                test_hits = evaluate_hits(
-                    result.gnn, eval_norm, g.features, split.test_pos,
-                    split.test_neg, cfg.eval_k,
-                )
-                vals.append(test_hits)
-                selections.append({"value": value, "seed": seed,
-                                   "best_epoch": result.best_epoch,
-                                   "selected_pretrained": result.best_epoch == 0,
-                                   "test_hits": test_hits,
-                                   "base_test_hits": base_test_hits,
-                                   "test_delta": test_hits - base_test_hits})
+                                   eval_norm=eval_norm, subgraphs=subgraphs[seed])
+                vals.append(result.test_hits)
+                selections.append({"value": value, "seed": seed, **result.selection()})
             except Exception as exc:  # recorded, sweep continues
                 errs.append(f"{type(exc).__name__}: {exc}")
         per_point.append(vals)

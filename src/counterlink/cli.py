@@ -39,11 +39,10 @@ from .gnn import (
     TrainConfig,
     evaluate_hits,
     load_gnn_checkpoint,
-    normalize_adjacency,
     pretrain_gnn,
     save_gnn_checkpoint,
 )
-from .graphs import load_graph
+from .graphs import load_graph, normalize_adjacency
 from .manifest import require_artifact, staleness_warnings, write_manifest
 from .splits import SplitSpec, generate_split, load_split, save_split, verify_split
 from .synth import SyntheticGraphSpec, synth_graph, write_graph_files
@@ -195,10 +194,21 @@ def _from_flags(cls, cfg, **given):
                   **given})
 
 
-def _eval_graph(cfg, graph, split):
-    """The graph whose adjacency Hits@K is scored on: the full graph with
-    --full-adjacency-eval, else the training-visible one."""
-    return graph if cfg["full_adjacency_eval"] else split.observed_graph
+def _eval_norm(cfg, graph, split):
+    """The normalized adjacency Hits@K is scored on: the full graph's with
+    --full-adjacency-eval, else the training-visible graph's. The only place
+    a stage normalizes a whole-graph adjacency for scoring."""
+    scored = graph if cfg["full_adjacency_eval"] else split.observed_graph
+    return normalize_adjacency(scored.adjacency)
+
+
+def _outcome(run, k, valid=""):
+    """'best epoch ..., test Hits@K ... (pre-trained ..., delta ...)' for a
+    CotrainResult.selection() record; valid is inserted before the test."""
+    kept = " (pre-trained state kept)" if run["selected_pretrained"] else ""
+    return (f"best epoch {run['best_epoch']}{kept}, {valid}test Hits@{k} "
+            f"{run['test_hits']:.4f} (pre-trained {run['base_test_hits']:.4f}, "
+            f"delta {run['test_delta']:+.4f})")
 
 
 def _write_csv(path, rows, columns):
@@ -237,28 +247,24 @@ def cmd_split(cfg, graph):
 
 
 def cmd_pretrain_gnn(cfg, graph, split):
-    eval_g = _eval_graph(cfg, graph, split)
     result = pretrain_gnn(
         split.observed_graph, split, _from_flags(TrainConfig, cfg),
-        hidden=cfg["hidden"], layers=cfg["layers"], eval_graph=eval_g,
-    )
-    test_hits = evaluate_hits(
-        result.params, normalize_adjacency(eval_g.adjacency), graph.features,
-        split.test_pos, split.test_neg, cfg["eval_k"],
+        hidden=cfg["hidden"], layers=cfg["layers"],
+        eval_norm=_eval_norm(cfg, graph, split),
     )
     ckpt = os.path.join(cfg["out"], "gnn.ckpt")
     save_gnn_checkpoint(ckpt, result.params,
                         extra_meta={"best_valid": result.best_valid,
-                                    "test_hits": test_hits})
+                                    "test_hits": result.test_hits})
     trace_path = os.path.join(cfg["out"], "gnn_trace.csv")
     _write_csv(trace_path, result.trace,
                ["epoch", "train_loss", "valid_hits", "seconds"])
     return ({"checkpoint": ckpt, "trace": trace_path},
             {"best_epoch": result.best_epoch, "valid_hits": result.best_valid,
-             "test_hits": test_hits},
+             "test_hits": result.test_hits},
             [f"pretrain-gnn: best epoch {result.best_epoch}, "
              f"valid Hits@{cfg['eval_k']} {result.best_valid:.4f}, "
-             f"test Hits@{cfg['eval_k']} {test_hits:.4f}"])
+             f"test Hits@{cfg['eval_k']} {result.test_hits:.4f}"])
 
 
 def cmd_pretrain_ggm(cfg, graph, split):
@@ -296,19 +302,13 @@ def _pretrained(cfg):
 
 def cmd_flex_tune(cfg, graph, split):
     gnn_params, ggm_params, run_cfg = _pretrained(cfg)
-    eval_g = _eval_graph(cfg, graph, split)
     result = flex_tune(gnn_params, ggm_params, split.observed_graph, split,
-                       run_cfg, eval_graph=eval_g)
-    eval_norm = normalize_adjacency(eval_g.adjacency)
-    test_hits = evaluate_hits(result.gnn, eval_norm, graph.features, split.test_pos,
-                              split.test_neg, cfg["eval_k"])
-    base_test_hits = evaluate_hits(gnn_params, eval_norm, graph.features,
-                                   split.test_pos, split.test_neg, cfg["eval_k"])
+                       run_cfg, eval_norm=_eval_norm(cfg, graph, split))
     gnn_out = os.path.join(cfg["out"], "gnn_tuned.ckpt")
     ggm_out = os.path.join(cfg["out"], "ggm_tuned.ckpt")
     save_gnn_checkpoint(gnn_out, result.gnn,
                         extra_meta={"best_valid": result.best_valid,
-                                    "test_hits": test_hits})
+                                    "test_hits": result.test_hits})
     save_ggm_checkpoint(ggm_out, result.ggm, extra_meta={"tau": result.tau})
     trace_path = os.path.join(cfg["out"], "cotrain_trace.csv")
     _write_csv(trace_path, result.trace,
@@ -318,26 +318,18 @@ def cmd_flex_tune(cfg, graph, split):
                                bucket="train")
     samples_path = os.path.join(cfg["out"], "samples.json")
     dump_samples(samples, samples_path)
-    selected_pretrained = result.best_epoch == 0
     cfg["tau"] = result.tau  # the manifest records the tau the run used
+    selection = result.selection()
+    valid = f"valid Hits@{cfg['eval_k']} {result.best_valid:.4f}, "
     return ({"gnn_tuned": gnn_out, "ggm_tuned": ggm_out, "trace": trace_path,
              "samples": samples_path},
-            {"best_epoch": result.best_epoch,
-             "selected_pretrained": selected_pretrained,
-             "valid_hits": result.best_valid, "test_hits": test_hits,
-             "base_test_hits": base_test_hits,
-             "test_delta": test_hits - base_test_hits, "tau": result.tau},
-            [f"flex-tune: best epoch {result.best_epoch}"
-             f"{' (pre-trained state kept)' if selected_pretrained else ''}, "
-             f"valid Hits@{cfg['eval_k']} {result.best_valid:.4f}, "
-             f"test Hits@{cfg['eval_k']} {test_hits:.4f} "
-             f"(pre-trained {base_test_hits:.4f}, "
-             f"delta {test_hits - base_test_hits:+.4f})"])
+            {**selection, "valid_hits": result.best_valid, "tau": result.tau},
+            ["flex-tune: " + _outcome(selection, cfg["eval_k"], valid)])
 
 
 def cmd_eval(cfg, graph, split):
     params, _ = load_gnn_checkpoint(cfg["ckpt"])
-    a_norm = normalize_adjacency(_eval_graph(cfg, graph, split).adjacency)
+    a_norm = _eval_norm(cfg, graph, split)
     valid = evaluate_hits(params, a_norm, graph.features, split.valid_pos,
                           split.valid_neg, cfg["k"])
     test = evaluate_hits(params, a_norm, graph.features, split.test_pos,
@@ -386,7 +378,7 @@ def cmd_sweep(cfg, graph, split):
     result = run_sweep(cfg["param"], _csv_list(cfg, "grid"), base,
                        _csv_list(cfg, "seeds"), gnn_params, ggm_params,
                        split.observed_graph, split,
-                       eval_graph=_eval_graph(cfg, graph, split))
+                       eval_norm=_eval_norm(cfg, graph, split))
     json_path = os.path.join(cfg["out"], "sweep.json")
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(result.as_dict(), fh, indent=2)
@@ -399,13 +391,8 @@ def cmd_sweep(cfg, graph, split):
     )
     lines = [f"sweep {cfg['param']}={v}: Hits@{cfg['eval_k']} {m:.4f} +/- {s:.4f}"
              for v, m, s in zip(result.grid, result.means, result.stds)]
-    for run in result.selections:
-        lines.append(
-            f"sweep {cfg['param']}={run['value']} seed {run['seed']}: "
-            f"best epoch {run['best_epoch']}"
-            f"{' (pre-trained state kept)' if run['selected_pretrained'] else ''}, "
-            f"test Hits@{cfg['eval_k']} {run['test_hits']:.4f} "
-            f"(pre-trained {run['base_test_hits']:.4f}, delta {run['test_delta']:+.4f})")
+    lines += [f"sweep {cfg['param']}={run['value']} seed {run['seed']}: "
+              + _outcome(run, cfg["eval_k"]) for run in result.selections]
     return ({"sweep_json": json_path, "sweep_csv": csv_path},
             {"param": cfg["param"], "means": result.means, "runs": result.selections},
             lines)

@@ -42,7 +42,7 @@ from .gnn import (
     normalize_adjacency,
     normalize_dense_adjacency,
 )
-from .graphs import Edge, Graph, NEGATIVE, POSITIVE, extract_for_links, make_batch
+from .graphs import Csr, Edge, Graph, NEGATIVE, POSITIVE, extract_for_links, make_batch
 from .rng import stream_rng
 from .splits import DatasetSplit
 
@@ -67,7 +67,6 @@ class CotrainConfig:
     hop_k: int = 1
     max_nodes: int = 1000
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    zero_labels: bool = False
     zero_noise: bool = False
 
     def __post_init__(self):
@@ -198,8 +197,7 @@ def cotrain_losses(
     gnn_leaves = tape.leaves(gnn_params.named())
 
     elbo = sivi_elbo(
-        ggm_params, batch, cfg.noise, rng,
-        zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise, leaves=ggm_leaves,
+        ggm_params, batch, cfg.noise, rng, zero_noise=cfg.zero_noise, leaves=ggm_leaves,
     )
     kl = elbo.kl
     gen = gen_loss(ad.neg(elbo.loss), kl, tau)
@@ -242,7 +240,7 @@ def resolve_tau(ggm_params, probe_batch, cfg: CotrainConfig) -> float:
         return float(cfg.tau)
     moments = encode_semi_implicit(
         ggm_params, probe_batch, cfg.noise, stream_rng(cfg.seed, "cot.tau"),
-        zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise,
+        zero_noise=cfg.zero_noise,
     )
     kls = [kl_gaussian(mu, lv).item() for mu, lv in moments]
     return float(np.mean(kls)) + cfg.tau_offset
@@ -256,6 +254,16 @@ class CotrainResult:
     best_epoch: int
     best_valid: float
     tau: float
+    test_hits: float
+    base_test_hits: float  # the pre-trained predictor's, on the same adjacency
+
+    def selection(self) -> dict:
+        """The run's model-selection outcome paired with its baseline."""
+        return {"best_epoch": self.best_epoch,
+                "selected_pretrained": self.best_epoch == 0,
+                "test_hits": self.test_hits,
+                "base_test_hits": self.base_test_hits,
+                "test_delta": self.test_hits - self.base_test_hits}
 
 
 def train_subgraphs(g: Graph, split: DatasetSplit, cfg: CotrainConfig) -> list:
@@ -275,25 +283,26 @@ def flex_tune(
     g: Graph,
     split: DatasetSplit,
     cfg: CotrainConfig,
-    eval_graph: Graph = None,
+    eval_norm: Csr = None,
     subgraphs: list = None,
 ) -> CotrainResult:
     """Alternate predictor and generator updates over generated samples.
 
-    g is the training-visible graph; the evaluation adjacency defaults to
-    it. subgraphs, when given, must be train_subgraphs(g, split, cfg); they
-    are extracted here otherwise. Returns the best-validation pair, which
-    may be the untouched pre-trained models when no epoch improves. Each
-    trace row records its epoch's wall-clock seconds; row 0 covers any
-    extraction, tau and the pre-update validation.
+    g is the training-visible graph; Hits@K is scored on eval_norm, a
+    normalized adjacency that defaults to g's own. subgraphs defaults to
+    train_subgraphs(g, split, cfg). Returns the best-validation pair, which
+    may be the untouched pre-trained models when no epoch improves, and the
+    test Hits@K of it and of the pre-trained predictor. Each trace row
+    records its epoch's wall-clock seconds; row 0 covers any extraction, tau
+    and the pre-update validation.
     """
     t0 = time.perf_counter()
+    pretrained = gnn_params
     gnn_params = gnn_params.copy()
     ggm_params = ggm_params.copy()
     subs = subgraphs if subgraphs is not None else train_subgraphs(g, split, cfg)
-    eval_norm = normalize_adjacency(
-        (eval_graph if eval_graph is not None else g).adjacency
-    )
+    if eval_norm is None:
+        eval_norm = normalize_adjacency(g.adjacency)
     feats = g.features
     size = cfg.batch_size if cfg.batch_size > 0 else len(subs)
     tau = resolve_tau(ggm_params, make_batch(subs[: min(size, len(subs))]), cfg)
@@ -328,7 +337,7 @@ def flex_tune(
             logits = first_draw_logits(
                 ggm_params, batch, cfg.noise,
                 stream_rng(cfg.seed, f"cot.noise.e{epoch}.b{bi}.gnn"),
-                zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise,
+                zero_noise=cfg.zero_noise,
             )
             lp, _ = predictor_loss(gnn_params, batch, logits, cfg.gamma, leaves)
             gnn_step(lp, leaves, state_gnn, gnn_params, cfg.alpha)
@@ -357,9 +366,13 @@ def flex_tune(
             best_epoch = epoch
         if epoch - best_epoch >= cfg.patience:
             break
+    test_hits, base_test_hits = (
+        evaluate_hits(params, eval_norm, feats, split.test_pos, split.test_neg, cfg.eval_k)
+        for params in (best[0], pretrained)
+    )
     return CotrainResult(
-        gnn=best[0], ggm=best[1], trace=trace, best_epoch=best_epoch,
-        best_valid=best_valid, tau=tau,
+        gnn=best[0], ggm=best[1], trace=trace, best_epoch=best_epoch, best_valid=best_valid,
+        tau=tau, test_hits=test_hits, base_test_hits=base_test_hits,
     )
 
 
@@ -385,17 +398,10 @@ def generate_samples(
             generate(
                 ggm_params, batch, cfg.noise, cfg.gamma,
                 stream_rng(cfg.seed, f"gen.{bucket}.b{bi}"),
-                zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise,
+                zero_noise=cfg.zero_noise,
             )
         )
     return out
-
-
-@dataclass
-class AblationResult:
-    switch: str
-    result: CotrainResult
-    test_hits: float
 
 
 def ablation_run(
@@ -405,31 +411,26 @@ def ablation_run(
     split: DatasetSplit,
     cfg: CotrainConfig,
     switch: str = None,
-    eval_graph: Graph = None,
-) -> AblationResult:
-    """Co-train with one mechanism removed; None runs the full pipeline.
+    eval_norm: Csr = None,
+) -> CotrainResult:
+    """flex_tune with one mechanism removed; None runs the full pipeline.
 
-    no_seal_labels zeroes the endpoint-label channel into the generator,
-    no_lp_loss sets alpha to zero, no_sivi collapses to one mixing draw
-    with zeroed noise. Everything else, including seeds, stays equal.
+    no_seal_labels tunes on train subgraphs whose endpoint labels, the
+    generator's label channel, are zeroed; no_lp_loss sets alpha to zero;
+    no_sivi collapses to one mixing draw with zeroed noise. Everything else,
+    including seeds and eval_norm, stays equal.
     """
-    if switch is None:
-        run_cfg = cfg
-    elif switch == "no_seal_labels":
-        run_cfg = replace(cfg, zero_labels=True)
+    run_cfg, subgraphs = cfg, None
+    if switch == "no_seal_labels":
+        subgraphs = [replace(sub, labels=np.zeros_like(sub.labels))
+                     for sub in train_subgraphs(g, split, cfg)]
     elif switch == "no_lp_loss":
         run_cfg = replace(cfg, alpha=0.0)
     elif switch == "no_sivi":
         run_cfg = replace(cfg, zero_noise=True, noise=replace(cfg.noise, num_psi=1))
-    else:
+    elif switch is not None:
         raise ConfigError(
             f"unknown ablation switch {switch!r}; expected one of {ABLATION_SWITCHES}"
         )
-    result = flex_tune(gnn_params, ggm_params, g, split, run_cfg, eval_graph=eval_graph)
-    eval_norm = normalize_adjacency(
-        (eval_graph if eval_graph is not None else g).adjacency
-    )
-    test_hits = evaluate_hits(
-        result.gnn, eval_norm, g.features, split.test_pos, split.test_neg, cfg.eval_k
-    )
-    return AblationResult(switch=switch or "full", result=result, test_hits=test_hits)
+    return flex_tune(gnn_params, ggm_params, g, split, run_cfg,
+                     eval_norm=eval_norm, subgraphs=subgraphs)

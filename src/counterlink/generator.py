@@ -160,7 +160,6 @@ def encode_semi_implicit(
     batch: LabeledSubgraphBatch,
     spec: NoiseSpec,
     rng,
-    zero_labels=False,
     zero_noise=False,
     leaves=None,
 ) -> list:
@@ -176,8 +175,6 @@ def encode_semi_implicit(
     named = leaves if leaves is not None else params.named()
     x = batch.stacked_features()
     labels = batch.stacked_labels().reshape(-1, 1)
-    if zero_labels:
-        labels = np.zeros_like(labels)
     a_norm = batch.normalized_adjacency()
 
     moments = []
@@ -358,7 +355,6 @@ def sivi_elbo(
     batch: LabeledSubgraphBatch,
     spec: NoiseSpec,
     rng,
-    zero_labels=False,
     zero_noise=False,
     leaves=None,
 ) -> ElboResult:
@@ -368,8 +364,7 @@ def sivi_elbo(
     Gaussian KL, so loss = -(recon - kl); minimizing it maximizes the bound.
     """
     moments = encode_semi_implicit(
-        params, batch, spec, rng, zero_labels=zero_labels, zero_noise=zero_noise,
-        leaves=leaves,
+        params, batch, spec, rng, zero_noise=zero_noise, leaves=leaves,
     )
     hs = reparameterize(moments, rng)
     adjs = batch.block_adjacencies()
@@ -391,7 +386,7 @@ def sivi_elbo(
     return ElboResult(loss=loss, kl=kl, recon=ad.neg(bce), logits=first_logits)
 
 
-def first_draw_logits(params, batch, spec, rng, zero_labels=False, zero_noise=False):
+def first_draw_logits(params, batch, spec, rng, zero_noise=False):
     """sivi_elbo(..., leaves=None).logits without the bound, untaped.
 
     Only the first mixing draw is encoded and decoded. The other draws' noise
@@ -400,8 +395,7 @@ def first_draw_logits(params, batch, spec, rng, zero_labels=False, zero_noise=Fa
     """
     rest = spec.num_psi - 1
     moments = encode_semi_implicit(
-        params, batch, replace(spec, num_psi=1), rng,
-        zero_labels=zero_labels, zero_noise=zero_noise,
+        params, batch, replace(spec, num_psi=1), rng, zero_noise=zero_noise,
     )
     if not zero_noise:
         rng.standard_normal((rest, batch.total_nodes, spec.noise_dim))
@@ -436,13 +430,11 @@ def generate(
     spec: NoiseSpec,
     gamma,
     rng,
-    zero_labels=False,
     zero_noise=False,
 ) -> GeneratedSample:
     """One mixing draw end to end: encode, reparameterize, decode, threshold."""
     moments = encode_semi_implicit(
-        params, batch, replace(spec, num_psi=1), rng,
-        zero_labels=zero_labels, zero_noise=zero_noise,
+        params, batch, replace(spec, num_psi=1), rng, zero_noise=zero_noise,
     )
     [h] = reparameterize(moments, rng)
     raw = decode_node_aware(

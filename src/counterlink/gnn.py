@@ -81,12 +81,16 @@ class TrainConfig:
             raise InputError("eval_k must be >= 1")
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise InputError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 def init_gcn_params(d_in, hidden=128, layers=2, out_dim=None, dropout=0.1, rng=None):
     """Glorot-initialized stack d_in -> hidden -> ... -> out_dim."""
     if layers < 1:
         raise InputError("layer count must be >= 1")
+    if hidden < 1:
+        raise InputError(f"hidden width must be >= 1, got {hidden}")
     if rng is None:
         rng = np.random.default_rng(0)
     out_dim = hidden if out_dim is None else out_dim
@@ -261,6 +265,7 @@ class GnnPretrainResult:
     trace: list
     best_epoch: int
     best_valid: float
+    test_hits: float
 
 
 def pretrain_gnn(
@@ -269,7 +274,7 @@ def pretrain_gnn(
     cfg: TrainConfig,
     hidden=128,
     layers=2,
-    eval_graph: Graph = None,
+    eval_norm: Csr = None,
     train_edge_hook=None,
 ) -> GnnPretrainResult:
     """Train on the observed adjacency; return the best-validation params.
@@ -277,15 +282,16 @@ def pretrain_gnn(
     g must be the training-visible graph. Gradient steps see only train
     positives plus negatives freshly sampled from g's non-edges each epoch;
     train_edge_hook (if given) receives every edge batch that reaches a
-    gradient step, so leakage can be audited from outside.
+    gradient step, so leakage can be audited from outside. Hits@K is scored
+    on eval_norm, a normalized adjacency that defaults to g's own: validation
+    every epoch for selection, then test once for the selected params.
     """
     d_in = g.features.shape[1]
     init_rng = stream_rng(cfg.seed, "init")
     params = init_gcn_params(d_in, hidden=hidden, layers=layers,
                              dropout=cfg.dropout, rng=init_rng)
     a_norm = normalize_adjacency(g.adjacency)
-    eval_norm = (a_norm if eval_graph is None or eval_graph is g
-                 else normalize_adjacency(eval_graph.adjacency))
+    eval_norm = a_norm if eval_norm is None else eval_norm
     state = ad.AdamState(lr=cfg.lr)
     pos_all = split.train_pos
     best = params.copy()
@@ -340,5 +346,8 @@ def pretrain_gnn(
             best_epoch = epoch
         if epoch - best_epoch >= cfg.patience:
             break
+    test_hits = evaluate_hits(
+        best, eval_norm, g.features, split.test_pos, split.test_neg, cfg.eval_k
+    )
     return GnnPretrainResult(params=best, trace=trace, best_epoch=best_epoch,
-                             best_valid=best_valid)
+                             best_valid=best_valid, test_hits=test_hits)

@@ -275,7 +275,6 @@ class LabeledSubgraph:
     graph_features: np.ndarray
     labels: np.ndarray
     target: tuple
-    hop_k: int
     link_label: int = POSITIVE
 
     @property
@@ -370,7 +369,6 @@ def _extract(g: Graph, links, k, max_nodes, exclude, rng_of) -> list:
                 graph_features=g.features,
                 labels=labels[a : a + m],
                 target=(0, 1),
-                hop_k=k,
                 link_label=int(e.label),
             )
         )
@@ -595,21 +593,22 @@ def save_features_csv(path, x):
 
 def build_features(mode: str, num_nodes: int, degrees=None):
     """Synthetic feature modes: "degree-onehot:<D>" or "constant:<d>"."""
-    if mode.startswith("degree-onehot:"):
-        width = int(mode.split(":", 1)[1])
-        if width < 1:
-            raise InputError(f"degree-onehot width must be >= 1, got {width}")
-        if degrees is None:
-            raise InputError("degree-onehot features need node degrees")
-        x = np.zeros((num_nodes, width), dtype=np.float64)
-        x[np.arange(num_nodes), np.minimum(degrees, width - 1)] = 1.0
-        return x
-    if mode.startswith("constant:"):
-        width = int(mode.split(":", 1)[1])
-        if width < 1:
-            raise InputError(f"constant width must be >= 1, got {width}")
+    kind, colon, text = mode.partition(":")
+    if kind not in ("degree-onehot", "constant") or not colon:
+        raise InputError(f"unknown feature mode {mode!r}")
+    try:
+        width = int(text)
+    except ValueError:
+        raise InputError(f"{kind} width must be an integer, got {text!r}") from None
+    if width < 1:
+        raise InputError(f"{kind} width must be >= 1, got {width}")
+    if kind == "constant":
         return np.ones((num_nodes, width), dtype=np.float64)
-    raise InputError(f"unknown feature mode {mode!r}")
+    if degrees is None:
+        raise InputError("degree-onehot features need node degrees")
+    x = np.zeros((num_nodes, width), dtype=np.float64)
+    x[np.arange(num_nodes), np.minimum(degrees, width - 1)] = 1.0
+    return x
 
 
 def load_graph(edge_path, feature_path) -> Graph:

@@ -43,6 +43,8 @@ class SplitSpec:
             raise InputError(f"heuristic must be one of {HEURISTICS}, got {self.heuristic!r}")
         if self.direction not in DIRECTIONS:
             raise InputError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
+        if not (math.isfinite(self.t1) and math.isfinite(self.t2)):
+            raise InputError(f"thresholds must be finite, got {self.t1}, {self.t2}")
         if self.t1 < 0 or self.t2 < 0:
             raise InputError("thresholds must be non-negative")
         if self.heuristic in ("CN", "SP") and not (

@@ -87,7 +87,6 @@ def extract_reference(
         graph_features=g.features,
         labels=labels,
         target=(0, 1),
-        hop_k=k,
         link_label=int(e.label),
     )
 

@@ -48,7 +48,6 @@ def batch_of(rng, sizes, densities, labels):
             graph_features=features,
             labels=marks,
             target=(0, 1) if m > 1 else (0, 0),
-            hop_k=1,
             link_label=label,
         ))
         start += m

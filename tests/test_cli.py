@@ -262,6 +262,30 @@ class TestExitCodes:
         assert f"{name}: not UTF-8 text" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command,flags", [
+        ("split", ["--heuristic", "PA", "--t1", "nan"]),
+        ("synth", ["--feature-mode", "degree-onehot:x"]),
+        ("synth", ["--feature-mode", "constant:x"]),
+        ("pretrain-gnn", ["--hidden", 0]),
+        ("pretrain-gnn", ["--dropout", "nan"]),
+    ], ids=["nan_threshold", "degree_onehot_width", "constant_width", "zero_hidden",
+            "nan_dropout"])
+    def test_malformed_value_is_2(self, tmp_path, command, flags):
+        d = pipeline_dirs(tmp_path)
+        if command == "synth":
+            args = synth_args(d["graph"])  # the later --feature-mode wins
+        else:
+            run_pipeline_through_split(d)
+            args = [command, "--edges", d["graph"] / "edges.tsv",
+                    "--features", d["graph"] / "features.csv", "--out", d["gnn"]]
+            if command == "pretrain-gnn":  # a run that would otherwise succeed
+                args += ["--split", d["split"] / "split.json", "--epochs", 1,
+                         "--patience", 1, "--eval-k", 3]
+        code, err = run_child([*args, *flags])
+        assert code == 2, err
+        assert "error:" in err and "Traceback" not in err
+        assert not (d["gnn"] / "gnn.ckpt").exists()
+
+    @pytest.mark.parametrize("command,flags", [
         ("flex-tune", []), ("sweep", ["--grid", "0.5", "--seeds", "0"])])
     def test_truncated_upstream_manifest_only_warns(self, tmp_path, command, flags):
         d = pipeline_dirs(tmp_path)
@@ -639,3 +663,79 @@ class TestSweepCommand:
                 f"test Hits@3 {run_['test_hits']:.4f} (pre-trained {base:.4f}, "
                 f"delta {run_['test_delta']:+.4f})"
                 in capsys.readouterr().out.splitlines())
+
+
+def pretrained_dirs(tmp_path, *gnn_flags):
+    """Pipeline dirs with a split and both pre-trained models; the graph flags."""
+    d = pipeline_dirs(tmp_path)
+    run_pipeline_through_split(d)
+    graph_flags = ["--edges", d["graph"] / "edges.tsv",
+                   "--features", d["graph"] / "features.csv",
+                   "--split", d["split"] / "split.json"]
+    assert run(["pretrain-gnn", *graph_flags, "--epochs", 5, "--patience", 5,
+                "--hidden", 8, "--eval-k", 3, "--seed", 2, *gnn_flags,
+                "--out", d["gnn"]]) == 0
+    assert run(["pretrain-ggm", *graph_flags, "--epochs", 2, "--patience", 2,
+                "--noise-dim", 4, "--num-psi", 1, "--out", d["ggm"]]) == 0
+    return d, [*graph_flags, "--gnn-ckpt", d["gnn"] / "gnn.ckpt",
+               "--ggm-ckpt", d["ggm"] / "ggm.ckpt"]
+
+
+TUNE_FLAGS = ["--epochs", 1, "--patience", 1, "--batch-size", 32, "--lr-gnn", 1e-2,
+              "--num-psi", 1, "--eval-k", 3, "--gamma", 0.5, "--seed", 0]
+
+
+class TestEvalAdjacency:
+    @pytest.mark.parametrize("command,flags", [
+        ("flex-tune", []), ("sweep", ["--grid", "0.5,0.9", "--seeds", "0"])])
+    def test_stage_normalizes_the_eval_adjacency_once(self, tmp_path, monkeypatch,
+                                                      command, flags):
+        from counterlink import analysis, cli, cotrain, gnn, graphs
+
+        d, tune_flags = pretrained_dirs(tmp_path)
+        calls = []
+        real = graphs.normalize_adjacency
+        # Every module-level name a stage could reach it by; batch adjacencies
+        # are normalized through graphs' own name and are not counted.
+        for module in (cli, gnn, cotrain, analysis):
+            monkeypatch.setattr(module, "normalize_adjacency",
+                                lambda a: calls.append(a.shape) or real(a), raising=False)
+        assert run([command, *tune_flags, *TUNE_FLAGS, *flags, "--out", d["tuned"]]) == 0
+        assert len(calls) == 1
+
+    def test_full_adjacency_eval_reaches_every_scorer(self, tmp_path):
+        from counterlink.gnn import evaluate_hits, load_gnn_checkpoint
+        from counterlink.graphs import load_graph, normalize_adjacency
+        from counterlink.splits import load_split
+
+        full = ["--full-adjacency-eval"]
+        d, tune_flags = pretrained_dirs(tmp_path, *full)
+        assert run(["flex-tune", *tune_flags, *TUNE_FLAGS, *full, "--out", d["tuned"]]) == 0
+        sweep = tmp_path / "sweep"
+        assert run(["sweep", *tune_flags, *TUNE_FLAGS, *full, "--grid", "0.5",
+                    "--seeds", "0", "--out", sweep]) == 0
+
+        graph = load_graph(d["graph"] / "edges.tsv", d["graph"] / "features.csv")
+        split = load_split(d["split"] / "split.json", graph)
+        norms = {"full": normalize_adjacency(graph.adjacency),
+                 "observed": normalize_adjacency(split.observed_graph.adjacency)}
+
+        def hits(ckpt, bucket, adjacency="full"):
+            params, _ = load_gnn_checkpoint(ckpt)
+            return evaluate_hits(params, norms[adjacency], graph.features,
+                                 split.pos(bucket), split.neg(bucket), 3)
+
+        pre = read_manifest(d["gnn"] / "pretrain-gnn.manifest.json")["metrics"]
+        tuned = read_manifest(d["tuned"] / "flex-tune.manifest.json")["metrics"]
+        swept = read_manifest(sweep / "sweep.manifest.json")["metrics"]["runs"][0]
+        per_point = json.loads((sweep / "sweep.json").read_text())["per_point"]
+        base, tuned_ckpt = d["gnn"] / "gnn.ckpt", d["tuned"] / "gnn_tuned.ckpt"
+        assert pre["valid_hits"] == hits(base, "valid")
+        assert pre["test_hits"] == hits(base, "test")
+        assert tuned["valid_hits"] == hits(tuned_ckpt, "valid")
+        assert tuned["test_hits"] == hits(tuned_ckpt, "test")
+        assert tuned["base_test_hits"] == swept["base_test_hits"] == pre["test_hits"]
+        # The sweep's one run is the flex-tune run: same config and seed.
+        assert swept["test_hits"] == per_point[0][0] == tuned["test_hits"]
+        # The flag changes the scores here, so the equalities above test it.
+        assert pre["test_hits"] != hits(base, "test", "observed")

@@ -4,7 +4,6 @@ import pytest
 from counterlink import autodiff as ad
 from counterlink import cotrain, graphs
 from counterlink.cotrain import (
-    AblationResult,
     CotrainConfig,
     LossBundle,
     ablation_run,
@@ -19,7 +18,7 @@ from counterlink.cotrain import (
 )
 from counterlink.errors import ConfigError, InputError
 from counterlink.generator import GgmTrainConfig, NoiseSpec, first_draw_logits, pretrain_ggm
-from counterlink.gnn import TrainConfig, pretrain_gnn
+from counterlink.gnn import TrainConfig, evaluate_hits, normalize_adjacency, pretrain_gnn
 from counterlink.graphs import Edge, Graph, NEGATIVE, POSITIVE, extract_for_links, make_batch
 from counterlink.rng import stream_rng
 from counterlink.splits import SplitSpec, generate_split
@@ -113,8 +112,7 @@ class TestSteps:
         """flex_tune's predictor update up to gnn_step: (lp, mean CN, leaves)."""
         leaves = ad.Tape().leaves(gnn.named())
         logits = first_draw_logits(
-            ggm, batch, cfg.noise, stream_rng(seed, "probe"),
-            zero_labels=cfg.zero_labels, zero_noise=cfg.zero_noise,
+            ggm, batch, cfg.noise, stream_rng(seed, "probe"), zero_noise=cfg.zero_noise,
         )
         lp, mean_cn = predictor_loss(gnn, batch, logits, cfg.gamma, leaves)
         return lp, mean_cn, leaves
@@ -287,6 +285,25 @@ class TestFlexTune:
                             lambda batch: real_norm(batch.block_diag_csr()))
         assert outputs(flex_tune(gnn, ggm, obs, split, cfg)) == once
 
+    def test_reports_test_hits_paired_with_the_pretrained(self):
+        g, split, obs, gnn, ggm, spec = pipeline_fixture()
+        cfg = CotrainConfig(alpha=1.05, gamma=0.5, lr_gnn=1e-2, lr_ggm=1e-3,
+                            epochs=2, patience=2, batch_size=16, noise=spec,
+                            eval_k=3, seed=9)
+        full = normalize_adjacency(g.adjacency)
+        out = flex_tune(gnn, ggm, obs, split, cfg, eval_norm=full)
+
+        def hits(params, bucket="test"):
+            return evaluate_hits(params, full, g.features, split.pos(bucket),
+                                 split.neg(bucket), 3)
+
+        assert out.best_valid == hits(out.gnn, "valid")
+        assert out.selection() == {
+            "best_epoch": out.best_epoch, "selected_pretrained": out.best_epoch == 0,
+            "test_hits": hits(out.gnn), "base_test_hits": hits(gnn),
+            "test_delta": hits(out.gnn) - hits(gnn),
+        }
+
     def test_resolve_tau_prefers_explicit(self):
         g, split, obs, gnn, ggm, spec = pipeline_fixture()
         cfg = CotrainConfig(tau=7.5, noise=spec)
@@ -308,8 +325,8 @@ class TestAblation:
         direct = flex_tune(gnn, ggm, obs, split, cfg)
         viaswitch = ablation_run(gnn, ggm, obs, split, cfg, switch=None)
         for k in direct.gnn.named():
-            assert np.array_equal(direct.gnn.named()[k], viaswitch.result.gnn.named()[k])
-        assert viaswitch.switch == "full"
+            assert np.array_equal(direct.gnn.named()[k], viaswitch.gnn.named()[k])
+        assert viaswitch.test_hits == direct.test_hits
 
     def test_no_lp_loss_freezes_gnn(self):
         g, split, obs, gnn, ggm, spec = pipeline_fixture()
@@ -319,9 +336,8 @@ class TestAblation:
         out = ablation_run(gnn, ggm, obs, split, cfg, switch="no_lp_loss")
         # best checkpoint may be epoch 0 either way; compare the raw effect:
         # with alpha=0 the predictor gradient is exactly zero every batch
-        assert out.switch == "no_lp_loss"
-        for k in out.result.gnn.named():
-            assert np.array_equal(out.result.gnn.named()[k], gnn.named()[k]), k
+        for k in out.gnn.named():
+            assert np.array_equal(out.gnn.named()[k], gnn.named()[k]), k
 
     def test_no_sivi_collapses_mixing(self):
         g, split, obs, gnn, ggm, spec = pipeline_fixture()
@@ -329,4 +345,4 @@ class TestAblation:
                             epochs=1, patience=1, batch_size=16, noise=spec,
                             eval_k=3, seed=4)
         out = ablation_run(gnn, ggm, obs, split, cfg, switch="no_sivi")
-        assert out.result.trace[-1]["epoch"] >= 0  # ran to completion
+        assert out.trace[-1]["epoch"] >= 0  # ran to completion

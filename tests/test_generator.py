@@ -268,13 +268,16 @@ class TestFirstDrawLogits:
     def test_equals_untaped_elbo_first_draw(self, noise_dim, num_psi, zero_labels,
                                             zero_noise):
         g, batch, _ = small_batch(seed=2, n_links=4)
+        if zero_labels:  # the no_seal_labels ablation's input
+            batch = make_batch([dataclasses.replace(s, labels=np.zeros_like(s.labels))
+                                for s in batch.blocks])
         params = init_sivi_params(g.features.shape[1], hidden=8, zdim=4,
                                   noise_dim=noise_dim, rng=np.random.default_rng(5))
         spec = NoiseSpec(noise_dim=noise_dim, num_psi=num_psi)
-        flags = {"zero_labels": zero_labels, "zero_noise": zero_noise}
         rng_elbo, rng_first = stream_rng(21, "noise"), stream_rng(21, "noise")
-        want = sivi_elbo(params, batch, spec, rng_elbo, leaves=None, **flags).logits
-        got = first_draw_logits(params, batch, spec, rng_first, **flags)
+        want = sivi_elbo(params, batch, spec, rng_elbo, leaves=None,
+                         zero_noise=zero_noise).logits
+        got = first_draw_logits(params, batch, spec, rng_first, zero_noise=zero_noise)
         assert got.tape is None
         assert got.shape == (int((batch.block_sizes ** 2).sum()),)
         assert got.value.tobytes() == want.value.tobytes()

@@ -235,6 +235,20 @@ class TestPretrain:
         result = pretrain_gnn(obs, split, cfg, hidden=16, layers=2)
         assert result.best_valid > before
 
+    def test_scores_on_the_given_eval_adjacency(self):
+        g, split = self.make_split()
+        cfg = TrainConfig(epochs=4, patience=4, lr=1e-2, seed=3, eval_k=5)
+        full = normalize_adjacency(g.adjacency)
+        result = pretrain_gnn(split.observed_graph, split, cfg, hidden=8, layers=2,
+                              eval_norm=full)
+
+        def hits(bucket):
+            return evaluate_hits(result.params, full, g.features, split.pos(bucket),
+                                 split.neg(bucket), 5)
+
+        assert result.best_valid == hits("valid")
+        assert result.test_hits == hits("test")
+
     def test_gradient_steps_never_read_valid_or_test_positives(self):
         # Gradient-phase positives must come from train_pos only; negatives are
         # sampled from the observed graph's non-edges without consulting the

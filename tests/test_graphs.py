@@ -282,7 +282,7 @@ def assert_same_subgraph(a, b):
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), name
     assert a.graph_features is b.graph_features
-    assert (a.target, a.hop_k, a.link_label) == (b.target, b.hop_k, b.link_label)
+    assert (a.target, a.link_label) == (b.target, b.link_label)
 
 
 class TestExtractionMatchesReference:
