@@ -11,8 +11,9 @@ so backward does no product whose result it would throw away.
 emit(op, value, inputs, backward_fn) is how an op records itself, and a
 fused op outside this module does the same: the generator's block decoder
 and reconstruction loss and co-tuning's generated-graph predictor each
-record once per batch and loop over the blocks in plain numpy inside their
-forward and backward, so the tape does not grow with the number of blocks.
+record once per batch and, inside their forward and backward, run one
+stacked numpy product per distinct block size, so the tape does not grow
+with the number of blocks.
 
 Sparse support is a single op, CSR x dense, which is all the graph
 propagation here needs; everything else is dense numpy.

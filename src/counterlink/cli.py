@@ -197,7 +197,9 @@ def _from_flags(cls, cfg, **given):
 def _eval_norm(cfg, graph, split):
     """The normalized adjacency Hits@K is scored on: the full graph's with
     --full-adjacency-eval, else the training-visible graph's. The only place
-    a stage normalizes a whole-graph adjacency for scoring."""
+    a stage normalizes a whole-graph adjacency for scoring; pretrain-gnn
+    calls it only for the full graph, and otherwise scores on the adjacency
+    it trains on."""
     scored = graph if cfg["full_adjacency_eval"] else split.observed_graph
     return normalize_adjacency(scored.adjacency)
 
@@ -250,7 +252,7 @@ def cmd_pretrain_gnn(cfg, graph, split):
     result = pretrain_gnn(
         split.observed_graph, split, _from_flags(TrainConfig, cfg),
         hidden=cfg["hidden"], layers=cfg["layers"],
-        eval_norm=_eval_norm(cfg, graph, split),
+        eval_norm=_eval_norm(cfg, graph, split) if cfg["full_adjacency_eval"] else None,
     )
     ckpt = os.path.join(cfg["out"], "gnn.ckpt")
     save_gnn_checkpoint(ckpt, result.params,

@@ -17,9 +17,12 @@ computes) and descends predictor_loss on a tape holding the predictor alone.
 Node features and link labels always come from the batch. The generator
 step tapes both sides and the whole bound.
 
-predictor_loss runs the predictor on every block of a batch as one tape op:
-its forward and backward loop over the blocks in plain numpy, so a step's
-tape holds the same few records whatever the batch size.
+predictor_loss runs the predictor on every block of a batch as one tape op,
+so a step's tape holds the same few records whatever the batch size. Its
+forward and backward run one stacked GCN per distinct block size in plain
+numpy. Only the first-layer weight gradient is still formed block by block:
+the blocks' gradients are summed in reverse batch order, and a stack of them
+would hold blocks x feature width x hidden width at once.
 
 Model selection is validation Hits@K with the pre-update state included as
 a candidate, since over-tuning degrades quickly here.
@@ -31,9 +34,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, require_finite
 from .generator import (NoiseSpec, SiviParams, encode_semi_implicit, first_draw_logits,
-                        kl_gaussian, packed_layout, sivi_elbo)
+                        kl_gaussian, sivi_elbo)
 from .gnn import (
     GcnParams,
     dense_gcn_forward,
@@ -70,16 +73,20 @@ class CotrainConfig:
     zero_noise: bool = False
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise InputError("alpha must be >= 0")
-        if self.tau is not None and self.tau < 0:
-            raise InputError("tau must be >= 0")
+        require_finite("alpha", self.alpha, minimum=0)
+        # Checked before tau, which the CLI may have derived from it.
+        require_finite("tau_offset", self.tau_offset)
+        if self.tau is not None:
+            require_finite("tau", self.tau, minimum=0)
+        require_finite("lr_gnn", self.lr_gnn, minimum=0)
+        require_finite("lr_ggm", self.lr_ggm, minimum=0)
         if not 0.0 <= self.gamma <= 1.0:
             raise InputError("gamma must be in [0, 1]")
         if self.update_rule not in UPDATE_RULES:
             raise ConfigError(f"update_rule must be one of {UPDATE_RULES}")
-        if self.patience > self.epochs:
-            raise InputError("patience must be <= epochs")
+        if not 0 <= self.patience <= self.epochs:
+            raise InputError(f"patience must be between 0 and epochs ({self.epochs}), "
+                             f"got {self.patience}")
 
 
 def gen_loss(elbo, kl_estimate, tau):
@@ -120,11 +127,10 @@ def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=No
     logits are decode_logits' packed blocks, taped in the generator step and
     constant in the predictor step. The per-block work (sigmoid, gamma mask,
     normalization, the dense GCN and the target dot product) is one tape
-    record whose output is every block's target logit. Each block's GCN
-    reads its contiguous rows of the batch's one feature gather.
+    record whose output is every block's target logit. It runs one stacked
+    GCN per distinct block size, and each block comes out as it would alone.
     """
-    sizes = batch.block_sizes
-    offsets, diagonal = packed_layout(sizes)
+    _, diagonal = batch.packed_layout()
     x = batch.stacked_features()
     named = leaves if leaves is not None else gnn_params.named()
     params = [t if isinstance(t, ad.Tensor) else ad.Tensor(t)
@@ -136,37 +142,53 @@ def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=No
     mask = (p >= gamma).astype(np.float64)
     mask[diagonal] = 0.0
     kept = p * mask
+    targets = np.array([block.target for block in batch.blocks], dtype=np.int64)
     target_logits = np.empty(len(batch.blocks))
-    cns, saved = [], []
-    for b, block in enumerate(batch.blocks):
-        m = int(sizes[b])
-        u, v = block.target
-        at = slice(offsets[b], offsets[b + 1])
-        prop, prop_vjp = normalize_dense_adjacency(kept[at].reshape(m, m))
-        rows = x[batch.offsets[b] : batch.offsets[b] + m]
-        emb, gcn_vjp = dense_gcn_forward(weights, biases, prop, rows)
-        hu, hv = emb[u], emb[v]
-        target_logits[b] = (hu * hv).sum()
-        block_mask = mask[at].reshape(m, m)
-        cns.append(float((block_mask[u] * block_mask[v]).sum()))
-        saved.append((at, u, v, hu, hv, emb.shape, prop_vjp, gcn_vjp))
+    cns = np.empty(len(batch.blocks))
+    stacks = []
+    for grp in batch.size_groups():
+        k, m = grp.blocks.size, grp.m
+        at = np.arange(k)
+        u, v = targets[grp.blocks].T
+        prop, prop_vjp = normalize_dense_adjacency(kept[grp.cells].reshape(k, m, m))
+        emb, gcn_vjp = dense_gcn_forward(weights, biases, prop,
+                                         x[grp.rows].reshape(k, m, -1))
+        hu, hv = emb[at, u], emb[at, v]
+        target_logits[grp.blocks] = (hu * hv).sum(axis=1)
+        block_mask = mask[grp.cells].reshape(k, m, m)
+        cns[grp.blocks] = (block_mask[at, u] * block_mask[at, v]).sum(axis=1)
+        stacks.append((grp, u, v, hu, hv, emb.shape, prop_vjp, gcn_vjp))
     taped = logits.tape is not None
     constant = [t.tape is None for t in params]
+    shapes = [t.shape for t in params]
 
     def back(g):
         g_logits = np.empty_like(lv) if taped else None
-        g_params = None
-        for b in reversed(range(len(saved))):
-            at, u, v, hu, hv, shape, prop_vjp, gcn_vjp = saved[b]
+        g_first = np.empty((x.shape[0], weights[0].shape[1]))
+        per_block = [None] + [np.empty((len(batch.blocks), *s)) for s in shapes[1:]]
+        for grp, u, v, hu, hv, shape, prop_vjp, gcn_vjp in stacks:
+            at = np.arange(shape[0])
             g_emb = np.zeros(shape)
-            g_emb[v] = g[b] * hu
-            g_emb[u] += g[b] * hv  # u == v in a single-node block
-            g_prop, g_block = gcn_vjp(g_emb, taped)
+            g_b = g[grp.blocks, None]
+            g_emb[at, v] = g_b * hu
+            g_emb[at, u] += g_b * hv  # u == v in a single-node block
+            g_prop, g_z, g_stack = gcn_vjp(g_emb, taped)
+            g_first[grp.rows] = g_z.reshape(grp.rows.size, -1)
+            for acc, grad in zip(per_block[1:], g_stack[1:]):
+                acc[grp.blocks] = grad
+            if taped:
+                g_p = prop_vjp(g_prop).ravel() * mask[grp.cells]
+                g_logits[grp.cells] = g_p * p[grp.cells] * (1.0 - p[grp.cells])
+        # Blocks add their parameter gradients in reverse batch order, as a
+        # block-by-block backward would. The first weight's gradient is formed
+        # per block from views of the features, so no [blocks, d_in, hidden]
+        # stack is ever built.
+        g_params = None
+        for b in reversed(range(len(batch.blocks))):
+            rows = slice(batch.offsets[b], batch.offsets[b] + batch.block_sizes[b])
+            g_block = [x[rows].T @ g_first[rows]] + [acc[b] for acc in per_block[1:]]
             g_params = g_block if g_params is None else [
                 acc + grad for acc, grad in zip(g_params, g_block)]
-            if taped:
-                g_p = prop_vjp(g_prop).ravel() * mask[at]
-                g_logits[at] = g_p * p[at] * (1.0 - p[at])
         return (g_logits, *(None if c else gk for c, gk in zip(constant, g_params)))
 
     joined = ad.emit("predictor_loss", target_logits, [logits, *params], back)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by the library and the CLI exit-code mapping."""
 
+import math
+
 
 class CounterlinkError(Exception):
     """Base class; exit_code is what the CLI returns when this escapes."""
@@ -37,3 +39,11 @@ class ValidationError(CounterlinkError):
 
 class DegenerateSplitError(ValidationError):
     """A split bucket received zero edges; names the empty bucket."""
+
+
+def require_finite(name, value, minimum=None):
+    """InputError naming `name` unless value is a finite number that is, when
+    minimum is given, at least minimum."""
+    if not math.isfinite(value) or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InputError(f"{name} must be a finite number{bound}, got {value}")

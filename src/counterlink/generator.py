@@ -6,8 +6,11 @@ makes the posterior semi-implicit, and averaging the analytic Gaussian KL
 over the mixing draws gives the Monte-Carlo surrogate used in the training
 objective. The decoder is a parameter-free inner product applied per block,
 so no probability mass ever exists between distinct samples. Its logits are
-packed into one vector, block after block (packed_layout), and the decoder
-and the reconstruction loss each put one record per batch on the tape.
+packed into one vector, block after block (the batch's packed_layout), and
+the decoder and the reconstruction loss each put one record per batch on the
+tape. Inside, they run one stacked [k, m, ...] product or sum per distinct
+block size m (the batch's size_groups), not one per block, and every block's
+values come out with the bytes a block-by-block computation gives.
 Setting one mixing draw and zero noise width collapses the whole stack to a
 plain variational graph auto-encoder. The mixing draws are independent, so a
 caller that reads one draw (co-tuning's predictor step) encodes only that
@@ -27,8 +30,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InputError, NumericError, ValidationError
-from .graphs import Edge, Graph, LabeledSubgraphBatch, POSITIVE, extract_for_links, make_batch
+from .errors import ConfigError, InputError, NumericError, ValidationError, require_finite
+from .graphs import (Edge, Graph, LabeledSubgraphBatch, POSITIVE, extract_for_links,
+                     make_batch, once_per_batch)
 from .rng import stream_rng
 from .splits import DatasetSplit
 
@@ -216,42 +220,36 @@ def reparameterize(moments, rng) -> list:
     return hs
 
 
-def packed_layout(block_sizes):
-    """(offsets, diagonal) of per-block m x m matrices packed into one vector.
-
-    Block b sits row-major at offsets[b] : offsets[b + 1], one block after
-    another; diagonal indexes every block's diagonal entries.
-    """
-    sizes = np.asarray(block_sizes, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes * sizes)])
-    row = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    diagonal = np.repeat(offsets[:-1], sizes) + row * (np.repeat(sizes, sizes) + 1)
-    return offsets, diagonal
-
-
-def decode_logits(h, block_sizes) -> ad.Tensor:
+def decode_logits(h, batch) -> ad.Tensor:
     """Every block's inner-product logits z z^T, packed; nothing crosses blocks.
 
-    The result holds each block's m x m logits in the packed_layout order.
-    It is one tape record for the whole batch.
+    The result holds each block's m x m logits in the batch's packed_layout
+    order. It is one tape record for the whole batch; forward and backward
+    run one stacked product per distinct block size.
     """
-    sizes = [int(m) for m in block_sizes]
-    if sum(sizes) != h.shape[0]:
-        raise InputError(f"block sizes sum to {sum(sizes)} but h has {h.shape[0]} rows")
+    total = batch.total_nodes
+    if total != h.shape[0]:
+        raise InputError(f"block sizes sum to {total} but h has {h.shape[0]} rows")
     hv = h.value
-    starts = np.cumsum([0] + sizes[:-1])
-    offsets, _ = packed_layout(sizes)
-    # z @ z.T would take numpy's symmetric-product path, which sums in another
-    # order; the transposed copy keeps a plain matrix product.
-    blocks = [(at, off, m, hv[at : at + m], hv[at : at + m].T.copy())
-              for at, off, m in zip(starts, offsets, sizes)]
-    out = np.concatenate([(z @ zt).ravel() for *_, z, zt in blocks])
+    out = np.empty(int(batch.packed_layout()[0][-1]))
+    zts = []
+    for grp in batch.size_groups():
+        z = hv[grp.rows].reshape(grp.blocks.size, grp.m, -1)
+        # z @ z^T of one buffer would take numpy's symmetric-product path,
+        # which sums in another order; the transposed copy keeps a plain
+        # matrix product.
+        zt = z.transpose(0, 2, 1).copy()
+        out[grp.cells] = (z @ zt).ravel()
+        zts.append(zt)
 
     def back(g):
         g_h = np.empty_like(hv)
-        for at, off, m, z, zt in blocks:
-            g_z = g[off : off + m * m].reshape(m, m)
-            g_h[at : at + m] = g_z @ zt.T + (z.T @ g_z).T
+        for grp, zt in zip(batch.size_groups(), zts):
+            z = hv[grp.rows].reshape(zt.shape[0], grp.m, -1)
+            g_z = g[grp.cells].reshape(zt.shape[0], grp.m, grp.m)
+            g_zs = g_z @ zt.transpose(0, 2, 1)
+            g_zs += (z.transpose(0, 2, 1) @ g_z).transpose(0, 2, 1)
+            g_h[grp.rows] = g_zs.reshape(-1, hv.shape[1])
         return (g_h,)
 
     return ad.emit("decode_logits", out, [h], back)
@@ -297,7 +295,25 @@ def kl_gaussian(mu, log_var) -> ad.Tensor:
     return ad.mul(ad.tmean(ad.tsum(terms, axis=1)), ad.Tensor(0.5))
 
 
-def recon_loss(logits, adj_blocks) -> ad.Tensor:
+@once_per_batch
+def recon_targets(batch):
+    """recon_loss's packed constants for one batch: the blocks' adjacencies
+    as targets; the weights, which upweight a block's edges by its
+    non-edge/edge ratio and mask out every diagonal; and which cells belong
+    to single-node blocks."""
+    sizes = batch.block_sizes
+    offsets, diagonal = batch.packed_layout()
+    t = np.concatenate([b.local_adjacency.ravel() for b in batch.blocks])
+    edges = np.add.reduceat(t, offsets[:-1])  # whole numbers: exact in any order
+    pos_w = np.ones(sizes.size)
+    np.divide(sizes * (sizes - 1) - edges, edges, out=pos_w,
+              where=(sizes > 1) & (edges > 0))
+    weights = np.where(t > 0, np.repeat(pos_w, sizes * sizes), 1.0)
+    weights[diagonal] = 0.0
+    return t, weights, np.repeat(sizes <= 1, sizes * sizes)
+
+
+def recon_loss(logits, batch) -> ad.Tensor:
     """Mean over blocks of per-node sparsity-weighted BCE against the truth.
 
     logits are decode_logits' packed blocks. Positive entries are upweighted
@@ -306,37 +322,30 @@ def recon_loss(logits, adj_blocks) -> ad.Tensor:
     KL normalization so neither term swamps the other. Single-node blocks
     contribute zero. One tape record for the whole batch.
     """
-    sizes = np.array([adj.shape[0] for adj in adj_blocks], dtype=np.int64)
-    offsets, diagonal = packed_layout(sizes)
+    sizes = batch.block_sizes
     lv = logits.value
-    if lv.shape != (offsets[-1],):
+    t, weights, single = recon_targets(batch)
+    if lv.shape != t.shape:
         raise InputError("one adjacency per logit block required")
-    kept = np.nonzero(sizes > 1)[0]
-    if kept.size == 0:
+    kept = sizes > 1
+    if not kept.any():
         return ad.Tensor(0.0)
-    t = np.concatenate([adj.ravel() for adj in adj_blocks])
-    pos_w = np.ones(sizes.size)
-    for b in kept:
-        m = sizes[b]
-        pairs = m * (m - 1)
-        edges = float(adj_blocks[b].sum())
-        if edges > 0:
-            pos_w[b] = (pairs - edges) / edges
-    weights = np.where(t > 0, np.repeat(pos_w, sizes * sizes), 1.0)
-    weights[diagonal] = 0.0
     e = np.exp(-np.abs(lv))
     loss = (np.maximum(lv, 0.0) - lv * t + np.log1p(e)) * weights
     base = (ad.stable_sigmoid(lv, e) - t) * weights
-    total = None
-    for b in kept:
-        term = loss[offsets[b] : offsets[b + 1]].sum() * (1.0 / sizes[b])
-        total = term if total is None else total + term
+    sums = np.zeros(sizes.size)
+    for grp in batch.size_groups():
+        if grp.m > 1:
+            sums[grp.blocks] = loss[grp.cells].reshape(grp.blocks.size, -1).sum(axis=1)
+    # One block after another in batch order, as a block-by-block loop adds
+    # them; a pairwise sum would change the last bits.
+    total = np.add.accumulate(sums[kept] * (1.0 / sizes[kept]))[-1]
     scale = 1.0 / sizes.size
 
     def back(g):
         per_block = (g * scale) * (1.0 / sizes)
         g_logits = np.repeat(per_block, sizes * sizes) * base
-        g_logits[np.repeat(sizes <= 1, sizes * sizes)] = 0.0
+        g_logits[single] = 0.0
         return (g_logits,)
 
     return ad.emit("recon_loss", total * scale, [logits], back)
@@ -367,13 +376,12 @@ def sivi_elbo(
         params, batch, spec, rng, zero_noise=zero_noise, leaves=leaves,
     )
     hs = reparameterize(moments, rng)
-    adjs = batch.block_adjacencies()
     bce = kl = first_logits = None
     for (mu, lv), h in zip(moments, hs):
-        logits = decode_logits(h, batch.block_sizes)
+        logits = decode_logits(h, batch)
         if first_logits is None:
             first_logits = logits
-        bce_j = recon_loss(logits, adjs)
+        bce_j = recon_loss(logits, batch)
         kl_j = kl_gaussian(mu, lv)
         bce = bce_j if bce is None else ad.add(bce, bce_j)
         kl = kl_j if kl is None else ad.add(kl, kl_j)
@@ -401,7 +409,7 @@ def first_draw_logits(params, batch, spec, rng, zero_noise=False):
         rng.standard_normal((rest, batch.total_nodes, spec.noise_dim))
     [h] = reparameterize(moments, rng)
     rng.standard_normal((rest, *h.shape))
-    return decode_logits(h, batch.block_sizes)
+    return decode_logits(h, batch)
 
 
 def threshold_edges(sample: GeneratedSample, gamma) -> GeneratedSample:
@@ -460,8 +468,10 @@ class GgmTrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
-        if self.patience > self.epochs:
-            raise InputError("patience must be <= epochs")
+        if not 0 <= self.patience <= self.epochs:
+            raise InputError(f"patience must be between 0 and epochs ({self.epochs}), "
+                             f"got {self.patience}")
+        require_finite("lr", self.lr, minimum=0)
 
 
 @dataclass

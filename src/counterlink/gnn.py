@@ -7,8 +7,9 @@ model selection by validation Hits@K with early stopping.
 
 Co-tuning runs the same stack on each generated block's dense, normalized
 adjacency. normalize_dense_adjacency and dense_gcn_forward do that in plain
-numpy and hand back their backward, so the caller can record a whole batch
-of blocks as one tape op.
+numpy, on one block or on a [k, m, m] stack of same-size blocks, and hand
+back their backward, so the caller can record a whole batch of blocks as one
+tape op.
 """
 
 import copy
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_finite
 from .graphs import Csr, Graph, normalize_adjacency
 from .rng import stream_rng
 from .splits import DatasetSplit, sample_negatives
@@ -75,8 +76,10 @@ class TrainConfig:
     eval_k: int = 20
 
     def __post_init__(self):
-        if self.patience > self.epochs:
-            raise InputError("patience must be <= epochs")
+        require_finite("lr", self.lr, minimum=0)
+        if not 0 <= self.patience <= self.epochs:
+            raise InputError(f"patience must be between 0 and epochs ({self.epochs}), "
+                             f"got {self.patience}")
         if self.eval_k < 1:
             raise InputError("eval_k must be >= 1")
         if self.epochs < 1:
@@ -106,22 +109,24 @@ def init_gcn_params(d_in, hidden=128, layers=2, out_dim=None, dropout=0.1, rng=N
 def normalize_dense_adjacency(a):
     """D^-1/2 (A + I) D^-1/2 of one dense weighted block, with its backward.
 
-    Returns (prop, vjp): vjp(g) maps the gradient of prop to that of a.
+    a is one [m, m] block or a [k, m, m] stack of them; every slice comes out
+    as that block alone would. Returns (prop, vjp): vjp(g) maps the gradient
+    of prop to that of a.
     """
-    n = a.shape[0]
+    n = a.shape[-1]
     m = a + np.eye(n)
-    d = m.sum(axis=1)
+    d = m.sum(axis=-1)
     dinv = np.exp(np.log(d) * -0.5)
-    scaled = m * dinv  # column scaling via broadcast
-    col = dinv.reshape(n, 1)
+    row = dinv[..., None, :]
+    col = dinv[..., :, None]
+    scaled = m * row  # column scaling
     prop = scaled * col  # row scaling
 
     def vjp(g):
         g_scaled = g * col
-        g_dinv = (ad.unbroadcast(g * scaled, (n, 1)).reshape(n)
-                  + ad.unbroadcast(g_scaled * m, (n,)))
+        g_dinv = (g * scaled).sum(axis=-1) + (g_scaled * m).sum(axis=-2)
         g_d = g_dinv * dinv * -0.5 / d
-        return g_scaled * dinv + g_d[:, None]
+        return g_scaled * row + g_d[..., :, None]
 
     return prop, vjp
 
@@ -150,24 +155,30 @@ def gcn_forward(params, a_norm: Csr, x, rng=None, training=False, leaves=None) -
 
 
 def dense_gcn_forward(weights, biases, prop, x):
-    """gcn_forward without dropout over one dense propagation matrix, with its backward.
+    """gcn_forward without dropout over dense propagation matrices, with its backward.
 
-    Plain numpy, for a caller that records a whole batch of blocks as one op.
-    Returns (emb, vjp): vjp(g, need_prop) maps the gradient of emb to the
-    gradient of prop (None unless need_prop) and a list of the weight and
-    bias gradients in GcnParams.named() order.
+    prop is one block's [m, m] matrix with its [m, d] feature rows x, or a
+    [k, m, m] stack of same-size blocks with their [k, m, d] rows; every
+    slice comes out as that block alone would. Plain numpy, for a caller
+    that records a whole batch as one op. Returns (emb, vjp): vjp(g,
+    need_prop) returns the gradient of prop (None unless need_prop), the
+    gradient of the first layer's product x @ weights[0], and the per-slice
+    gradients of every parameter in GcnParams.named() order except the
+    first weight's, which is None. x is not kept, so it may be a temporary
+    gather; the caller forms the first weight's gradient as x^T times the
+    product's gradient.
     """
     count = len(weights)
-    inputs, zs, masks = [], [], []
+    inputs, zs, masks = [None], [], []
     h = x
     for i in range(count):
         z = h @ weights[i]
-        inputs.append(h)
         zs.append(z)
         h = prop @ z + biases[i]
         if i < count - 1:
             masks.append(h > 0)
             h = h * masks[i]
+            inputs.append(h)
 
     def vjp(g, need_prop):
         g_prop = None
@@ -175,15 +186,15 @@ def dense_gcn_forward(weights, biases, prop, x):
         for i in reversed(range(count)):
             if i < count - 1:
                 g = g * masks[i]
-            g_params[2 * i + 1] = ad.unbroadcast(g, biases[i].shape)
+            g_params[2 * i + 1] = g.sum(axis=-2)
             if need_prop:
-                g_p = g @ zs[i].T
+                g_p = g @ np.swapaxes(zs[i], -1, -2)
                 g_prop = g_p if g_prop is None else g_prop + g_p
-            g_z = prop.T @ g
-            g_params[2 * i] = inputs[i].T @ g_z
-            if i > 0:
-                g = g_z @ weights[i].T
-        return g_prop, g_params
+            g_z = np.swapaxes(prop, -1, -2) @ g
+            if i == 0:
+                return g_prop, g_z, g_params
+            g_params[2 * i] = np.swapaxes(inputs[i], -1, -2) @ g_z
+            g = g_z @ weights[i].T
 
     return h, vjp
 

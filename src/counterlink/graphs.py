@@ -66,27 +66,49 @@ class Csr:
     def row_ids(self):
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
+    @functools.cached_property
+    def plan(self):
+        """matmul_dense's schedule, built on first use and kept: every row's
+        position in falling-degree order (rank), how many rows are live in
+        each pass (those with a k-th entry, a prefix of that order), where
+        each pass starts among the entries, how many passes have two or more
+        live rows, and every entry's column and value in pass-major order."""
+        deg = np.diff(self.indptr)
+        order = np.argsort(-deg, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        rows = self.row_ids()
+        k = np.arange(self.indices.size) - self.indptr[rows]
+        entries = np.lexsort((rank[rows], k))
+        live = np.bincount(k)
+        bounds = np.concatenate([[0], np.cumsum(live)])
+        return (rank, live.tolist(), bounds.tolist(), int(np.count_nonzero(live > 1)),
+                self.indices[entries], self.data[entries])
+
     def matmul_dense(self, x):
         """Each output row sums its entries' products left to right from 0.0.
 
-        Rows are visited in falling-degree order, so the rows that still have
-        a k-th entry are a prefix and pass k adds all of them in one step.
+        Rows are visited in falling-degree order (self.plan), so the rows that
+        still have a k-th entry are a prefix and pass k adds all of them in
+        one step. Once a single row is left, its remaining entries are added
+        in one sequential accumulate instead of one pass each.
         """
         x = np.asarray(x, dtype=np.float64)
         n = self.shape[0]
-        out = np.zeros((n, x.shape[1]), dtype=np.float64)
         if not self.indices.size:
-            return out
-        prod = self.data[:, None] * x[self.indices]
-        deg = np.diff(self.indptr)
-        order = np.argsort(-deg, kind="stable")
-        starts = self.indptr[order]
-        live = n - np.searchsorted(deg[order][::-1], np.arange(deg.max()), side="right")
-        acc = np.zeros_like(out)
-        for k, rows in enumerate(live.tolist()):
-            acc[:rows] += prod[starts[:rows] + k]
-        out[order] = acc
-        return out
+            return np.zeros((n, x.shape[1]), dtype=np.float64)
+        rank, live, bounds, shared, cols, vals = self.plan
+        prod = np.take(x, cols, axis=0)
+        prod *= vals[:, None]
+        acc = np.zeros((n, x.shape[1]), dtype=np.float64)
+        for k in range(shared):
+            acc[: live[k]] += prod[bounds[k] : bounds[k + 1]]
+        if shared < len(live):
+            # add.reduce would sum a single column pairwise; accumulate keeps
+            # the left-to-right order for every width.
+            tail = np.concatenate([acc[:1], prod[bounds[shared] :]])
+            acc[0] = np.add.accumulate(tail, axis=0)[-1]
+        return np.take(acc, rank, axis=0)
 
     def transpose(self):
         if self.symmetric:
@@ -415,20 +437,33 @@ def extract_for_links(
     )
 
 
-def _once_per_batch(method):
-    """Compute a batch method's result on the first call and return that
-    same object on later calls, so callers must not write to it."""
+def once_per_batch(method):
+    """Compute a batch method's result, or a function's of one batch, on the
+    first call and return that same object on later calls for that batch, so
+    callers must not write to it."""
     key = "_" + method.__name__
 
     @functools.wraps(method)
-    def cached(self):
-        if key not in self.__dict__:
+    def cached(batch):
+        if key not in batch.__dict__:
             # The dataclass is frozen; like functools.cached_property, store
             # straight into the instance dict.
-            self.__dict__[key] = method(self)
-        return self.__dict__[key]
+            batch.__dict__[key] = method(batch)
+        return batch.__dict__[key]
 
     return cached
+
+
+@dataclass(frozen=True)
+class SizeGroup:
+    """The blocks of one node count m in a batch, in batch order: their
+    indices, their node rows (block after block, so rows.reshape(k, m)) and
+    their packed m x m cells (cells.reshape(k, m * m))."""
+
+    m: int
+    blocks: np.ndarray
+    rows: np.ndarray
+    cells: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -444,7 +479,7 @@ class LabeledSubgraphBatch:
     def total_nodes(self):
         return int(self.block_sizes.sum())
 
-    @_once_per_batch
+    @once_per_batch
     def stacked_features(self):
         """Every block's feature rows, block after block: one gather from the
         blocks' shared feature matrix; block b's rows are
@@ -458,14 +493,14 @@ class LabeledSubgraphBatch:
             raise InputError("batch blocks do not share one feature matrix")
         return features[np.concatenate([b.node_map for b in self.blocks])]
 
-    @_once_per_batch
+    @once_per_batch
     def stacked_labels(self):
         return np.concatenate([b.labels for b in self.blocks])
 
     def block_adjacencies(self):
         return [b.local_adjacency for b in self.blocks]
 
-    @_once_per_batch
+    @once_per_batch
     def block_diag_csr(self) -> Csr:
         """One pass over the row-major concatenated blocks: their nonzero cells
         come out sorted by (row, col), so no sort is needed."""
@@ -482,9 +517,34 @@ class LabeledSubgraphBatch:
                    np.ones(cells.size, dtype=np.float64),
                    (self.total_nodes, self.total_nodes), symmetric=True)
 
-    @_once_per_batch
+    @once_per_batch
     def normalized_adjacency(self) -> Csr:
         return normalize_adjacency(self.block_diag_csr())
+
+    @once_per_batch
+    def packed_layout(self):
+        """(offsets, diagonal) of the blocks' m x m matrices packed into one
+        vector: block b sits row-major at offsets[b] : offsets[b + 1], one
+        block after another; diagonal indexes every block's diagonal cells."""
+        sizes = self.block_sizes
+        offsets = np.concatenate([[0], np.cumsum(sizes * sizes)])
+        row = np.arange(self.total_nodes) - np.repeat(self.offsets, sizes)
+        diagonal = np.repeat(offsets[:-1], sizes) + row * (np.repeat(sizes, sizes) + 1)
+        return offsets, diagonal
+
+    @once_per_batch
+    def size_groups(self):
+        """One SizeGroup per distinct block size, smallest first: a kernel
+        that loops over these runs one stacked [k, m, ...] product per size
+        instead of one product per block."""
+        cell_offsets, _ = self.packed_layout()
+        groups = []
+        for m in np.unique(self.block_sizes).tolist():
+            blocks = np.flatnonzero(self.block_sizes == m)
+            rows = (self.offsets[blocks, None] + np.arange(m)).ravel()
+            cells = (cell_offsets[blocks, None] + np.arange(m * m)).ravel()
+            groups.append(SizeGroup(m, blocks, rows, cells))
+        return tuple(groups)
 
     def to_dense_adjacency(self):
         n = self.total_nodes

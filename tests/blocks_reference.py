@@ -1,9 +1,9 @@
 """Per-block decoder, reconstruction loss and generated-graph predictor, kept as oracles.
 
 `generator.decode_logits`, `generator.recon_loss` and `cotrain.predictor_loss`
-each put one record per batch on the tape and loop over the blocks in plain
-numpy, forward and backward. These are the implementations they replaced:
-chains of tape ops per block. The ops only they used (`reshape`,
+each put one record per batch on the tape and run one stacked numpy product
+per distinct block size, forward and backward. These are the implementations
+they replaced: chains of tape ops per block. The ops only they used (`reshape`,
 `slice_rows`, `transpose`, `sigmoid`, `log`) and the tape-op forms of
 `gnn.normalize_dense_adjacency` and of the dense branch of `gnn.gcn_forward`
 moved here with them, as did the weighted and "sum"/"none" forms of
@@ -116,8 +116,9 @@ def bce_with_logits(logits, targets, weights=None, reduction="mean") -> ad.Tenso
     return ad.emit("bce_with_logits", out, [logits], back)
 
 
-def decode_logits(h, block_sizes):
+def decode_logits(h, batch):
     """Per-block inner-product logit matrices; nothing crosses blocks."""
+    block_sizes = batch.block_sizes
     if int(np.sum(block_sizes)) != h.shape[0]:
         raise InputError(
             f"block sizes sum to {int(np.sum(block_sizes))} but h has {h.shape[0]} rows"
@@ -132,7 +133,7 @@ def decode_logits(h, block_sizes):
     return out
 
 
-def recon_loss(logits_blocks, adj_blocks) -> ad.Tensor:
+def recon_loss(logits_blocks, batch) -> ad.Tensor:
     """Mean over blocks of per-node sparsity-weighted BCE against the truth.
 
     Positive entries are upweighted by the block's non-edge/edge ratio and
@@ -140,6 +141,7 @@ def recon_loss(logits_blocks, adj_blocks) -> ad.Tensor:
     node count, matching the per-node KL normalization so neither term
     swamps the other. Single-node blocks contribute zero.
     """
+    adj_blocks = batch.block_adjacencies()
     if len(logits_blocks) != len(adj_blocks):
         raise InputError("one adjacency per logit block required")
     total = None

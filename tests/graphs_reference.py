@@ -1,7 +1,8 @@
 """Per-entry CSR propagation, set-and-dict subgraph extraction and per-block
 batch adjacency, kept as oracles.
 
-`graphs.Csr.matmul_dense` sums each row's entries in falling-degree passes,
+`graphs.Csr.matmul_dense` sums each row's entries in falling-degree passes
+planned once per `Csr`, and finishes a row left alone in one accumulate,
 `graphs.extract_for_links` extracts a whole link list at once over sorted
 `link * n + node` keys (`extract_enclosing_subgraph` is its one-link case),
 and `LabeledSubgraphBatch.block_diag_csr` takes one `flatnonzero` over the

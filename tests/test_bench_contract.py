@@ -65,3 +65,36 @@ def test_expected_spans_are_timed(name):
     # self-test would fail on it long after the rename that caused it.
     timed = {f"{m}.{p}" for m, p in tracer.TIMED}
     assert set(workloads.WORKLOADS[name].expect) <= timed
+
+
+def test_pipeline_spans_fire(tmp_path):
+    # The expected spans are checked against a traced pipeline-cn300 pass
+    # only in a --trace 1 benchmark run; this runs the same stages and flags
+    # in-process on a 40-node graph, so a kernel that stops calling a traced
+    # function fails here too.
+    from counterlink import cli
+
+    wl = workloads.WORKLOADS["pipeline-cn300"]
+    synth = tmp_path / "synth"
+    assert cli.main(["synth", "--family", "sbm", "--n", "40", "--blocks", "2",
+                     "--p-in", "0.4", "--p-out", "0.05", "--feature-mode", "node-onehot",
+                     "--seed", "0", "--out", str(synth)]) == 0
+    inputs = {"edges": str(synth / "edges.tsv"), "features": str(synth / "features.csv")}
+    dirs = {}
+    # Few enough scored pairs for Hits@3 on this graph, and short training.
+    small = {"pretrain-gnn": ["--eval-k", "3", "--epochs", "2", "--patience", "2"],
+             "flex-tune": ["--eval-k", "3"], "eval": ["--k", "3"],
+             "sweep": ["--eval-k", "3"]}
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        for stage in wl.stages:
+            dirs[stage] = str(tmp_path / workloads.OUT_DIR[stage])
+            argv = workloads.stage_argv(wl, stage, 0, inputs, dirs) + small.get(stage, [])
+            with trace.stage_span(stage):
+                assert cli.main(argv) == 0, stage
+    finally:
+        trace.uninstall()
+    fired = {name for _, name in trace.collect().agg}
+    assert set(wl.expect) - fired == set()
+    assert [name for name in fired if name.startswith(wl.forbid)] == []

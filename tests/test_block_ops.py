@@ -101,8 +101,8 @@ def decoder_step(batch, gnn, h, gamma, with_predictor):
     of the latents and of every block's logits (packed), as bytes."""
     tape = ad.Tape()
     latents = tape.leaf(h)
-    logits = generator.decode_logits(latents, batch.block_sizes)
-    loss = generator.recon_loss(logits, batch.block_adjacencies())
+    logits = generator.decode_logits(latents, batch)
+    loss = generator.recon_loss(logits, batch)
     if with_predictor:
         lp, _ = cotrain.predictor_loss(gnn, batch, logits, gamma, tape.leaves(gnn.named()))
         loss = ad.add(loss, lp)
@@ -177,6 +177,64 @@ class TestByteIdenticalToPerBlockOps:
         assert new == old
 
 
+# Batches that stress the size groups: one group, one group per block,
+# single-node blocks (u == v targets) among others, and sizes that come back
+# in batch order so a group's blocks are not adjacent.
+GROUPINGS = {
+    "one_size": [6, 6, 6, 6, 6],
+    "every_size": [1, 2, 3, 5, 8, 13, 21],
+    "single_nodes": [1, 4, 1, 1, 2, 1],
+    "only_single_nodes": [1, 1, 1],
+    "interleaved": [4, 9, 2, 4, 9, 2, 4, 9],
+}
+
+
+class TestSizeGroups:
+    @pytest.mark.parametrize("sizes", GROUPINGS.values(), ids=GROUPINGS.keys())
+    @pytest.mark.parametrize("step", ["elbo", "predictor", "generator", "decoder"])
+    def test_byte_identical_to_per_block_ops(self, sizes, step):
+        # The predictor step reads constant logits; the generator and
+        # decoder steps tape them.
+        count = len(sizes)
+        spec = NoiseSpec(noise_dim=2, num_psi=3)
+        batch = batch_of(np.random.default_rng(count), sizes, [0.5] * count,
+                         np.arange(count) % 2)
+        ggm, gnn = models(count, spec)
+
+        def run():
+            if step == "elbo":
+                return elbo_step(batch, ggm, spec, count)
+            if step == "predictor":
+                return predictor_step(batch, gnn, ggm, spec, 0.5, count)
+            if step == "generator":
+                return generator_step(batch, gnn, ggm, spec, 0.5, count)
+            h = np.random.default_rng(count).standard_normal((batch.total_nodes, 3))
+            return decoder_step(batch, gnn, h, 0.5, with_predictor=True)
+
+        new = run()
+        with use_reference_blocks():
+            old = run()
+        assert new == old
+
+    def test_groups_cover_every_block_once_in_batch_order(self):
+        batch = batch_of(np.random.default_rng(0), GROUPINGS["interleaved"],
+                         [0.5] * 8, [1] * 8)
+        offsets, _ = batch.packed_layout()
+        groups = batch.size_groups()
+        assert [grp.m for grp in groups] == [2, 4, 9]
+        blocks = np.concatenate([grp.blocks for grp in groups])
+        assert sorted(blocks.tolist()) == list(range(8))
+        for grp in groups:
+            assert np.all(np.diff(grp.blocks) > 0)
+            assert np.all(batch.block_sizes[grp.blocks] == grp.m)
+            for i, b in enumerate(grp.blocks.tolist()):
+                m = grp.m
+                rows = grp.rows.reshape(-1, m)[i]
+                cells = grp.cells.reshape(-1, m * m)[i]
+                assert rows.tolist() == list(range(batch.offsets[b], batch.offsets[b] + m))
+                assert cells.tolist() == list(range(offsets[b], offsets[b + 1]))
+
+
 # Blocks of 3, 1 and 4 nodes; the last has no edges.
 SIZES = np.array([3, 1, 4])
 
@@ -188,26 +246,27 @@ def small_batch(seed=0):
 class TestGradients:
     def test_decode_logits(self):
         rng = np.random.default_rng(1)
+        batch = small_batch()
         arrays = {"h": rng.standard_normal((SIZES.sum(), 2))}
         mix = rng.standard_normal(int((SIZES**2).sum()))
 
         def run(arrs, collect=False):
             tape = ad.Tape()
             leaves = tape.leaves(arrs)
-            loss = ad.tsum(ad.mul(decode_logits(leaves["h"], SIZES), ad.Tensor(mix)))
+            loss = ad.tsum(ad.mul(decode_logits(leaves["h"], batch), ad.Tensor(mix)))
             return ad.backward(loss).named(leaves) if collect else loss.item()
 
         assert max_rel_err(run(arrays, collect=True), finite_diff(run, arrays)) < 1e-6
 
     def test_recon_loss(self):
         rng = np.random.default_rng(2)
-        adjs = small_batch().block_adjacencies()
+        batch = small_batch()
         arrays = {"logits": rng.standard_normal(int((SIZES**2).sum())) * 2.0}
 
         def run(arrs, collect=False):
             tape = ad.Tape()
             leaves = tape.leaves(arrs)
-            loss = recon_loss(leaves["logits"], adjs)
+            loss = recon_loss(leaves["logits"], batch)
             return ad.backward(loss).named(leaves) if collect else loss.item()
 
         assert max_rel_err(run(arrays, collect=True), finite_diff(run, arrays)) < 1e-6

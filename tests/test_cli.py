@@ -739,3 +739,62 @@ class TestEvalAdjacency:
         assert swept["test_hits"] == per_point[0][0] == tuned["test_hits"]
         # The flag changes the scores here, so the equalities above test it.
         assert pre["test_hits"] != hits(base, "test", "observed")
+
+    @pytest.mark.parametrize("flags,normalized", [([], 1), (["--full-adjacency-eval"], 2)],
+                             ids=["observed", "full"])
+    def test_pretrain_gnn_normalizes_each_adjacency_once(self, tmp_path, monkeypatch,
+                                                         flags, normalized):
+        # Without the flag it scores on the adjacency it trains on.
+        from counterlink import analysis, cli, cotrain, gnn, graphs
+
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        calls = []
+        real = graphs.normalize_adjacency
+        for module in (cli, gnn, cotrain, analysis):
+            monkeypatch.setattr(module, "normalize_adjacency",
+                                lambda a: calls.append(a.shape) or real(a), raising=False)
+        assert run(["pretrain-gnn", "--edges", d["graph"] / "edges.tsv",
+                    "--features", d["graph"] / "features.csv",
+                    "--split", d["split"] / "split.json", "--epochs", 2, "--patience", 2,
+                    "--hidden", 8, "--eval-k", 3, *flags, "--out", d["gnn"]]) == 0
+        assert len(calls) == normalized
+
+
+@pytest.fixture(scope="module")
+def pretrained(tmp_path_factory):
+    return pretrained_dirs(tmp_path_factory.mktemp("pretrained"))
+
+
+class TestTrainingValuesInRange:
+    """Out-of-range training values exit 2 before any training, and the
+    message names the flag."""
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("pretrain-gnn", "--lr", -1),
+        ("pretrain-gnn", "--patience", -1),
+        ("pretrain-ggm", "--lr", "nan"),
+        ("pretrain-ggm", "--patience", -1),
+        ("flex-tune", "--lr-gnn", -1e-3),
+        ("flex-tune", "--lr-ggm", "inf"),
+        ("flex-tune", "--patience", -1),
+        ("flex-tune", "--alpha", "nan"),
+        ("flex-tune", "--tau", "nan"),
+        ("flex-tune", "--tau-offset", "nan"),
+        ("sweep", "--alpha", "inf"),
+    ])
+    def test_rejected_with_exit_2(self, pretrained, tmp_path, command, flag, value):
+        d, tune_flags = pretrained
+        args = {
+            "pretrain-gnn": [*tune_flags[:6], "--epochs", 1, "--patience", 1, "--hidden", 8,
+                             "--eval-k", 3],
+            "pretrain-ggm": [*tune_flags[:6], "--epochs", 1, "--patience", 1,
+                             "--noise-dim", 4],
+            "flex-tune": [*tune_flags, *TUNE_FLAGS],
+            "sweep": [*tune_flags, *TUNE_FLAGS, "--grid", "0.5", "--seeds", "0"],
+        }[command]
+        out = tmp_path / "out"
+        code, err = run_child([command, *args, flag, value, "--out", out])
+        assert code == 2, err
+        assert flag[2:].replace("-", "_") in err and "Traceback" not in err
+        assert not any(out.iterdir())

@@ -26,7 +26,8 @@ from counterlink.generator import (
     threshold_edges,
 )
 from counterlink.gnn import normalize_adjacency
-from counterlink.graphs import Edge, Graph, common_neighbors, extract_for_links, make_batch
+from counterlink.graphs import (Edge, Graph, LabeledSubgraph, common_neighbors,
+                               extract_for_links, make_batch)
 from counterlink.rng import stream_rng
 from counterlink.splits import SplitSpec, generate_split
 
@@ -59,6 +60,21 @@ def small_batch(seed=0, n_links=3, zero_weights=False):
         for arr in params.named().values():
             arr[:] = 0.0
     return g, batch, params
+
+
+def adjacency_batch(adjs):
+    """A batch of blocks with these adjacencies, each on its own rows of one
+    feature matrix."""
+    features = np.eye(sum(a.shape[0] for a in adjs))
+    blocks, start = [], 0
+    for a in adjs:
+        m = a.shape[0]
+        blocks.append(LabeledSubgraph(
+            node_map=np.arange(start, start + m), local_adjacency=a,
+            graph_features=features, labels=(np.arange(m) < 2).astype(np.float64),
+            target=(0, 1) if m > 1 else (0, 0)))
+        start += m
+    return make_batch(blocks)
 
 
 class TestNoiseSpec:
@@ -176,14 +192,16 @@ class TestDecode:
 
     def test_logits_match_probabilities(self):
         h = np.random.default_rng(2).standard_normal((5, 3))
-        logits = decode_logits(ad.Tensor(h), np.array([5])).value.reshape(5, 5)
+        batch = adjacency_batch([np.zeros((5, 5))])
+        logits = decode_logits(ad.Tensor(h), batch).value.reshape(5, 5)
         sample = decode_node_aware(h, np.array([5]), [(0, 1)], np.ones(1))
         off = ~np.eye(5, dtype=bool)
         assert np.allclose(1 / (1 + np.exp(-logits[off])), sample.edge_probs[0][off])
 
     def test_size_mismatch(self):
         with pytest.raises(InputError):
-            decode_logits(ad.Tensor(np.zeros((5, 2))), np.array([3, 3]))
+            decode_logits(ad.Tensor(np.zeros((5, 2))),
+                          adjacency_batch([np.zeros((3, 3))] * 2))
 
 
 class TestKl:
@@ -205,7 +223,7 @@ class TestElbo:
     def test_confident_reconstruction_and_zero_kl_vanish(self):
         adj = np.array([[0.0, 1.0], [1.0, 0.0]])
         logits = ad.Tensor(np.array([0.0, 40.0, 40.0, 0.0]))
-        assert recon_loss(logits, [adj]).item() < 1e-12
+        assert recon_loss(logits, adjacency_batch([adj])).item() < 1e-12
         assert kl_gaussian(np.zeros((2, 2)), np.zeros((2, 2))).item() == 0.0
 
     def test_loss_decomposes_into_parts(self):

@@ -7,6 +7,7 @@ from counterlink.errors import InputError, NumericError
 from counterlink.gnn import (
     GcnParams,
     TrainConfig,
+    dense_gcn_forward,
     embed,
     evaluate_hits,
     gcn_forward,
@@ -65,6 +66,54 @@ class TestNormalize:
         sparse = normalize_adjacency(g.adjacency).to_dense()
         dense = normalize_dense_adjacency(a)[0]
         assert np.allclose(sparse, dense, atol=1e-12)
+
+
+class TestStackedDenseKernels:
+    """A [k, m, m] stack gives every slice's bytes of a one-block call,
+    forward and backward."""
+
+    @staticmethod
+    def stack(k, m, seed):
+        rng = np.random.default_rng(seed)
+        # Thresholded probabilities: zeros, ones and values in between.
+        a = rng.random((k, m, m)) * (rng.random((k, m, m)) < 0.6)
+        a[:, np.arange(m), np.arange(m)] = 0.0
+        return a, rng
+
+    @pytest.mark.parametrize("k,m", [(1, 1), (4, 1), (3, 2), (5, 7), (2, 23)])
+    def test_normalize_dense_adjacency(self, k, m):
+        a, rng = self.stack(k, m, seed=m)
+        g = rng.standard_normal((k, m, m))
+        prop, vjp = normalize_dense_adjacency(a)
+        grad = vjp(g)
+        for i in range(k):
+            prop_i, vjp_i = normalize_dense_adjacency(a[i])
+            assert prop[i].tobytes() == prop_i.tobytes()
+            assert grad[i].tobytes() == vjp_i(g[i]).tobytes()
+
+    @pytest.mark.parametrize("k,m", [(1, 1), (4, 1), (3, 2), (5, 7), (2, 23)])
+    @pytest.mark.parametrize("need_prop", [False, True])
+    def test_dense_gcn_forward(self, k, m, need_prop):
+        a, rng = self.stack(k, m, seed=m + 1)
+        prop, _ = normalize_dense_adjacency(a)
+        x = rng.standard_normal((k, m, 5))
+        params = init_gcn_params(5, hidden=4, layers=3, rng=rng)
+        for b in params.biases:
+            b[:] = rng.standard_normal(b.shape)
+        g = rng.standard_normal((k, m, 4))
+        emb, vjp = dense_gcn_forward(params.weights, params.biases, prop, x)
+        g_prop, g_first, g_params = vjp(g, need_prop)
+        assert g_params[0] is None
+        for i in range(k):
+            emb_i, vjp_i = dense_gcn_forward(params.weights, params.biases, prop[i], x[i])
+            g_prop_i, g_first_i, g_params_i = vjp_i(g[i], need_prop)
+            assert emb[i].tobytes() == emb_i.tobytes()
+            assert g_first[i].tobytes() == g_first_i.tobytes()
+            assert (g_prop is None) == (g_prop_i is None) == (not need_prop)
+            if need_prop:
+                assert g_prop[i].tobytes() == g_prop_i.tobytes()
+            for got, want in zip(g_params[1:], g_params_i[1:]):
+                assert got[i].tobytes() == want.tobytes()
 
 
 class TestForward:

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -413,6 +414,52 @@ class TestCsrMatmulMatchesReference:
         assert csr.matmul_dense(x).tobytes() == matmul_dense_reference(csr, x).tobytes()
         assert not csr.matmul_dense(x)[[0, 3]].any()
 
+    @pytest.mark.parametrize("d", [1, 32])
+    def test_hub_row_finished_in_one_accumulate(self, d):
+        # A 3,000-leaf star: every leaf row has one entry, the hub 3,000, so
+        # after the first pass only the hub is left.
+        csr = normalize_adjacency(star(3000).adjacency)
+        x = np.random.default_rng(3).standard_normal((3001, d))
+        want = matmul_dense_reference(csr, x)
+        assert csr.matmul_dense(x).tobytes() == want.tobytes()
+        # Only one row holds entries at all: the accumulate starts at 0.0.
+        hub = Csr.from_coo(5, [2] * 4, [0, 1, 3, 4], [0.5, -1.0, 2.0, 1e-3])
+        x = np.random.default_rng(4).standard_normal((5, d))
+        assert hub.matmul_dense(x).tobytes() == matmul_dense_reference(hub, x).tobytes()
+
+    @pytest.mark.parametrize("rows", [[0, 0, 0, 1, 1, 2], [3, 3, 3, 3], [0, 1, 2, 3]],
+                             ids=["shared_passes_and_tail", "one_row", "one_entry_each"])
+    def test_negative_zero_products_sum_to_positive_zero(self, rows):
+        # ReLU outputs hold -0.0; a row whose products are all -0.0 sums
+        # from 0.0 to +0.0, as the reference's scatter into zeros does.
+        cols = list(range(len(rows)))
+        csr = Csr.from_coo(max(6, len(rows)), rows, cols, [0.5] * len(rows))
+        x = np.full((csr.shape[0], 3), -0.0)
+        x[-1] = 1.0
+        got = csr.matmul_dense(x)
+        assert got.tobytes() == matmul_dense_reference(csr, x).tobytes()
+        assert not np.signbit(got).any()
+
+    def test_empty_rows_and_empty_csr(self):
+        x = np.random.default_rng(5).standard_normal((7, 2))
+        for csr in (Csr.from_coo(7, [], []),
+                    Csr.from_coo(7, [2, 2, 5], [1, 6, 0], [1.0, -3.0, 0.25])):
+            assert csr.matmul_dense(x).tobytes() == matmul_dense_reference(csr, x).tobytes()
+
+    def test_plan_built_once(self, monkeypatch):
+        built = []
+        plan = Csr.__dict__["plan"]
+        counted = functools.cached_property(lambda csr: built.append(csr) or plan.func(csr))
+        counted.__set_name__(Csr, "plan")
+        monkeypatch.setattr(Csr, "plan", counted)
+        csr = normalize_adjacency(random_graph(30, 0.2, np.random.default_rng(6)).adjacency)
+        x = np.random.default_rng(7).standard_normal((30, 4))
+        first = csr.matmul_dense(x)
+        for _ in range(3):
+            assert csr.matmul_dense(x).tobytes() == first.tobytes()
+            assert csr.transpose().matmul_dense(x).tobytes() == first.tobytes()
+        assert built == [csr]
+
 
 class TestBatching:
     def test_two_triangles(self):
@@ -459,7 +506,7 @@ class TestBatching:
         subs = extract_for_links(g, links, k=1, max_nodes=1000)
         batch = make_batch(subs)
         for name in ("stacked_features", "stacked_labels", "block_diag_csr",
-                     "normalized_adjacency"):
+                     "normalized_adjacency", "packed_layout", "size_groups"):
             first = getattr(batch, name)()
             assert getattr(batch, name)() is first, name
             assert getattr(make_batch(subs), name)() is not first, name
