@@ -98,8 +98,9 @@ def samples_from_generated(gen) -> list:
 
 
 def link_heuristic_histogram(g: Graph, edges, heuristic, source) -> HeuristicHistogram:
-    """Per-link heuristic values measured on the graph g."""
-    values = [heuristic_value(g, int(u), int(v), heuristic) for u, v in edges]
+    """Per-link heuristic values measured on the graph g, in one call."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    values = heuristic_value(g, edges[:, 0], edges[:, 1], heuristic)
     return histogram_of_values(values, heuristic, source)
 
 

@@ -279,8 +279,12 @@ def gather_rows(a, idx) -> Tensor:
     av = a.value
 
     def back(g):
+        # One bincount per column adds each row's terms in pick order from
+        # 0.0, as np.add.at does, without an index array per column.
         full = np.zeros_like(av)
-        np.add.at(full, idx, g)
+        flat, cols = full.reshape(av.shape[0], -1), g.reshape(idx.size, -1)
+        for c in range(flat.shape[1]):
+            flat[:, c] = np.bincount(idx, weights=cols[:, c], minlength=av.shape[0])
         return (full,)
 
     return emit("gather_rows", av[idx], [a], back)

@@ -1,10 +1,10 @@
 """Reference heuristic implementations kept independent of the CSR fast path.
 
-verify_split re-checks every bucket assignment against these, so they must
-not share code with graphs.py: plain python sets, and for SP a
-level-synchronous BFS over sets that stops at the neighbour-of-target rule
-(v is at depth d + 1 exactly when v has a neighbour in the depth-d
-frontier), where graphs.py works on boolean masks over the CSR arrays.
+verify_split re-checks every bucket assignment against these, one pair at a
+time, so they must not share code with graphs.py: plain python sets, and
+for SP a bidirectional BFS over sets that expands the smaller frontier and
+stops where the two sides meet, where graphs.py settles whole edge lists
+with a sorted-key lookup and boolean masks over the CSR arrays.
 """
 
 import math
@@ -24,24 +24,36 @@ def cn_brute(adj, u, v):
 
 
 def sp_brute(adj, u, v, exclude_edge=False):
+    """Hop count from u to v, math.inf when disconnected; with exclude_edge
+    the edge (u, v) itself is left out.
+
+    Both sides keep a visited set and a frontier, disjoint from each other,
+    so the distance exceeds the sum of their depths. Each step expands the
+    smaller frontier; its new level meeting the other frontier gives that
+    sum plus one, and an empty level means the side's component holds no v.
+    """
     if u == v:
         return 0
-    frontier = adj[u]
-    if v in frontier:
-        if not exclude_edge:
-            return 1
-        # Dropping v from u's first level removes edge (u, v) and nothing
-        # else: v is never added to a frontier, so the edge is never walked.
-        frontier = frontier - {v}
-    seen = frontier | {u}
-    d = 1
-    while frontier:
-        if not adj[v].isdisjoint(frontier):
-            return d + 1
+    if v in adj[u] and not exclude_edge:
+        return 1
+    # Dropping v from u's first level and u from v's removes edge (u, v) and
+    # nothing else: u and v are never expanded again.
+    near, far = adj[u] - {v}, adj[v] - {u}
+    if not near.isdisjoint(far):
+        return 2
+    sides = [[near, near | {u}], [far, far | {v}]]
+    depth = 2
+    while True:
+        sides.sort(key=lambda side: len(side[0]))
+        (frontier, seen), (other, _) = sides
         frontier = set().union(*[adj[w] for w in frontier]) - seen
+        if not frontier:
+            return math.inf
+        if not frontier.isdisjoint(other):
+            return depth + 1
         seen |= frontier
-        d += 1
-    return math.inf
+        sides[0][0] = frontier
+        depth += 1
 
 
 def pa_brute(adj, u, v):

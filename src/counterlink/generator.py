@@ -566,25 +566,30 @@ def load_ggm_checkpoint(path):
 
 def dump_samples(samples, path):
     """JSON dump: block sizes, thresholded edge lists with probabilities,
-    link labels."""
-    doc = {"samples": []}
+    link labels.
+
+    Each block's edge list is formatted in one pass over plain Python values,
+    repr for the probabilities as json writes them; every other field goes
+    through json, so the bytes equal json.dumps of the whole document.
+    """
+    blocks = []
     for s in samples if isinstance(samples, list) else [samples]:
         for b in range(s.num_blocks):
-            p = s.edge_probs[b]
             iu, ju = np.nonzero(np.triu(s.thresholded_adj[b], 1))
-            doc["samples"].append(
-                {
-                    "block_size": int(s.block_sizes[b]),
-                    "label": int(s.link_labels[b]),
-                    "target": [int(s.target_indices[b][0]), int(s.target_indices[b][1])],
-                    "gamma": s.gamma,
-                    "edges": [
-                        [int(i), int(j), float(p[i, j])] for i, j in zip(iu, ju)
-                    ],
-                }
+            head = json.dumps({
+                "block_size": int(s.block_sizes[b]),
+                "label": int(s.link_labels[b]),
+                "target": [int(s.target_indices[b][0]), int(s.target_indices[b][1])],
+                "gamma": s.gamma,
+            })
+            edges = ", ".join(
+                f"[{i}, {j}, {p!r}]"
+                for i, j, p in zip(iu.tolist(), ju.tolist(), s.edge_probs[b][iu, ju].tolist())
             )
+            # "edges" is the last key, so it goes where head's closing brace was.
+            blocks.append(f'{head[:-1]}, "edges": [{edges}]}}')
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+        fh.write('{"samples": [' + ", ".join(blocks) + "]}")
 
 
 def load_samples(path):

@@ -227,56 +227,171 @@ def _row_entries(g: Graph, nodes):
     return np.arange(total) + np.repeat(starts - (ends - counts), counts), counts
 
 
-def common_neighbors(g: Graph, u: int, v: int) -> int:
-    g._check_node(u)
-    g._check_node(v)
-    shared = np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True)
-    return int(np.sum((shared != u) & (shared != v)))
+# Upper bound on the cells of one heuristic work array: the pairs x nodes
+# masks of a shortest-path chunk, and the CSR entries of one neighbour
+# gather, so a large graph or a hub's row cannot blow up memory.
+_HEURISTIC_CELLS = 1 << 18
 
 
-def shortest_path_length(g: Graph, u: int, v: int, exclude_edge: bool = False):
-    """BFS hop count; UNREACHABLE when disconnected.
-
-    Level-synchronous over boolean node masks: v is at depth d + 1 exactly
-    when one of v's neighbours is in the depth-d frontier, so the level that
-    contains v is never built. With exclude_edge set and (u, v) present, v
-    is dropped from u's first level, which removes that one edge and nothing
-    else (v never enters a frontier), so existing edges do not trivially
-    score 1.
-    """
-    g._check_node(u)
-    g._check_node(v)
-    if u == v:
-        return 0
-    indptr, indices = g.adjacency.indptr, g.adjacency.indices
-    level = indices[indptr[u] : indptr[u + 1]]
-    if np.any(level == v):
-        if not exclude_edge:
-            return 1
-        level = level[level != v]
-    target_nbrs = indices[indptr[v] : indptr[v + 1]]
-    frontier = np.zeros(g.num_nodes, dtype=bool)
-    frontier[level] = True
-    seen = frontier.copy()
-    seen[u] = True
-    d = 1
-    while level.size:
-        if frontier[target_nbrs].any():
-            return d + 1
-        frontier = np.zeros(g.num_nodes, dtype=bool)
-        frontier[indices[_row_entries(g, level)[0]]] = True
-        frontier &= ~seen
-        seen |= frontier
-        level = np.flatnonzero(frontier)
-        d += 1
-    return UNREACHABLE
+def _spans(costs):
+    """(start, stop) runs of consecutive items whose costs sum to at most
+    _HEURISTIC_CELLS; an item that costs more alone gets a run of its own."""
+    ends = np.cumsum(costs)
+    start = 0
+    while start < ends.size:
+        base = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, base + _HEURISTIC_CELLS, side="right"))
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
 
 
-def preferential_attachment(g: Graph, u: int, v: int) -> int:
-    g._check_node(u)
-    g._check_node(v)
+def _pairs(g: Graph, u, v):
+    """(u, v, scalar): the endpoints as equal-length int64 arrays, and whether
+    both were given as single ids. An id out of range is an InputError."""
+    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
+    u = np.atleast_1d(np.asarray(u, dtype=np.int64))
+    v = np.atleast_1d(np.asarray(v, dtype=np.int64))
+    if u.ndim != 1 or u.shape != v.shape:
+        raise InputError(f"endpoint arrays differ in shape: {u.shape} and {v.shape}")
+    for ends in (u, v):
+        bad = ends[(ends < 0) | (ends >= g.num_nodes)]
+        if bad.size:
+            g._check_node(int(bad[0]))
+    return u, v, scalar
+
+
+def _one_or_all(values, scalar):
+    """The whole array, or for a single pair its value as an int (or
+    UNREACHABLE)."""
+    if not scalar:
+        return values
+    x = values[0].item()
+    return UNREACHABLE if x == UNREACHABLE else int(x)
+
+
+def _entry_keys(g: Graph):
+    """Every CSR entry (w, x) as the key w * n + x: ascending, since rows are
+    sorted and come in row order."""
+    return g.adjacency.row_ids() * g.num_nodes + g.adjacency.indices
+
+
+def _has_keys(keys, wanted):
+    """Whether each wanted key is among the ascending keys."""
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return keys[at] == wanted if keys.size else np.zeros(wanted.shape, dtype=bool)
+
+
+def _shared_counts(g: Graph, u, v, keys):
+    """Common neighbours of every pair: each neighbour w of the lower-degree
+    endpoint is looked up as the key w * n + other among the CSR keys, in
+    runs of at most _HEURISTIC_CELLS lookups."""
+    n = g.num_nodes
     deg = g.degrees()
-    return int(deg[u]) * int(deg[v])
+    swap = deg[u] > deg[v]
+    low, other = np.where(swap, v, u), np.where(swap, u, v)
+    counts = np.zeros(u.size, dtype=np.int64)
+    for lo, hi in _spans(deg[low]):
+        pos, per = _row_entries(g, low[lo:hi])
+        hit = _has_keys(keys, g.adjacency.indices[pos] * n + np.repeat(other[lo:hi], per))
+        counts[lo:hi] = np.bincount(np.repeat(np.arange(hi - lo), per)[hit],
+                                    minlength=hi - lo)
+    return counts
+
+
+def _expand(g: Graph, mask):
+    """Per row, the neighbours of the row's marked nodes, as a mask; the CSR
+    rows are gathered _HEURISTIC_CELLS entries at a time."""
+    n = mask.shape[1]
+    out = np.zeros(mask.size, dtype=bool)
+    cells = np.flatnonzero(mask)
+    node = cells % n
+    row_start = cells - node
+    for lo, hi in _spans(g.degrees()[node]):
+        pos, per = _row_entries(g, node[lo:hi])
+        out[np.repeat(row_start[lo:hi], per) + g.adjacency.indices[pos]] = True
+    return out.reshape(mask.shape)
+
+
+def _meet_in_middle(g: Graph, u, v):
+    """Distances of pairs with no common neighbour, leaving out the edge
+    (u, v) if present: 3 or more, or UNREACHABLE.
+
+    Both endpoints' BFS levels grow as boolean masks, one row per pair. Each
+    step expands the smaller frontier of every pair and stops the pair when
+    the new level meets the other side's frontier: the two visited sets were
+    disjoint before, so the distance exceeds the two depths' sum and this
+    path is a shortest one. A side whose level comes out empty has exhausted
+    its component, so the pair is unreachable.
+    """
+    p = u.size
+    rows = np.arange(p)
+    seen = np.zeros((2, p, g.num_nodes), dtype=bool)
+    seen[0, rows, u] = seen[1, rows, v] = True
+    # First levels: u's without v and v's without u drop the edge (u, v)
+    # and nothing else, since u and v are never expanded again.
+    front = _expand(g, seen.reshape(2 * p, -1)).reshape(seen.shape) & ~seen
+    front[0, rows, v] = front[1, rows, u] = False
+    seen |= front
+    dist = np.full(p, UNREACHABLE)
+    live = rows
+    depth = 2
+    while live.size:
+        side = (front[0].sum(axis=1) > front[1].sum(axis=1)).astype(np.int64)
+        rows = np.arange(live.size)
+        grown = _expand(g, front[side, rows]) & ~seen[side, rows]
+        met = (grown & front[1 - side, rows]).any(axis=1)
+        dist[live[met]] = depth + 1
+        keep = ~met & grown.any(axis=1)
+        live, side, grown = live[keep], side[keep], grown[keep]
+        front, seen = front[:, keep], seen[:, keep]
+        rows = np.arange(live.size)
+        front[side, rows] = grown
+        seen[side, rows] |= grown
+        depth += 1
+    return dist
+
+
+def common_neighbors(g: Graph, u, v):
+    """Common-neighbour count of each pair (u[i], v[i]); a single pair of ids
+    gives an int."""
+    u, v, scalar = _pairs(g, u, v)
+    return _one_or_all(_shared_counts(g, u, v, _entry_keys(g)), scalar)
+
+
+def shortest_path_length(g: Graph, u, v, exclude_edge: bool = False):
+    """BFS hop count of each pair (u[i], v[i]), UNREACHABLE when
+    disconnected, as a float array; a single pair of ids gives an int or
+    UNREACHABLE.
+
+    With exclude_edge set, the edge (u, v) itself is left out, so existing
+    edges do not trivially score 1. One lookup over the whole list settles
+    every pair at distance 2 or less: a neighbour of the lower-degree
+    endpoint adjacent to the other one is a path of length 2 that does not
+    use the edge (u, v). The rest meet in the middle (_meet_in_middle), in
+    chunks of _HEURISTIC_CELLS mask cells.
+    """
+    u, v, scalar = _pairs(g, u, v)
+    keys = _entry_keys(g)
+    linked = _has_keys(keys, u * g.num_nodes + v)
+    shared = _shared_counts(g, u, v, keys)
+    dist = np.where(shared > 0, 2.0, UNREACHABLE)
+    if not exclude_edge:
+        dist[linked] = 1.0
+    dist[u == v] = 0.0
+    far = np.flatnonzero((dist == UNREACHABLE) & (u != v))
+    for lo, hi in _spans(np.full(far.size, g.num_nodes)):
+        at = far[lo:hi]
+        dist[at] = _meet_in_middle(g, u[at], v[at])
+    return _one_or_all(dist, scalar)
+
+
+def preferential_attachment(g: Graph, u, v):
+    """Degree product of each pair (u[i], v[i]); a single pair of ids gives
+    an int."""
+    u, v, scalar = _pairs(g, u, v)
+    deg = g.degrees()
+    return _one_or_all(deg[u] * deg[v], scalar)
 
 
 # ---------------------------------------------------------------------------

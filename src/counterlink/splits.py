@@ -83,8 +83,10 @@ class DatasetSplit:
         return getattr(self, f"{bucket}_neg")
 
 
-def heuristic_value(g: Graph, u: int, v: int, name: str):
-    """Production-path heuristic with the split's exclude-edge SP convention."""
+def heuristic_value(g: Graph, u, v, name: str):
+    """Production-path heuristic of each pair (u[i], v[i]), one call per edge
+    list, with the split's exclude-edge SP convention; a single pair of ids
+    gives a single value."""
     if name == "CN":
         return common_neighbors(g, u, v)
     if name == "SP":
@@ -92,14 +94,6 @@ def heuristic_value(g: Graph, u: int, v: int, name: str):
     if name == "PA":
         return preferential_attachment(g, u, v)
     raise InputError(f"unknown heuristic {name!r}")
-
-
-def _bucket_of(value, ranges):
-    for bucket in BUCKETS:
-        lo, hi = ranges[bucket]
-        if lo <= value < hi or (value == math.inf and hi == math.inf):
-            return bucket
-    raise AssertionError(f"value {value} fell outside all buckets")
 
 
 def _non_edges_at(g: Graph, ranks):
@@ -170,17 +164,17 @@ def generate_split(g: Graph, spec: SplitSpec) -> DatasetSplit:
         raise InputError("cannot split a graph with no edges")
     ranges = spec.bucket_ranges()
     edges = g.edges()
-    buckets = {b: [] for b in BUCKETS}
-    for u, v in edges.tolist():
-        val = heuristic_value(g, u, v, spec.heuristic)
-        buckets[_bucket_of(val, ranges)].append((u, v))
+    values = heuristic_value(g, edges[:, 0], edges[:, 1], spec.heuristic)
+    pos = {}
     for b in BUCKETS:
-        if not buckets[b]:
+        lo, hi = ranges[b]
+        # Boolean selection keeps each bucket's edges in g.edges() order.
+        pos[b] = edges[(lo <= values) & ((values < hi) | (hi == math.inf))]
+        if not pos[b].size:
             raise DegenerateSplitError(
                 f"{b} bucket received zero edges for {spec.heuristic} "
                 f"{spec.direction} split with ranges {ranges[b]}"
             )
-    pos = {b: np.array(buckets[b], dtype=np.int64) for b in BUCKETS}
     counts = {b: spec.neg_ratio * pos[b].shape[0] for b in BUCKETS}
     rng = stream_rng(spec.seed, "negatives")
     allneg = sample_negatives(g, sum(counts.values()), rng=rng)

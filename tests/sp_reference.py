@@ -1,8 +1,10 @@
 """Dict-based BFS kept as the test oracle for both shortest-path implementations.
 
-`graphs.shortest_path_length` and `bruteforce.sp_brute` both stop one level
-early (the neighbour-of-target rule); this plain queue BFS builds every level
-and skips the excluded edge where it meets it, so it shares neither trick.
+`graphs.shortest_path_length` settles distances up to 2 with one lookup and
+grows both endpoints' levels as masks until they meet, and
+`bruteforce.sp_brute` grows both sides as sets, smaller frontier first;
+this plain queue BFS walks from u alone, builds every level and skips the
+excluded edge where it meets it, so it shares none of those tricks.
 """
 
 import math

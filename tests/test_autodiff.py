@@ -123,6 +123,23 @@ class TestBackward:
         g = ad.backward(ad.tsum(ad.matmul(x, w))).of(w)
         assert np.array_equal(g, x.value.T @ np.ones((4, 3)))
 
+    def test_gather_rows_backward_matches_add_at(self):
+        # Repeated picks must add in pick order from 0.0, as np.add.at does:
+        # magnitudes far apart make any other order show in the bytes.
+        rng = np.random.default_rng(21)
+        for shape in ((7, 5), (300, 32), (9,)):
+            tape = ad.Tape()
+            x = tape.leaf(rng.standard_normal(shape))
+            idx = rng.integers(0, shape[0] - 1, size=3 * shape[0])
+            ad.gather_rows(x, idx)
+            _, _, back = tape._records[-1]
+            g = rng.standard_normal((idx.size, *shape[1:]))
+            g *= 10.0 ** rng.integers(-8, 9, size=g.shape)
+            g[rng.random(g.shape) < 0.3] = -0.0
+            expected = np.zeros(shape)
+            np.add.at(expected, idx, g)
+            assert back(g)[0].tobytes() == expected.tobytes()
+
     def test_square_at_three(self):
         tape = ad.Tape()
         x = tape.leaf(np.array(3.0))

@@ -67,24 +67,40 @@ def test_expected_spans_are_timed(name):
     assert set(workloads.WORKLOADS[name].expect) <= timed
 
 
-def test_pipeline_spans_fire(tmp_path):
-    # The expected spans are checked against a traced pipeline-cn300 pass
-    # only in a --trace 1 benchmark run; this runs the same stages and flags
-    # in-process on a 40-node graph, so a kernel that stops calling a traced
-    # function fails here too.
+# Per workload, a small graph of the same family and the flags that keep its
+# stages short: pipeline-cn300 scores few enough pairs for Hits@3, and the
+# split-sp1500 graph's shortest-path values fill all three of the workload's
+# buckets (below 3, exactly 3, and 4 or more).
+SMALL = {
+    "pipeline-cn300": (
+        ["--family", "sbm", "--n", "40", "--blocks", "2", "--p-in", "0.4",
+         "--p-out", "0.05", "--feature-mode", "node-onehot", "--seed", "0"],
+        {"pretrain-gnn": ["--eval-k", "3", "--epochs", "2", "--patience", "2"],
+         "flex-tune": ["--eval-k", "3"], "eval": ["--k", "3"],
+         "sweep": ["--eval-k", "3"]},
+    ),
+    "split-sp1500": (
+        ["--family", "sbm", "--n", "120", "--blocks", "3", "--p-in", "0.1",
+         "--p-out", "0.005", "--feature-mode", "degree-onehot:16", "--seed", "1"],
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SMALL))
+def test_pipeline_spans_fire(workload, tmp_path):
+    # The expected spans are checked against a traced pass only in a
+    # --trace 1 benchmark run; this runs the workload's stages and flags
+    # in-process on a small graph, so a kernel that stops calling a traced
+    # function, or starts calling a forbidden one, fails here too.
     from counterlink import cli
 
-    wl = workloads.WORKLOADS["pipeline-cn300"]
+    wl = workloads.WORKLOADS[workload]
+    graph_flags, small = SMALL[workload]
     synth = tmp_path / "synth"
-    assert cli.main(["synth", "--family", "sbm", "--n", "40", "--blocks", "2",
-                     "--p-in", "0.4", "--p-out", "0.05", "--feature-mode", "node-onehot",
-                     "--seed", "0", "--out", str(synth)]) == 0
+    assert cli.main(["synth", *graph_flags, "--out", str(synth)]) == 0
     inputs = {"edges": str(synth / "edges.tsv"), "features": str(synth / "features.csv")}
     dirs = {}
-    # Few enough scored pairs for Hits@3 on this graph, and short training.
-    small = {"pretrain-gnn": ["--eval-k", "3", "--epochs", "2", "--patience", "2"],
-             "flex-tune": ["--eval-k", "3"], "eval": ["--k", "3"],
-             "sweep": ["--eval-k", "3"]}
     trace = tracer.Tracer()
     trace.install()
     try:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -475,3 +476,33 @@ class TestDumps:
         for rec, b in zip(loaded, range(out.num_blocks)):
             assert rec["block_size"] == int(out.block_sizes[b])
             assert np.array_equal(rec["adjacency"], out.thresholded_adj[b])
+
+    @staticmethod
+    def json_document(samples):
+        """The document dump_samples writes, built as a dict and dumped by json."""
+        doc = {"samples": []}
+        for s in samples if isinstance(samples, list) else [samples]:
+            for b in range(s.num_blocks):
+                p = s.edge_probs[b]
+                iu, ju = np.nonzero(np.triu(s.thresholded_adj[b], 1))
+                doc["samples"].append({
+                    "block_size": int(s.block_sizes[b]),
+                    "label": int(s.link_labels[b]),
+                    "target": [int(s.target_indices[b][0]), int(s.target_indices[b][1])],
+                    "gamma": s.gamma,
+                    "edges": [[int(i), int(j), float(p[i, j])] for i, j in zip(iu, ju)],
+                })
+        return json.dumps(doc)
+
+    def test_bytes_equal_json(self, tmp_path):
+        _, batch, params = small_batch(n_links=4)
+        out = generate(params, batch, NoiseSpec(noise_dim=3, num_psi=1), 0.0,
+                       stream_rng(6, "gen"))
+        edgeless = threshold_edges(out, 1.0)
+        assert edgeless.edge_count() == 0
+        path = tmp_path / "samples.json"
+        for samples in (out, threshold_edges(out, 0.0), threshold_edges(out, 0.55),
+                        edgeless, [out, edgeless]):
+            dump_samples(samples, path)
+            assert path.read_text(encoding="utf-8") == self.json_document(samples)
+

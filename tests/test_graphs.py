@@ -166,23 +166,115 @@ class TestHeuristics:
         g = graph_of(n, sorted(edges))
         adj = bruteforce.adjacency_sets(n, g.edges())
 
-        def agree(u, v, excl):
-            expected = sp_reference(adj, u, v, exclude_edge=excl)
-            assert shortest_path_length(g, u, v, exclude_edge=excl) == expected
-            assert bruteforce.sp_brute(adj, u, v, exclude_edge=excl) == expected
-            return expected
-
+        # Every pair is checked; the production path takes each exclude
+        # value's pairs in one call.
+        pairs = {False: [], True: []}
         for u in range(n):
-            assert agree(u, u, False) == agree(u, u, True) == 0
+            pairs[False].append((u, u))
+            pairs[True].append((u, u))
             for v in range(u + 1, n):
                 if (u, v) in edges:
-                    agree(u, v, True)
-                    agree(v, u, True)
+                    pairs[True] += [(u, v), (v, u)]
                 else:
-                    agree(u, v, False)
-                    assert agree(v, u, True) == agree(u, v, False)
+                    pairs[False].append((u, v))
+                    pairs[True].append((v, u))
+        value = {}
+        for excl, todo in pairs.items():
+            expected = [sp_reference(adj, u, v, exclude_edge=excl) for u, v in todo]
+            a, b = np.array(todo, dtype=np.int64).T
+            assert shortest_path_length(g, a, b, exclude_edge=excl).tolist() == expected
+            assert [bruteforce.sp_brute(adj, u, v, exclude_edge=excl)
+                    for u, v in todo] == expected
+            value.update({(u, v, excl): d for (u, v), d in zip(todo, expected)})
+        for u in range(n):
+            assert value[u, u, False] == value[u, u, True] == 0
+            for v in range(u + 1, n):
+                if (u, v) not in edges:
+                    assert value[v, u, True] == value[u, v, False]
         if bridge is not None:
-            assert agree(*bridge, True) == UNREACHABLE
+            assert value[(*bridge, True)] == UNREACHABLE
+
+
+def heuristic_families(rng):
+    """(graph, u, v) cases: random graphs with isolated nodes, two random
+    parts joined by one bridge, and a 3,000-leaf star. Each pair list holds
+    every edge both ways, self-pairs and random pairs, non-edges included."""
+    cases = []
+    for _ in range(12):
+        n = int(rng.integers(2, 40))
+        cases.append(random_graph(n, float(rng.uniform(0.0, 0.25)), rng))
+    for _ in range(6):
+        a, b = (int(x) for x in rng.integers(1, 20, size=2))
+        left = random_graph(a, 0.3, rng).edges()
+        right = random_graph(b, 0.3, rng).edges() + a
+        bridge = [[int(rng.integers(0, a)), a + int(rng.integers(0, b))]]
+        cases.append(graph_of(a + b, np.concatenate([left, right, bridge])))
+    out = []
+    for g in cases:
+        n, e = g.num_nodes, g.edges()
+        pick = rng.integers(0, n, size=(2, 60))
+        u = np.concatenate([e[:, 0], e[:, 1], np.arange(n), pick[0]])
+        v = np.concatenate([e[:, 1], e[:, 0], np.arange(n), pick[1]])
+        out.append((g, u, v))
+    g = star(3000)
+    leaves = rng.integers(1, 3001, size=(2, 150))
+    u = np.concatenate([np.zeros(150, dtype=np.int64), leaves[0], [0, 5]])
+    v = np.concatenate([leaves[1], leaves[0][::-1], [0, 5]])
+    out.append((g, u, v))
+    return out
+
+
+class TestBatchedHeuristics:
+    """One call per pair list must give, pair by pair, the reference values.
+    The work arrays are capped at a few cells, so every call runs over
+    several chunks, and the star's hub row alone exceeds the cap."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_HEURISTIC_CELLS", 64)
+
+    def test_match_references(self):
+        rng = np.random.default_rng(13)
+        for g, u, v in heuristic_families(rng):
+            adj = bruteforce.adjacency_sets(g.num_nodes, g.edges())
+            pairs = list(zip(u.tolist(), v.tolist()))
+            cn = common_neighbors(g, u, v)
+            pa = preferential_attachment(g, u, v)
+            assert cn.tolist() == [bruteforce.cn_brute(adj, a, b) for a, b in pairs]
+            assert pa.tolist() == [bruteforce.pa_brute(adj, a, b) for a, b in pairs]
+            for excl in (False, True):
+                sp = shortest_path_length(g, u, v, exclude_edge=excl)
+                assert sp.dtype == np.float64 and sp.shape == u.shape
+                assert sp.tolist() == [sp_reference(adj, a, b, excl) for a, b in pairs]
+
+    def test_bidirectional_sp_brute_matches_reference(self):
+        rng = np.random.default_rng(14)
+        for g, u, v in heuristic_families(rng):
+            adj = bruteforce.adjacency_sets(g.num_nodes, g.edges())
+            for a, b in zip(u.tolist(), v.tolist()):
+                for excl in (False, True):
+                    assert (bruteforce.sp_brute(adj, a, b, exclude_edge=excl)
+                            == sp_reference(adj, a, b, exclude_edge=excl))
+
+    def test_single_pair_gives_a_scalar(self):
+        g = graph_of(5, [(0, 1), (1, 2), (3, 4)])
+        for fn in (common_neighbors, preferential_attachment, shortest_path_length):
+            assert type(fn(g, 0, 2)) is int
+            assert type(fn(g, np.int64(0), np.int64(2))) is int
+            assert isinstance(fn(g, [0], [2]), np.ndarray)
+        assert shortest_path_length(g, 0, 3) is UNREACHABLE
+        assert shortest_path_length(g, 2, 2, exclude_edge=True) == 0
+
+    def test_empty_and_malformed_lists(self):
+        g = triangle()
+        none = np.empty(0, dtype=np.int64)
+        for fn in (common_neighbors, preferential_attachment, shortest_path_length):
+            assert fn(g, none, none).shape == (0,)
+            with pytest.raises(InputError):
+                fn(g, [0, 1], [2])
+            with pytest.raises(InputError):
+                fn(g, [0, 1], [2, 3])
+        assert common_neighbors(graph_of(3, []), [0, 1], [1, 2]).tolist() == [0, 0]
 
 
 class TestExtraction:

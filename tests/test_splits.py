@@ -9,7 +9,10 @@ from counterlink import bruteforce
 from counterlink.errors import DegenerateSplitError, InputError, ValidationError
 from counterlink.graphs import Graph
 from counterlink.rng import stream_rng
+from counterlink.synth import SyntheticGraphSpec, synth_graph
 from counterlink.splits import (
+    DIRECTIONS,
+    HEURISTICS,
     DatasetSplit,
     SplitSpec,
     generate_split,
@@ -20,6 +23,7 @@ from counterlink.splits import (
     verify_split,
 )
 from negatives_reference import sparse_negatives_reference
+from splits_reference import generate_split_reference
 
 
 def graph_of(n, edges):
@@ -148,6 +152,33 @@ class TestBucketing:
         assert np.array_equal(a.train_pos, b.train_pos)
         assert np.array_equal(a.test_pos, b.test_pos)
         assert not np.array_equal(a.train_neg, b.train_neg)
+
+
+SPLIT_GRAPHS = {
+    "sbm120": SyntheticGraphSpec("sbm", 120, blocks=3, p_in=0.1, p_out=0.005, seed=1),
+    "sbm200": SyntheticGraphSpec("sbm", 200, blocks=4, p_in=0.12, p_out=0.004, seed=2),
+    "ba150": SyntheticGraphSpec("ba", 150, m=2, seed=3),
+    "ba300": SyntheticGraphSpec("ba", 300, m=3, seed=4),
+}
+SPLIT_THRESHOLDS = {"CN": (1, 2), "SP": (3, 4), "PA": (20, 60)}
+
+
+class TestSplitMatchesReference:
+    """generate_split computes one heuristic per edge list; its split.json
+    must equal the per-edge loop's byte for byte. Every case fills all three
+    buckets; the preferential-attachment graphs and the SBM blocks both hold
+    hubs."""
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("heuristic", HEURISTICS)
+    @pytest.mark.parametrize("graph", sorted(SPLIT_GRAPHS))
+    def test_split_bytes(self, graph, heuristic, direction, tmp_path):
+        g = synth_graph(SPLIT_GRAPHS[graph])
+        spec = SplitSpec(heuristic, direction, *SPLIT_THRESHOLDS[heuristic], seed=5)
+        save_split(generate_split_reference(g, spec), tmp_path / "reference.json")
+        save_split(generate_split(g, spec), tmp_path / "split.json")
+        assert ((tmp_path / "split.json").read_bytes()
+                == (tmp_path / "reference.json").read_bytes())
 
 
 class TestNegatives:
