@@ -15,7 +15,7 @@ record once per batch and, inside their forward and backward, run one
 stacked numpy product per distinct block size, so the tape does not grow
 with the number of blocks.
 
-Sparse support is a single op, CSR x dense, which is all the graph
+Sparse support is a single op, symmetric CSR x dense, which is all the graph
 propagation here needs; everything else is dense numpy.
 """
 
@@ -45,34 +45,6 @@ class Tensor:
 
     def item(self):
         return float(self.value)
-
-    def __repr__(self):
-        traced = "traced" if self.tape is not None else "const"
-        return f"Tensor(shape={self.shape}, {traced})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -247,13 +219,13 @@ def matmul(a, b) -> Tensor:
 
 
 def sparse_matmul(csr, x) -> Tensor:
-    """CSR (n x n, non-differentiable) times dense (n x d)."""
+    """Symmetric CSR (n x n, non-differentiable) times dense (n x d); the
+    backward multiplies by the same matrix, its own transpose."""
     x = _as_tensor(x)
     if x.value.ndim != 2 or csr.shape[1] != x.shape[0]:
         raise ShapeError("sparse_matmul", f"{csr.shape} @ {x.shape}")
     out = csr.matmul_dense(x.value)
-    csr_t = csr.transpose()
-    return emit("sparse_matmul", out, [x], lambda g: (csr_t.matmul_dense(g),))
+    return emit("sparse_matmul", out, [x], lambda g: (csr.matmul_dense(g),))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -412,7 +384,7 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: magic, version, named float64 tables, optional Adam state.
+# Checkpoints: magic, version, named float64 tables, a zero flag byte.
 
 _MAGIC = b"CLNKCKPT"
 _VERSION = 1
@@ -487,3 +459,19 @@ def load_checkpoint(path):
             raise InputError(f"{path}: corrupt checkpoint: optimizer-state flag is "
                              f"{flag}, only parameters are stored")
     return named
+
+
+def save_params(path, params, extra_meta: dict = None):
+    """A model's named arrays and its meta, plus extra_meta as `meta.<key>`
+    entries, through save_checkpoint."""
+    named = {**params.named(), **params.meta()}
+    for key, val in (extra_meta or {}).items():
+        named[f"meta.{key}"] = np.atleast_1d(np.asarray(val, dtype=np.float64))
+    save_checkpoint(path, named)
+
+
+def load_params(path, cls):
+    """(cls.from_named of the checkpoint, its `meta.<key>` values as floats)."""
+    named = load_checkpoint(path)
+    meta = {k[5:]: float(v[0]) for k, v in named.items() if k.startswith("meta.")}
+    return cls.from_named(named), meta

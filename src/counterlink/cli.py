@@ -24,24 +24,12 @@ from .analysis import (
     link_heuristic_histogram,
     run_sweep,
 )
+from .autodiff import load_params, save_params
 from .cotrain import CotrainConfig, flex_tune, generate_samples
 from .errors import ConfigError, CounterlinkError
-from .generator import (
-    GgmTrainConfig,
-    NoiseSpec,
-    dump_samples,
-    load_ggm_checkpoint,
-    load_samples,
-    pretrain_ggm,
-    save_ggm_checkpoint,
-)
-from .gnn import (
-    TrainConfig,
-    evaluate_hits,
-    load_gnn_checkpoint,
-    pretrain_gnn,
-    save_gnn_checkpoint,
-)
+from .generator import (GgmTrainConfig, NoiseSpec, SiviParams, dump_samples, load_samples,
+                        pretrain_ggm)
+from .gnn import GcnParams, TrainConfig, evaluate_hits, pretrain_gnn
 from .graphs import load_graph, normalize_adjacency
 from .manifest import require_artifact, staleness_warnings, write_manifest
 from .splits import SplitSpec, generate_split, load_split, save_split, verify_split
@@ -255,9 +243,8 @@ def cmd_pretrain_gnn(cfg, graph, split):
         eval_norm=_eval_norm(cfg, graph, split) if cfg["full_adjacency_eval"] else None,
     )
     ckpt = os.path.join(cfg["out"], "gnn.ckpt")
-    save_gnn_checkpoint(ckpt, result.params,
-                        extra_meta={"best_valid": result.best_valid,
-                                    "test_hits": result.test_hits})
+    save_params(ckpt, result.params,
+                extra_meta={"best_valid": result.best_valid, "test_hits": result.test_hits})
     trace_path = os.path.join(cfg["out"], "gnn_trace.csv")
     _write_csv(trace_path, result.trace,
                ["epoch", "train_loss", "valid_hits", "seconds"])
@@ -274,9 +261,8 @@ def cmd_pretrain_ggm(cfg, graph, split):
     result = pretrain_ggm(split.observed_graph, split,
                           _from_flags(GgmTrainConfig, cfg), spec)
     ckpt = os.path.join(cfg["out"], "ggm.ckpt")
-    save_ggm_checkpoint(ckpt, result.params,
-                        extra_meta={"final_kl": result.final_kl,
-                                    "best_loss": result.best_loss})
+    save_params(ckpt, result.params,
+                extra_meta={"final_kl": result.final_kl, "best_loss": result.best_loss})
     trace_path = os.path.join(cfg["out"], "ggm_trace.csv")
     _write_csv(trace_path, result.trace, ["epoch", "loss", "kl", "seconds"])
     return ({"checkpoint": ckpt, "trace": trace_path},
@@ -290,8 +276,8 @@ def _pretrained(cfg):
     """Both pre-trained models, warnings about their upstream manifests, and
     the co-tuning config; an unset tau is the generator's final KL plus
     tau_offset."""
-    gnn_params, _ = load_gnn_checkpoint(cfg["gnn_ckpt"])
-    ggm_params, ggm_meta = load_ggm_checkpoint(cfg["ggm_ckpt"])
+    gnn_params, _ = load_params(cfg["gnn_ckpt"], GcnParams)
+    ggm_params, ggm_meta = load_params(cfg["ggm_ckpt"], SiviParams)
     for key, stage in (("gnn_ckpt", "pretrain-gnn"), ("ggm_ckpt", "pretrain-ggm")):
         for note in staleness_warnings(cfg[key], stage, {"split": cfg["split"]}):
             print(f"warning: {note}", file=sys.stderr)
@@ -308,10 +294,9 @@ def cmd_flex_tune(cfg, graph, split):
                        run_cfg, eval_norm=_eval_norm(cfg, graph, split))
     gnn_out = os.path.join(cfg["out"], "gnn_tuned.ckpt")
     ggm_out = os.path.join(cfg["out"], "ggm_tuned.ckpt")
-    save_gnn_checkpoint(gnn_out, result.gnn,
-                        extra_meta={"best_valid": result.best_valid,
-                                    "test_hits": result.test_hits})
-    save_ggm_checkpoint(ggm_out, result.ggm, extra_meta={"tau": result.tau})
+    save_params(gnn_out, result.gnn,
+                extra_meta={"best_valid": result.best_valid, "test_hits": result.test_hits})
+    save_params(ggm_out, result.ggm, extra_meta={"tau": result.tau})
     trace_path = os.path.join(cfg["out"], "cotrain_trace.csv")
     _write_csv(trace_path, result.trace,
                ["epoch", "lp_loss", "sivi_loss", "kl_estimate", "penalty",
@@ -330,7 +315,7 @@ def cmd_flex_tune(cfg, graph, split):
 
 
 def cmd_eval(cfg, graph, split):
-    params, _ = load_gnn_checkpoint(cfg["ckpt"])
+    params, _ = load_params(cfg["ckpt"], GcnParams)
     a_norm = _eval_norm(cfg, graph, split)
     valid = evaluate_hits(params, a_norm, graph.features, split.valid_pos,
                           split.valid_neg, cfg["k"])
@@ -345,7 +330,7 @@ def cmd_eval(cfg, graph, split):
 
 
 def cmd_analyze(cfg, graph, split):
-    records = load_samples(cfg["samples"])
+    records = load_samples(cfg["samples"], graph.num_nodes)
     gen_hist = cn_distribution(records, source="generated")
     train_hist = link_heuristic_histogram(graph, split.train_pos, "CN", "train")
     valid_hist = link_heuristic_histogram(graph, split.valid_pos, "CN", "valid")

@@ -70,7 +70,6 @@ class CotrainConfig:
     hop_k: int = 1
     max_nodes: int = 1000
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    zero_noise: bool = False
 
     def __post_init__(self):
         require_finite("alpha", self.alpha, minimum=0)
@@ -95,15 +94,11 @@ def gen_loss(elbo, kl_estimate, tau):
     The penalty vanishes at the target and is symmetric around it, so
     ascent drives the draw-averaged divergence toward tau.
     """
-    elbo = elbo if isinstance(elbo, ad.Tensor) else ad.Tensor(elbo)
-    kl = kl_estimate if isinstance(kl_estimate, ad.Tensor) else ad.Tensor(kl_estimate)
-    return ad.sub(elbo, ad.square(ad.sub(kl, ad.Tensor(float(tau)))))
+    return ad.sub(elbo, ad.square(ad.sub(kl_estimate, ad.Tensor(float(tau)))))
 
 
 def flex_objective(lp, gen, alpha):
     """alpha * classification loss + generator objective, nothing hidden."""
-    lp = lp if isinstance(lp, ad.Tensor) else ad.Tensor(lp)
-    gen = gen if isinstance(gen, ad.Tensor) else ad.Tensor(gen)
     return ad.add(ad.mul(lp, ad.Tensor(float(alpha))), gen)
 
 
@@ -218,9 +213,7 @@ def cotrain_losses(
     ggm_leaves = tape.leaves(ggm_params.named())
     gnn_leaves = tape.leaves(gnn_params.named())
 
-    elbo = sivi_elbo(
-        ggm_params, batch, cfg.noise, rng, zero_noise=cfg.zero_noise, leaves=ggm_leaves,
-    )
+    elbo = sivi_elbo(ggm_params, batch, cfg.noise, rng, leaves=ggm_leaves)
     kl = elbo.kl
     gen = gen_loss(ad.neg(elbo.loss), kl, tau)
     penalty = float((kl.value - tau) ** 2)
@@ -261,9 +254,7 @@ def resolve_tau(ggm_params, probe_batch, cfg: CotrainConfig) -> float:
     if cfg.tau is not None:
         return float(cfg.tau)
     moments = encode_semi_implicit(
-        ggm_params, probe_batch, cfg.noise, stream_rng(cfg.seed, "cot.tau"),
-        zero_noise=cfg.zero_noise,
-    )
+        ggm_params, probe_batch, cfg.noise, stream_rng(cfg.seed, "cot.tau"))
     kls = [kl_gaussian(mu, lv).item() for mu, lv in moments]
     return float(np.mean(kls)) + cfg.tau_offset
 
@@ -359,7 +350,6 @@ def flex_tune(
             logits = first_draw_logits(
                 ggm_params, batch, cfg.noise,
                 stream_rng(cfg.seed, f"cot.noise.e{epoch}.b{bi}.gnn"),
-                zero_noise=cfg.zero_noise,
             )
             lp, _ = predictor_loss(gnn_params, batch, logits, cfg.gamma, leaves)
             gnn_step(lp, leaves, state_gnn, gnn_params, cfg.alpha)
@@ -420,7 +410,6 @@ def generate_samples(
             generate(
                 ggm_params, batch, cfg.noise, cfg.gamma,
                 stream_rng(cfg.seed, f"gen.{bucket}.b{bi}"),
-                zero_noise=cfg.zero_noise,
             )
         )
     return out
@@ -449,7 +438,7 @@ def ablation_run(
     elif switch == "no_lp_loss":
         run_cfg = replace(cfg, alpha=0.0)
     elif switch == "no_sivi":
-        run_cfg = replace(cfg, zero_noise=True, noise=replace(cfg.noise, num_psi=1))
+        run_cfg = replace(cfg, noise=replace(cfg.noise, num_psi=1, zero_noise=True))
     elif switch is not None:
         raise ConfigError(
             f"unknown ablation switch {switch!r}; expected one of {ABLATION_SWITCHES}"

@@ -96,10 +96,12 @@ class SiviParams:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Width of injected noise and number of mixing draws."""
+    """Width of injected noise and number of mixing draws; zero_noise feeds
+    zeros instead of N(0, I) draws and leaves the rng untouched."""
 
     noise_dim: int = 8
     num_psi: int = 3
+    zero_noise: bool = False
 
     def __post_init__(self):
         if self.num_psi < 1:
@@ -164,34 +166,26 @@ def encode_semi_implicit(
     batch: LabeledSubgraphBatch,
     spec: NoiseSpec,
     rng,
-    zero_noise=False,
     leaves=None,
 ) -> list:
     """(mu, log_var) per mixing draw over the block-diagonal batch.
 
-    Each draw injects fresh N(0, I) noise columns into the node input.
+    Each draw injects fresh N(0, I) noise columns (zeros under
+    spec.zero_noise) into the constant node input.
     """
     if spec.noise_dim != params.noise_dim:
         raise ConfigError(
             f"noise_dim mismatch: spec {spec.noise_dim} vs params {params.noise_dim}"
         )
-    n = batch.total_nodes
+    shape = (batch.total_nodes, spec.noise_dim)
     named = leaves if leaves is not None else params.named()
-    x = batch.stacked_features()
-    labels = batch.stacked_labels().reshape(-1, 1)
+    cols = [batch.stacked_features(), batch.stacked_labels().reshape(-1, 1)]
     a_norm = batch.normalized_adjacency()
 
     moments = []
     for _ in range(spec.num_psi):
-        cols = [ad.Tensor(x), ad.Tensor(labels)]
-        if spec.noise_dim > 0:
-            eps = (
-                np.zeros((n, spec.noise_dim))
-                if zero_noise
-                else rng.standard_normal((n, spec.noise_dim))
-            )
-            cols.append(ad.Tensor(eps))
-        x_in = ad.concat(cols, axis=1)
+        eps = np.zeros(shape) if spec.zero_noise else rng.standard_normal(shape)
+        x_in = np.concatenate([*cols, eps], axis=1)
         hid = ad.relu(_conv(a_norm, x_in, named["ggm.w_in"], named["ggm.b_in"]))
         # Heads are linear, not convolutional: a second propagation round
         # smooths dense blocks into near-constant latents, which destroys
@@ -255,40 +249,31 @@ def decode_logits(h, batch) -> ad.Tensor:
     return ad.emit("decode_logits", out, [h], back)
 
 
-def decode_node_aware(h, block_sizes, target_indices, link_labels) -> GeneratedSample:
-    """Edge probabilities per block from raw latents (no tape needed)."""
+def decode_node_aware(h, batch) -> GeneratedSample:
+    """Edge probabilities per block of the batch from raw latents (no tape
+    needed); targets and link labels come from the batch."""
     h = h.value if isinstance(h, ad.Tensor) else np.asarray(h, dtype=np.float64)
-    block_sizes = np.asarray(block_sizes, dtype=np.int64)
-    if int(block_sizes.sum()) != h.shape[0]:
-        raise InputError(
-            f"block sizes sum to {int(block_sizes.sum())} but h has {h.shape[0]} rows"
-        )
-    if len(target_indices) != block_sizes.shape[0]:
-        raise InputError("one target pair per block required")
+    if batch.total_nodes != h.shape[0]:
+        raise InputError(f"block sizes sum to {batch.total_nodes} but h has {h.shape[0]} rows")
     probs, adjs = [], []
-    at = 0
-    for m in block_sizes:
-        m = int(m)
+    for at, m in zip(batch.offsets.tolist(), batch.block_sizes.tolist()):
         z = h[at : at + m]
         p = 1.0 / (1.0 + np.exp(-(z @ z.T)))
         np.fill_diagonal(p, 0.0)
         probs.append(p)
         adjs.append((p > 0).astype(np.float64))
-        at += m
     return GeneratedSample(
         edge_probs=probs,
         thresholded_adj=adjs,
-        block_sizes=block_sizes,
-        link_labels=np.asarray(link_labels, dtype=np.float64),
-        target_indices=list(target_indices),
+        block_sizes=batch.block_sizes,
+        link_labels=batch.batch_labels,
+        target_indices=[b.target for b in batch.blocks],
         gamma=0.0,
     )
 
 
 def kl_gaussian(mu, log_var) -> ad.Tensor:
     """Mean over nodes of the analytic KL to the unit Gaussian prior."""
-    mu = mu if isinstance(mu, ad.Tensor) else ad.Tensor(mu)
-    log_var = log_var if isinstance(log_var, ad.Tensor) else ad.Tensor(log_var)
     if mu.shape != log_var.shape:
         raise InputError(f"mu shape {mu.shape} != log_var shape {log_var.shape}")
     terms = ad.sub(ad.sub(ad.add(ad.square(mu), ad.exp(log_var)), ad.Tensor(1.0)), log_var)
@@ -364,7 +349,6 @@ def sivi_elbo(
     batch: LabeledSubgraphBatch,
     spec: NoiseSpec,
     rng,
-    zero_noise=False,
     leaves=None,
 ) -> ElboResult:
     """Negated Monte-Carlo evidence bound: weighted BCE plus mean KL.
@@ -372,9 +356,7 @@ def sivi_elbo(
     recon is the (negative) reconstruction term and kl the draw-averaged
     Gaussian KL, so loss = -(recon - kl); minimizing it maximizes the bound.
     """
-    moments = encode_semi_implicit(
-        params, batch, spec, rng, zero_noise=zero_noise, leaves=leaves,
-    )
+    moments = encode_semi_implicit(params, batch, spec, rng, leaves=leaves)
     hs = reparameterize(moments, rng)
     bce = kl = first_logits = None
     for (mu, lv), h in zip(moments, hs):
@@ -394,7 +376,7 @@ def sivi_elbo(
     return ElboResult(loss=loss, kl=kl, recon=ad.neg(bce), logits=first_logits)
 
 
-def first_draw_logits(params, batch, spec, rng, zero_noise=False):
+def first_draw_logits(params, batch, spec, rng):
     """sivi_elbo(..., leaves=None).logits without the bound, untaped.
 
     Only the first mixing draw is encoded and decoded. The other draws' noise
@@ -402,10 +384,8 @@ def first_draw_logits(params, batch, spec, rng, zero_noise=False):
     draw's values and rng's end position are the same as there.
     """
     rest = spec.num_psi - 1
-    moments = encode_semi_implicit(
-        params, batch, replace(spec, num_psi=1), rng, zero_noise=zero_noise,
-    )
-    if not zero_noise:
+    moments = encode_semi_implicit(params, batch, replace(spec, num_psi=1), rng)
+    if not spec.zero_noise:
         rng.standard_normal((rest, batch.total_nodes, spec.noise_dim))
     [h] = reparameterize(moments, rng)
     rng.standard_normal((rest, *h.shape))
@@ -438,17 +418,11 @@ def generate(
     spec: NoiseSpec,
     gamma,
     rng,
-    zero_noise=False,
 ) -> GeneratedSample:
     """One mixing draw end to end: encode, reparameterize, decode, threshold."""
-    moments = encode_semi_implicit(
-        params, batch, replace(spec, num_psi=1), rng, zero_noise=zero_noise,
-    )
+    moments = encode_semi_implicit(params, batch, replace(spec, num_psi=1), rng)
     [h] = reparameterize(moments, rng)
-    raw = decode_node_aware(
-        h, batch.block_sizes, [b.target for b in batch.blocks], batch.batch_labels
-    )
-    return threshold_edges(raw, gamma)
+    return threshold_edges(decode_node_aware(h, batch), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -547,53 +521,41 @@ def pretrain_ggm(
     )
 
 
-def save_ggm_checkpoint(path, params: SiviParams, extra_meta: dict = None):
-    named = {**params.named(), **params.meta()}
-    for key, val in (extra_meta or {}).items():
-        named[f"meta.{key}"] = np.atleast_1d(np.asarray(val, dtype=np.float64))
-    ad.save_checkpoint(path, named)
-
-
-def load_ggm_checkpoint(path):
-    named = ad.load_checkpoint(path)
-    meta = {k[5:]: float(v[0]) for k, v in named.items() if k.startswith("meta.")}
-    return SiviParams.from_named(named), meta
-
-
 # ---------------------------------------------------------------------------
 # Sample dumps
 
 
 def dump_samples(samples, path):
-    """JSON dump: block sizes, thresholded edge lists with probabilities,
-    link labels.
-
-    Each block's edge list is formatted in one pass over plain Python values,
-    repr for the probabilities as json writes them; every other field goes
-    through json, so the bytes equal json.dumps of the whole document.
-    """
+    """JSON dump of a list of GeneratedSamples, one record per block: block
+    size, link label, target, gamma and the thresholded edges with their
+    probabilities. Each block is dumped on its own and the records joined
+    as json.dumps would join them, so only one block's edge list is ever
+    held as Python objects."""
     blocks = []
-    for s in samples if isinstance(samples, list) else [samples]:
+    for s in samples:
         for b in range(s.num_blocks):
             iu, ju = np.nonzero(np.triu(s.thresholded_adj[b], 1))
-            head = json.dumps({
+            probs = s.edge_probs[b][iu, ju].tolist()
+            blocks.append(json.dumps({
                 "block_size": int(s.block_sizes[b]),
                 "label": int(s.link_labels[b]),
                 "target": [int(s.target_indices[b][0]), int(s.target_indices[b][1])],
                 "gamma": s.gamma,
-            })
-            edges = ", ".join(
-                f"[{i}, {j}, {p!r}]"
-                for i, j, p in zip(iu.tolist(), ju.tolist(), s.edge_probs[b][iu, ju].tolist())
-            )
-            # "edges" is the last key, so it goes where head's closing brace was.
-            blocks.append(f'{head[:-1]}, "edges": [{edges}]}}')
+                "edges": list(zip(iu.tolist(), ju.tolist(), probs)),
+            }))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"samples": [' + ", ".join(blocks) + "]}")
 
 
-def load_samples(path):
-    """Rebuild (adjacency, target, label) triples from a sample dump."""
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def load_samples(path, num_nodes):
+    """Rebuild per-block records from a sample dump of a graph with
+    num_nodes nodes. Each block_size must be an integer in [1, num_nodes],
+    and the target and each edge's two ends integers in [0, block_size);
+    anything else is a ValidationError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -602,18 +564,23 @@ def load_samples(path):
     out = []
     try:
         for rec in doc["samples"]:
-            m = rec["block_size"]
+            m, target = rec["block_size"], rec["target"]
+            if not _is_int(m) or not 1 <= m <= num_nodes:
+                raise ValueError(f"block_size {m!r} is not an integer in [1, {num_nodes}]")
+            if not (isinstance(target, list) and len(target) == 2
+                    and all(_is_int(t) and 0 <= t < m for t in target)):
+                raise ValueError(f"target {target!r} is not two integers in [0, {m})")
             adj = np.zeros((m, m))
             for i, j, p in rec["edges"]:
-                if not (0 <= i < m and 0 <= j < m):
-                    raise ValueError(f"edge ({i}, {j}) outside a block of {m} nodes")
+                if not all(_is_int(t) and 0 <= t < m for t in (i, j)):
+                    raise ValueError(f"edge ({i}, {j}) is not two integers in [0, {m})")
                 adj[i, j] = adj[j, i] = 1.0
                 float(p)  # an edge's probability must be a number
             out.append(
                 {
                     "block_size": m,
                     "adjacency": adj,
-                    "target": tuple(rec["target"]),
+                    "target": tuple(target),
                     "label": rec["label"],
                     "gamma": rec.get("gamma", 0.0),
                 }

@@ -88,16 +88,15 @@ class TrainConfig:
             raise InputError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-def init_gcn_params(d_in, hidden=128, layers=2, out_dim=None, dropout=0.1, rng=None):
-    """Glorot-initialized stack d_in -> hidden -> ... -> out_dim."""
+def init_gcn_params(d_in, hidden=128, layers=2, dropout=0.1, rng=None):
+    """Glorot-initialized stack d_in -> hidden -> ... -> hidden."""
     if layers < 1:
         raise InputError("layer count must be >= 1")
     if hidden < 1:
         raise InputError(f"hidden width must be >= 1, got {hidden}")
     if rng is None:
         rng = np.random.default_rng(0)
-    out_dim = hidden if out_dim is None else out_dim
-    dims = [d_in] + [hidden] * (layers - 1) + [out_dim]
+    dims = [d_in] + [hidden] * layers
     weights, biases = [], []
     for a, b in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (a + b))
@@ -255,19 +254,6 @@ def evaluate_hits(params, a_norm, x, pos_edges, neg_edges, k) -> float:
     pos_scores = (h[pos[:, 0]] * h[pos[:, 1]]).sum(axis=1)
     neg_scores = (h[neg[:, 0]] * h[neg[:, 1]]).sum(axis=1)
     return hits_at_k(pos_scores, neg_scores, k)
-
-
-def save_gnn_checkpoint(path, params: GcnParams, extra_meta: dict = None):
-    named = {**params.named(), **params.meta()}
-    for key, val in (extra_meta or {}).items():
-        named[f"meta.{key}"] = np.atleast_1d(np.asarray(val, dtype=np.float64))
-    ad.save_checkpoint(path, named)
-
-
-def load_gnn_checkpoint(path):
-    named = ad.load_checkpoint(path)
-    meta = {k[5:]: float(v[0]) for k, v in named.items() if k.startswith("meta.")}
-    return GcnParams.from_named(named), meta
 
 
 @dataclass

@@ -28,16 +28,16 @@ NEGATIVE = 0
 
 @dataclass(frozen=True)
 class Csr:
-    """Compressed sparse rows; data defaults to ones for plain adjacencies."""
+    """Compressed sparse rows of a symmetric matrix (an adjacency or its
+    normalization), so it is its own transpose; data defaults to ones."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple
-    symmetric: bool = False
 
     @staticmethod
-    def from_coo(n, rows, cols, vals=None, symmetric=False):
+    def from_coo(n, rows, cols, vals=None):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if vals is None:
@@ -49,16 +49,7 @@ class Csr:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.add.at(indptr, rows + 1, 1)
         np.cumsum(indptr, out=indptr)
-        return Csr(indptr, cols, vals, (n, n), symmetric=symmetric)
-
-    @staticmethod
-    def from_dense(a, symmetric=False):
-        a = np.asarray(a, dtype=np.float64)
-        rows, cols = np.nonzero(a)
-        return Csr.from_coo(a.shape[0], rows, cols, a[rows, cols], symmetric=symmetric)
-
-    def row(self, i):
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+        return Csr(indptr, cols, vals, (n, n))
 
     def degrees(self):
         return np.diff(self.indptr)
@@ -110,17 +101,6 @@ class Csr:
             acc[0] = np.add.accumulate(tail, axis=0)[-1]
         return np.take(acc, rank, axis=0)
 
-    def transpose(self):
-        if self.symmetric:
-            return self
-        return Csr.from_coo(self.shape[0], self.indices, self.row_ids(), self.data)
-
-    def to_dense(self):
-        out = np.zeros(self.shape, dtype=np.float64)
-        if self.indices.size:
-            out[self.row_ids(), self.indices] = self.data
-        return out
-
 
 def normalize_adjacency(a: Csr) -> Csr:
     """D^-1/2 (A + I) D^-1/2 over CSR; self-loops cover isolated nodes."""
@@ -131,7 +111,7 @@ def normalize_adjacency(a: Csr) -> Csr:
     deg = np.zeros(n)
     np.add.at(deg, rows, vals)
     dinv = 1.0 / np.sqrt(deg)
-    return Csr.from_coo(n, rows, cols, dinv[rows] * vals * dinv[cols], symmetric=True)
+    return Csr.from_coo(n, rows, cols, dinv[rows] * vals * dinv[cols])
 
 
 @dataclass(frozen=True)
@@ -177,7 +157,7 @@ class Graph:
             cols = np.concatenate([hi, lo])
         else:
             rows = cols = np.empty(0, dtype=np.int64)
-        adj = Csr.from_coo(num_nodes, rows, cols, symmetric=True)
+        adj = Csr.from_coo(num_nodes, rows, cols)
         return Graph(num_nodes, features, adj, int(edges.shape[0]))
 
     def _check_node(self, u):
@@ -187,14 +167,11 @@ class Graph:
     def degrees(self):
         return self.adjacency.degrees()
 
-    def neighbors(self, u):
-        self._check_node(u)
-        return self.adjacency.row(u)
-
     def has_edge(self, u, v):
         self._check_node(u)
         self._check_node(v)
-        row = self.adjacency.row(u)
+        a = self.adjacency
+        row = a.indices[a.indptr[u] : a.indptr[u + 1]]
         i = np.searchsorted(row, v)
         return bool(i < row.size and row[i] == v)
 
@@ -247,27 +224,18 @@ def _spans(costs):
 
 
 def _pairs(g: Graph, u, v):
-    """(u, v, scalar): the endpoints as equal-length int64 arrays, and whether
-    both were given as single ids. An id out of range is an InputError."""
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u = np.atleast_1d(np.asarray(u, dtype=np.int64))
-    v = np.atleast_1d(np.asarray(v, dtype=np.int64))
+    """The endpoints as equal-length 1-d int64 arrays; any other shape, or an
+    id out of range, is an InputError."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
     if u.ndim != 1 or u.shape != v.shape:
-        raise InputError(f"endpoint arrays differ in shape: {u.shape} and {v.shape}")
+        raise InputError(f"endpoints must be equal-length 1-d id arrays, "
+                         f"got shapes {u.shape} and {v.shape}")
     for ends in (u, v):
         bad = ends[(ends < 0) | (ends >= g.num_nodes)]
         if bad.size:
             g._check_node(int(bad[0]))
-    return u, v, scalar
-
-
-def _one_or_all(values, scalar):
-    """The whole array, or for a single pair its value as an int (or
-    UNREACHABLE)."""
-    if not scalar:
-        return values
-    x = values[0].item()
-    return UNREACHABLE if x == UNREACHABLE else int(x)
+    return u, v
 
 
 def _entry_keys(g: Graph):
@@ -353,16 +321,14 @@ def _meet_in_middle(g: Graph, u, v):
 
 
 def common_neighbors(g: Graph, u, v):
-    """Common-neighbour count of each pair (u[i], v[i]); a single pair of ids
-    gives an int."""
-    u, v, scalar = _pairs(g, u, v)
-    return _one_or_all(_shared_counts(g, u, v, _entry_keys(g)), scalar)
+    """Common-neighbour count of each pair (u[i], v[i])."""
+    u, v = _pairs(g, u, v)
+    return _shared_counts(g, u, v, _entry_keys(g))
 
 
 def shortest_path_length(g: Graph, u, v, exclude_edge: bool = False):
     """BFS hop count of each pair (u[i], v[i]), UNREACHABLE when
-    disconnected, as a float array; a single pair of ids gives an int or
-    UNREACHABLE.
+    disconnected, as a float array.
 
     With exclude_edge set, the edge (u, v) itself is left out, so existing
     edges do not trivially score 1. One lookup over the whole list settles
@@ -371,7 +337,7 @@ def shortest_path_length(g: Graph, u, v, exclude_edge: bool = False):
     use the edge (u, v). The rest meet in the middle (_meet_in_middle), in
     chunks of _HEURISTIC_CELLS mask cells.
     """
-    u, v, scalar = _pairs(g, u, v)
+    u, v = _pairs(g, u, v)
     keys = _entry_keys(g)
     linked = _has_keys(keys, u * g.num_nodes + v)
     shared = _shared_counts(g, u, v, keys)
@@ -383,15 +349,14 @@ def shortest_path_length(g: Graph, u, v, exclude_edge: bool = False):
     for lo, hi in _spans(np.full(far.size, g.num_nodes)):
         at = far[lo:hi]
         dist[at] = _meet_in_middle(g, u[at], v[at])
-    return _one_or_all(dist, scalar)
+    return dist
 
 
 def preferential_attachment(g: Graph, u, v):
-    """Degree product of each pair (u[i], v[i]); a single pair of ids gives
-    an int."""
-    u, v, scalar = _pairs(g, u, v)
+    """Degree product of each pair (u[i], v[i])."""
+    u, v = _pairs(g, u, v)
     deg = g.degrees()
-    return _one_or_all(deg[u] * deg[v], scalar)
+    return deg[u] * deg[v]
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +595,7 @@ class LabeledSubgraphBatch:
         np.cumsum(np.bincount(rows, minlength=self.total_nodes), out=indptr[1:])
         return Csr(indptr, local_col + self.offsets[block],
                    np.ones(cells.size, dtype=np.float64),
-                   (self.total_nodes, self.total_nodes), symmetric=True)
+                   (self.total_nodes, self.total_nodes))
 
     @once_per_batch
     def normalized_adjacency(self) -> Csr:
@@ -750,6 +715,8 @@ def load_features_csv(path):
             vals = [float(x) for x in line.split(",")]
         except ValueError:
             raise InputError(f"{path}:{lineno}: non-numeric value in {line!r}")
+        if not all(map(math.isfinite, vals)):
+            raise InputError(f"{path}:{lineno}: non-finite value in {line!r}")
         if width is None:
             width = len(vals)
         elif len(vals) != width:

@@ -85,8 +85,7 @@ class DatasetSplit:
 
 def heuristic_value(g: Graph, u, v, name: str):
     """Production-path heuristic of each pair (u[i], v[i]), one call per edge
-    list, with the split's exclude-edge SP convention; a single pair of ids
-    gives a single value."""
+    list, with the split's exclude-edge SP convention."""
     if name == "CN":
         return common_neighbors(g, u, v)
     if name == "SP":
@@ -115,8 +114,8 @@ def _non_edges_at(g: Graph, ranks):
     return np.stack([u, u + 1 + k + left], axis=1)
 
 
-def sample_negatives(g: Graph, count: int, seed=None, rng=None):
-    """Uniform distinct non-edges (u < v) of g, deterministic per seed.
+def sample_negatives(g: Graph, count: int, rng):
+    """Uniform distinct non-edges (u < v) of g, deterministic per rng state.
 
     Sparse graphs are rejection-sampled from (u, v) draws of rng.integers(0, n)
     in rounds: each round draws 2 * need values at once and reads them as
@@ -131,8 +130,6 @@ def sample_negatives(g: Graph, count: int, seed=None, rng=None):
     pool = g.non_edge_count()
     if count > pool:
         raise InputError(f"requested {count} negatives but only {pool} non-edges exist")
-    if rng is None:
-        rng = stream_rng(0 if seed is None else seed, "negatives")
     if count == 0:
         return np.empty((0, 2), dtype=np.int64)
     n = g.num_nodes

@@ -126,9 +126,10 @@ class TestHistogram:
         g = sbm_graph([10, 10], 0.6, 0.05, seed=3)
         edges = g.edges()[:10]
         h = link_heuristic_histogram(g, edges, "CN", "train")
-        from counterlink.graphs import common_neighbors
+        from counterlink import bruteforce
 
-        direct = [common_neighbors(g, int(u), int(v)) for u, v in edges]
+        adj = bruteforce.adjacency_sets(g.num_nodes, g.edges())
+        direct = [bruteforce.cn_brute(adj, u, v) for u, v in edges.tolist()]
         assert h.mean == pytest.approx(np.mean(direct))
 
 

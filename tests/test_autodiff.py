@@ -6,9 +6,8 @@ import pytest
 
 from counterlink import autodiff as ad
 from counterlink.errors import InputError, NumericError, ShapeError
-from counterlink.graphs import Csr
 from blocks_reference import bce_with_logits, sigmoid
-from graphs_reference import matmul_dense_reference
+from graphs_reference import csr_from_dense, matmul_dense_reference
 
 
 def finite_diff(f, arrays, h=1e-5):
@@ -59,8 +58,9 @@ class TestForward:
 
     def test_sparse_matmul_matches_dense(self):
         rng = np.random.default_rng(0)
-        dense = (rng.random((6, 6)) < 0.4) * rng.random((6, 6))
-        csr = Csr.from_dense(dense)
+        dense = np.triu((rng.random((6, 6)) < 0.4) * rng.random((6, 6)), 1)
+        dense = dense + dense.T
+        csr = csr_from_dense(dense)
         x = rng.standard_normal((6, 3))
         want = matmul_dense_reference(csr, x)
         assert csr.matmul_dense(x).tobytes() == want.tobytes()
@@ -218,7 +218,7 @@ class TestBackward:
         dense = (rng.random((5, 5)) < 0.5).astype(float)
         dense = np.triu(dense, 1)
         dense = dense + dense.T
-        csr = Csr.from_dense(dense, symmetric=True)
+        csr = csr_from_dense(dense)
         arrays = {"x": rng.standard_normal((5, 3)), "y": rng.standard_normal((2, 3)),
                   "w": rng.standard_normal((3, 3))}
 
@@ -294,6 +294,26 @@ class TestAdam:
 
 
 class TestCheckpoint:
+    def test_params_codec_round_trips_both_models(self, tmp_path):
+        from counterlink.generator import SiviParams, init_sivi_params
+        from counterlink.gnn import GcnParams, init_gcn_params
+
+        rng = np.random.default_rng(3)
+        for params, cls in ((init_gcn_params(4, hidden=5, rng=rng), GcnParams),
+                            (init_sivi_params(4, hidden=5, zdim=2, rng=rng), SiviParams)):
+            path = tmp_path / "model.ckpt"
+            ad.save_params(path, params, extra_meta={"best_valid": 0.25})
+            # The bytes of the named arrays, meta and extra meta written directly.
+            direct = tmp_path / "direct.ckpt"
+            ad.save_checkpoint(direct, {**params.named(), **params.meta(),
+                                        "meta.best_valid": np.array([0.25])})
+            assert path.read_bytes() == direct.read_bytes()
+            loaded, meta = ad.load_params(path, cls)
+            assert meta["best_valid"] == 0.25
+            for k, v in params.named().items():
+                assert loaded.named()[k].tobytes() == v.tobytes(), k
+            assert loaded.meta().keys() == params.meta().keys()
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
         named = {"a.w": rng.standard_normal((3, 4)), "b": np.array([1.5])}

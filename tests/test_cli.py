@@ -115,6 +115,19 @@ class TestExitCodes:
         assert code == 2
         assert "features.csv:3" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("cell", ["nan", "1e400"])
+    def test_non_finite_feature_cell_is_2(self, tmp_path, cell):
+        d = pipeline_dirs(tmp_path)
+        assert run(synth_args(d["graph"])) == 0
+        feats = d["graph"] / "features.csv"
+        lines = feats.read_text().splitlines()
+        lines[2] = cell + lines[2][lines[2].index(","):]
+        feats.write_text("\n".join(lines) + "\n")
+        code, err = run_child(["split", "--edges", d["graph"] / "edges.tsv",
+                               "--features", feats, "--out", d["split"]])
+        assert code == 2, err
+        assert "features.csv:3: non-finite value" in err and "Traceback" not in err
+
     def test_malformed_negatives_are_5(self, tmp_path):
         d = pipeline_dirs(tmp_path)
         run_pipeline_through_split(d)
@@ -370,8 +383,17 @@ class TestMalformedStructure:
                       "edges": [[-1, 2, 0.75]]}]},
         {"samples": [{"block_size": 4, "label": 1, "target": [0, 1], "gamma": 0.5,
                       "edges": [[0, 1, [0.75]]]}]},
+        {"samples": [{"block_size": 4, "label": 1, "target": [0, 1, 2], "gamma": 0.5,
+                      "edges": [[0, 1, 0.75]]}]},
+        {"samples": [{"block_size": 4, "label": 1, "target": [0.5, 1], "gamma": 0.5,
+                      "edges": [[0, 1, 0.75]]}]},
+        {"samples": [{"block_size": 4, "label": 1, "target": "ab", "gamma": 0.5,
+                      "edges": [[0, 1, 0.75]]}]},
+        {"samples": [{"block_size": 10_000_000, "label": 1, "target": [0, 1],
+                      "gamma": 0.5, "edges": [[0, 1, 0.75]]}]},
     ], ids=["no_samples_key", "record_without_edges", "edge_outside_block",
-            "negative_edge_id", "probability_not_a_number"])
+            "negative_edge_id", "probability_not_a_number", "three_target_ids",
+            "fractional_target_id", "target_not_a_list", "block_larger_than_graph"])
     def test_samples_json_is_5(self, tmp_path, doc):
         d = pipeline_dirs(tmp_path)
         run_pipeline_through_split(d)
@@ -704,7 +726,8 @@ class TestEvalAdjacency:
         assert len(calls) == 1
 
     def test_full_adjacency_eval_reaches_every_scorer(self, tmp_path):
-        from counterlink.gnn import evaluate_hits, load_gnn_checkpoint
+        from counterlink.autodiff import load_params
+        from counterlink.gnn import GcnParams, evaluate_hits
         from counterlink.graphs import load_graph, normalize_adjacency
         from counterlink.splits import load_split
 
@@ -721,7 +744,7 @@ class TestEvalAdjacency:
                  "observed": normalize_adjacency(split.observed_graph.adjacency)}
 
         def hits(ckpt, bucket, adjacency="full"):
-            params, _ = load_gnn_checkpoint(ckpt)
+            params, _ = load_params(ckpt, GcnParams)
             return evaluate_hits(params, norms[adjacency], graph.features,
                                  split.pos(bucket), split.neg(bucket), 3)
 

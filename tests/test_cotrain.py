@@ -111,9 +111,7 @@ class TestSteps:
     def predictor_step_loss(self, cfg, gnn, ggm, batch, seed=17):
         """flex_tune's predictor update up to gnn_step: (lp, mean CN, leaves)."""
         leaves = ad.Tape().leaves(gnn.named())
-        logits = first_draw_logits(
-            ggm, batch, cfg.noise, stream_rng(seed, "probe"), zero_noise=cfg.zero_noise,
-        )
+        logits = first_draw_logits(ggm, batch, cfg.noise, stream_rng(seed, "probe"))
         lp, mean_cn = predictor_loss(gnn, batch, logits, cfg.gamma, leaves)
         return lp, mean_cn, leaves
 

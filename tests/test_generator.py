@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from counterlink import autodiff as ad
-from counterlink.errors import ConfigError, InputError
+from counterlink.errors import ConfigError, InputError, ValidationError
 from counterlink.generator import (
     GgmTrainConfig,
     NoiseSpec,
@@ -127,6 +127,28 @@ class TestEncode:
                                  stream_rng(0, "noise"))
 
 
+class TestZeroNoise:
+    """NoiseSpec(zero_noise=True) feeds zero noise columns and draws none, so
+    the no_sivi ablation's streams stay where sivi_elbo leaves them."""
+
+    def test_encoder_leaves_the_rng_where_it_found_it(self):
+        _, batch, params = small_batch()
+        rng = stream_rng(8, "noise")
+        before = rng.bit_generator.state
+        spec = NoiseSpec(noise_dim=3, num_psi=2, zero_noise=True)
+        first, second = encode_semi_implicit(params, batch, spec, rng)
+        assert rng.bit_generator.state == before
+        assert first[0].value.tobytes() == second[0].value.tobytes()
+
+    def test_first_draw_logits_draws_only_the_latents(self):
+        _, batch, params = small_batch()
+        spec = NoiseSpec(noise_dim=3, num_psi=3, zero_noise=True)
+        rng, latents = stream_rng(8, "noise"), stream_rng(8, "noise")
+        first_draw_logits(params, batch, spec, rng)
+        latents.standard_normal((spec.num_psi, batch.total_nodes, params.zdim))
+        assert rng.bit_generator.state == latents.bit_generator.state
+
+
 class TestReparameterize:
     def test_clamped_floor_collapses_to_mu(self):
         _, batch, params = small_batch()
@@ -168,7 +190,7 @@ class TestReparameterize:
 
 class TestDecode:
     def test_zero_latents_give_half_probabilities(self):
-        sample = decode_node_aware(np.zeros((5, 3)), np.array([5]), [(0, 1)], np.ones(1))
+        sample = decode_node_aware(np.zeros((5, 3)), adjacency_batch([np.zeros((5, 5))]))
         p = sample.edge_probs[0]
         off = ~np.eye(5, dtype=bool)
         assert np.all(p[off] == 0.5)
@@ -176,17 +198,17 @@ class TestDecode:
 
     def test_cross_block_mass_never_materialized(self):
         sample = decode_node_aware(np.random.default_rng(0).standard_normal((7, 3)),
-                                   np.array([3, 4]), [(0, 1), (0, 1)], np.ones(2))
+                                   adjacency_batch([np.zeros((3, 3)), np.zeros((4, 4))]))
         assert sample.edge_probs[0].shape == (3, 3)
         assert sample.edge_probs[1].shape == (4, 4)
 
     def test_single_node_block_empty(self):
-        sample = decode_node_aware(np.zeros((1, 3)), np.array([1]), [(0, 0)], np.ones(1))
+        sample = decode_node_aware(np.zeros((1, 3)), adjacency_batch([np.zeros((1, 1))]))
         assert sample.edge_count() == 0
 
     def test_symmetry_and_range(self):
         h = np.random.default_rng(1).standard_normal((6, 4))
-        sample = decode_node_aware(h, np.array([6]), [(0, 1)], np.ones(1))
+        sample = decode_node_aware(h, adjacency_batch([np.zeros((6, 6))]))
         p = sample.edge_probs[0]
         assert np.allclose(p, p.T)
         assert p.min() >= 0.0 and p.max() <= 1.0
@@ -195,7 +217,7 @@ class TestDecode:
         h = np.random.default_rng(2).standard_normal((5, 3))
         batch = adjacency_batch([np.zeros((5, 5))])
         logits = decode_logits(ad.Tensor(h), batch).value.reshape(5, 5)
-        sample = decode_node_aware(h, np.array([5]), [(0, 1)], np.ones(1))
+        sample = decode_node_aware(h, batch)
         off = ~np.eye(5, dtype=bool)
         assert np.allclose(1 / (1 + np.exp(-logits[off])), sample.edge_probs[0][off])
 
@@ -203,6 +225,15 @@ class TestDecode:
         with pytest.raises(InputError):
             decode_logits(ad.Tensor(np.zeros((5, 2))),
                           adjacency_batch([np.zeros((3, 3))] * 2))
+        with pytest.raises(InputError):
+            decode_node_aware(np.zeros((5, 2)), adjacency_batch([np.zeros((3, 3))] * 2))
+
+    def test_targets_and_labels_come_from_the_batch(self):
+        _, batch, _ = small_batch(n_links=3)
+        sample = decode_node_aware(np.zeros((batch.total_nodes, 2)), batch)
+        assert sample.target_indices == [b.target for b in batch.blocks]
+        assert np.array_equal(sample.link_labels, batch.batch_labels)
+        assert np.array_equal(sample.block_sizes, batch.block_sizes)
 
 
 class TestKl:
@@ -292,11 +323,10 @@ class TestFirstDrawLogits:
                                 for s in batch.blocks])
         params = init_sivi_params(g.features.shape[1], hidden=8, zdim=4,
                                   noise_dim=noise_dim, rng=np.random.default_rng(5))
-        spec = NoiseSpec(noise_dim=noise_dim, num_psi=num_psi)
+        spec = NoiseSpec(noise_dim=noise_dim, num_psi=num_psi, zero_noise=zero_noise)
         rng_elbo, rng_first = stream_rng(21, "noise"), stream_rng(21, "noise")
-        want = sivi_elbo(params, batch, spec, rng_elbo, leaves=None,
-                         zero_noise=zero_noise).logits
-        got = first_draw_logits(params, batch, spec, rng_first, zero_noise=zero_noise)
+        want = sivi_elbo(params, batch, spec, rng_elbo, leaves=None).logits
+        got = first_draw_logits(params, batch, spec, rng_first)
         assert got.tape is None
         assert got.shape == (int((batch.block_sizes ** 2).sum()),)
         assert got.value.tobytes() == want.value.tobytes()
@@ -319,7 +349,7 @@ class TestFirstDrawLogits:
 class TestThreshold:
     def make_sample(self):
         h = np.random.default_rng(5).standard_normal((8, 3))
-        return decode_node_aware(h, np.array([4, 4]), [(0, 1), (0, 1)], np.ones(2))
+        return decode_node_aware(h, adjacency_batch([np.zeros((4, 4))] * 2))
 
     def test_keeps_above_drops_below(self):
         p = np.zeros((2, 2))
@@ -387,14 +417,17 @@ class TestGenerate:
         g, batch, params = small_batch()
         spec = NoiseSpec(noise_dim=3, num_psi=1)
         out = generate(params, batch, spec, 0.5, stream_rng(4, "gen"))
-        for b in range(out.num_blocks):
-            adj = out.thresholded_adj[b]
-            m = adj.shape[0]
-            edges = np.stack(np.nonzero(np.triu(adj, 1)), axis=1)
-            gb = Graph.from_edge_array(m, edges, np.zeros((m, 1)))
-            i, j = out.target_indices[b]
-            direct = int((adj[i] * adj[j]).sum())
-            assert common_neighbors(gb, i, j) == direct
+        # All blocks as one block-diagonal graph, so one call scores every
+        # target; no edge crosses blocks, so no common neighbour does either.
+        edges, targets, direct = [], [], []
+        for adj, (i, j), at in zip(out.thresholded_adj, out.target_indices, batch.offsets):
+            edges.append(np.stack(np.nonzero(np.triu(adj, 1)), axis=1) + at)
+            targets.append((i + at, j + at))
+            direct.append(int((adj[i] * adj[j]).sum()))
+        n = batch.total_nodes
+        whole = Graph.from_edge_array(n, np.concatenate(edges), np.zeros((n, 1)))
+        u, v = np.array(targets).T
+        assert common_neighbors(whole, u, v).tolist() == direct
 
 
 class TestPretrain:
@@ -434,10 +467,10 @@ class TestPretrain:
         held = [Edge(int(u), int(v)) for u, v in pos[perm[cut:]]]
         subs = extract_for_links(split.observed_graph, held, k=1, max_nodes=30, seed=9)
         batch = make_batch(subs)
-        [(mu, _)] = encode_semi_implicit(res.params, batch, spec, stream_rng(10, "noise"),
-                                         zero_noise=True)
-        recon = decode_node_aware(mu, batch.block_sizes,
-                                  [b.target for b in batch.blocks], batch.batch_labels)
+        [(mu, _)] = encode_semi_implicit(res.params, batch,
+                                         dataclasses.replace(spec, zero_noise=True),
+                                         stream_rng(10, "noise"))
+        recon = decode_node_aware(mu, batch)
         scores_pos, scores_neg = [], []
         for p, block in zip(recon.edge_probs, batch.blocks):
             adj = block.local_adjacency
@@ -470,18 +503,37 @@ class TestDumps:
         out = generate(params, batch, NoiseSpec(noise_dim=3, num_psi=1), 0.6,
                        stream_rng(6, "gen"))
         path = tmp_path / "samples.json"
-        dump_samples(out, path)
-        loaded = load_samples(path)
+        dump_samples([out], path)
+        loaded = load_samples(path, g.num_nodes)
         assert len(loaded) == out.num_blocks
         for rec, b in zip(loaded, range(out.num_blocks)):
             assert rec["block_size"] == int(out.block_sizes[b])
             assert np.array_equal(rec["adjacency"], out.thresholded_adj[b])
 
+    # The CLI tests cover a three-id, a fractional and a string target and a
+    # block larger than the graph; these are the other shapes rejected. A
+    # bool edge end would index a whole row of the adjacency.
+    @pytest.mark.parametrize("field,value", [
+        ("target", [0, -1]), ("block_size", 0), ("block_size", True), ("block_size", 2.0),
+        ("edges", [[True, 1, 0.5]]),
+    ])
+    def test_malformed_block_rejected_with_the_file_named(self, tmp_path, field, value):
+        g, batch, params = small_batch()
+        out = generate(params, batch, NoiseSpec(noise_dim=3, num_psi=1), 0.6,
+                       stream_rng(6, "gen"))
+        path = tmp_path / "samples.json"
+        dump_samples([out], path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["samples"][0][field] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValidationError, match="samples.json: malformed samples"):
+            load_samples(path, g.num_nodes)
+
     @staticmethod
     def json_document(samples):
         """The document dump_samples writes, built as a dict and dumped by json."""
         doc = {"samples": []}
-        for s in samples if isinstance(samples, list) else [samples]:
+        for s in samples:
             for b in range(s.num_blocks):
                 p = s.edge_probs[b]
                 iu, ju = np.nonzero(np.triu(s.thresholded_adj[b], 1))
@@ -501,8 +553,8 @@ class TestDumps:
         edgeless = threshold_edges(out, 1.0)
         assert edgeless.edge_count() == 0
         path = tmp_path / "samples.json"
-        for samples in (out, threshold_edges(out, 0.0), threshold_edges(out, 0.55),
-                        edgeless, [out, edgeless]):
+        for samples in ([out], [threshold_edges(out, 0.0)], [threshold_edges(out, 0.55)],
+                        [edgeless], [out, edgeless]):
             dump_samples(samples, path)
             assert path.read_text(encoding="utf-8") == self.json_document(samples)
 

@@ -19,8 +19,9 @@ from counterlink.gnn import (
     pretrain_gnn,
     score_pairs,
 )
-from counterlink.graphs import Csr, Graph
+from counterlink.graphs import Graph
 from counterlink.splits import SplitSpec, generate_split
+from graphs_reference import csr_from_dense, csr_to_dense
 
 
 def graph_of(n, edges):
@@ -44,17 +45,17 @@ class TestNormalize:
     def test_isolated_node(self):
         g = graph_of(1, [])
         norm = normalize_adjacency(g.adjacency)
-        assert norm.to_dense().tolist() == [[1.0]]
+        assert csr_to_dense(norm).tolist() == [[1.0]]
 
     def test_single_edge_all_half(self):
         g = graph_of(2, [(0, 1)])
-        norm = normalize_adjacency(g.adjacency).to_dense()
+        norm = csr_to_dense(normalize_adjacency(g.adjacency))
         assert np.allclose(norm, 0.5)
 
     def test_regular_graph_row_sums_one(self):
         # 4-cycle: every node degree 2
         g = graph_of(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        norm = normalize_adjacency(g.adjacency).to_dense()
+        norm = csr_to_dense(normalize_adjacency(g.adjacency))
         assert np.allclose(norm.sum(axis=1), 1.0)
 
     def test_dense_matches_sparse(self):
@@ -63,7 +64,7 @@ class TestNormalize:
         a = np.triu(a, 1)
         a = a + a.T
         g = Graph.from_edge_array(7, np.stack(np.nonzero(np.triu(a, 1)), 1), np.eye(7))
-        sparse = normalize_adjacency(g.adjacency).to_dense()
+        sparse = csr_to_dense(normalize_adjacency(g.adjacency))
         dense = normalize_dense_adjacency(a)[0]
         assert np.allclose(sparse, dense, atol=1e-12)
 
@@ -141,11 +142,9 @@ class TestForward:
         perm = rng.permutation(10)
         p = np.eye(10)[perm]
 
-        base = gcn_forward(params, Csr.from_dense(normalize_dense_adjacency(a)[0], symmetric=True), x).value
+        base = gcn_forward(params, csr_from_dense(normalize_dense_adjacency(a)[0]), x).value
         permuted = gcn_forward(
-            params,
-            Csr.from_dense(normalize_dense_adjacency(p @ a @ p.T)[0], symmetric=True),
-            p @ x,
+            params, csr_from_dense(normalize_dense_adjacency(p @ a @ p.T)[0]), p @ x,
         ).value
         assert np.allclose(p @ base, permuted, atol=1e-9)
 

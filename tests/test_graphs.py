@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from counterlink import bruteforce, graphs
+from counterlink import autodiff as ad, bruteforce, graphs
 from counterlink.errors import InputError
 from counterlink.graphs import (
     Csr,
@@ -32,6 +32,8 @@ from counterlink.rng import stream_rng
 from counterlink.synth import SyntheticGraphSpec, synth_graph
 from graphs_reference import (
     block_diag_csr_reference,
+    csr_row,
+    csr_to_dense,
     extract_reference,
     matmul_dense_reference,
 )
@@ -76,11 +78,11 @@ class TestConstruction:
     def test_csr_rows_sorted_and_symmetric(self):
         g = graph_of(5, [(3, 1), (0, 4), (2, 0), (1, 0)])
         for i in range(5):
-            row = g.adjacency.row(i)
+            row = csr_row(g.adjacency, i)
             assert np.all(np.diff(row) > 0)
             for j in row:
-                assert i in g.adjacency.row(int(j))
-        assert not any(i in g.adjacency.row(i) for i in range(5))
+                assert i in csr_row(g.adjacency, int(j))
+        assert not any(i in csr_row(g.adjacency, i) for i in range(5))
 
     def test_edges_roundtrip(self):
         g = graph_of(4, [(0, 1), (2, 3), (1, 3)])
@@ -88,44 +90,50 @@ class TestConstruction:
         assert g.edge_count == 3
 
 
+def one_pair(fn, g, u, v, **kw):
+    """fn's value for the single pair (u, v), passed as one-element lists."""
+    [value] = fn(g, [u], [v], **kw).tolist()
+    return value
+
+
 class TestHeuristics:
     def test_cn_triangle(self):
-        assert common_neighbors(triangle(), 0, 1) == 1
+        assert one_pair(common_neighbors, triangle(), 0, 1) == 1
 
     def test_cn_path3(self):
-        assert common_neighbors(path_graph(3), 0, 2) == 1
+        assert one_pair(common_neighbors, path_graph(3), 0, 2) == 1
 
     def test_cn_path4(self):
-        assert common_neighbors(path_graph(4), 0, 3) == 0
+        assert one_pair(common_neighbors, path_graph(4), 0, 3) == 0
 
     def test_sp_path4_no_exclude(self):
-        assert shortest_path_length(path_graph(4), 0, 3) == 3
+        assert one_pair(shortest_path_length, path_graph(4), 0, 3) == 3
 
     def test_sp_triangle_exclude(self):
-        assert shortest_path_length(triangle(), 0, 1, exclude_edge=True) == 2
+        assert one_pair(shortest_path_length, triangle(), 0, 1, exclude_edge=True) == 2
 
     def test_sp_disconnected(self):
         g = graph_of(4, [(0, 1), (2, 3)])
-        assert shortest_path_length(g, 0, 2) == UNREACHABLE
+        assert one_pair(shortest_path_length, g, 0, 2) == UNREACHABLE
 
     def test_pa_star_leaves(self):
         g = star(3)
-        assert preferential_attachment(g, 1, 2) == 1
+        assert one_pair(preferential_attachment, g, 1, 2) == 1
 
     def test_pa_star_center(self):
         g = star(3)
-        assert preferential_attachment(g, 0, 1) == 3
+        assert one_pair(preferential_attachment, g, 0, 1) == 3
 
     def test_pa_triangle(self):
-        assert preferential_attachment(triangle(), 0, 1) == 4
+        assert one_pair(preferential_attachment, triangle(), 0, 1) == 4
 
     def test_out_of_range_raises(self):
         g = triangle()
         for fn in (common_neighbors, preferential_attachment):
             with pytest.raises(InputError):
-                fn(g, 0, 7)
+                fn(g, [0], [7])
         with pytest.raises(InputError):
-            shortest_path_length(g, -1, 0)
+            shortest_path_length(g, [-1], [0])
 
     def test_agree_with_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(7)
@@ -133,17 +141,22 @@ class TestHeuristics:
             n = int(rng.integers(5, 51))
             g = random_graph(n, float(rng.uniform(0.05, 0.4)), rng)
             adj = bruteforce.adjacency_sets(n, g.edges())
+            pairs = []
             for _ in range(40):
-                u, v = rng.integers(0, n), rng.integers(0, n)
-                u, v = int(u), int(v)
-                if u == v:
-                    continue
-                assert common_neighbors(g, u, v) == bruteforce.cn_brute(adj, u, v)
-                assert preferential_attachment(g, u, v) == bruteforce.pa_brute(adj, u, v)
-                for excl in (False, True):
-                    expected = sp_reference(adj, u, v, exclude_edge=excl)
-                    assert shortest_path_length(g, u, v, exclude_edge=excl) == expected
-                    assert bruteforce.sp_brute(adj, u, v, exclude_edge=excl) == expected
+                u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+                if u != v:
+                    pairs.append((u, v))
+            # One call per graph and heuristic checks every pair.
+            a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            assert common_neighbors(g, a, b).tolist() == [
+                bruteforce.cn_brute(adj, u, v) for u, v in pairs]
+            assert preferential_attachment(g, a, b).tolist() == [
+                bruteforce.pa_brute(adj, u, v) for u, v in pairs]
+            for excl in (False, True):
+                expected = [sp_reference(adj, u, v, exclude_edge=excl) for u, v in pairs]
+                assert shortest_path_length(g, a, b, exclude_edge=excl).tolist() == expected
+                assert [bruteforce.sp_brute(adj, u, v, exclude_edge=excl)
+                        for u, v in pairs] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -256,14 +269,15 @@ class TestBatchedHeuristics:
                     assert (bruteforce.sp_brute(adj, a, b, exclude_edge=excl)
                             == sp_reference(adj, a, b, exclude_edge=excl))
 
-    def test_single_pair_gives_a_scalar(self):
+    def test_zero_d_id_raises(self):
         g = graph_of(5, [(0, 1), (1, 2), (3, 4)])
         for fn in (common_neighbors, preferential_attachment, shortest_path_length):
-            assert type(fn(g, 0, 2)) is int
-            assert type(fn(g, np.int64(0), np.int64(2))) is int
+            for u, v in ((0, 2), (np.int64(0), np.int64(2)), (np.array(0), [2])):
+                with pytest.raises(InputError, match="1-d id arrays"):
+                    fn(g, u, v)
             assert isinstance(fn(g, [0], [2]), np.ndarray)
-        assert shortest_path_length(g, 0, 3) is UNREACHABLE
-        assert shortest_path_length(g, 2, 2, exclude_edge=True) == 0
+        assert shortest_path_length(g, [0], [3]).tolist() == [UNREACHABLE]
+        assert shortest_path_length(g, [2], [2], exclude_edge=True).tolist() == [0]
 
     def test_empty_and_malformed_lists(self):
         g = triangle()
@@ -549,7 +563,10 @@ class TestCsrMatmulMatchesReference:
         first = csr.matmul_dense(x)
         for _ in range(3):
             assert csr.matmul_dense(x).tobytes() == first.tobytes()
-            assert csr.transpose().matmul_dense(x).tobytes() == first.tobytes()
+            # The backward multiplies by the same symmetric matrix and plan.
+            leaf = ad.Tape().leaf(x)
+            grads = ad.backward(ad.tsum(ad.sparse_matmul(csr, leaf)))
+            assert grads.of(leaf).tobytes() == csr.matmul_dense(np.ones((30, 4))).tobytes()
         assert built == [csr]
 
 
@@ -602,7 +619,7 @@ class TestBatching:
             first = getattr(batch, name)()
             assert getattr(batch, name)() is first, name
             assert getattr(make_batch(subs), name)() is not first, name
-        assert np.array_equal(batch.block_diag_csr().to_dense(), batch.to_dense_adjacency())
+        assert np.array_equal(csr_to_dense(batch.block_diag_csr()), batch.to_dense_adjacency())
         want = normalize_adjacency(batch.block_diag_csr())
         got = batch.normalized_adjacency()
         for name in ("indptr", "indices", "data"):
@@ -683,7 +700,7 @@ class TestBatching:
             extract_enclosing_subgraph(g, Edge(2, 3), exclude_target_edge=False),
         ]
         batch = make_batch(subs)
-        assert np.array_equal(batch.block_diag_csr().to_dense(), batch.to_dense_adjacency())
+        assert np.array_equal(csr_to_dense(batch.block_diag_csr()), batch.to_dense_adjacency())
 
     def test_block_diag_csr_equals_the_per_block_oracle(self):
         g = random_graph(40, 0.15, np.random.default_rng(5))
@@ -697,7 +714,7 @@ class TestBatching:
                        edgeless[:1], edgeless):
             got = make_batch(blocks).block_diag_csr()
             want = block_diag_csr_reference(make_batch(blocks))
-            assert got.shape == want.shape and got.symmetric
+            assert got.shape == want.shape
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
