@@ -8,12 +8,26 @@ get no gradient computed either: matmul and mul return None for an input
 whose tape is None (a fixed feature matrix, a constant propagation matrix),
 so backward does no product whose result it would throw away.
 
+backward(loss, wrt=leaves) goes further for a training step that updates
+some of a tape's leaves: it walks only the records that lead back to them,
+drops each intermediate gradient as soon as its record has used it, and
+keeps only the gradients of wrt. Asking it for any other tensor's gradient
+is an error, not zeros. Without wrt every gradient is kept.
+
 emit(op, value, inputs, backward_fn) is how an op records itself, and a
-fused op outside this module does the same: the generator's block decoder
-and reconstruction loss and co-tuning's generated-graph predictor each
-record once per batch and, inside their forward and backward, run one
-stacked numpy product per distinct block size, so the tape does not grow
-with the number of blocks.
+fused op outside this module does the same: the generator's encoder input
+product, block decoder and reconstruction loss and co-tuning's
+generated-graph predictor each record once per draw or batch and, inside
+their forward and backward, run one stacked numpy product per distinct
+block size, so the tape does not grow with the number of blocks. A fused op
+recorded with selective=True is also told which of its inputs need a
+gradient, so it can skip the others' work.
+
+A backward_fn holds arrays and flags, never a Tensor. A Tensor refers to its
+tape, so a closure holding one puts the tape in a reference cycle that keeps
+every array of its step alive until the cyclic garbage collector runs;
+without one a step's tape is freed as soon as the step drops it, which a test
+checks with the collector off.
 
 Sparse support is a single op, symmetric CSR x dense, which is all the graph
 propagation here needs; everything else is dense numpy.
@@ -52,6 +66,7 @@ class Tape:
 
     def __init__(self):
         self._records = []
+        self._selective = set()  # out ids of records whose backward_fn takes need
         self._next_id = 0
 
     def _fresh(self):
@@ -65,22 +80,30 @@ class Tape:
     def leaves(self, named: dict) -> dict:
         return {k: self.leaf(v) for k, v in named.items()}
 
-    def record(self, out_value, inputs, backward_fn) -> Tensor:
+    def record(self, out_value, inputs, backward_fn, selective=False) -> Tensor:
         out = Tensor(out_value, tape=self, node_id=self._fresh())
         self._records.append((out.node_id, [t.node_id for t in inputs], backward_fn))
+        if selective:
+            self._selective.add(out.node_id)
         return out
 
 
 class Grads:
-    """Gradient map keyed by tape node id; zeros for untouched leaves."""
+    """Gradient map keyed by tape node id; zeros for untouched leaves.
 
-    def __init__(self, tape, table):
+    wanted is the node ids backward was asked for, or None for all of them.
+    """
+
+    def __init__(self, tape, table, wanted=None):
         self._tape = tape
         self._table = table
+        self._wanted = wanted
 
     def of(self, tensor: Tensor) -> np.ndarray:
         if tensor.tape is not self._tape or tensor.node_id is None:
             raise InputError("tensor does not belong to this tape")
+        if self._wanted is not None and tensor.node_id not in self._wanted:
+            raise InputError("tensor is not among the ones backward was asked for")
         g = self._table.get(tensor.node_id)
         if g is None:
             return np.zeros_like(tensor.value)
@@ -90,24 +113,51 @@ class Grads:
         return {k: self.of(t) for k, t in leaves.items()}
 
 
-def backward(loss: Tensor) -> Grads:
-    """Reverse pass from a scalar loss over its tape."""
+def backward(loss: Tensor, wrt=None) -> Grads:
+    """Reverse pass from a scalar loss over its tape.
+
+    wrt, a dict of tensors on the loss's tape such as tape.leaves returns,
+    limits the pass to what their gradients need; their gradients are the
+    same bytes as without it.
+    """
     if loss.tape is None:
         raise InputError("loss is not attached to a tape")
     if loss.value.size != 1:
         raise InputError(f"loss must be scalar, got shape {loss.shape}")
     tape = loss.tape
+    wanted = reach = None
+    if wrt is not None:
+        wanted = set()
+        for t in wrt.values():
+            if t.tape is not tape or t.node_id is None:
+                raise InputError("wrt tensor does not belong to the loss's tape")
+            wanted.add(t.node_id)
+        # Node ids that depend on a wanted tensor: only their gradients flow
+        # back to one.
+        reach = set(wanted)
+        for out_id, in_ids, _ in tape._records:
+            if not reach.isdisjoint(in_ids):
+                reach.add(out_id)
     table = {loss.node_id: np.ones_like(loss.value)}
     for out_id, in_ids, backward_fn in reversed(tape._records):
-        g_out = table.get(out_id)
+        if reach is None:
+            need = [nid is not None for nid in in_ids]
+            g_out = table.get(out_id)
+        else:
+            need = [nid in reach for nid in in_ids]
+            if not any(need):
+                continue
+            g_out = table.get(out_id) if out_id in wanted else table.pop(out_id, None)
         if g_out is None:
             continue
-        for nid, g in zip(in_ids, backward_fn(g_out)):
-            if g is None or nid is None:
+        grads = (backward_fn(g_out, need) if out_id in tape._selective
+                 else backward_fn(g_out))
+        for nid, g, used in zip(in_ids, grads, need):
+            if g is None or not used:
                 continue
             acc = table.get(nid)
             table[nid] = g if acc is None else acc + g
-    return Grads(tape, table)
+    return Grads(tape, table, wanted)
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +180,20 @@ def _tape_of(op, *tensors):
     return tape
 
 
-def emit(op, out_value, inputs, backward_fn) -> Tensor:
+def emit(op, out_value, inputs, backward_fn, selective=False) -> Tensor:
     """Record one op on its inputs' tape, or return a constant if none is traced.
 
-    backward_fn(g_out) returns one gradient (or None) per input, in order. It
-    must hold arrays and flags, not Tensors: a Tensor refers to its tape, so
-    the tape would sit in a reference cycle and keep every array of its step
-    alive until the cyclic garbage collector happens to run.
+    backward_fn(g_out) returns one gradient (or None) per input, in order;
+    with selective=True it is called as backward_fn(g_out, need), need[i]
+    telling whether input i's gradient will be used. It must hold arrays and
+    flags, not Tensors: a Tensor refers to its tape, so the tape would sit in
+    a reference cycle and keep every array of its step alive until the cyclic
+    garbage collector happens to run.
     """
     tape = _tape_of(op, *inputs)
     if tape is None:
         return Tensor(out_value)
-    return tape.record(out_value, inputs, backward_fn)
+    return tape.record(out_value, inputs, backward_fn, selective)
 
 
 def unbroadcast(grad, shape):

@@ -15,13 +15,18 @@ the generator's first mixing draw untaped (the other draws' noise is drawn
 and dropped, so the rng stream matches the evidence bound, which it never
 computes) and descends predictor_loss on a tape holding the predictor alone.
 Node features and link labels always come from the batch. The generator
-step tapes both sides and the whole bound.
+step tapes both sides and the whole bound, but differentiates only the
+generator's leaves: its backward never forms a predictor gradient. Each
+batch runs in its own call, and each step's tape dies with the call that
+made it, so neither the predictor step's arrays nor the last batch's are
+alive while the next step runs.
 
 predictor_loss runs the predictor on every block of a batch as one tape op,
 so a step's tape holds the same few records whatever the batch size. Its
 forward and backward run one stacked GCN per distinct block size in plain
-numpy. Only the first-layer weight gradient is still formed block by block:
-the blocks' gradients are summed in reverse batch order, and a stack of them
+numpy, and its backward forms only the gradients backward asks for. Only the
+first-layer weight gradient is still formed block by block: the blocks'
+gradients are summed in place in reverse batch order, and a stack of them
 would hold blocks x feature width x hidden width at once.
 
 Model selection is validation Hits@K with the pre-update state included as
@@ -153,40 +158,48 @@ def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=No
         block_mask = mask[grp.cells].reshape(k, m, m)
         cns[grp.blocks] = (block_mask[at, u] * block_mask[at, v]).sum(axis=1)
         stacks.append((grp, u, v, hu, hv, emb.shape, prop_vjp, gcn_vjp))
-    taped = logits.tape is not None
-    constant = [t.tape is None for t in params]
     shapes = [t.shape for t in params]
 
-    def back(g):
-        g_logits = np.empty_like(lv) if taped else None
-        g_first = np.empty((x.shape[0], weights[0].shape[1]))
-        per_block = [None] + [np.empty((len(batch.blocks), *s)) for s in shapes[1:]]
+    def back(g, need):
+        need_logits, need_params = need[0], any(need[1:])
+        g_logits = np.empty_like(lv) if need_logits else None
+        if need_params:
+            g_first = np.empty((x.shape[0], weights[0].shape[1]))
+            per_block = [np.empty((len(batch.blocks), *s)) for s in shapes[1:]]
         for grp, u, v, hu, hv, shape, prop_vjp, gcn_vjp in stacks:
             at = np.arange(shape[0])
             g_emb = np.zeros(shape)
             g_b = g[grp.blocks, None]
             g_emb[at, v] = g_b * hu
             g_emb[at, u] += g_b * hv  # u == v in a single-node block
-            g_prop, g_z, g_stack = gcn_vjp(g_emb, taped)
-            g_first[grp.rows] = g_z.reshape(grp.rows.size, -1)
-            for acc, grad in zip(per_block[1:], g_stack[1:]):
-                acc[grp.blocks] = grad
-            if taped:
+            g_prop, g_z, g_stack = gcn_vjp(g_emb, need_logits, need_params)
+            if need_params:
+                g_first[grp.rows] = g_z.reshape(grp.rows.size, -1)
+                for acc, grad in zip(per_block, g_stack[1:]):
+                    acc[grp.blocks] = grad
+            if need_logits:
                 g_p = prop_vjp(g_prop).ravel() * mask[grp.cells]
                 g_logits[grp.cells] = g_p * p[grp.cells] * (1.0 - p[grp.cells])
+        if not need_params:
+            return (g_logits, *(None for _ in shapes))
         # Blocks add their parameter gradients in reverse batch order, as a
-        # block-by-block backward would. The first weight's gradient is formed
-        # per block from views of the features, so no [blocks, d_in, hidden]
-        # stack is ever built.
-        g_params = None
+        # block-by-block backward would: the first weight's in place, formed
+        # per block from views of the features so no [blocks, d_in, hidden]
+        # stack is ever built, and every other one as the last running sum
+        # over its reversed per-block stack.
+        g_w0 = None
         for b in reversed(range(len(batch.blocks))):
             rows = slice(batch.offsets[b], batch.offsets[b] + batch.block_sizes[b])
-            g_block = [x[rows].T @ g_first[rows]] + [acc[b] for acc in per_block[1:]]
-            g_params = g_block if g_params is None else [
-                acc + grad for acc, grad in zip(g_params, g_block)]
-        return (g_logits, *(None if c else gk for c, gk in zip(constant, g_params)))
+            g_block = x[rows].T @ g_first[rows]
+            if g_w0 is None:
+                g_w0 = g_block
+            else:
+                g_w0 += g_block
+        g_params = [g_w0] + [np.add.accumulate(acc[::-1])[-1] for acc in per_block]
+        return (g_logits, *(gk if n else None for n, gk in zip(need[1:], g_params)))
 
-    joined = ad.emit("predictor_loss", target_logits, [logits, *params], back)
+    joined = ad.emit("predictor_loss", target_logits, [logits, *params], back,
+                     selective=True)
     labels = batch.batch_labels
     pos_idx = np.nonzero(labels == POSITIVE)[0]
     neg_idx = np.nonzero(labels == NEGATIVE)[0]
@@ -233,7 +246,7 @@ def cotrain_losses(
 def gnn_step(lp: ad.Tensor, leaves: dict, state: ad.AdamState, params: GcnParams, alpha: float):
     """Descend alpha * classification loss on the predictor leaves only."""
     loss = ad.mul(lp, ad.Tensor(float(alpha)))
-    grads = ad.backward(loss).named(leaves)
+    grads = ad.backward(loss, wrt=leaves).named(leaves)
     ad.adam_step(state, params.named(), grads)
 
 
@@ -245,8 +258,35 @@ def ggm_step(bundle: LossBundle, state: ad.AdamState, params: SiviParams, cfg: C
     else:
         # literal min-max: ascend alpha*lp + gen
         descend = ad.neg(flex_objective(bundle.lp, bundle.gen, cfg.alpha))
-    grads = ad.backward(descend).named(bundle.ggm_leaves)
+    grads = ad.backward(descend, wrt=bundle.ggm_leaves).named(bundle.ggm_leaves)
     ad.adam_step(state, params.named(), grads)
+
+
+def _predictor_update(gnn_params, ggm_params, batch, cfg, state, rng):
+    """The predictor step: descend the classification loss on a tape that
+    holds the predictor alone, scoring the generator's first draw untaped."""
+    leaves = ad.Tape().leaves(gnn_params.named())
+    logits = first_draw_logits(ggm_params, batch, cfg.noise, rng)
+    lp, _ = predictor_loss(gnn_params, batch, logits, cfg.gamma, leaves)
+    gnn_step(lp, leaves, state, gnn_params, cfg.alpha)
+
+
+def _tune_batch(gnn_params, ggm_params, subs, cfg, tau, state_gnn, state_ggm, stream):
+    """One co-tuning batch of subs: the predictor step, then the generator
+    step on the updated predictor; the generator step's trace numbers.
+
+    Each step's tape dies with the call that made it, so the predictor's is
+    gone before the generator's forward pass and this batch's before the
+    next batch is built.
+    """
+    batch = make_batch(subs)
+    _predictor_update(gnn_params, ggm_params, batch, cfg, state_gnn,
+                      stream_rng(cfg.seed, f"{stream}.gnn"))
+    bundle = cotrain_losses(gnn_params, ggm_params, batch, cfg, tau,
+                            stream_rng(cfg.seed, f"{stream}.ggm"))
+    ggm_step(bundle, state_ggm, ggm_params, cfg)
+    return (bundle.lp.item(), bundle.sivi_loss.item(), bundle.kl.item(), bundle.penalty,
+            bundle.mean_generated_cn)
 
 
 def resolve_tau(ggm_params, probe_batch, cfg: CotrainConfig) -> float:
@@ -345,26 +385,11 @@ def flex_tune(
         rows = {"lp_loss": [], "sivi_loss": [], "kl_estimate": [], "penalty": [],
                 "mean_generated_cn": []}
         for bi in range(0, len(subs), size):
-            batch = make_batch([subs[i] for i in order[bi : bi + size]])
-            leaves = ad.Tape().leaves(gnn_params.named())
-            logits = first_draw_logits(
-                ggm_params, batch, cfg.noise,
-                stream_rng(cfg.seed, f"cot.noise.e{epoch}.b{bi}.gnn"),
-            )
-            lp, _ = predictor_loss(gnn_params, batch, logits, cfg.gamma, leaves)
-            gnn_step(lp, leaves, state_gnn, gnn_params, cfg.alpha)
-
-            bundle = cotrain_losses(
-                gnn_params, ggm_params, batch, cfg, tau,
-                stream_rng(cfg.seed, f"cot.noise.e{epoch}.b{bi}.ggm"),
-            )
-            ggm_step(bundle, state_ggm, ggm_params, cfg)
-
-            rows["lp_loss"].append(bundle.lp.item())
-            rows["sivi_loss"].append(bundle.sivi_loss.item())
-            rows["kl_estimate"].append(bundle.kl.item())
-            rows["penalty"].append(bundle.penalty)
-            rows["mean_generated_cn"].append(bundle.mean_generated_cn)
+            numbers = _tune_batch(gnn_params, ggm_params,
+                                  [subs[i] for i in order[bi : bi + size]], cfg, tau,
+                                  state_gnn, state_ggm, f"cot.noise.e{epoch}.b{bi}")
+            for row, value in zip(rows.values(), numbers):
+                row.append(value)
         valid_hits = evaluate_hits(
             gnn_params, eval_norm, feats, split.valid_pos, split.valid_neg, cfg.eval_k
         )

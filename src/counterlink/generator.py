@@ -15,6 +15,9 @@ Setting one mixing draw and zero noise width collapses the whole stack to a
 plain variational graph auto-encoder. The mixing draws are independent, so a
 caller that reads one draw (co-tuning's predictor step) encodes only that
 one and just draws the others' noise to keep the random stream aligned.
+The draws differ only in their noise columns, so one encoder call builds one
+[features | label | noise] input, and each draw's input product (one tape
+record) writes its own noise there, forward and backward.
 
 Generated samples keep their block's node count, target pair and originating
 link label; node features stay on the batch the samples were drawn from. The
@@ -30,7 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InputError, NumericError, ValidationError, require_finite
+from .errors import (ConfigError, InputError, NumericError, ShapeError, ValidationError,
+                     require_finite)
 from .graphs import (Edge, Graph, LabeledSubgraphBatch, POSITIVE, extract_for_links,
                      make_batch, once_per_batch)
 from .rng import stream_rng
@@ -157,8 +161,26 @@ def init_sivi_params(d_in, hidden=32, zdim=16, noise_dim=8, rng=None) -> SiviPar
     )
 
 
-def _conv(a_norm, x, w, b):
-    return ad.add(ad.sparse_matmul(a_norm, ad.matmul(x, w)), b)
+def _input_product(x_in, col, eps, w):
+    """x_in @ w with one draw's noise eps written into x_in's columns from
+    col on (none under zero noise), as one tape record.
+
+    The draws share x_in and each writes its own noise, so the backward
+    writes this draw's noise back before it forms x_in^T @ g. Every product
+    sees the bytes and layout a fresh [features | label | noise] array has.
+    """
+    w = w if isinstance(w, ad.Tensor) else ad.Tensor(w)
+    if x_in.shape[1] != w.shape[0]:
+        raise ShapeError("matmul", f"{x_in.shape} @ {w.shape}")
+    if eps is not None:
+        x_in[:, col:] = eps
+
+    def back(g):
+        if eps is not None:
+            x_in[:, col:] = eps
+        return (x_in.T @ g,)
+
+    return ad.emit("encoder_input", x_in @ w.value, [w], back)
 
 
 def encode_semi_implicit(
@@ -171,7 +193,8 @@ def encode_semi_implicit(
     """(mu, log_var) per mixing draw over the block-diagonal batch.
 
     Each draw injects fresh N(0, I) noise columns (zeros under
-    spec.zero_noise) into the constant node input.
+    spec.zero_noise) into the constant node input, which is built once per
+    call: the draws differ only in those columns.
     """
     if spec.noise_dim != params.noise_dim:
         raise ConfigError(
@@ -179,14 +202,18 @@ def encode_semi_implicit(
         )
     shape = (batch.total_nodes, spec.noise_dim)
     named = leaves if leaves is not None else params.named()
-    cols = [batch.stacked_features(), batch.stacked_labels().reshape(-1, 1)]
+    feats = batch.stacked_features()
+    col = feats.shape[1] + 1
+    x_in = np.zeros((batch.total_nodes, col + spec.noise_dim))
+    x_in[:, : col - 1] = feats
+    x_in[:, col - 1] = batch.stacked_labels()
     a_norm = batch.normalized_adjacency()
 
     moments = []
     for _ in range(spec.num_psi):
-        eps = np.zeros(shape) if spec.zero_noise else rng.standard_normal(shape)
-        x_in = np.concatenate([*cols, eps], axis=1)
-        hid = ad.relu(_conv(a_norm, x_in, named["ggm.w_in"], named["ggm.b_in"]))
+        eps = None if spec.zero_noise else rng.standard_normal(shape)
+        product = _input_product(x_in, col, eps, named["ggm.w_in"])
+        hid = ad.relu(ad.add(ad.sparse_matmul(a_norm, product), named["ggm.b_in"]))
         # Heads are linear, not convolutional: a second propagation round
         # smooths dense blocks into near-constant latents, which destroys
         # the per-pair separability the inner-product decoder relies on.
@@ -457,6 +484,19 @@ class GgmPretrainResult:
     final_kl: float
 
 
+def _pretrain_batch(params, subs, spec, state, rng):
+    """One Adam step of the negated bound on a batch of subs; (loss, kl).
+
+    Everything the step makes, its batch and tape included, dies when this
+    returns, so no batch's arrays are alive while the next one runs.
+    """
+    batch = make_batch(subs)
+    leaves = ad.Tape().leaves(params.named())
+    result = sivi_elbo(params, batch, spec, rng, leaves=leaves)
+    ad.adam_step(state, params.named(), ad.backward(result.loss, wrt=leaves).named(leaves))
+    return result.loss.item(), result.kl.item()
+
+
 def pretrain_ggm(
     g: Graph, split: DatasetSplit, cfg: GgmTrainConfig, spec: NoiseSpec
 ) -> GgmPretrainResult:
@@ -486,15 +526,11 @@ def pretrain_ggm(
         size = cfg.batch_size if cfg.batch_size > 0 else len(subs)
         losses, kls = [], []
         for bi in range(0, len(subs), size):
-            batch = make_batch([subs[i] for i in order[bi : bi + size]])
-            tape = ad.Tape()
-            leaves = tape.leaves(params.named())
-            rng = stream_rng(cfg.seed, f"ggm.noise.e{epoch}.b{bi}")
-            result = sivi_elbo(params, batch, spec, rng, leaves=leaves)
-            grads = ad.backward(result.loss).named(leaves)
-            ad.adam_step(state, params.named(), grads)
-            losses.append(result.loss.item())
-            kls.append(result.kl.item())
+            loss, kl = _pretrain_batch(
+                params, [subs[i] for i in order[bi : bi + size]], spec, state,
+                stream_rng(cfg.seed, f"ggm.noise.e{epoch}.b{bi}"))
+            losses.append(loss)
+            kls.append(kl)
         epoch_loss = float(np.mean(losses))
         epoch_kl = float(np.mean(kls))
         trace.append(

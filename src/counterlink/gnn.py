@@ -160,12 +160,13 @@ def dense_gcn_forward(weights, biases, prop, x):
     [k, m, m] stack of same-size blocks with their [k, m, d] rows; every
     slice comes out as that block alone would. Plain numpy, for a caller
     that records a whole batch as one op. Returns (emb, vjp): vjp(g,
-    need_prop) returns the gradient of prop (None unless need_prop), the
-    gradient of the first layer's product x @ weights[0], and the per-slice
-    gradients of every parameter in GcnParams.named() order except the
-    first weight's, which is None. x is not kept, so it may be a temporary
-    gather; the caller forms the first weight's gradient as x^T times the
-    product's gradient.
+    need_prop, need_params=True) returns the gradient of prop (None unless
+    need_prop), the gradient of the first layer's product x @ weights[0],
+    and the per-slice gradients of every parameter in GcnParams.named()
+    order except the first weight's, which is None; without need_params the
+    last two are None and a list of Nones. x is not kept, so it may be a
+    temporary gather; the caller forms the first weight's gradient as x^T
+    times the product's gradient.
     """
     count = len(weights)
     inputs, zs, masks = [None], [], []
@@ -179,20 +180,23 @@ def dense_gcn_forward(weights, biases, prop, x):
             h = h * masks[i]
             inputs.append(h)
 
-    def vjp(g, need_prop):
+    def vjp(g, need_prop, need_params=True):
         g_prop = None
         g_params = [None] * (2 * count)
         for i in reversed(range(count)):
             if i < count - 1:
                 g = g * masks[i]
-            g_params[2 * i + 1] = g.sum(axis=-2)
+            if need_params:
+                g_params[2 * i + 1] = g.sum(axis=-2)
             if need_prop:
                 g_p = g @ np.swapaxes(zs[i], -1, -2)
                 g_prop = g_p if g_prop is None else g_prop + g_p
-            g_z = np.swapaxes(prop, -1, -2) @ g
             if i == 0:
+                g_z = np.swapaxes(prop, -1, -2) @ g if need_params else None
                 return g_prop, g_z, g_params
-            g_params[2 * i] = np.swapaxes(inputs[i], -1, -2) @ g_z
+            g_z = np.swapaxes(prop, -1, -2) @ g
+            if need_params:
+                g_params[2 * i] = np.swapaxes(inputs[i], -1, -2) @ g_z
             g = g_z @ weights[i].T
 
     return h, vjp
@@ -265,6 +269,20 @@ class GnnPretrainResult:
     test_hits: float
 
 
+def _train_batch(params, a_norm, x, pos, neg, state, rng) -> float:
+    """One Adam step of the link loss on a batch of positives and negatives;
+    the loss, or a non-finite loss and no step.
+
+    The step's tape dies when this returns, before the next batch runs.
+    """
+    leaves = ad.Tape().leaves(params.named())
+    h = gcn_forward(params, a_norm, x, rng=rng, training=True, leaves=leaves)
+    loss = lp_loss(score_pairs(h, pos), score_pairs(h, neg))
+    if np.isfinite(loss.value):
+        ad.adam_step(state, params.named(), ad.backward(loss, wrt=leaves).named(leaves))
+    return loss.item()
+
+
 def pretrain_gnn(
     g: Graph,
     split: DatasetSplit,
@@ -313,19 +331,11 @@ def pretrain_gnn(
             )
             if train_edge_hook is not None:
                 train_edge_hook(epoch, pos, neg)
-            tape = ad.Tape()
-            leaves = tape.leaves(params.named())
-            h = gcn_forward(
-                params, a_norm, g.features,
-                rng=stream_rng(cfg.seed, f"dropout.e{epoch}.b{bi}"),
-                training=True, leaves=leaves,
-            )
-            loss = lp_loss(score_pairs(h, pos), score_pairs(h, neg))
-            if not np.isfinite(loss.value):
+            loss = _train_batch(params, a_norm, g.features, pos, neg, state,
+                                stream_rng(cfg.seed, f"dropout.e{epoch}.b{bi}"))
+            if not np.isfinite(loss):
                 raise NumericError(f"training loss diverged at epoch {epoch}")
-            grads = ad.backward(loss).named(leaves)
-            ad.adam_step(state, params.named(), grads)
-            losses.append(loss.item())
+            losses.append(loss)
         valid_hits = evaluate_hits(
             params, eval_norm, g.features, split.valid_pos, split.valid_neg, cfg.eval_k
         )

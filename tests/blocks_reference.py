@@ -3,14 +3,16 @@
 `generator.decode_logits`, `generator.recon_loss` and `cotrain.predictor_loss`
 each put one record per batch on the tape and run one stacked numpy product
 per distinct block size, forward and backward. These are the implementations
-they replaced: chains of tape ops per block. The ops only they used (`reshape`,
+they replaced: chains of tape ops per block. `encode_semi_implicit` is the
+encoder as it was before its draws shared one input array: a fresh
+[features | label | noise] concatenation and a plain matmul per draw. The ops only they used (`reshape`,
 `slice_rows`, `transpose`, `sigmoid`, `log`) and the tape-op forms of
 `gnn.normalize_dense_adjacency` and of the dense branch of `gnn.gcn_forward`
 moved here with them, as did the weighted and "sum"/"none" forms of
 `autodiff.bce_with_logits`. Losses and gradients must match these
 byte for byte.
 
-`use_reference_blocks()` swaps the three functions into the package, so the
+`use_reference_blocks()` swaps the four functions into the package, so the
 package's own `sivi_elbo`, `first_draw_logits` and `cotrain_losses` run the
 old per-block path.
 """
@@ -231,10 +233,29 @@ def predictor_loss(gnn_params, batch, logit_blocks, gamma: float, leaves=None):
     return lp, float(np.mean(cns))
 
 
+def encode_semi_implicit(params, batch, spec, rng, leaves=None) -> list:
+    named = leaves if leaves is not None else params.named()
+    shape = (batch.total_nodes, spec.noise_dim)
+    cols = [batch.stacked_features(), batch.stacked_labels().reshape(-1, 1)]
+    a_norm = batch.normalized_adjacency()
+    moments = []
+    for _ in range(spec.num_psi):
+        eps = np.zeros(shape) if spec.zero_noise else rng.standard_normal(shape)
+        x_in = np.concatenate([*cols, eps], axis=1)
+        z = ad.matmul(x_in, named["ggm.w_in"])
+        hid = ad.relu(ad.add(ad.sparse_matmul(a_norm, z), named["ggm.b_in"]))
+        mu = ad.add(ad.matmul(hid, named["ggm.w_mu"]), named["ggm.b_mu"])
+        log_var = ad.clip(ad.add(ad.matmul(hid, named["ggm.w_lv"]), named["ggm.b_lv"]),
+                          -generator.LOG_VAR_CLAMP, generator.LOG_VAR_CLAMP)
+        moments.append((mu, log_var))
+    return moments
+
+
 @contextlib.contextmanager
 def use_reference_blocks():
     """Run the package on the per-block functions above until the block exits."""
-    swaps = [(generator, "decode_logits", decode_logits),
+    swaps = [(generator, "encode_semi_implicit", encode_semi_implicit),
+             (generator, "decode_logits", decode_logits),
              (generator, "recon_loss", recon_loss),
              (cotrain, "predictor_loss", predictor_loss)]
     saved = [(mod, name, getattr(mod, name)) for mod, name, _ in swaps]

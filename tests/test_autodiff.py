@@ -172,6 +172,45 @@ class TestBackward:
         grads = ad.backward(ad.square(y))
         with pytest.raises(InputError):
             grads.of(x)
+        with pytest.raises(InputError):
+            ad.backward(ad.square(y), wrt={"x": x})
+
+    def test_wrt_keeps_the_bytes_and_only_what_was_asked(self):
+        rng = np.random.default_rng(4)
+        tape = ad.Tape()
+        leaves = tape.leaves({"a": rng.standard_normal((3, 4)),
+                              "b": rng.standard_normal((4, 2)),
+                              "unused": np.ones(2)})
+        hidden = ad.relu(ad.matmul(leaves["a"], leaves["b"]))
+        loss = ad.tsum(ad.mul(hidden, hidden))
+        full = ad.backward(loss)
+        for wrt in ({"b": leaves["b"]}, leaves):
+            grads = ad.backward(loss, wrt=wrt)
+            for t in wrt.values():
+                assert grads.of(t).tobytes() == full.of(t).tobytes()
+        assert np.array_equal(grads.of(leaves["unused"]), np.zeros(2))
+        grads = ad.backward(loss, wrt={"b": leaves["b"]})
+        # Neither another leaf nor an intermediate: their gradients were
+        # never formed or were dropped once used.
+        for t in (leaves["a"], hidden, loss):
+            with pytest.raises(InputError):
+                grads.of(t)
+        assert full.of(hidden).shape == hidden.shape
+
+    def test_selective_op_is_told_which_inputs_need_a_gradient(self):
+        tape = ad.Tape()
+        x, y = tape.leaf(np.array(2.0)), tape.leaf(np.array(3.0))
+        xv, yv = x.value, y.value
+        needs = []
+
+        def back(g, need):
+            needs.append(list(need))
+            return (g * yv if need[0] else None, g * xv if need[1] else None, None)
+
+        loss = ad.emit("product", xv * yv, [x, y, ad.Tensor(1.0)], back, selective=True)
+        assert ad.backward(loss, wrt={"y": y}).of(y) == 2.0
+        assert ad.backward(loss).of(x) == 3.0
+        assert needs == [[False, True, False], [True, True, False]]
 
     def test_linearity(self):
         rng = np.random.default_rng(1)

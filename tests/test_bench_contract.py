@@ -87,6 +87,16 @@ SMALL = {
 }
 
 
+# Tape records per Adam step of each training stage, which the small graphs
+# give as the benchmark's graphs do: they count ops, not blocks or nodes. A
+# fused op must replace the ops it fuses one for one or fewer, never more.
+RECORDS_PER_STEP = {
+    "pipeline-cn300": {"pretrain-gnn": 18, "pretrain-ggm": 77, "flex-tune": 47,
+                       "sweep": 47},
+    "split-sp1500": {"pretrain-gnn": 18},
+}
+
+
 @pytest.mark.parametrize("workload", sorted(SMALL))
 def test_pipeline_spans_fire(workload, tmp_path):
     # The expected spans are checked against a traced pass only in a
@@ -111,6 +121,11 @@ def test_pipeline_spans_fire(workload, tmp_path):
                 assert cli.main(argv) == 0, stage
     finally:
         trace.uninstall()
-    fired = {name for _, name in trace.collect().agg}
+    collected = trace.collect()
+    fired = {name for _, name in collected.agg}
     assert set(wl.expect) - fired == set()
     assert [name for name in fired if name.startswith(wl.forbid)] == []
+    per_step = {stage: collected.counted("autodiff.Tape.record", stage=stage)
+                / collected.layer("autodiff.adam_step", stage)[0]
+                for stage in workloads.TRAINING_STAGES if stage in wl.stages}
+    assert per_step == RECORDS_PER_STEP[workload]

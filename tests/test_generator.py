@@ -120,6 +120,26 @@ class TestEncode:
         # each draw injects its own noise
         assert not np.array_equal(a[0][0].value, a[1][0].value)
 
+    @pytest.mark.parametrize("zero_noise", [False, True])
+    def test_shared_input_matches_a_fresh_input_per_draw(self, zero_noise):
+        # Each draw writes its noise into one shared input, and its backward
+        # writes it back: moments and gradients must be the bytes a fresh
+        # concatenation per draw gives, backward run twice included.
+        import blocks_reference
+
+        _, batch, params = small_batch(n_links=4)
+        spec = NoiseSpec(noise_dim=3, num_psi=3, zero_noise=zero_noise)
+        runs = []
+        for encode in (encode_semi_implicit, blocks_reference.encode_semi_implicit):
+            leaves = ad.Tape().leaves(params.named())
+            moments = encode(params, batch, spec, stream_rng(3, "noise"), leaves=leaves)
+            loss = ad.tsum(ad.concat([ad.tsum(ad.mul(t, t), axis=1)
+                                      for pair in moments for t in pair]))
+            runs.append([t.value.tobytes() for pair in moments for t in pair] + [
+                g.tobytes() for _ in range(2)
+                for g in ad.backward(loss, wrt=leaves).named(leaves).values()])
+        assert runs[0] == runs[1]
+
     def test_noise_dim_mismatch_rejected(self):
         _, batch, params = small_batch()
         with pytest.raises(ConfigError):
