@@ -1,10 +1,12 @@
 """Reference heuristic implementations kept independent of the CSR fast path.
 
-verify_split re-checks every bucket assignment against these, one pair at a
-time, so they must not share code with graphs.py: plain python sets, and
-for SP a bidirectional BFS over sets that expands the smaller frontier and
-stops where the two sides meet, where graphs.py settles whole edge lists
-with a sorted-key lookup and boolean masks over the CSR arrays.
+The split stage re-checks the split it has just generated against these,
+one pair at a time (splits.reference_value), and the tests pin the batched
+heuristics to them, so they must not share code with graphs.py: plain
+python sets, and for SP a bidirectional BFS over sets that expands the
+smaller frontier and stops where the two sides meet, where graphs.py
+settles whole edge lists with a sorted-key lookup and boolean masks over
+the CSR arrays.
 """
 
 import math

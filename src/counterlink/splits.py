@@ -95,6 +95,12 @@ def heuristic_value(g: Graph, u, v, name: str):
     raise InputError(f"unknown heuristic {name!r}")
 
 
+def _in_range(values, lo, hi):
+    """Whether each value lies in the bucket range [lo, hi); unreachable SP
+    values lie in the range that ends at inf."""
+    return (lo <= values) & ((values < hi) | (hi == math.inf))
+
+
 def _non_edges_at(g: Graph, ranks):
     """The non-edges (u, v), u < v, at the given sorted ranks of row-major
     upper-triangle order, in O(n + m + len(ranks)) memory."""
@@ -166,7 +172,7 @@ def generate_split(g: Graph, spec: SplitSpec) -> DatasetSplit:
     for b in BUCKETS:
         lo, hi = ranges[b]
         # Boolean selection keeps each bucket's edges in g.edges() order.
-        pos[b] = edges[(lo <= values) & ((values < hi) | (hi == math.inf))]
+        pos[b] = edges[_in_range(values, lo, hi)]
         if not pos[b].size:
             raise DegenerateSplitError(
                 f"{b} bucket received zero edges for {spec.heuristic} "
@@ -200,45 +206,78 @@ class SplitReport:
     interpretation: str
 
 
-def verify_split(g: Graph, split: DatasetSplit) -> SplitReport:
-    """Recheck every bucket assignment with the set/BFS reference heuristics.
+def reference_value(g: Graph, u, v, name: str):
+    """heuristic_value from the set/BFS references in bruteforce, one pair at
+    a time: an independent re-check of the production path."""
+    adj = bruteforce.adjacency_sets(g.num_nodes, g.edges())
+    return np.array(
+        [bruteforce.heuristic_brute(adj, a, b, name, exclude_edge=name == "SP")
+         for a, b in zip(u.tolist(), v.tolist())],
+        dtype=np.float64,
+    )
 
-    Independent of the CSR production path by design. Raises ValidationError
-    on any violated membership, on a negative that is an edge, a self-pair or
-    a repeat of an earlier negative (in any bucket), and on an empty
-    negative set.
+
+def _pair_keys(pairs, n):
+    """Each pair (u, v) as the key min * n + max, so reversed endpoints name
+    the same pair."""
+    return np.minimum(pairs[:, 0], pairs[:, 1]) * n + np.maximum(pairs[:, 0], pairs[:, 1])
+
+
+def _stacked(parts):
+    """The (k, 2) pair arrays as one, and the index of the part each row
+    came from."""
+    owner = np.repeat(np.arange(len(parts)), [p.shape[0] for p in parts])
+    return np.concatenate(parts), owner
+
+
+def _first_index(keys):
+    """Position of the first occurrence of each key."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def verify_split(g: Graph, split: DatasetSplit, heuristic=reference_value) -> SplitReport:
+    """Recheck every bucket assignment against heuristic values of g.
+
+    `heuristic(g, u, v, name)` gives the value of each pair (u[i], v[i]):
+    by default `reference_value`, a check that shares no code with the
+    production path, or `heuristic_value` for the batched path. Raises ValidationError on any violated
+    membership, on a negative that is an edge, a self-pair or a repeat of an
+    earlier negative (in any bucket), and on an empty negative set. Buckets
+    are checked in order; within one, positive violations come first, then
+    the negatives in list order. A self-pair, a repeat or an empty set raises
+    at once; violations are collected and the first 10 are shown.
     """
     spec = split.spec
     ranges = spec.bucket_ranges()
-    adj = bruteforce.adjacency_sets(g.num_nodes, g.edges())
+    pos, pos_owner = _stacked([split.pos(b) for b in BUCKETS])
+    values = np.asarray(heuristic(g, pos[:, 0], pos[:, 1], spec.heuristic), dtype=np.float64)
+    neg, owner = _stacked([split.neg(b) for b in BUCKETS])
+    keys = _pair_keys(neg, g.num_nodes)
+    first = _first_index(keys)
+    bad = (neg[:, 0] == neg[:, 1]) | (first != np.arange(keys.size))
+    is_edge = np.isin(keys, _pair_keys(g.edges(), g.num_nodes))
     violations = []
     counts = {}
-    negative_bucket = {}
-    for bucket in BUCKETS:
-        edges = split.pos(bucket)
-        counts[bucket] = int(edges.shape[0])
-        lo, hi = ranges[bucket]
-        for u, v in edges.tolist():
-            val = bruteforce.heuristic_brute(
-                adj, u, v, spec.heuristic, exclude_edge=spec.heuristic == "SP"
-            )
-            inside = lo <= val < hi or (val == math.inf and hi == math.inf)
-            if not inside:
-                violations.append({"bucket": bucket, "edge": [u, v], "value": float(val)})
+    for k, bucket in enumerate(BUCKETS):
+        counts[bucket] = int(split.pos(bucket).shape[0])
+        vals = values[pos_owner == k]
+        outside = ~_in_range(vals, *ranges[bucket])
+        for (u, v), val in zip(split.pos(bucket)[outside].tolist(), vals[outside].tolist()):
+            violations.append({"bucket": bucket, "edge": [u, v], "value": val})
         if split.neg(bucket).shape[0] == 0:
             raise ValidationError(f"{bucket} negative set is empty")
-        for u, v in split.neg(bucket).tolist():
+        raised = np.flatnonzero(bad & (owner == k))
+        if raised.size:
+            u, v = neg[raised[0]].tolist()
             if u == v:
                 raise ValidationError(f"{bucket}_neg holds the self-pair {[u, v]}")
-            key = (min(u, v), max(u, v))
-            if key in negative_bucket:
-                raise ValidationError(
-                    f"{bucket}_neg repeats the pair {[u, v]}, "
-                    f"already in {negative_bucket[key]}_neg"
-                )
-            negative_bucket[key] = bucket
-            if v in adj[u]:
-                violations.append({"bucket": f"{bucket}_neg", "edge": [u, v], "value": None})
+            raise ValidationError(
+                f"{bucket}_neg repeats the pair {[u, v]}, "
+                f"already in {BUCKETS[owner[first[raised[0]]]]}_neg"
+            )
+        for u, v in neg[is_edge & (owner == k)].tolist():
+            violations.append({"bucket": f"{bucket}_neg", "edge": [u, v], "value": None})
     report = SplitReport(
         bucket_counts=counts,
         violations=violations,
@@ -294,8 +333,36 @@ def _edge_array(rows, num_nodes, key):
     return arr.astype(np.int64)
 
 
+def _check_positives(path, g: Graph, arrays):
+    """Raise ValidationError unless the positive buckets, read as u < v
+    pairs, hold every edge of g exactly once; the message names the first
+    bucket and pair at fault in list order, or else the first missing edge."""
+    pos, owner = _stacked([arrays[f"{b}_pos"] for b in BUCKETS])
+    keys = _pair_keys(pos, g.num_nodes)
+    edge_keys = _pair_keys(g.edges(), g.num_nodes)  # ascending: edges() is sorted
+    if np.array_equal(np.sort(keys), edge_keys):
+        return
+    first = _first_index(keys)
+    stray = np.flatnonzero(~np.isin(keys, edge_keys) | (first != np.arange(keys.size)))
+    if stray.size:
+        i = stray[0]
+        u, v = pos[i].tolist()
+        if first[i] != i:
+            raise ValidationError(
+                f"{path}: {BUCKETS[owner[i]]}_pos repeats the edge {[u, v]}, "
+                f"already in {BUCKETS[owner[first[i]]]}_pos"
+            )
+        raise ValidationError(
+            f"{path}: {BUCKETS[owner[i]]}_pos holds {[u, v]}, which is not an edge of the graph"
+        )
+    u, v = g.edges()[~np.isin(edge_keys, keys)][0].tolist()
+    raise ValidationError(f"{path}: the graph's edge {[u, v]} is in no positive bucket")
+
+
 def load_split(path, g: Graph) -> DatasetSplit:
-    """Load a persisted split and revalidate it against the source graph."""
+    """Load a persisted split and revalidate it against the source graph:
+    the positives must be g's edges, each once, and verify_split re-checks
+    the buckets with the batched heuristics."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -313,14 +380,11 @@ def load_split(path, g: Graph) -> DatasetSplit:
         raise
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed split: {exc}")
+    _check_positives(path, g, arrays)
     split = DatasetSplit(
         observed_graph=g.subgraph_on(arrays["train_pos"]),
         spec=spec,
         **arrays,
     )
-    pos_keys = {tuple(e) for b in BUCKETS for e in split.pos(b).tolist()}
-    total = sum(split.pos(b).shape[0] for b in BUCKETS)
-    if len(pos_keys) != total:
-        raise ValidationError(f"{path}: positive buckets overlap")
-    verify_split(g, split)
+    verify_split(g, split, heuristic=heuristic_value)
     return split

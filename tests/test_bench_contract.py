@@ -8,6 +8,7 @@ tables and the spans each workload expects without running the benchmark.
 import importlib
 import importlib.util
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -97,31 +98,48 @@ RECORDS_PER_STEP = {
 }
 
 
+@pytest.fixture(scope="module")
+def traced_pipeline(tmp_path_factory):
+    """Per workload, its stages and flags run in-process on the small graph
+    under the tracer: the collected trace and each stage's output dir."""
+    from counterlink import cli
+
+    done = {}
+
+    def run(workload):
+        if workload in done:
+            return done[workload]
+        tmp_path = tmp_path_factory.mktemp(workload)
+        wl = workloads.WORKLOADS[workload]
+        graph_flags, small = SMALL[workload]
+        synth = tmp_path / "synth"
+        assert cli.main(["synth", *graph_flags, "--out", str(synth)]) == 0
+        inputs = {"edges": str(synth / "edges.tsv"), "features": str(synth / "features.csv")}
+        dirs = {}
+        trace = tracer.Tracer()
+        trace.install()
+        try:
+            for stage in wl.stages:
+                dirs[stage] = str(tmp_path / workloads.OUT_DIR[stage])
+                argv = workloads.stage_argv(wl, stage, 0, inputs, dirs) + small.get(stage, [])
+                with trace.stage_span(stage):
+                    assert cli.main(argv) == 0, stage
+        finally:
+            trace.uninstall()
+        done[workload] = trace.collect(), dirs
+        return done[workload]
+
+    return run
+
+
 @pytest.mark.parametrize("workload", sorted(SMALL))
-def test_pipeline_spans_fire(workload, tmp_path):
+def test_pipeline_spans_fire(workload, traced_pipeline):
     # The expected spans are checked against a traced pass only in a
     # --trace 1 benchmark run; this runs the workload's stages and flags
     # in-process on a small graph, so a kernel that stops calling a traced
     # function, or starts calling a forbidden one, fails here too.
-    from counterlink import cli
-
     wl = workloads.WORKLOADS[workload]
-    graph_flags, small = SMALL[workload]
-    synth = tmp_path / "synth"
-    assert cli.main(["synth", *graph_flags, "--out", str(synth)]) == 0
-    inputs = {"edges": str(synth / "edges.tsv"), "features": str(synth / "features.csv")}
-    dirs = {}
-    trace = tracer.Tracer()
-    trace.install()
-    try:
-        for stage in wl.stages:
-            dirs[stage] = str(tmp_path / workloads.OUT_DIR[stage])
-            argv = workloads.stage_argv(wl, stage, 0, inputs, dirs) + small.get(stage, [])
-            with trace.stage_span(stage):
-                assert cli.main(argv) == 0, stage
-    finally:
-        trace.uninstall()
-    collected = trace.collect()
+    collected, _ = traced_pipeline(workload)
     fired = {name for _, name in collected.agg}
     assert set(wl.expect) - fired == set()
     assert [name for name in fired if name.startswith(wl.forbid)] == []
@@ -129,3 +147,16 @@ def test_pipeline_spans_fire(workload, tmp_path):
                 / collected.layer("autodiff.adam_step", stage)[0]
                 for stage in workloads.TRAINING_STAGES if stage in wl.stages}
     assert per_step == RECORDS_PER_STEP[workload]
+
+
+def test_only_the_split_stage_runs_the_reference_heuristics(traced_pipeline):
+    # The split stage re-checks what it generated one pair at a time; the
+    # stages that read split.json verify it with the batched heuristics.
+    collected, dirs = traced_pipeline("split-sp1500")
+    doc = json.loads((Path(dirs["split"]) / "split.json").read_text())
+    positives = sum(len(doc["edges"][f"{b}_pos"]) for b in ("train", "valid", "test"))
+    brute = {stage: collected.layer("bruteforce.heuristic_brute", stage)[0]
+             for stage in workloads.WORKLOADS["split-sp1500"].stages}
+    assert brute == {"split": positives, "pretrain-gnn": 0, "eval": 0}
+    for stage in ("pretrain-gnn", "eval"):
+        assert collected.layer("graphs.shortest_path_length", stage)[0] > 0, stage

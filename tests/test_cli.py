@@ -821,3 +821,57 @@ class TestTrainingValuesInRange:
         assert code == 2, err
         assert flag[2:].replace("-", "_") in err and "Traceback" not in err
         assert not any(out.iterdir())
+
+
+class TestReadingStagesVerifySplit:
+    """Every stage that reads split.json re-checks it before any work: a
+    positive moved to the wrong bucket, or a positive that is not one of the
+    graph's edges, exits 5 naming the bucket and the pair."""
+
+    def stage_args(self, pretrained, tmp_path, command, split):
+        d, _ = pretrained
+        graph = ["--edges", d["graph"] / "edges.tsv",
+                 "--features", d["graph"] / "features.csv", "--split", split]
+        ckpts = ["--gnn-ckpt", d["gnn"] / "gnn.ckpt", "--ggm-ckpt", d["ggm"] / "ggm.ckpt"]
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps({"samples": []}))
+        return [command, *graph, *{
+            "flex-tune": ckpts,
+            "sweep": ckpts,
+            "eval": ["--ckpt", d["gnn"] / "gnn.ckpt"],
+            "analyze": ["--samples", samples],
+        }.get(command, []), "--out", tmp_path / "out"]
+
+    @pytest.mark.parametrize("command", [
+        "pretrain-gnn", "pretrain-ggm", "flex-tune", "eval", "analyze", "sweep"])
+    def test_moved_positive_is_5(self, pretrained, tmp_path, command):
+        # Backward CN split: train holds CN >= 2 and test CN 0.
+        doc = json.loads((pretrained[0]["split"] / "split.json").read_text())
+        moved = doc["edges"]["train_pos"].pop(0)
+        doc["edges"]["test_pos"].append(moved)
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(doc))
+        code, err = run_child(self.stage_args(pretrained, tmp_path, command, split))
+        assert code == 5, err
+        assert "1 bucket violation" in err and f"'bucket': 'test', 'edge': {moved}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("corruption", ["self_pair", "reversed_copy"])
+    def test_malformed_positive_is_5(self, pretrained, tmp_path, corruption):
+        # A train self-pair used to reach the graph constructor and exit 2;
+        # a reversed copy of a test edge used to load and be scored twice.
+        doc = json.loads((pretrained[0]["split"] / "split.json").read_text())
+        edges = doc["edges"]
+        if corruption == "self_pair":
+            edges["train_pos"][0] = [5, 5]
+            message = "train_pos holds [5, 5], which is not an edge of the graph"
+        else:
+            u, v = edges["test_pos"][0]
+            edges["test_pos"].append([v, u])
+            message = f"test_pos repeats the edge {[v, u]}, already in test_pos"
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(doc))
+        code, err = run_child(self.stage_args(pretrained, tmp_path, "eval", split))
+        assert code == 5, err
+        assert message in err and "Traceback" not in err

@@ -14,6 +14,7 @@ from counterlink.splits import (
     DIRECTIONS,
     HEURISTICS,
     DatasetSplit,
+    SplitReport,
     SplitSpec,
     generate_split,
     heuristic_value,
@@ -23,7 +24,7 @@ from counterlink.splits import (
     verify_split,
 )
 from negatives_reference import sparse_negatives_reference
-from splits_reference import generate_split_reference
+from splits_reference import generate_split_reference, verify_split_reference
 
 
 def graph_of(n, edges):
@@ -338,6 +339,112 @@ class TestVerify:
             verify_split(g, split)
 
 
+def _move(bucket, count, to="test"):
+    """Move the first `count` positives of a bucket to the end of another."""
+    def corrupt(g, split):
+        moved = split.pos(bucket)[:count]
+        setattr(split, f"{bucket}_pos", split.pos(bucket)[count:])
+        setattr(split, f"{to}_pos", np.concatenate([split.pos(to), moved]))
+    return corrupt
+
+
+def _set_negative(bucket, i, pair):
+    """Replace one negative; `pair(g, split)` gives the new one."""
+    def corrupt(g, split):
+        negs = split.neg(bucket).copy()
+        negs[i] = pair(g, split)
+        setattr(split, f"{bucket}_neg", negs)
+    return corrupt
+
+
+def _move_unreachable(g, split):
+    # Edges whose exclude-edge SP is infinite (bridges) belong to the
+    # bucket that reaches inf; move one of them elsewhere.
+    home = "test" if split.spec.direction == "forward" else "train"
+    values = heuristic_value(g, split.pos(home)[:, 0], split.pos(home)[:, 1], "SP")
+    at = np.flatnonzero(values == math.inf)
+    assert at.size, "the graph has no bridge to move"
+    split.valid_pos = np.concatenate([split.valid_pos, split.pos(home)[at[:1]]])
+    setattr(split, f"{home}_pos", np.delete(split.pos(home), at[0], axis=0))
+
+
+def _violation_then_raise(g, split):
+    _move("train", 1)(g, split)
+    _set_negative("test", 0, lambda g, s: [5, 5])(g, split)
+
+
+def _empty_negatives(g, split):
+    split.train_neg = np.empty((0, 2), dtype=np.int64)
+
+
+def _edge_negatives(g, split):
+    _set_negative("valid", 0, lambda g, s: s.train_pos[0])(g, split)
+    _set_negative("test", 1, lambda g, s: s.valid_pos[0][::-1])(g, split)
+
+
+CORRUPTIONS = {
+    "clean": lambda g, split: None,
+    "one_moved": _move("train", 1),
+    "twelve_moved": _move("train", 12),
+    "self_pair": _set_negative("test", 0, lambda g, s: [5, 5]),
+    "repeat_within": _set_negative("valid", 1, lambda g, s: s.valid_neg[2]),
+    "reversed_repeat_across": _set_negative("test", 0, lambda g, s: s.train_neg[3][::-1]),
+    "edge_negatives": _edge_negatives,
+    "empty_negatives": _empty_negatives,
+    "violation_then_raise": _violation_then_raise,
+}
+
+
+def verdicts(g, split):
+    """verify_split's outcome with the batched heuristics, with the per-pair
+    references, and from the per-pair reference loop: a SplitReport or the
+    ValidationError text."""
+    out = []
+    for check in (lambda g, s: verify_split(g, s, heuristic=heuristic_value), verify_split,
+                  verify_split_reference):
+        try:
+            out.append(check(g, split))
+        except ValidationError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestVerifyMatchesReference:
+    """Batched verification and the per-pair reference loop agree on every
+    report and every error text, in the order faults are found."""
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("heuristic", HEURISTICS)
+    def test_same_verdict(self, heuristic, direction, corruption):
+        g = synth_graph(SPLIT_GRAPHS["sbm120"])
+        split = generate_split(g, SplitSpec(heuristic, direction,
+                                            *SPLIT_THRESHOLDS[heuristic], seed=5))
+        CORRUPTIONS[corruption](g, split)
+        batched, reference, loop = verdicts(g, split)
+        assert batched == reference == loop
+        assert isinstance(batched, SplitReport) == (corruption == "clean")
+        if corruption == "twelve_moved":
+            assert batched.startswith("12 bucket violation(s), first 10: ")
+
+    @pytest.mark.parametrize("cells", [None, 64])
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_unreachable_pairs(self, monkeypatch, direction, cells):
+        # 64 cells split the SP masks of this graph into many chunks.
+        from counterlink import graphs
+
+        if cells:
+            monkeypatch.setattr(graphs, "_HEURISTIC_CELLS", cells)
+        g = synth_graph(SPLIT_GRAPHS["sbm120"])
+        split = generate_split(g, SplitSpec("SP", direction, 3, 4, seed=5))
+        batched, reference, loop = verdicts(g, split)
+        assert batched == reference == loop and isinstance(batched, SplitReport)
+        _move_unreachable(g, split)
+        batched, reference, loop = verdicts(g, split)
+        assert batched == reference == loop
+        assert "'bucket': 'valid'" in batched and "'value': inf" in batched
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         g = sbm_graph([40, 40], 0.25, 0.02, seed=9)
@@ -370,6 +477,41 @@ class TestPersistence:
         doc["edges"]["test_neg"][1] = doc["edges"]["test_neg"][2]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="test_neg repeats the pair"):
+            load_split(path, g)
+
+    @pytest.mark.parametrize("corruption", [
+        "distance_two_non_edge", "dropped", "reversed_copy", "self_pair", "repeat_within"])
+    def test_positives_must_be_the_graphs_edges(self, tmp_path, corruption):
+        # Each of these used to load: the first put a fake edge into the
+        # training adjacency, the third scored one edge twice.
+        g = sbm_graph([40, 40], 0.25, 0.02, seed=9)
+        split = generate_split(g, SplitSpec("CN", "backward", 2, 1, seed=3))
+        path = tmp_path / "split.json"
+        save_split(split, path)
+        doc = json.loads(path.read_text())
+        pos = doc["edges"]
+        if corruption == "distance_two_non_edge":
+            adj = bruteforce.adjacency_sets(g.num_nodes, g.edges())
+            u, v = pos["train_pos"][0]
+            w = min(adj[v] - adj[u] - {u})
+            pos["train_pos"][0] = [u, w]
+            message = rf"train_pos holds \[{u}, {w}\], which is not an edge of the graph"
+        elif corruption == "dropped":
+            u, v = pos["valid_pos"].pop(0)
+            message = rf"the graph's edge \[{u}, {v}\] is in no positive bucket"
+        elif corruption == "reversed_copy":
+            u, v = pos["train_pos"][0]
+            pos["test_pos"].append([v, u])
+            message = rf"test_pos repeats the edge \[{v}, {u}\], already in train_pos"
+        elif corruption == "self_pair":
+            pos["test_pos"][0] = [5, 5]
+            message = r"test_pos holds \[5, 5\], which is not an edge of the graph"
+        else:
+            u, v = pos["train_pos"][1]
+            pos["train_pos"].append([u, v])
+            message = rf"train_pos repeats the edge \[{u}, {v}\], already in train_pos"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=message):
             load_split(path, g)
 
     def test_ranges_surfaced_in_json(self, tmp_path):
