@@ -1,4 +1,5 @@
-"""Dense float64 tensors with reverse-mode differentiation and Adam.
+"""Dense float64 tensors with reverse-mode differentiation and Adam, and the
+early-stopped epoch loop the three trainers share.
 
 A Tape owns one forward pass: parameters are wrapped with tape.leaf(...),
 ops record themselves when any input is being traced, and backward(loss)
@@ -34,13 +35,16 @@ propagation here needs; everything else is dense numpy.
 """
 
 import math
+import operator
 import os
 import struct
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericError, ShapeError
+from .rng import stream_rng
 
 
 class Tensor:
@@ -398,7 +402,7 @@ def bce_with_logits(logits, targets) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# Adam and the epoch loop
 
 
 @dataclass
@@ -433,6 +437,36 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
         v += (1.0 - b2) * g * g
         p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
     return params
+
+
+def shuffled_batches(seed, stream, count, batch_size):
+    """(start, indices) of each batch of one epoch's permutation of count
+    items, drawn from the named stream; batch_size 0 gives one batch."""
+    order = stream_rng(seed, stream).permutation(count)
+    if not batch_size:
+        return [(0, order)]
+    return [(start, order[start : start + batch_size]) for start in range(0, count, batch_size)]
+
+
+def train_epochs(epochs, patience, run_epoch, snapshot, score, higher=True, start=None):
+    """(best state, best row, trace) of early-stopped epochs 1..epochs. Each
+    row is {"epoch": e, **run_epoch(e), "seconds": wall clock}; it is kept, and
+    snapshot() taken, only if its score key beats the kept row's strictly
+    (higher or lower); patience epochs without one end the run. start=(row,
+    state) is an epoch-0 candidate heading the trace; else epoch 1 is kept."""
+    best_row, best = start if start is not None else (None, None)
+    trace = [best_row] if start is not None else []
+    beats = operator.gt if higher else operator.lt
+    for epoch in range(1, epochs + 1):
+        t0 = time.perf_counter()
+        row = {"epoch": epoch, **run_epoch(epoch)}
+        row["seconds"] = time.perf_counter() - t0
+        trace.append(row)
+        if best_row is None or beats(row[score], best_row[score]):
+            best_row, best = row, snapshot()
+        if epoch - best_row["epoch"] >= patience:
+            break
+    return best, best_row, trace
 
 
 # ---------------------------------------------------------------------------

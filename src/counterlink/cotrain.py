@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InputError, NumericError, require_finite
+from .errors import ConfigError, InputError, NumericError, require_finite, require_schedule
 from .generator import (NoiseSpec, SiviParams, encode_semi_implicit, first_draw_logits,
                         kl_gaussian, sivi_elbo)
 from .gnn import (
@@ -56,6 +56,8 @@ from .splits import DatasetSplit
 
 UPDATE_RULES = ("check_mode", "literal_minmax")
 ABLATION_SWITCHES = ("no_seal_labels", "no_lp_loss", "no_sivi")
+# The per-batch numbers _tune_batch returns, averaged into each trace row.
+TRACE_NUMBERS = ("lp_loss", "sivi_loss", "kl_estimate", "penalty", "mean_generated_cn")
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,9 @@ class CotrainConfig:
             raise InputError("gamma must be in [0, 1]")
         if self.update_rule not in UPDATE_RULES:
             raise ConfigError(f"update_rule must be one of {UPDATE_RULES}")
-        if not 0 <= self.patience <= self.epochs:
-            raise InputError(f"patience must be between 0 and epochs ({self.epochs}), "
-                             f"got {self.patience}")
+        require_schedule(self.epochs, self.patience, self.batch_size)
+        if self.eval_k < 1:
+            raise InputError("eval_k must be >= 1")
 
 
 def gen_loss(elbo, kl_estimate, tau):
@@ -343,9 +345,9 @@ def flex_tune(
 
     g is the training-visible graph; Hits@K is scored on eval_norm, a
     normalized adjacency that defaults to g's own. subgraphs defaults to
-    train_subgraphs(g, split, cfg). Returns the best-validation pair, which
-    may be the untouched pre-trained models when no epoch improves, and the
-    test Hits@K of it and of the pre-trained predictor. Each trace row
+    train_subgraphs(g, split, cfg). Returns the pair ad.train_epochs selects
+    by validation Hits@K, with the untouched pre-trained pair as epoch 0, and
+    the test Hits@K of it and of the pre-trained predictor. Each trace row
     records its epoch's wall-clock seconds; row 0 covers any extraction, tau
     and the pre-update validation.
     """
@@ -356,60 +358,40 @@ def flex_tune(
     subs = subgraphs if subgraphs is not None else train_subgraphs(g, split, cfg)
     if eval_norm is None:
         eval_norm = normalize_adjacency(g.adjacency)
-    feats = g.features
-    size = cfg.batch_size if cfg.batch_size > 0 else len(subs)
-    tau = resolve_tau(ggm_params, make_batch(subs[: min(size, len(subs))]), cfg)
+    tau = resolve_tau(ggm_params, make_batch(subs[: cfg.batch_size or len(subs)]), cfg)
 
     state_gnn = ad.AdamState(lr=cfg.lr_gnn)
     state_ggm = ad.AdamState(lr=cfg.lr_ggm)
-    best_valid = evaluate_hits(
-        gnn_params, eval_norm, feats, split.valid_pos, split.valid_neg, cfg.eval_k
-    )
-    best = (gnn_params.copy(), ggm_params.copy())
-    best_epoch = 0
-    trace = [
-        {
-            "epoch": 0,
-            "lp_loss": float("nan"),
-            "sivi_loss": float("nan"),
-            "kl_estimate": float("nan"),
-            "penalty": float("nan"),
-            "mean_generated_cn": float("nan"),
-            "valid_hits": best_valid,
-            "seconds": time.perf_counter() - t0,
-        }
-    ]
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        order = stream_rng(cfg.seed, f"cot.shuffle.e{epoch}").permutation(len(subs))
-        rows = {"lp_loss": [], "sivi_loss": [], "kl_estimate": [], "penalty": [],
-                "mean_generated_cn": []}
-        for bi in range(0, len(subs), size):
-            numbers = _tune_batch(gnn_params, ggm_params,
-                                  [subs[i] for i in order[bi : bi + size]], cfg, tau,
-                                  state_gnn, state_ggm, f"cot.noise.e{epoch}.b{bi}")
-            for row, value in zip(rows.values(), numbers):
-                row.append(value)
-        valid_hits = evaluate_hits(
-            gnn_params, eval_norm, feats, split.valid_pos, split.valid_neg, cfg.eval_k
+
+    def valid_hits():
+        return evaluate_hits(
+            gnn_params, eval_norm, g.features, split.valid_pos, split.valid_neg, cfg.eval_k
         )
-        trace.append(
-            {"epoch": epoch, **{k: float(np.mean(v)) for k, v in rows.items()},
-             "valid_hits": valid_hits, "seconds": time.perf_counter() - t0}
-        )
-        if valid_hits > best_valid:
-            best_valid = valid_hits
-            best = (gnn_params.copy(), ggm_params.copy())
-            best_epoch = epoch
-        if epoch - best_epoch >= cfg.patience:
-            break
+
+    def snapshot():
+        return gnn_params.copy(), ggm_params.copy()
+
+    def run_epoch(epoch):
+        numbers = [
+            _tune_batch(gnn_params, ggm_params, [subs[i] for i in order], cfg, tau,
+                        state_gnn, state_ggm, f"cot.noise.e{epoch}.b{start}")
+            for start, order in ad.shuffled_batches(cfg.seed, f"cot.shuffle.e{epoch}",
+                                                    len(subs), cfg.batch_size)]
+        return {**{k: float(np.mean(col)) for k, col in zip(TRACE_NUMBERS, zip(*numbers))},
+                "valid_hits": valid_hits()}
+
+    epoch0 = {"epoch": 0, **dict.fromkeys(TRACE_NUMBERS, float("nan")),
+              "valid_hits": valid_hits(), "seconds": time.perf_counter() - t0}
+    best, row, trace = ad.train_epochs(cfg.epochs, cfg.patience, run_epoch, snapshot,
+                                       "valid_hits", start=(epoch0, snapshot()))
     test_hits, base_test_hits = (
-        evaluate_hits(params, eval_norm, feats, split.test_pos, split.test_neg, cfg.eval_k)
+        evaluate_hits(params, eval_norm, g.features, split.test_pos, split.test_neg, cfg.eval_k)
         for params in (best[0], pretrained)
     )
     return CotrainResult(
-        gnn=best[0], ggm=best[1], trace=trace, best_epoch=best_epoch, best_valid=best_valid,
-        tau=tau, test_hits=test_hits, base_test_hits=base_test_hits,
+        gnn=best[0], ggm=best[1], trace=trace, best_epoch=row["epoch"],
+        best_valid=row["valid_hits"], tau=tau, test_hits=test_hits,
+        base_test_hits=base_test_hits,
     )
 
 
@@ -427,7 +409,7 @@ def generate_samples(
     subs = extract_for_links(
         g, links, k=cfg.hop_k, max_nodes=cfg.max_nodes, seed=cfg.seed
     )
-    size = cfg.batch_size if cfg.batch_size > 0 else len(subs)
+    size = cfg.batch_size or len(subs)
     out = []
     for bi in range(0, len(subs), size):
         batch = make_batch(subs[bi : bi + size])

@@ -47,3 +47,14 @@ def require_finite(name, value, minimum=None):
     if not math.isfinite(value) or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise InputError(f"{name} must be a finite number{bound}, got {value}")
+
+
+def require_schedule(epochs, patience, batch_size, min_epochs=0):
+    """InputError unless epochs is at least min_epochs, patience between 0
+    and epochs, and batch_size at least 0 (0 = one batch)."""
+    if epochs < min_epochs:
+        raise InputError(f"epochs must be >= {min_epochs}, got {epochs}")
+    if not 0 <= patience <= epochs:
+        raise InputError(f"patience must be between 0 and epochs ({epochs}), got {patience}")
+    if batch_size < 0:
+        raise InputError(f"batch_size must be >= 0 (0 = one batch), got {batch_size}")

@@ -27,14 +27,13 @@ that keeps generation from densifying.
 
 import copy
 import json
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import (ConfigError, InputError, NumericError, ShapeError, ValidationError,
-                     require_finite)
+                     require_finite, require_schedule)
 from .graphs import (Edge, Graph, LabeledSubgraphBatch, POSITIVE, extract_for_links,
                      make_batch, once_per_batch)
 from .rng import stream_rng
@@ -467,11 +466,7 @@ class GgmTrainConfig:
     max_nodes: int = 1000
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InputError("epochs must be >= 1")
-        if not 0 <= self.patience <= self.epochs:
-            raise InputError(f"patience must be between 0 and epochs ({self.epochs}), "
-                             f"got {self.patience}")
+        require_schedule(self.epochs, self.patience, self.batch_size, min_epochs=1)
         require_finite("lr", self.lr, minimum=0)
 
 
@@ -502,9 +497,9 @@ def pretrain_ggm(
 ) -> GgmPretrainResult:
     """Fit the auto-encoder on labeled subgraphs of the train positives.
 
-    g must be the training-visible graph. Early stopping on loss plateau;
-    the returned final_kl is the draw-averaged KL at the best epoch, which
-    co-training uses to center its divergence target.
+    g must be the training-visible graph. ad.train_epochs selects by mean
+    loss, lower is better; final_kl is the selected epoch's draw-averaged
+    KL, which co-training uses to center its divergence target.
     """
     links = [Edge(int(u), int(v), POSITIVE) for u, v in split.train_pos]
     subs = extract_for_links(
@@ -515,46 +510,20 @@ def pretrain_ggm(
         d_in, noise_dim=spec.noise_dim, rng=stream_rng(cfg.seed, "init")
     )
     state = ad.AdamState(lr=cfg.lr)
-    best = params.copy()
-    best_loss = np.inf
-    best_epoch = 0
-    best_kl = 0.0
-    trace = []
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        order = stream_rng(cfg.seed, f"ggm.shuffle.e{epoch}").permutation(len(subs))
-        size = cfg.batch_size if cfg.batch_size > 0 else len(subs)
-        losses, kls = [], []
-        for bi in range(0, len(subs), size):
-            loss, kl = _pretrain_batch(
-                params, [subs[i] for i in order[bi : bi + size]], spec, state,
-                stream_rng(cfg.seed, f"ggm.noise.e{epoch}.b{bi}"))
-            losses.append(loss)
-            kls.append(kl)
-        epoch_loss = float(np.mean(losses))
-        epoch_kl = float(np.mean(kls))
-        trace.append(
-            {
-                "epoch": epoch,
-                "loss": epoch_loss,
-                "kl": epoch_kl,
-                "seconds": time.perf_counter() - t0,
-            }
-        )
-        if epoch_loss < best_loss:
-            best_loss = epoch_loss
-            best = params.copy()
-            best_epoch = epoch
-            best_kl = epoch_kl
-        if epoch - best_epoch >= cfg.patience:
-            break
-    return GgmPretrainResult(
-        params=best,
-        trace=trace,
-        best_epoch=best_epoch,
-        best_loss=best_loss,
-        final_kl=best_kl,
-    )
+
+    def run_epoch(epoch):
+        numbers = [
+            _pretrain_batch(params, [subs[i] for i in order], spec, state,
+                            stream_rng(cfg.seed, f"ggm.noise.e{epoch}.b{start}"))
+            for start, order in ad.shuffled_batches(cfg.seed, f"ggm.shuffle.e{epoch}",
+                                                    len(subs), cfg.batch_size)]
+        losses, kls = zip(*numbers)
+        return {"loss": float(np.mean(losses)), "kl": float(np.mean(kls))}
+
+    best, row, trace = ad.train_epochs(cfg.epochs, cfg.patience, run_epoch, params.copy,
+                                       "loss", higher=False)
+    return GgmPretrainResult(params=best, trace=trace, best_epoch=row["epoch"],
+                             best_loss=row["loss"], final_kl=row["kl"])
 
 
 # ---------------------------------------------------------------------------

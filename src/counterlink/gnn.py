@@ -13,13 +13,12 @@ tape op.
 """
 
 import copy
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InputError, NumericError, require_finite
+from .errors import InputError, NumericError, require_finite, require_schedule
 from .graphs import Csr, Graph, normalize_adjacency
 from .rng import stream_rng
 from .splits import DatasetSplit, sample_negatives
@@ -77,13 +76,9 @@ class TrainConfig:
 
     def __post_init__(self):
         require_finite("lr", self.lr, minimum=0)
-        if not 0 <= self.patience <= self.epochs:
-            raise InputError(f"patience must be between 0 and epochs ({self.epochs}), "
-                             f"got {self.patience}")
+        require_schedule(self.epochs, self.patience, self.batch_size, min_epochs=1)
         if self.eval_k < 1:
             raise InputError("eval_k must be >= 1")
-        if self.epochs < 1:
-            raise InputError("epochs must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise InputError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -299,7 +294,8 @@ def pretrain_gnn(
     train_edge_hook (if given) receives every edge batch that reaches a
     gradient step, so leakage can be audited from outside. Hits@K is scored
     on eval_norm, a normalized adjacency that defaults to g's own: validation
-    every epoch for selection, then test once for the selected params.
+    every epoch for selection by ad.train_epochs (higher is better), then
+    test once for the selected params.
     """
     d_in = g.features.shape[1]
     init_rng = stream_rng(cfg.seed, "init")
@@ -309,23 +305,12 @@ def pretrain_gnn(
     eval_norm = a_norm if eval_norm is None else eval_norm
     state = ad.AdamState(lr=cfg.lr)
     pos_all = split.train_pos
-    best = params.copy()
-    best_valid = -1.0
-    best_epoch = 0
-    trace = []
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        order = stream_rng(cfg.seed, f"shuffle.e{epoch}").permutation(pos_all.shape[0])
-        batches = (
-            [pos_all[order]]
-            if cfg.batch_size <= 0
-            else [
-                pos_all[order[i : i + cfg.batch_size]]
-                for i in range(0, pos_all.shape[0], cfg.batch_size)
-            ]
-        )
+
+    def run_epoch(epoch):
         losses = []
-        for bi, pos in enumerate(batches):
+        batches = ad.shuffled_batches(cfg.seed, f"shuffle.e{epoch}", len(pos_all), cfg.batch_size)
+        for bi, (_, order) in enumerate(batches):
+            pos = pos_all[order]
             neg = sample_negatives(
                 g, pos.shape[0], rng=stream_rng(cfg.seed, f"negatives.e{epoch}.b{bi}")
             )
@@ -336,25 +321,14 @@ def pretrain_gnn(
             if not np.isfinite(loss):
                 raise NumericError(f"training loss diverged at epoch {epoch}")
             losses.append(loss)
-        valid_hits = evaluate_hits(
-            params, eval_norm, g.features, split.valid_pos, split.valid_neg, cfg.eval_k
-        )
-        trace.append(
-            {
-                "epoch": epoch,
-                "train_loss": float(np.mean(losses)),
-                "valid_hits": valid_hits,
-                "seconds": time.perf_counter() - t0,
-            }
-        )
-        if valid_hits > best_valid:
-            best_valid = valid_hits
-            best = params.copy()
-            best_epoch = epoch
-        if epoch - best_epoch >= cfg.patience:
-            break
+        return {"train_loss": float(np.mean(losses)),
+                "valid_hits": evaluate_hits(params, eval_norm, g.features, split.valid_pos,
+                                            split.valid_neg, cfg.eval_k)}
+
+    best, row, trace = ad.train_epochs(cfg.epochs, cfg.patience, run_epoch, params.copy,
+                                       "valid_hits")
     test_hits = evaluate_hits(
         best, eval_norm, g.features, split.test_pos, split.test_neg, cfg.eval_k
     )
-    return GnnPretrainResult(params=best, trace=trace, best_epoch=best_epoch,
-                             best_valid=best_valid, test_hits=test_hits)
+    return GnnPretrainResult(params=best, trace=trace, best_epoch=row["epoch"],
+                             best_valid=row["valid_hits"], test_hits=test_hits)

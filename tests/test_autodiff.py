@@ -6,6 +6,7 @@ import pytest
 
 from counterlink import autodiff as ad
 from counterlink.errors import InputError, NumericError, ShapeError
+from counterlink.rng import stream_rng
 from blocks_reference import bce_with_logits, sigmoid
 from graphs_reference import csr_from_dense, matmul_dense_reference
 
@@ -330,6 +331,83 @@ class TestAdam:
         params = {"w": np.ones(2)}
         with pytest.raises(NumericError):
             ad.adam_step(ad.AdamState(), params, {"w": np.array([1.0, np.nan])})
+
+
+
+def fake_loop(scores, patience, higher=True, start=None):
+    """ad.train_epochs over a fake run_epoch whose epoch e scores scores[e - 1];
+    (best state, best row, trace, epochs whose state was snapshot)."""
+    ran, snapped = [], []
+
+    def run_epoch(epoch):
+        ran.append(epoch)
+        return {"score": scores[epoch - 1], "other": -epoch}
+
+    def snapshot():
+        snapped.append(ran[-1])
+        return f"state@{ran[-1]}"
+
+    best, row, trace = ad.train_epochs(len(scores), patience, run_epoch, snapshot, "score",
+                                       higher=higher, start=start)
+    return best, row, trace, snapped
+
+
+class TestEpochLoop:
+    def test_a_tie_keeps_the_earlier_epoch(self):
+        best, row, _, _ = fake_loop([0.5, 0.5, 0.4], patience=3)
+        assert (best, row["epoch"]) == ("state@1", 1)
+
+    def test_lower_is_better_selects_the_lowest_score(self):
+        best, row, _, _ = fake_loop([3.0, 1.0, 2.0, 1.0], patience=4, higher=False)
+        assert (best, row["epoch"], row["score"]) == ("state@2", 2, 1.0)
+
+    def test_patience_zero_stops_after_epoch_one(self):
+        best, _, trace, _ = fake_loop([1.0, 2.0, 3.0], patience=0)
+        assert best == "state@1" and [r["epoch"] for r in trace] == [1]
+
+    @pytest.mark.parametrize("scores,patience,best_epoch", [
+        ([1, 3, 2, 2, 2, 5, 6], 2, 2),
+        ([1, 2, 1, 3, 1, 1, 1, 9], 3, 4),
+        ([1, 2, 3, 4], 2, 4),
+    ])
+    def test_patience_p_stops_at_best_plus_p(self, scores, patience, best_epoch):
+        best, row, trace, _ = fake_loop(scores, patience)
+        assert row["epoch"] == best_epoch and best == f"state@{best_epoch}"
+        assert len(trace) == min(len(scores), best_epoch + patience)
+
+    def test_a_start_row_no_epoch_beats_is_returned_and_heads_the_trace(self):
+        start = {"epoch": 0, "score": 0.9, "other": 0, "seconds": 0.0}
+        best, row, trace, snapped = fake_loop([0.9, 0.5, 0.7], patience=2,
+                                              start=(start, "pretrained"))
+        assert (best, row) == ("pretrained", start) and not snapped
+        assert trace[0] is start and [r["epoch"] for r in trace] == [0, 1, 2]
+
+    def test_zero_epochs_return_the_start(self):
+        start = {"epoch": 0, "score": 0.1, "seconds": 0.0}
+        assert fake_loop([], patience=0, start=(start, "pretrained"))[:3] == (
+            "pretrained", start, [start])
+
+    def test_snapshot_runs_only_on_improvement(self):
+        _, _, _, snapped = fake_loop([1.0, 0.0, 2.0, 2.0, 3.0], patience=5)
+        assert snapped == [1, 3, 5]
+
+    def test_row_keys_are_epoch_the_numbers_then_seconds(self):
+        _, _, trace, _ = fake_loop([1.0, 2.0], patience=2)
+        for epoch, row in enumerate(trace, 1):
+            assert list(row) == ["epoch", "score", "other", "seconds"]
+            assert row["epoch"] == epoch and row["seconds"] >= 0.0
+
+    def test_batch_size_zero_gives_one_batch(self):
+        [(start, order)] = ad.shuffled_batches(4, "shuffle.e1", 7, 0)
+        assert start == 0
+        assert order.tolist() == stream_rng(4, "shuffle.e1").permutation(7).tolist()
+
+    def test_batches_split_the_permutation_and_the_last_can_be_short(self):
+        batches = ad.shuffled_batches(4, "shuffle.e1", 7, 3)
+        assert [start for start, _ in batches] == [0, 3, 6]
+        assert [len(order) for _, order in batches] == [3, 3, 1]
+        joined = np.concatenate([order for _, order in batches])
+        assert joined.tolist() == stream_rng(4, "shuffle.e1").permutation(7).tolist()
 
 
 class TestCheckpoint:

@@ -805,6 +805,10 @@ class TestTrainingValuesInRange:
         ("flex-tune", "--tau", "nan"),
         ("flex-tune", "--tau-offset", "nan"),
         ("sweep", "--alpha", "inf"),
+        ("pretrain-gnn", "--batch-size", -1),
+        ("pretrain-ggm", "--batch-size", -1),
+        ("flex-tune", "--batch-size", -1),
+        ("flex-tune", "--eval-k", 0),
     ])
     def test_rejected_with_exit_2(self, pretrained, tmp_path, command, flag, value):
         d, tune_flags = pretrained

@@ -160,3 +160,56 @@ class TestMemoryGuard:
         first, epoch, held = traced_steps(two_batch_runs(fixture)[name], monkeypatch, steps)
         assert epoch < 1.5 * first, (first, epoch)
         assert max(held) < 0.25 * epoch, (held, epoch)
+
+
+def selection_runs(fixture):
+    """Each training stage on the fixture for up to 6 epochs with patience 1."""
+    g, split, obs, gnn, ggm, spec = fixture
+    return {
+        "pretrain-gnn": lambda: pretrain_gnn(
+            obs, split, TrainConfig(epochs=6, patience=1, lr=1e-2, seed=3, eval_k=3),
+            hidden=8, layers=2),
+        "pretrain-ggm": lambda: pretrain_ggm(
+            obs, split, GgmTrainConfig(epochs=6, patience=1, lr=1e-2, batch_size=0,
+                                       seed=3), spec),
+        "flex-tune": lambda: flex_tune(
+            gnn, ggm, obs, split,
+            CotrainConfig(alpha=1.05, gamma=0.5, lr_gnn=1e-3, lr_ggm=1e-3, epochs=6,
+                          patience=1, batch_size=16, noise=spec, eval_k=3, seed=9)),
+    }
+
+
+def named(*params):
+    return {k: v for p in params for k, v in p.named().items()}
+
+
+class TestModelSelection:
+    @pytest.mark.parametrize("name", ["pretrain-gnn", "pretrain-ggm", "flex-tune"])
+    def test_the_run_stops_patience_after_its_best_epoch_and_keeps_that_state(
+            self, fixture, name, monkeypatch):
+        # The live state is copied after every epoch; the kept one must equal
+        # the copy at best_epoch (the pre-trained pair for flex-tune's 0).
+        real, live = ad.train_epochs, {0: named(fixture[3], fixture[4])}
+
+        def recorded(epochs, patience, run_epoch, snapshot, *args, **kwargs):
+            def run_and_copy(epoch):
+                row = run_epoch(epoch)
+                state = snapshot()
+                live[epoch] = named(*state) if isinstance(state, tuple) else named(state)
+                return row
+            return real(epochs, patience, run_and_copy, snapshot, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "train_epochs", recorded)
+        result = selection_runs(fixture)[name]()
+        score, higher = {"pretrain-ggm": ("loss", False)}.get(name, ("valid_hits", True))
+        scores = [row[score] for row in result.trace]
+        first_best = scores.index(max(scores) if higher else min(scores))
+        assert result.trace[first_best]["epoch"] == result.best_epoch
+        head = 1 if name == "flex-tune" else 0  # flex-tune's epoch-0 row
+        epochs = [row["epoch"] for row in result.trace]
+        assert epochs == list(range(1 - head, len(epochs) + 1 - head))
+        assert len(result.trace) == min(6, result.best_epoch + 1) + head
+        kept = (named(result.gnn, result.ggm) if name == "flex-tune"
+                else named(result.params))
+        for key, value in live[result.best_epoch].items():
+            assert (kept[key] == value).all(), key
