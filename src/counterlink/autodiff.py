@@ -307,13 +307,13 @@ def gather_rows(a, idx) -> Tensor:
     av = a.value
 
     def back(g):
-        # One bincount per column adds each row's terms in pick order from
-        # 0.0, as np.add.at does, without an index array per column.
-        full = np.zeros_like(av)
-        flat, cols = full.reshape(av.shape[0], -1), g.reshape(idx.size, -1)
-        for c in range(flat.shape[1]):
-            flat[:, c] = np.bincount(idx, weights=cols[:, c], minlength=av.shape[0])
-        return (full,)
+        # One bincount over the keys row * width + column of the row-major
+        # gradient adds each cell's terms in pick order from 0.0, as
+        # np.add.at does.
+        width = int(np.prod(av.shape[1:]))
+        keys = (idx[:, None] * width + np.arange(width)).ravel()
+        full = np.bincount(keys, weights=g.ravel(), minlength=av.size)
+        return (full.reshape(av.shape),)
 
     return emit("gather_rows", av[idx], [a], back)
 

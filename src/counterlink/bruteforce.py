@@ -5,8 +5,9 @@ one pair at a time (splits.reference_value), and the tests pin the batched
 heuristics to them, so they must not share code with graphs.py: plain
 python sets, and for SP a bidirectional BFS over sets that expands the
 smaller frontier and stops where the two sides meet, where graphs.py
-settles whole edge lists with a sorted-key lookup and boolean masks over
-the CSR arrays.
+settles whole edge lists with neighbour masks over the CSR arrays: one mask
+per chunk of pairs for common neighbours and for walks of length 3, and BFS
+levels as masks for the pairs still open.
 """
 
 import math

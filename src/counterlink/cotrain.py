@@ -39,7 +39,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InputError, NumericError, require_finite, require_schedule
+from .errors import (ConfigError, InputError, NumericError, require_extraction, require_finite,
+                     require_schedule)
 from .generator import (NoiseSpec, SiviParams, encode_semi_implicit, first_draw_logits,
                         kl_gaussian, sivi_elbo)
 from .gnn import (
@@ -93,6 +94,7 @@ class CotrainConfig:
         require_schedule(self.epochs, self.patience, self.batch_size)
         if self.eval_k < 1:
             raise InputError("eval_k must be >= 1")
+        require_extraction(self.hop_k, self.max_nodes)
 
 
 def gen_loss(elbo, kl_estimate, tau):

@@ -58,3 +58,12 @@ def require_schedule(epochs, patience, batch_size, min_epochs=0):
         raise InputError(f"patience must be between 0 and epochs ({epochs}), got {patience}")
     if batch_size < 0:
         raise InputError(f"batch_size must be >= 0 (0 = one batch), got {batch_size}")
+
+
+def require_extraction(hop_k, max_nodes):
+    """InputError naming the field unless enclosing subgraphs can be taken:
+    hop_k at least 1, and max_nodes at least 2, room for both endpoints."""
+    if hop_k < 1:
+        raise InputError(f"hop_k must be >= 1, got {hop_k}")
+    if max_nodes < 2:
+        raise InputError(f"max_nodes must be >= 2, got {max_nodes}")

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import (ConfigError, InputError, NumericError, ShapeError, ValidationError,
-                     require_finite, require_schedule)
+                     require_extraction, require_finite, require_schedule)
 from .graphs import (Edge, Graph, LabeledSubgraphBatch, POSITIVE, extract_for_links,
                      make_batch, once_per_batch)
 from .rng import stream_rng
@@ -468,6 +468,7 @@ class GgmTrainConfig:
     def __post_init__(self):
         require_schedule(self.epochs, self.patience, self.batch_size, min_epochs=1)
         require_finite("lr", self.lr, minimum=0)
+        require_extraction(self.hop_k, self.max_nodes)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_extraction
 from .rng import stream_rng
 
 UNREACHABLE = math.inf
@@ -205,8 +205,10 @@ def _row_entries(g: Graph, nodes):
 
 
 # Upper bound on the cells of one heuristic work array: the pairs x nodes
-# masks of a shortest-path chunk, and the CSR entries of one neighbour
-# gather, so a large graph or a hub's row cannot blow up memory.
+# masks of a chunk of pairs, the two-hop walks of a distance-3 chunk and the
+# CSR entries of one neighbour gather, so a large graph or a hub's row cannot
+# blow up memory. A pair that alone needs more (a node count, or a hub's
+# two-hop count, above the bound) gets a chunk of its own.
 _HEURISTIC_CELLS = 1 << 18
 
 
@@ -238,33 +240,75 @@ def _pairs(g: Graph, u, v):
     return u, v
 
 
-def _entry_keys(g: Graph):
-    """Every CSR entry (w, x) as the key w * n + x: ascending, since rows are
-    sorted and come in row order."""
-    return g.adjacency.row_ids() * g.num_nodes + g.adjacency.indices
+def _linked(g: Graph, u, v):
+    """Whether each (u[i], v[i]) is an edge: the keys w * n + x of the CSR
+    entries ascend, since rows are sorted and come in row order."""
+    keys = g.adjacency.row_ids() * g.num_nodes + g.adjacency.indices
+    if not keys.size:
+        return np.zeros(u.shape, dtype=bool)
+    wanted = u * g.num_nodes + v
+    return keys[np.minimum(np.searchsorted(keys, wanted), keys.size - 1)] == wanted
 
 
-def _has_keys(keys, wanted):
-    """Whether each wanted key is among the ascending keys."""
-    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-    return keys[at] == wanted if keys.size else np.zeros(wanted.shape, dtype=bool)
+def _gather(g: Graph, nodes):
+    """Every neighbour of the given nodes, in row order, with the position in
+    nodes of the node it belongs to: one gather, no per-row loop."""
+    pos, per = _row_entries(g, nodes)
+    return np.repeat(np.arange(nodes.size), per), g.adjacency.indices[pos]
 
 
-def _shared_counts(g: Graph, u, v, keys):
-    """Common neighbours of every pair: each neighbour w of the lower-degree
-    endpoint is looked up as the key w * n + other among the CSR keys, in
-    runs of at most _HEURISTIC_CELLS lookups."""
+def _neighbour_mask(g: Graph, nodes):
+    """Flat len(nodes) x n bool mask whose row i marks the neighbours of
+    nodes[i], set with one scatter."""
+    n = g.num_nodes
+    mask = np.zeros(nodes.size * n, dtype=bool)
+    row, x = _gather(g, nodes)
+    mask[row * n + x] = True
+    return mask
+
+
+def _shared_counts(g: Graph, u, v):
+    """Common neighbours of every pair. Per chunk of at most _HEURISTIC_CELLS
+    pair x node cells, the higher-degree endpoint's neighbours are marked in
+    a mask, each neighbour of the other endpoint is read from it with one
+    gather, and one bincount counts the hits."""
     n = g.num_nodes
     deg = g.degrees()
     swap = deg[u] > deg[v]
     low, other = np.where(swap, v, u), np.where(swap, u, v)
     counts = np.zeros(u.size, dtype=np.int64)
-    for lo, hi in _spans(deg[low]):
-        pos, per = _row_entries(g, low[lo:hi])
-        hit = _has_keys(keys, g.adjacency.indices[pos] * n + np.repeat(other[lo:hi], per))
-        counts[lo:hi] = np.bincount(np.repeat(np.arange(hi - lo), per)[hit],
-                                    minlength=hi - lo)
+    for lo, hi in _spans(np.full(u.size, n)):
+        mask = _neighbour_mask(g, other[lo:hi])
+        row, w = _gather(g, low[lo:hi])
+        counts[lo:hi] = np.bincount(row[mask[row * n + w]], minlength=hi - lo)
     return counts
+
+
+def _three_hop(g: Graph, u, v):
+    """Whether each pair has a walk u-w-x-v with w != v and x != u, so one
+    that leaves out the edge (u, v).
+
+    Per chunk, v's neighbours other than u are marked in a pairs x nodes
+    mask, and the two-hop walks from u's neighbours other than v are read
+    from it with one gather. The walks start at the endpoint with the fewer
+    of them; a chunk holds at most _HEURISTIC_CELLS mask cells and as many
+    walks, and a node's degree never exceeds its two-hop count.
+    """
+    n = g.num_nodes
+    a = g.adjacency
+    two_hop = np.bincount(a.row_ids(), weights=g.degrees()[a.indices], minlength=n)
+    swap = two_hop[u] > two_hop[v]
+    walk, mark = np.where(swap, v, u), np.where(swap, u, v)
+    met = np.zeros(u.size, dtype=bool)
+    for lo, hi in _spans(np.maximum(two_hop[walk], n).astype(np.int64)):
+        mask = _neighbour_mask(g, mark[lo:hi])
+        mask[np.arange(hi - lo) * n + walk[lo:hi]] = False
+        row, w = _gather(g, walk[lo:hi])
+        keep = w != mark[lo:hi][row]
+        at, x = _gather(g, w[keep])
+        row = row[keep][at]
+        met[lo + row[mask[row * n + x]]] = True
+    return met
 
 
 def _expand(g: Graph, mask):
@@ -282,8 +326,8 @@ def _expand(g: Graph, mask):
 
 
 def _meet_in_middle(g: Graph, u, v):
-    """Distances of pairs with no common neighbour, leaving out the edge
-    (u, v) if present: 3 or more, or UNREACHABLE.
+    """Distances of pairs with no path of length 3 or less, leaving out the
+    edge (u, v) if present: 4 or more, or UNREACHABLE.
 
     Both endpoints' BFS levels grow as boolean masks, one row per pair. Each
     step expands the smaller frontier of every pair and stops the pair when
@@ -323,7 +367,7 @@ def _meet_in_middle(g: Graph, u, v):
 def common_neighbors(g: Graph, u, v):
     """Common-neighbour count of each pair (u[i], v[i])."""
     u, v = _pairs(g, u, v)
-    return _shared_counts(g, u, v, _entry_keys(g))
+    return _shared_counts(g, u, v)
 
 
 def shortest_path_length(g: Graph, u, v, exclude_edge: bool = False):
@@ -331,21 +375,22 @@ def shortest_path_length(g: Graph, u, v, exclude_edge: bool = False):
     disconnected, as a float array.
 
     With exclude_edge set, the edge (u, v) itself is left out, so existing
-    edges do not trivially score 1. One lookup over the whole list settles
-    every pair at distance 2 or less: a neighbour of the lower-degree
-    endpoint adjacent to the other one is a path of length 2 that does not
-    use the edge (u, v). The rest meet in the middle (_meet_in_middle), in
-    chunks of _HEURISTIC_CELLS mask cells.
+    edges do not trivially score 1. Whole levels are settled over the list
+    with neighbour masks and no search: a common neighbour (_shared_counts)
+    is a path of length 2, and a walk u-w-x-v with w != v and x != u
+    (_three_hop) one of length 3; neither uses the edge (u, v). Only the
+    pairs still open meet in the middle (_meet_in_middle), in chunks of
+    _HEURISTIC_CELLS mask cells.
     """
     u, v = _pairs(g, u, v)
-    keys = _entry_keys(g)
-    linked = _has_keys(keys, u * g.num_nodes + v)
-    shared = _shared_counts(g, u, v, keys)
-    dist = np.where(shared > 0, 2.0, UNREACHABLE)
+    dist = np.where(_shared_counts(g, u, v) > 0, 2.0, UNREACHABLE)
     if not exclude_edge:
-        dist[linked] = 1.0
+        dist[_linked(g, u, v)] = 1.0
     dist[u == v] = 0.0
-    far = np.flatnonzero((dist == UNREACHABLE) & (u != v))
+    far = np.flatnonzero(dist == UNREACHABLE)
+    near = _three_hop(g, u[far], v[far])
+    dist[far[near]] = 3.0
+    far = far[~near]
     for lo, hi in _spans(np.full(far.size, g.num_nodes)):
         at = far[lo:hi]
         dist[at] = _meet_in_middle(g, u[at], v[at])
@@ -395,10 +440,7 @@ def _extract(g: Graph, links, k, max_nodes, exclude, rng_of) -> list:
     two blocks. exclude[i] drops link i's target edge; rng_of(i) is called
     only for a link whose ball exceeds max_nodes and gives its subsampling rng.
     """
-    if k < 1:
-        raise InputError(f"hop count must be >= 1, got {k}")
-    if max_nodes < 2:
-        raise InputError(f"max_nodes must be >= 2, got {max_nodes}")
+    require_extraction(k, max_nodes)
     n = g.num_nodes
     ends = np.array([(int(e.u), int(e.v)) for e in links], dtype=np.int64).reshape(-1, 2)
     bad = ends[(ends < 0) | (ends >= n)]

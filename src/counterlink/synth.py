@@ -41,6 +41,34 @@ class SyntheticGraphSpec:
             raise ConfigError(f"er needs p in [0, 1], got {self.p}")
 
 
+# Upper-triangle pairs drawn per run of whole rows. A run holds at most this
+# many pairs (a longer row runs alone), so memory grows with n plus the run,
+# not n^2, and one run's arrays (128 KB each) stay in cache; PCG64 draws the
+# same doubles in runs as in one call.
+_PAIR_RUN = 1 << 14
+
+
+def _bernoulli_pairs(n, prob, rng):
+    """(m, 2) edges: each pair i < j, in row-major order, kept when its
+    rng.random() draw is below prob(i, j), evaluated on one run's arrays."""
+    row_ends = np.cumsum(np.arange(n - 1, 0, -1))
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    start = 0
+    while start < n - 1:
+        base = int(row_ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(row_ends, base + _PAIR_RUN, side="right")), start + 1)
+        rows = np.arange(start, stop)
+        counts = n - 1 - rows
+        # Row r's pairs (r, r + 1), ..., (r, n - 1) start at first[r] in the run.
+        first = row_ends[start:stop] - counts - base
+        iu = np.repeat(rows, counts)
+        ju = np.arange(iu.size) + np.repeat(rows + 1 - first, counts)
+        mask = rng.random(iu.size) < prob(iu, ju)
+        edges.append(np.stack([iu[mask], ju[mask]], axis=1))
+        start = stop
+    return np.concatenate(edges)
+
+
 def sbm_edges(block_sizes, p_in, p_out, rng):
     """Bernoulli edges, p_in within a block (scalar or one value per block)."""
     block_sizes = list(block_sizes)
@@ -50,11 +78,12 @@ def sbm_edges(block_sizes, p_in, p_out, rng):
     p_in = list(p_in) if isinstance(p_in, (list, tuple, np.ndarray)) else [p_in] * len(block_sizes)
     if len(p_in) != len(block_sizes):
         raise ConfigError("one p_in per block required")
-    iu, ju = np.triu_indices(n, k=1)
-    same = block_of[iu] == block_of[ju]
-    probs = np.where(same, np.asarray(p_in)[block_of[iu]], p_out)
-    mask = rng.random(iu.size) < probs
-    return np.stack([iu[mask], ju[mask]], axis=1)
+    p_in = np.asarray(p_in)
+
+    def prob(iu, ju):
+        return np.where(block_of[iu] == block_of[ju], p_in[block_of[iu]], p_out)
+
+    return _bernoulli_pairs(n, prob, rng)
 
 
 def ba_edges(n, m, rng):
@@ -84,9 +113,7 @@ def er_edges(n, p, rng):
     if p == 0.0:
         warnings.warn("er with p=0 produces an empty edge list")
         return np.empty((0, 2), dtype=np.int64)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    return np.stack([iu[mask], ju[mask]], axis=1)
+    return _bernoulli_pairs(n, lambda iu, ju: p, rng)
 
 
 def near_equal_blocks(n, blocks):

@@ -127,11 +127,13 @@ class TestBackward:
     def test_gather_rows_backward_matches_add_at(self):
         # Repeated picks must add in pick order from 0.0, as np.add.at does:
         # magnitudes far apart make any other order show in the bytes.
+        # An empty pick list gives all zeros.
         rng = np.random.default_rng(21)
-        for shape in ((7, 5), (300, 32), (9,)):
+        for shape, picks in (((7, 5), 21), ((300, 32), 900), ((9,), 27), ((4, 3, 2), 12),
+                             ((6, 4), 0), ((5,), 0)):
             tape = ad.Tape()
             x = tape.leaf(rng.standard_normal(shape))
-            idx = rng.integers(0, shape[0] - 1, size=3 * shape[0])
+            idx = rng.integers(0, shape[0] - 1, size=picks)
             ad.gather_rows(x, idx)
             _, _, back = tape._records[-1]
             g = rng.standard_normal((idx.size, *shape[1:]))

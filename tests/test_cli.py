@@ -809,6 +809,10 @@ class TestTrainingValuesInRange:
         ("pretrain-ggm", "--batch-size", -1),
         ("flex-tune", "--batch-size", -1),
         ("flex-tune", "--eval-k", 0),
+        ("pretrain-ggm", "--hop-k", 0),
+        ("pretrain-ggm", "--max-nodes", 1),
+        ("flex-tune", "--hop-k", 0),
+        ("flex-tune", "--max-nodes", 1),
     ])
     def test_rejected_with_exit_2(self, pretrained, tmp_path, command, flag, value):
         d, tune_flags = pretrained

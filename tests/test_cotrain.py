@@ -93,6 +93,12 @@ class TestConfig:
         with pytest.raises(InputError):
             CotrainConfig(patience=10, epochs=5)
 
+    @pytest.mark.parametrize("config", [CotrainConfig, GgmTrainConfig])
+    @pytest.mark.parametrize("field,value", [("hop_k", 0), ("max_nodes", 1)])
+    def test_extraction_values_rejected_at_construction(self, config, field, value):
+        with pytest.raises(InputError, match=field):
+            config(**{field: value})
+
     def test_alpha_zero_allowed_for_ablation(self):
         assert CotrainConfig(alpha=0.0).alpha == 0.0
 

@@ -291,6 +291,78 @@ class TestBatchedHeuristics:
         assert common_neighbors(graph_of(3, []), [0, 1], [1, 2]).tolist() == [0, 0]
 
 
+def two_hop_hub():
+    """Hub 0 joined to 512 nodes, each joined to the same 512 others, all
+    joined to node 1025: nodes 0 and 1025 are 3 apart, and each one's
+    two-hop count, 512 * 513, exceeds the default _HEURISTIC_CELLS."""
+    ring, far = np.arange(1, 513), np.arange(513, 1025)
+    edges = np.concatenate([
+        np.stack([np.zeros(512, dtype=np.int64), ring], axis=1),
+        np.stack(np.meshgrid(ring, far, indexing="ij"), axis=-1).reshape(-1, 2),
+        np.stack([far, np.full(512, 1025)], axis=1),
+    ])
+    g = graph_of(1026, edges)
+    deg = g.degrees()
+    assert np.bincount(g.adjacency.row_ids(), weights=deg[g.adjacency.indices])[[0, 1025]].min() \
+        > 1 << 18
+    return g, np.array([0, 1025, 0, 1, 513, 0, 7]), np.array([1025, 0, 0, 513, 1025, 600, 900])
+
+
+def oracle_cases(rng):
+    """(name, graph, u, v): SBM, BA and ER graphs with every edge both ways,
+    self-pairs and random pairs; a graph with isolated nodes and two
+    components; a 4-cycle, whose linked pairs' only other path has length 3;
+    and the two-hop hub."""
+    cases = []
+    for spec in (SyntheticGraphSpec("sbm", 120, blocks=4, p_in=0.12, p_out=0.004, seed=3),
+                 SyntheticGraphSpec("ba", 100, m=2, seed=4),
+                 SyntheticGraphSpec("er", 120, p=0.02, seed=5)):
+        g = synth_graph(spec)
+        n, e = g.num_nodes, g.edges()
+        pick = rng.integers(0, n, size=(2, 300))
+        cases.append((spec.family, g, np.concatenate([e[:, 0], e[:, 1], np.arange(n), pick[0]]),
+                      np.concatenate([e[:, 1], e[:, 0], np.arange(n), pick[1]])))
+    split = graph_of(9, [(0, 1), (1, 2), (2, 3), (5, 6), (6, 7)])
+    cases.append(("isolated", split, np.array([0, 0, 4, 4, 3, 5, 8]), np.array([3, 5, 4, 0, 7, 7, 2])))
+    square = graph_of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    cases.append(("square", square, np.array([0, 1, 2, 3, 0, 1]), np.array([1, 2, 3, 0, 2, 3])))
+    cases.append(("hub", *two_hop_hub()))
+    return cases
+
+
+class TestHeuristicKernelsMatchOracle:
+    """The mask kernels behind CN and SP equal the bruteforce oracle pair by
+    pair, with the work arrays cut to 64 cells and at the default bound."""
+
+    @pytest.mark.parametrize("cells", [64, None])
+    def test_match_bruteforce(self, monkeypatch, cells):
+        if cells:
+            monkeypatch.setattr(graphs, "_HEURISTIC_CELLS", cells)
+        seen = set()
+        for name, g, u, v in oracle_cases(np.random.default_rng(23)):
+            adj = bruteforce.adjacency_sets(g.num_nodes, g.edges())
+            pairs = list(zip(u.tolist(), v.tolist()))
+            assert common_neighbors(g, u, v).tolist() == [
+                bruteforce.cn_brute(adj, a, b) for a, b in pairs], name
+            for excl in (False, True):
+                sp = shortest_path_length(g, u, v, exclude_edge=excl)
+                assert sp.tolist() == [bruteforce.sp_brute(adj, a, b, exclude_edge=excl)
+                                       for a, b in pairs], (name, excl)
+                seen.update(sp.tolist())
+        assert {0, 1, 2, 3, 4, UNREACHABLE} <= seen
+
+    def test_named_cases(self):
+        cases = {name: (g, u, v) for name, g, u, v in oracle_cases(np.random.default_rng(0))}
+        g, u, v = cases["square"]
+        assert shortest_path_length(g, u, v, exclude_edge=True).tolist() == [3] * 4 + [2, 2]
+        assert shortest_path_length(g, u, v).tolist() == [1] * 4 + [2, 2]
+        g, u, v = cases["isolated"]
+        assert shortest_path_length(g, u, v).tolist() == [
+            3, UNREACHABLE, 0, UNREACHABLE, UNREACHABLE, 2, UNREACHABLE]
+        g, u, v = cases["hub"]
+        assert shortest_path_length(g, u, v).tolist()[:3] == [3, 3, 0]
+
+
 class TestExtraction:
     def test_path5_union(self):
         g = path_graph(5)

@@ -1,14 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from counterlink import synth
 from counterlink.errors import ConfigError
 from counterlink.synth import (
     SyntheticGraphSpec,
     ba_edges,
+    er_edges,
     near_equal_blocks,
+    sbm_edges,
     synth_graph,
     write_graph_files,
 )
+from synth_reference import er_edges_reference, sbm_edges_reference
 
 
 def reference_ba(n, m, seed):
@@ -74,6 +80,46 @@ class TestDeterminism:
         a = synth_graph(SyntheticGraphSpec(family="er", n=40, p=0.2, seed=1))
         b = synth_graph(SyntheticGraphSpec(family="er", n=40, p=0.2, seed=2))
         assert not np.array_equal(a.edges(), b.edges())
+
+
+class TestRowRunsMatchWholeTriangle:
+    """Edges drawn in runs of whole upper-triangle rows equal the one-call
+    whole-triangle draw byte for byte, and leave the rng at the same place.
+    At n = 10 a 17-pair run ends exactly at the bound (rows of 9 and 8
+    pairs), and a 5-pair bound gives every row a run of its own."""
+
+    @pytest.mark.parametrize("run", [None, 17, 5])
+    @pytest.mark.parametrize("sizes,p_in,p_out,seed", [
+        ([5, 5], 0.3, 0.1, 0),
+        ([150, 150], 0.1, 0.004, 1),
+        ([300, 400, 301], [0.1, 0.05, 0.2], 0.01, 2),
+        (near_equal_blocks(1500, 10), 0.1, 0.00085, 3),
+        ([1, 1], 1.0, 1.0, 4),
+    ])
+    def test_identical_edges(self, monkeypatch, run, sizes, p_in, p_out, seed):
+        if run:
+            monkeypatch.setattr(synth, "_PAIR_RUN", run)
+        n = sum(sizes)
+        for draw, reference in (
+            (lambda rng: sbm_edges(sizes, p_in, p_out, rng),
+             lambda rng: sbm_edges_reference(sizes, p_in, p_out, rng)),
+            (lambda rng: er_edges(n, 0.01, rng), lambda rng: er_edges_reference(n, 0.01, rng)),
+        ):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, expected = draw(rng), reference(ref_rng)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_memory_grows_with_the_run_not_the_triangle(self):
+        # 1,124,250 pairs: the whole-triangle draw traces about 38 MB.
+        tracemalloc.start()
+        try:
+            sbm_edges(near_equal_blocks(1500, 10), 0.1, 0.00085, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestFamilies:
