@@ -91,10 +91,7 @@ def cn_distribution(samples, source="generated") -> HeuristicHistogram:
 def samples_from_generated(gen) -> list:
     """{"adjacency", "target"} records, as load_samples yields them, from a
     GeneratedSample's thresholded blocks."""
-    return [
-        {"adjacency": adj, "target": target}
-        for adj, target in zip(gen.thresholded_adj, gen.target_indices)
-    ]
+    return [{"adjacency": adj, "target": (0, 1)} for adj in gen.thresholded_adj]
 
 
 def link_heuristic_histogram(g: Graph, edges, heuristic, source) -> HeuristicHistogram:

@@ -377,11 +377,11 @@ def clip(a, lo, hi) -> Tensor:
     return emit("clip", np.clip(av, lo, hi), [a], lambda g: (g * mask,))
 
 
-def dropout(a, rate, rng, training=True) -> Tensor:
+def dropout(a, rate, rng) -> Tensor:
     if not 0.0 <= rate < 1.0:
         raise InputError(f"dropout rate must be in [0, 1), got {rate}")
     a = _as_tensor(a)
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return a
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
     return emit("dropout", a.value * mask, [a], lambda g: (g * mask,))
@@ -557,7 +557,14 @@ def save_params(path, params, extra_meta: dict = None):
 
 
 def load_params(path, cls):
-    """(cls.from_named of the checkpoint, its `meta.<key>` values as floats)."""
+    """(cls.from_named of the checkpoint, its `meta.<key>` values as floats); a
+    missing entry or a meta entry that is not one finite number is an InputError."""
     named = load_checkpoint(path)
-    meta = {k[5:]: float(v[0]) for k, v in named.items() if k.startswith("meta.")}
-    return cls.from_named(named), meta
+    meta = {k: v.reshape(-1) for k, v in named.items() if k.startswith("meta.")}
+    for key, value in meta.items():
+        if value.size != 1 or not math.isfinite(value[0]):
+            raise InputError(f"{path}: checkpoint entry {key!r} is not one finite number")
+    try:
+        return cls.from_named({**named, **meta}), {k[5:]: float(v[0]) for k, v in meta.items()}
+    except KeyError as exc:
+        raise InputError(f"{path}: checkpoint is missing entry {exc}") from None

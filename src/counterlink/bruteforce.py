@@ -3,11 +3,11 @@
 The split stage re-checks the split it has just generated against these,
 one pair at a time (splits.reference_value), and the tests pin the batched
 heuristics to them, so they must not share code with graphs.py: plain
-python sets, and for SP a bidirectional BFS over sets that expands the
-smaller frontier and stops where the two sides meet, where graphs.py
-settles whole edge lists with neighbour masks over the CSR arrays: one mask
-per chunk of pairs for common neighbours and for walks of length 3, and BFS
-levels as masks for the pairs still open.
+python sets, and for SP, the pair's own edge left out, a bidirectional BFS
+over sets that expands the smaller frontier and stops where the sides meet,
+where graphs.py settles whole edge lists with neighbour masks over the CSR
+arrays: one mask per chunk of pairs for common neighbours and for walks of
+length 3, and BFS levels as masks for the pairs still open.
 """
 
 import math
@@ -26,9 +26,9 @@ def cn_brute(adj, u, v):
     return len((adj[u] & adj[v]) - {u, v})
 
 
-def sp_brute(adj, u, v, exclude_edge=False):
-    """Hop count from u to v, math.inf when disconnected; with exclude_edge
-    the edge (u, v) itself is left out.
+def sp_brute(adj, u, v):
+    """Hop count from u to v with the edge (u, v) itself left out, math.inf
+    when disconnected.
 
     Both sides keep a visited set and a frontier, disjoint from each other,
     so the distance exceeds the sum of their depths. Each step expands the
@@ -37,8 +37,6 @@ def sp_brute(adj, u, v, exclude_edge=False):
     """
     if u == v:
         return 0
-    if v in adj[u] and not exclude_edge:
-        return 1
     # Dropping v from u's first level and u from v's removes edge (u, v) and
     # nothing else: u and v are never expanded again.
     near, far = adj[u] - {v}, adj[v] - {u}
@@ -63,11 +61,11 @@ def pa_brute(adj, u, v):
     return len(adj[u]) * len(adj[v])
 
 
-def heuristic_brute(adj, u, v, name, exclude_edge=False):
+def heuristic_brute(adj, u, v, name):
     if name == "CN":
         return cn_brute(adj, u, v)
     if name == "SP":
-        return sp_brute(adj, u, v, exclude_edge=exclude_edge)
+        return sp_brute(adj, u, v)
     if name == "PA":
         return pa_brute(adj, u, v)
     raise ValueError(f"unknown heuristic {name!r}")

@@ -131,8 +131,8 @@ def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=No
     logits are decode_logits' packed blocks, taped in the generator step and
     constant in the predictor step. The per-block work (sigmoid, gamma mask,
     normalization, the dense GCN and the target dot product) is one tape
-    record whose output is every block's target logit. It runs one stacked
-    GCN per distinct block size, and each block comes out as it would alone.
+    record whose output is every block's logit for its link, nodes 0 and 1. It
+    runs one stacked GCN per distinct block size, each block as it would alone.
     """
     _, diagonal = batch.packed_layout()
     x = batch.stacked_features()
@@ -146,22 +146,19 @@ def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=No
     mask = (p >= gamma).astype(np.float64)
     mask[diagonal] = 0.0
     kept = p * mask
-    targets = np.array([block.target for block in batch.blocks], dtype=np.int64)
     target_logits = np.empty(len(batch.blocks))
     cns = np.empty(len(batch.blocks))
     stacks = []
     for grp in batch.size_groups():
         k, m = grp.blocks.size, grp.m
-        at = np.arange(k)
-        u, v = targets[grp.blocks].T
         prop, prop_vjp = normalize_dense_adjacency(kept[grp.cells].reshape(k, m, m))
         emb, gcn_vjp = dense_gcn_forward(weights, biases, prop,
                                          x[grp.rows].reshape(k, m, -1))
-        hu, hv = emb[at, u], emb[at, v]
+        hu, hv = emb[:, 0], emb[:, 1]
         target_logits[grp.blocks] = (hu * hv).sum(axis=1)
         block_mask = mask[grp.cells].reshape(k, m, m)
-        cns[grp.blocks] = (block_mask[at, u] * block_mask[at, v]).sum(axis=1)
-        stacks.append((grp, u, v, hu, hv, emb.shape, prop_vjp, gcn_vjp))
+        cns[grp.blocks] = (block_mask[:, 0] * block_mask[:, 1]).sum(axis=1)
+        stacks.append((grp, hu, hv, emb.shape, prop_vjp, gcn_vjp))
     shapes = [t.shape for t in params]
 
     def back(g, need):
@@ -170,12 +167,11 @@ def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=No
         if need_params:
             g_first = np.empty((x.shape[0], weights[0].shape[1]))
             per_block = [np.empty((len(batch.blocks), *s)) for s in shapes[1:]]
-        for grp, u, v, hu, hv, shape, prop_vjp, gcn_vjp in stacks:
-            at = np.arange(shape[0])
+        for grp, hu, hv, shape, prop_vjp, gcn_vjp in stacks:
             g_emb = np.zeros(shape)
             g_b = g[grp.blocks, None]
-            g_emb[at, v] = g_b * hu
-            g_emb[at, u] += g_b * hv  # u == v in a single-node block
+            g_emb[:, 1] = g_b * hu
+            g_emb[:, 0] += g_b * hv  # onto 0.0, as a gather's backward adds
             g_prop, g_z, g_stack = gcn_vjp(g_emb, need_logits, need_params)
             if need_params:
                 g_first[grp.rows] = g_z.reshape(grp.rows.size, -1)

@@ -19,10 +19,10 @@ The draws differ only in their noise columns, so one encoder call builds one
 [features | label | noise] input, and each draw's input product (one tape
 record) writes its own noise there, forward and backward.
 
-Generated samples keep their block's node count, target pair and originating
+Every block holds its link's endpoints as local nodes 0 and 1, so none has
+fewer than two nodes. Generated samples keep their block's node count and
 link label; node features stay on the batch the samples were drawn from. The
-threshold indicator then removes low-confidence edges, which is the control
-that keeps generation from densifying.
+threshold removes low-confidence edges, which keeps generation from densifying.
 """
 
 import copy
@@ -81,20 +81,17 @@ class SiviParams:
 
     @staticmethod
     def from_named(named):
-        try:
-            return SiviParams(
-                w_in=named["ggm.w_in"],
-                b_in=named["ggm.b_in"],
-                w_mu=named["ggm.w_mu"],
-                b_mu=named["ggm.b_mu"],
-                w_lv=named["ggm.w_lv"],
-                b_lv=named["ggm.b_lv"],
-                hidden=int(named["meta.hidden"][0]),
-                zdim=int(named["meta.zdim"][0]),
-                noise_dim=int(named["meta.noise_dim"][0]),
-            )
-        except KeyError as exc:
-            raise InputError(f"checkpoint is missing generator entry {exc}")
+        return SiviParams(
+            w_in=named["ggm.w_in"],
+            b_in=named["ggm.b_in"],
+            w_mu=named["ggm.w_mu"],
+            b_mu=named["ggm.b_mu"],
+            w_lv=named["ggm.w_lv"],
+            b_lv=named["ggm.b_lv"],
+            hidden=int(named["meta.hidden"][0]),
+            zdim=int(named["meta.zdim"][0]),
+            noise_dim=int(named["meta.noise_dim"][0]),
+        )
 
 
 @dataclass(frozen=True)
@@ -120,22 +117,24 @@ class NoiseSpec:
 
 @dataclass
 class GeneratedSample:
-    """Per-block edge probabilities and their thresholded adjacency."""
+    """Per-block edge probabilities; thresholded_adj marks the positive ones."""
 
     edge_probs: list
-    thresholded_adj: list
     block_sizes: np.ndarray
     link_labels: np.ndarray
-    target_indices: list
     gamma: float = 0.0
 
     @property
     def num_blocks(self):
         return len(self.edge_probs)
 
+    @property
+    def thresholded_adj(self):
+        return [(p > 0).astype(np.float64) for p in self.edge_probs]
+
     def edge_count(self):
         """Undirected generated edge count across blocks."""
-        return int(sum(np.triu(a, 1).sum() for a in self.thresholded_adj))
+        return sum(int(np.count_nonzero(np.triu(p, 1) > 0)) for p in self.edge_probs)
 
 
 def init_sivi_params(d_in, hidden=32, zdim=16, noise_dim=8, rng=None) -> SiviParams:
@@ -277,24 +276,20 @@ def decode_logits(h, batch) -> ad.Tensor:
 
 def decode_node_aware(h, batch) -> GeneratedSample:
     """Edge probabilities per block of the batch from raw latents (no tape
-    needed); targets and link labels come from the batch."""
+    needed); link labels come from the batch."""
     h = h.value if isinstance(h, ad.Tensor) else np.asarray(h, dtype=np.float64)
     if batch.total_nodes != h.shape[0]:
         raise InputError(f"block sizes sum to {batch.total_nodes} but h has {h.shape[0]} rows")
-    probs, adjs = [], []
+    probs = []
     for at, m in zip(batch.offsets.tolist(), batch.block_sizes.tolist()):
         z = h[at : at + m]
         p = 1.0 / (1.0 + np.exp(-(z @ z.T)))
         np.fill_diagonal(p, 0.0)
         probs.append(p)
-        adjs.append((p > 0).astype(np.float64))
     return GeneratedSample(
         edge_probs=probs,
-        thresholded_adj=adjs,
         block_sizes=batch.block_sizes,
         link_labels=batch.batch_labels,
-        target_indices=[b.target for b in batch.blocks],
-        gamma=0.0,
     )
 
 
@@ -309,19 +304,17 @@ def kl_gaussian(mu, log_var) -> ad.Tensor:
 @once_per_batch
 def recon_targets(batch):
     """recon_loss's packed constants for one batch: the blocks' adjacencies
-    as targets; the weights, which upweight a block's edges by its
-    non-edge/edge ratio and mask out every diagonal; and which cells belong
-    to single-node blocks."""
+    as targets, and the weights, which upweight a block's edges by its
+    non-edge/edge ratio and mask out every diagonal."""
     sizes = batch.block_sizes
     offsets, diagonal = batch.packed_layout()
     t = np.concatenate([b.local_adjacency.ravel() for b in batch.blocks])
     edges = np.add.reduceat(t, offsets[:-1])  # whole numbers: exact in any order
     pos_w = np.ones(sizes.size)
-    np.divide(sizes * (sizes - 1) - edges, edges, out=pos_w,
-              where=(sizes > 1) & (edges > 0))
+    np.divide(sizes * (sizes - 1) - edges, edges, out=pos_w, where=edges > 0)
     weights = np.where(t > 0, np.repeat(pos_w, sizes * sizes), 1.0)
     weights[diagonal] = 0.0
-    return t, weights, np.repeat(sizes <= 1, sizes * sizes)
+    return t, weights
 
 
 def recon_loss(logits, batch) -> ad.Tensor:
@@ -330,34 +323,28 @@ def recon_loss(logits, batch) -> ad.Tensor:
     logits are decode_logits' packed blocks. Positive entries are upweighted
     by the block's non-edge/edge ratio and the diagonal is masked out. Each
     block's weighted sum is divided by its node count, matching the per-node
-    KL normalization so neither term swamps the other. Single-node blocks
-    contribute zero. One tape record for the whole batch.
+    KL normalization so neither term swamps the other. One tape record for
+    the whole batch.
     """
     sizes = batch.block_sizes
     lv = logits.value
-    t, weights, single = recon_targets(batch)
+    t, weights = recon_targets(batch)
     if lv.shape != t.shape:
         raise InputError("one adjacency per logit block required")
-    kept = sizes > 1
-    if not kept.any():
-        return ad.Tensor(0.0)
     e = np.exp(-np.abs(lv))
     loss = (np.maximum(lv, 0.0) - lv * t + np.log1p(e)) * weights
     base = (ad.stable_sigmoid(lv, e) - t) * weights
     sums = np.zeros(sizes.size)
     for grp in batch.size_groups():
-        if grp.m > 1:
-            sums[grp.blocks] = loss[grp.cells].reshape(grp.blocks.size, -1).sum(axis=1)
+        sums[grp.blocks] = loss[grp.cells].reshape(grp.blocks.size, -1).sum(axis=1)
     # One block after another in batch order, as a block-by-block loop adds
     # them; a pairwise sum would change the last bits.
-    total = np.add.accumulate(sums[kept] * (1.0 / sizes[kept]))[-1]
+    total = np.add.accumulate(sums * (1.0 / sizes))[-1]
     scale = 1.0 / sizes.size
 
     def back(g):
         per_block = (g * scale) * (1.0 / sizes)
-        g_logits = np.repeat(per_block, sizes * sizes) * base
-        g_logits[single] = 0.0
-        return (g_logits,)
+        return (np.repeat(per_block, sizes * sizes) * base,)
 
     return ad.emit("recon_loss", total * scale, [logits], back)
 
@@ -366,7 +353,6 @@ def recon_loss(logits, batch) -> ad.Tensor:
 class ElboResult:
     loss: ad.Tensor
     kl: ad.Tensor
-    recon: ad.Tensor
     logits: ad.Tensor  # the first draw's packed decoder logits
 
 
@@ -379,8 +365,8 @@ def sivi_elbo(
 ) -> ElboResult:
     """Negated Monte-Carlo evidence bound: weighted BCE plus mean KL.
 
-    recon is the (negative) reconstruction term and kl the draw-averaged
-    Gaussian KL, so loss = -(recon - kl); minimizing it maximizes the bound.
+    kl is the draw-averaged Gaussian KL and loss the draw-averaged BCE plus
+    kl; minimizing it maximizes the bound.
     """
     moments = encode_semi_implicit(params, batch, spec, rng, leaves=leaves)
     hs = reparameterize(moments, rng)
@@ -399,7 +385,7 @@ def sivi_elbo(
     loss = ad.add(bce, kl)
     if not np.isfinite(loss.value):
         raise NumericError("generator objective is not finite")
-    return ElboResult(loss=loss, kl=kl, recon=ad.neg(bce), logits=first_logits)
+    return ElboResult(loss=loss, kl=kl, logits=first_logits)
 
 
 def first_draw_logits(params, batch, spec, rng):
@@ -422,18 +408,15 @@ def threshold_edges(sample: GeneratedSample, gamma) -> GeneratedSample:
     """Drop edge probabilities below gamma; survivors keep their value."""
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma must be in [0, 1], got {gamma}")
-    probs, adjs = [], []
+    probs = []
     for p in sample.edge_probs:
         kept = p * (p >= gamma)
         np.fill_diagonal(kept, 0.0)
         probs.append(kept)
-        adjs.append((kept > 0).astype(np.float64))
     return GeneratedSample(
         edge_probs=probs,
-        thresholded_adj=adjs,
         block_sizes=sample.block_sizes.copy(),
         link_labels=sample.link_labels.copy(),
-        target_indices=list(sample.target_indices),
         gamma=float(gamma),
     )
 
@@ -533,19 +516,19 @@ def pretrain_ggm(
 
 def dump_samples(samples, path):
     """JSON dump of a list of GeneratedSamples, one record per block: block
-    size, link label, target, gamma and the thresholded edges with their
-    probabilities. Each block is dumped on its own and the records joined
+    size, link label, target [0, 1], gamma and the thresholded edges with
+    their probabilities. Each block is dumped on its own and the records joined
     as json.dumps would join them, so only one block's edge list is ever
     held as Python objects."""
     blocks = []
     for s in samples:
         for b in range(s.num_blocks):
-            iu, ju = np.nonzero(np.triu(s.thresholded_adj[b], 1))
+            iu, ju = np.nonzero(np.triu(s.edge_probs[b], 1) > 0)
             probs = s.edge_probs[b][iu, ju].tolist()
             blocks.append(json.dumps({
                 "block_size": int(s.block_sizes[b]),
                 "label": int(s.link_labels[b]),
-                "target": [int(s.target_indices[b][0]), int(s.target_indices[b][1])],
+                "target": [0, 1],
                 "gamma": s.gamma,
                 "edges": list(zip(iu.tolist(), ju.tolist(), probs)),
             }))
@@ -560,7 +543,7 @@ def _is_int(x):
 def load_samples(path, num_nodes):
     """Rebuild per-block records from a sample dump of a graph with
     num_nodes nodes. Each block_size must be an integer in [1, num_nodes],
-    and the target and each edge's two ends integers in [0, block_size);
+    the target and each edge's two distinct ends integers in [0, block_size);
     anything else is a ValidationError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -578,8 +561,8 @@ def load_samples(path, num_nodes):
                 raise ValueError(f"target {target!r} is not two integers in [0, {m})")
             adj = np.zeros((m, m))
             for i, j, p in rec["edges"]:
-                if not all(_is_int(t) and 0 <= t < m for t in (i, j)):
-                    raise ValueError(f"edge ({i}, {j}) is not two integers in [0, {m})")
+                if not all(_is_int(t) and 0 <= t < m for t in (i, j)) or i == j:
+                    raise ValueError(f"edge ({i}, {j}) is not two distinct integers in [0, {m})")
                 adj[i, j] = adj[j, i] = 1.0
                 float(p)  # an edge's probability must be a number
             out.append(

@@ -125,10 +125,10 @@ def normalize_dense_adjacency(a):
     return prop, vjp
 
 
-def gcn_forward(params, a_norm: Csr, x, rng=None, training=False, leaves=None) -> ad.Tensor:
+def gcn_forward(params, a_norm: Csr, x, rng=None, leaves=None) -> ad.Tensor:
     """Embeddings for every node; pass tape leaves to make it differentiable.
 
-    Dropout runs between layers only while training.
+    Dropout runs between layers only while training, which passes its rng.
     """
     named = leaves if leaves is not None else params.named()
     h = x if isinstance(x, ad.Tensor) else ad.Tensor(x)
@@ -141,10 +141,8 @@ def gcn_forward(params, a_norm: Csr, x, rng=None, training=False, leaves=None) -
         h = ad.add(ad.sparse_matmul(a_norm, z), named[f"gnn.b{i}"])
         if i < params.layer_count - 1:
             h = ad.relu(h)
-            if training and params.dropout > 0.0:
-                if rng is None:
-                    raise InputError("training-mode dropout needs an rng")
-                h = ad.dropout(h, params.dropout, rng, training=True)
+            if rng is not None:
+                h = ad.dropout(h, params.dropout, rng)
     return h
 
 
@@ -243,7 +241,7 @@ def hits_at_k(pos_scores, neg_scores, k) -> float:
 
 
 def embed(params: GcnParams, a_norm: Csr, x) -> np.ndarray:
-    return gcn_forward(params, a_norm, x, training=False).value
+    return gcn_forward(params, a_norm, x).value
 
 
 def evaluate_hits(params, a_norm, x, pos_edges, neg_edges, k) -> float:
@@ -271,7 +269,7 @@ def _train_batch(params, a_norm, x, pos, neg, state, rng) -> float:
     The step's tape dies when this returns, before the next batch runs.
     """
     leaves = ad.Tape().leaves(params.named())
-    h = gcn_forward(params, a_norm, x, rng=rng, training=True, leaves=leaves)
+    h = gcn_forward(params, a_norm, x, rng=rng, leaves=leaves)
     loss = lp_loss(score_pairs(h, pos), score_pairs(h, neg))
     if np.isfinite(loss.value):
         ad.adam_step(state, params.named(), ad.backward(loss, wrt=leaves).named(leaves))
@@ -285,17 +283,14 @@ def pretrain_gnn(
     hidden=128,
     layers=2,
     eval_norm: Csr = None,
-    train_edge_hook=None,
 ) -> GnnPretrainResult:
     """Train on the observed adjacency; return the best-validation params.
 
     g must be the training-visible graph. Gradient steps see only train
-    positives plus negatives freshly sampled from g's non-edges each epoch;
-    train_edge_hook (if given) receives every edge batch that reaches a
-    gradient step, so leakage can be audited from outside. Hits@K is scored
-    on eval_norm, a normalized adjacency that defaults to g's own: validation
-    every epoch for selection by ad.train_epochs (higher is better), then
-    test once for the selected params.
+    positives plus negatives freshly sampled from g's non-edges each epoch.
+    Hits@K is scored on eval_norm, a normalized adjacency that defaults to
+    g's own: validation every epoch for selection by ad.train_epochs (higher
+    is better), then test once for the selected params.
     """
     d_in = g.features.shape[1]
     init_rng = stream_rng(cfg.seed, "init")
@@ -314,8 +309,6 @@ def pretrain_gnn(
             neg = sample_negatives(
                 g, pos.shape[0], rng=stream_rng(cfg.seed, f"negatives.e{epoch}.b{bi}")
             )
-            if train_edge_hook is not None:
-                train_edge_hook(epoch, pos, neg)
             loss = _train_batch(params, a_norm, g.features, pos, neg, state,
                                 stream_rng(cfg.seed, f"dropout.e{epoch}.b{bi}"))
             if not np.isfinite(loss):

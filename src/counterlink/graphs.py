@@ -2,7 +2,7 @@
 
 Graphs are undirected, unweighted, self-loop free, and immutable after
 construction. The adjacency lives in a small CSR structure with sorted rows;
-every sampling operation draws from it.
+every sampling operation draws from it. SP skips each pair's own edge.
 
 Enclosing subgraphs hold node indices, not node features: each one keeps its
 node_map and a reference to the graph's one feature matrix, and a batch
@@ -240,16 +240,6 @@ def _pairs(g: Graph, u, v):
     return u, v
 
 
-def _linked(g: Graph, u, v):
-    """Whether each (u[i], v[i]) is an edge: the keys w * n + x of the CSR
-    entries ascend, since rows are sorted and come in row order."""
-    keys = g.adjacency.row_ids() * g.num_nodes + g.adjacency.indices
-    if not keys.size:
-        return np.zeros(u.shape, dtype=bool)
-    wanted = u * g.num_nodes + v
-    return keys[np.minimum(np.searchsorted(keys, wanted), keys.size - 1)] == wanted
-
-
 def _gather(g: Graph, nodes):
     """Every neighbour of the given nodes, in row order, with the position in
     nodes of the node it belongs to: one gather, no per-row loop."""
@@ -327,7 +317,7 @@ def _expand(g: Graph, mask):
 
 def _meet_in_middle(g: Graph, u, v):
     """Distances of pairs with no path of length 3 or less, leaving out the
-    edge (u, v) if present: 4 or more, or UNREACHABLE.
+    edge (u, v): 4 or more, or UNREACHABLE.
 
     Both endpoints' BFS levels grow as boolean masks, one row per pair. Each
     step expands the smaller frontier of every pair and stops the pair when
@@ -370,13 +360,13 @@ def common_neighbors(g: Graph, u, v):
     return _shared_counts(g, u, v)
 
 
-def shortest_path_length(g: Graph, u, v, exclude_edge: bool = False):
+def shortest_path_length(g: Graph, u, v):
     """BFS hop count of each pair (u[i], v[i]), UNREACHABLE when
     disconnected, as a float array.
 
-    With exclude_edge set, the edge (u, v) itself is left out, so existing
-    edges do not trivially score 1. Whole levels are settled over the list
-    with neighbour masks and no search: a common neighbour (_shared_counts)
+    The edge (u, v) itself is always left out, so existing edges do not
+    trivially score 1. Whole levels are settled over the list with
+    neighbour masks and no search: a common neighbour (_shared_counts)
     is a path of length 2, and a walk u-w-x-v with w != v and x != u
     (_three_hop) one of length 3; neither uses the edge (u, v). Only the
     pairs still open meet in the middle (_meet_in_middle), in chunks of
@@ -384,8 +374,6 @@ def shortest_path_length(g: Graph, u, v, exclude_edge: bool = False):
     """
     u, v = _pairs(g, u, v)
     dist = np.where(_shared_counts(g, u, v) > 0, 2.0, UNREACHABLE)
-    if not exclude_edge:
-        dist[_linked(g, u, v)] = 1.0
     dist[u == v] = 0.0
     far = np.flatnonzero(dist == UNREACHABLE)
     near = _three_hop(g, u[far], v[far])
@@ -412,17 +400,17 @@ def preferential_attachment(g: Graph, u, v):
 class LabeledSubgraph:
     """k-hop neighborhood union around a target link, endpoints marked 1.
 
-    Local node i is graph node node_map[i]. graph_features is the source
-    graph's whole feature matrix, shared by every subgraph of that graph and
-    never copied; the block's own rows are graph_features[node_map].
+    Local node i is graph node node_map[i]; the link is target, always (0, 1).
+    graph_features is the graph's whole feature matrix, shared by its every
+    subgraph, never copied; the block's own rows are graph_features[node_map].
     """
 
     node_map: np.ndarray
     local_adjacency: np.ndarray
     graph_features: np.ndarray
     labels: np.ndarray
-    target: tuple
     link_label: int = POSITIVE
+    target = (0, 1)
 
     @property
     def num_nodes(self):
@@ -512,7 +500,6 @@ def _extract(g: Graph, links, k, max_nodes, exclude, rng_of) -> list:
                 local_adjacency=adj[c : c + m * m].reshape(m, m),
                 graph_features=g.features,
                 labels=labels[a : a + m],
-                target=(0, 1),
                 link_label=int(e.label),
             )
         )
@@ -681,6 +668,8 @@ def make_batch(subgraphs) -> LabeledSubgraphBatch:
     if not subgraphs:
         raise InputError("cannot batch an empty subgraph list")
     sizes = np.array([s.num_nodes for s in subgraphs], dtype=np.int64)
+    if sizes.min() < 2:
+        raise InputError("a block must hold its link's two endpoints")
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
     labels = np.array([s.link_label for s in subgraphs], dtype=np.float64)
     return LabeledSubgraphBatch(

@@ -85,11 +85,11 @@ class DatasetSplit:
 
 def heuristic_value(g: Graph, u, v, name: str):
     """Production-path heuristic of each pair (u[i], v[i]), one call per edge
-    list, with the split's exclude-edge SP convention."""
+    list; SP leaves each pair's own edge out."""
     if name == "CN":
         return common_neighbors(g, u, v)
     if name == "SP":
-        return shortest_path_length(g, u, v, exclude_edge=True)
+        return shortest_path_length(g, u, v)
     if name == "PA":
         return preferential_attachment(g, u, v)
     raise InputError(f"unknown heuristic {name!r}")
@@ -211,7 +211,7 @@ def reference_value(g: Graph, u, v, name: str):
     a time: an independent re-check of the production path."""
     adj = bruteforce.adjacency_sets(g.num_nodes, g.edges())
     return np.array(
-        [bruteforce.heuristic_brute(adj, a, b, name, exclude_edge=name == "SP")
+        [bruteforce.heuristic_brute(adj, a, b, name)
          for a, b in zip(u.tolist(), v.tolist())],
         dtype=np.float64,
     )

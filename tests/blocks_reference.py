@@ -199,7 +199,7 @@ def gcn_forward(params, a_norm, x, rng=None, training=False, leaves=None) -> ad.
             if training and params.dropout > 0.0:
                 if rng is None:
                     raise InputError("training-mode dropout needs an rng")
-                h = ad.dropout(h, params.dropout, rng, training=True)
+                h = ad.dropout(h, params.dropout, rng)
     return h
 
 

@@ -111,7 +111,6 @@ def extract_reference(
         local_adjacency=adj,
         graph_features=g.features,
         labels=labels,
-        target=(0, 1),
         link_label=int(e.label),
     )
 

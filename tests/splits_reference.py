@@ -34,7 +34,7 @@ def _value(adj, u, v, name):
     if name == "CN":
         return bruteforce.cn_brute(adj, u, v)
     if name == "SP":
-        return sp_reference(adj, u, v, exclude_edge=True)
+        return sp_reference(adj, u, v)
     return bruteforce.pa_brute(adj, u, v)
 
 
@@ -85,9 +85,7 @@ def verify_split_reference(g: Graph, split: DatasetSplit) -> SplitReport:
         counts[bucket] = int(edges.shape[0])
         lo, hi = ranges[bucket]
         for u, v in edges.tolist():
-            val = bruteforce.heuristic_brute(
-                adj, u, v, spec.heuristic, exclude_edge=spec.heuristic == "SP"
-            )
+            val = bruteforce.heuristic_brute(adj, u, v, spec.heuristic)
             inside = lo <= val < hi or (val == math.inf and hi == math.inf)
             if not inside:
                 violations.append({"bucket": bucket, "edge": [u, v], "value": float(val)})

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -6,6 +7,8 @@ import pytest
 
 from counterlink import autodiff as ad
 from counterlink.errors import InputError, NumericError, ShapeError
+from counterlink.gnn import gcn_forward, init_gcn_params
+from counterlink.graphs import Graph, normalize_adjacency
 from counterlink.rng import stream_rng
 from blocks_reference import bce_with_logits, sigmoid
 from graphs_reference import csr_from_dense, matmul_dense_reference
@@ -492,14 +495,22 @@ class TestCheckpoint:
 
 class TestDropout:
     def test_disabled_outside_training(self):
-        x = ad.Tensor(np.ones((4, 4)))
-        out = ad.dropout(x, 0.5, np.random.default_rng(0), training=False)
-        assert out is x
+        # Evaluation passes no rng to gcn_forward, so no dropout runs: the
+        # embeddings equal those of the same weights with dropout rate 0.
+        g = Graph.from_edge_array(4, [(0, 1), (1, 2), (2, 3)], np.eye(4))
+        params = init_gcn_params(4, hidden=6, layers=3, dropout=0.5,
+                                 rng=np.random.default_rng(0))
+        a_norm = normalize_adjacency(g.adjacency)
+        out = gcn_forward(params, a_norm, g.features).value
+        plain = dataclasses.replace(params, dropout=0.0)
+        rng = np.random.default_rng(1)
+        assert np.array_equal(out, gcn_forward(plain, a_norm, g.features, rng=rng).value)
+        assert not np.array_equal(out, gcn_forward(params, a_norm, g.features, rng=rng).value)
 
     def test_mask_scaling_and_grad(self):
         tape = ad.Tape()
         x = tape.leaf(np.ones((200, 5)))
-        out = ad.dropout(x, 0.25, np.random.default_rng(1), training=True)
+        out = ad.dropout(x, 0.25, np.random.default_rng(1))
         kept = out.value[out.value > 0]
         assert np.allclose(kept, 1.0 / 0.75)
         loss = ad.tmean(out)

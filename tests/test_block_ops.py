@@ -31,7 +31,7 @@ FEATURES = 3
 
 def batch_of(rng, sizes, densities, labels):
     """Random labeled blocks over one shared feature matrix, each block on its
-    own rows; one node marks a single-node target (0, 0)."""
+    own rows, its link's endpoints first."""
     drawn = []
     for m, density in zip(sizes, densities):
         upper = np.triu(rng.random((m, m)) < density, 1)
@@ -40,14 +40,11 @@ def batch_of(rng, sizes, densities, labels):
     blocks, start = [], 0
     for (adj, _), label in zip(drawn, labels):
         m = adj.shape[0]
-        marks = np.zeros(m)
-        marks[: min(2, m)] = 1.0
         blocks.append(LabeledSubgraph(
             node_map=np.arange(start, start + m),
             local_adjacency=adj,
             graph_features=features,
-            labels=marks,
-            target=(0, 1) if m > 1 else (0, 0),
+            labels=(np.arange(m) < 2).astype(np.float64),
             link_label=label,
         ))
         start += m
@@ -106,8 +103,6 @@ def decoder_step(batch, gnn, h, gamma, with_predictor):
     if with_predictor:
         lp, _ = cotrain.predictor_loss(gnn, batch, logits, gamma, tape.leaves(gnn.named()))
         loss = ad.add(loss, lp)
-    if loss.tape is None:  # single-node blocks only
-        return [loss.value.tobytes()]
     grads = ad.backward(loss)
     if isinstance(logits, ad.Tensor):
         g_logits = grads.of(logits)
@@ -119,9 +114,10 @@ def decoder_step(batch, gnn, h, gamma, with_predictor):
 @st.composite
 def drawn_case(draw):
     count = draw(st.integers(1, 8))
-    sizes = draw(st.lists(st.one_of(st.just(1), st.integers(1, 40)),
+    sizes = draw(st.lists(st.one_of(st.just(2), st.integers(2, 40)),
                           min_size=count, max_size=count))
-    # density 0 gives edgeless blocks, 1 complete ones (zero positive weight)
+    # density 0 gives edgeless blocks (pairs among them), 1 complete ones
+    # (zero positive weight)
     densities = draw(st.lists(st.sampled_from([0.0, 0.15, 0.5, 1.0]),
                               min_size=count, max_size=count))
     labels = draw(st.lists(st.sampled_from([0, 1]), min_size=count, max_size=count))
@@ -177,27 +173,32 @@ class TestByteIdenticalToPerBlockOps:
         assert new == old
 
 
-# Batches that stress the size groups: one group, one group per block,
-# single-node blocks (u == v targets) among others, and sizes that come back
-# in batch order so a group's blocks are not adjacent.
+# Batches that stress the size groups: one group, one group per block, pairs
+# (two-node blocks) among larger ones, only pairs, and sizes that come back in
+# batch order so a group's blocks are not adjacent. Blocks have edge density
+# 0.5, but the pair groupings' first pair is edgeless.
 GROUPINGS = {
     "one_size": [6, 6, 6, 6, 6],
-    "every_size": [1, 2, 3, 5, 8, 13, 21],
-    "single_nodes": [1, 4, 1, 1, 2, 1],
-    "only_single_nodes": [1, 1, 1],
+    "every_size": [2, 3, 5, 8, 13, 21],
+    "pairs": [2, 4, 2, 2, 3, 2],
+    "only_pairs": [2, 2, 2],
     "interleaved": [4, 9, 2, 4, 9, 2, 4, 9],
 }
 
 
 class TestSizeGroups:
-    @pytest.mark.parametrize("sizes", GROUPINGS.values(), ids=GROUPINGS.keys())
+    @pytest.mark.parametrize("grouping", GROUPINGS)
     @pytest.mark.parametrize("step", ["elbo", "predictor", "generator", "decoder"])
-    def test_byte_identical_to_per_block_ops(self, sizes, step):
+    def test_byte_identical_to_per_block_ops(self, grouping, step):
         # The predictor step reads constant logits; the generator and
         # decoder steps tape them.
+        sizes = GROUPINGS[grouping]
         count = len(sizes)
+        densities = [0.5] * count
+        if "pairs" in grouping:
+            densities[0] = 0.0
         spec = NoiseSpec(noise_dim=2, num_psi=3)
-        batch = batch_of(np.random.default_rng(count), sizes, [0.5] * count,
+        batch = batch_of(np.random.default_rng(count), sizes, densities,
                          np.arange(count) % 2)
         ggm, gnn = models(count, spec)
 
@@ -235,8 +236,8 @@ class TestSizeGroups:
                 assert cells.tolist() == list(range(offsets[b], offsets[b + 1]))
 
 
-# Blocks of 3, 1 and 4 nodes; the last has no edges.
-SIZES = np.array([3, 1, 4])
+# Blocks of 3, 2 and 4 nodes; the last two have no edges.
+SIZES = np.array([3, 2, 4])
 
 
 def small_batch(seed=0):
@@ -331,7 +332,7 @@ class TestTapeSize:
         spec = NoiseSpec(noise_dim=2, num_psi=3)
         ggm, gnn = models(0, spec, hidden=8)
         rng = np.random.default_rng(0)
-        batch = batch_of(rng, rng.integers(1, 12, 16), [0.3] * 16, np.arange(16) % 2)
+        batch = batch_of(rng, rng.integers(2, 12, 16), [0.3] * 16, np.arange(16) % 2)
         gc.disable()
         try:
             bundle = cotrain.cotrain_losses(gnn, ggm, batch, CotrainConfig(noise=spec),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import counterlink
+from counterlink.autodiff import load_checkpoint, save_checkpoint
 from counterlink.cli import main
 from counterlink.manifest import read_manifest, sha256_file
 
@@ -391,9 +392,12 @@ class TestMalformedStructure:
                       "edges": [[0, 1, 0.75]]}]},
         {"samples": [{"block_size": 10_000_000, "label": 1, "target": [0, 1],
                       "gamma": 0.5, "edges": [[0, 1, 0.75]]}]},
+        {"samples": [{"block_size": 4, "label": 1, "target": [0, 1], "gamma": 0.5,
+                      "edges": [[0, 1, 0.75], [0, 0, 0.99]]}]},
     ], ids=["no_samples_key", "record_without_edges", "edge_outside_block",
             "negative_edge_id", "probability_not_a_number", "three_target_ids",
-            "fractional_target_id", "target_not_a_list", "block_larger_than_graph"])
+            "fractional_target_id", "target_not_a_list", "block_larger_than_graph",
+            "self_loop_edge"])
     def test_samples_json_is_5(self, tmp_path, doc):
         d = pipeline_dirs(tmp_path)
         run_pipeline_through_split(d)
@@ -829,6 +833,50 @@ class TestTrainingValuesInRange:
         assert code == 2, err
         assert flag[2:].replace("-", "_") in err and "Traceback" not in err
         assert not any(out.iterdir())
+
+
+# Checkpoint corruptions that still parse: (model, entry, replacement), where
+# a replacement of None drops the entry.
+BAD_CHECKPOINTS = {
+    "missing_weight": ("gnn", "gnn.b1", None),
+    "nan_hidden": ("gnn", "meta.hidden", np.array([np.nan])),
+    "empty_hidden": ("gnn", "meta.hidden", np.array([])),
+    "missing_head": ("ggm", "ggm.w_mu", None),
+    "nan_noise_dim": ("ggm", "meta.noise_dim", np.array([np.nan])),
+    "empty_noise_dim": ("ggm", "meta.noise_dim", np.array([])),
+}
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint that parses but lacks an entry, or holds a meta value that
+    is not one finite number, exits 2 naming the file and the entry."""
+
+    @pytest.mark.parametrize("command,case", [
+        *(("eval", case) for case in ("missing_weight", "nan_hidden", "empty_hidden")),
+        *(("flex-tune", case) for case in BAD_CHECKPOINTS),
+        *(("sweep", case) for case in BAD_CHECKPOINTS),
+    ])
+    def test_rejected_with_exit_2(self, pretrained, tmp_path, command, case):
+        d, flags = pretrained
+        model, entry, value = BAD_CHECKPOINTS[case]
+        named = load_checkpoint(d[model] / f"{model}.ckpt")
+        if value is None:
+            del named[entry]
+        else:
+            named[entry] = value
+        bad = tmp_path / f"{model}.ckpt"
+        save_checkpoint(bad, named)
+        ckpts = {"gnn": d["gnn"] / "gnn.ckpt", "ggm": d["ggm"] / "ggm.ckpt", model: bad}
+        args = {
+            "eval": ["--ckpt", ckpts["gnn"], "--k", 3],
+            "flex-tune": ["--gnn-ckpt", ckpts["gnn"], "--ggm-ckpt", ckpts["ggm"], *TUNE_FLAGS],
+            "sweep": ["--gnn-ckpt", ckpts["gnn"], "--ggm-ckpt", ckpts["ggm"], *TUNE_FLAGS,
+                      "--grid", "0.5", "--seeds", "0"],
+        }[command]
+        code, err = run_child([command, *flags[:6], *args, "--out", tmp_path / "out"])
+        assert code == 2, err
+        assert f"{bad}: checkpoint" in err and repr(entry) in err
+        assert "Traceback" not in err
 
 
 class TestReadingStagesVerifySplit:

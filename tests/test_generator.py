@@ -72,8 +72,7 @@ def adjacency_batch(adjs):
         m = a.shape[0]
         blocks.append(LabeledSubgraph(
             node_map=np.arange(start, start + m), local_adjacency=a,
-            graph_features=features, labels=(np.arange(m) < 2).astype(np.float64),
-            target=(0, 1) if m > 1 else (0, 0)))
+            graph_features=features, labels=(np.arange(m) < 2).astype(np.float64)))
         start += m
     return make_batch(blocks)
 
@@ -222,10 +221,6 @@ class TestDecode:
         assert sample.edge_probs[0].shape == (3, 3)
         assert sample.edge_probs[1].shape == (4, 4)
 
-    def test_single_node_block_empty(self):
-        sample = decode_node_aware(np.zeros((1, 3)), adjacency_batch([np.zeros((1, 1))]))
-        assert sample.edge_count() == 0
-
     def test_symmetry_and_range(self):
         h = np.random.default_rng(1).standard_normal((6, 4))
         sample = decode_node_aware(h, adjacency_batch([np.zeros((6, 6))]))
@@ -251,7 +246,7 @@ class TestDecode:
     def test_targets_and_labels_come_from_the_batch(self):
         _, batch, _ = small_batch(n_links=3)
         sample = decode_node_aware(np.zeros((batch.total_nodes, 2)), batch)
-        assert sample.target_indices == [b.target for b in batch.blocks]
+        assert all(b.target == (0, 1) for b in batch.blocks)
         assert np.array_equal(sample.link_labels, batch.batch_labels)
         assert np.array_equal(sample.block_sizes, batch.block_sizes)
 
@@ -282,7 +277,10 @@ class TestElbo:
         _, batch, params = small_batch()
         spec = NoiseSpec(noise_dim=3, num_psi=2)
         res = sivi_elbo(params, batch, spec, stream_rng(7, "noise"))
-        assert res.loss.item() == pytest.approx(-res.recon.item() + res.kl.item(), abs=1e-12)
+        rng = stream_rng(7, "noise")
+        hs = reparameterize(encode_semi_implicit(params, batch, spec, rng), rng)
+        bce = np.mean([recon_loss(decode_logits(h, batch), batch).item() for h in hs])
+        assert res.loss.item() == pytest.approx(bce + res.kl.item(), abs=1e-12)
         assert res.kl.item() >= 0.0
 
     def test_gradients_match_finite_differences(self):
@@ -375,9 +373,7 @@ class TestThreshold:
         p = np.zeros((2, 2))
         p[0, 1] = p[1, 0] = 0.8
         sample = dataclasses.replace(self.make_sample(), edge_probs=[p],
-                                     thresholded_adj=[(p > 0).astype(float)],
                                      block_sizes=np.array([2]),
-                                     target_indices=[(0, 1)],
                                      link_labels=np.ones(1))
         kept = threshold_edges(sample, 0.75)
         assert kept.edge_probs[0][0, 1] == 0.8
@@ -440,10 +436,10 @@ class TestGenerate:
         # All blocks as one block-diagonal graph, so one call scores every
         # target; no edge crosses blocks, so no common neighbour does either.
         edges, targets, direct = [], [], []
-        for adj, (i, j), at in zip(out.thresholded_adj, out.target_indices, batch.offsets):
+        for adj, at in zip(out.thresholded_adj, batch.offsets):
             edges.append(np.stack(np.nonzero(np.triu(adj, 1)), axis=1) + at)
-            targets.append((i + at, j + at))
-            direct.append(int((adj[i] * adj[j]).sum()))
+            targets.append((at, at + 1))
+            direct.append(int((adj[0] * adj[1]).sum()))
         n = batch.total_nodes
         whole = Graph.from_edge_array(n, np.concatenate(edges), np.zeros((n, 1)))
         u, v = np.array(targets).T
@@ -530,9 +526,9 @@ class TestDumps:
             assert rec["block_size"] == int(out.block_sizes[b])
             assert np.array_equal(rec["adjacency"], out.thresholded_adj[b])
 
-    # The CLI tests cover a three-id, a fractional and a string target and a
-    # block larger than the graph; these are the other shapes rejected. A
-    # bool edge end would index a whole row of the adjacency.
+    # The CLI tests cover a three-id, a fractional and a string target, a
+    # self-loop edge and a block larger than the graph; these are the other
+    # shapes rejected. A bool edge end would index a whole row of the adjacency.
     @pytest.mark.parametrize("field,value", [
         ("target", [0, -1]), ("block_size", 0), ("block_size", True), ("block_size", 2.0),
         ("edges", [[True, 1, 0.5]]),
@@ -560,7 +556,7 @@ class TestDumps:
                 doc["samples"].append({
                     "block_size": int(s.block_sizes[b]),
                     "label": int(s.link_labels[b]),
-                    "target": [int(s.target_indices[b][0]), int(s.target_indices[b][1])],
+                    "target": [0, 1],
                     "gamma": s.gamma,
                     "edges": [[int(i), int(j), float(p[i, j])] for i, j in zip(iu, ju)],
                 })

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from counterlink import gnn
 from counterlink.errors import InputError, NumericError
 from counterlink.gnn import (
     GcnParams,
@@ -297,7 +298,7 @@ class TestPretrain:
         assert result.best_valid == hits("valid")
         assert result.test_hits == hits("test")
 
-    def test_gradient_steps_never_read_valid_or_test_positives(self):
+    def test_gradient_steps_never_read_valid_or_test_positives(self, monkeypatch):
         # Gradient-phase positives must come from train_pos only; negatives are
         # sampled from the observed graph's non-edges without consulting the
         # held-out sets (a fresh negative may coincide with an unseen held-out
@@ -308,14 +309,16 @@ class TestPretrain:
             tuple(e) for e in split.test_pos.tolist()
         }
         seen_pos, seen_neg = [], []
+        step = gnn._train_batch
 
-        def hook(epoch, pos, neg):
+        def audited(params, a_norm, x, pos, neg, state, rng):
             seen_pos.extend(map(tuple, pos.tolist()))
             seen_neg.extend(map(tuple, neg.tolist()))
+            return step(params, a_norm, x, pos, neg, state, rng)
 
+        monkeypatch.setattr(gnn, "_train_batch", audited)
         cfg = TrainConfig(epochs=3, patience=3, lr=1e-3, seed=2, eval_k=5)
-        pretrain_gnn(split.observed_graph, split, cfg, hidden=8, layers=2,
-                     train_edge_hook=hook)
+        pretrain_gnn(split.observed_graph, split, cfg, hidden=8, layers=2)
         assert seen_pos and set(seen_pos) <= train
         assert not (set(seen_pos) & held)
         obs = split.observed_graph

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -110,7 +111,7 @@ class TestHeuristics:
         assert one_pair(shortest_path_length, path_graph(4), 0, 3) == 3
 
     def test_sp_triangle_exclude(self):
-        assert one_pair(shortest_path_length, triangle(), 0, 1, exclude_edge=True) == 2
+        assert one_pair(shortest_path_length, triangle(), 0, 1) == 2
 
     def test_sp_disconnected(self):
         g = graph_of(4, [(0, 1), (2, 3)])
@@ -152,17 +153,15 @@ class TestHeuristics:
                 bruteforce.cn_brute(adj, u, v) for u, v in pairs]
             assert preferential_attachment(g, a, b).tolist() == [
                 bruteforce.pa_brute(adj, u, v) for u, v in pairs]
-            for excl in (False, True):
-                expected = [sp_reference(adj, u, v, exclude_edge=excl) for u, v in pairs]
-                assert shortest_path_length(g, a, b, exclude_edge=excl).tolist() == expected
-                assert [bruteforce.sp_brute(adj, u, v, exclude_edge=excl)
-                        for u, v in pairs] == expected
+            expected = [sp_reference(adj, u, v) for u, v in pairs]
+            assert shortest_path_length(g, a, b).tolist() == expected
+            assert [bruteforce.sp_brute(adj, u, v) for u, v in pairs] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_sp_agrees_with_reference_bfs(self, data):
         # Two random parts, each possibly disconnected, joined by at most one
-        # bridge edge, whose exclude-edge value must be unreachable.
+        # bridge edge, whose value, its own edge left out, must be unreachable.
         sizes = data.draw(st.tuples(st.integers(1, 20), st.integers(1, 20)), label="sizes")
         n = sum(sizes)
         edges = set()
@@ -179,33 +178,19 @@ class TestHeuristics:
         g = graph_of(n, sorted(edges))
         adj = bruteforce.adjacency_sets(n, g.edges())
 
-        # Every pair is checked; the production path takes each exclude
-        # value's pairs in one call.
-        pairs = {False: [], True: []}
+        # Every ordered pair is checked, in one call on the production path.
+        todo = [(u, v) for u in range(n) for v in range(n)]
+        expected = [sp_reference(adj, u, v) for u, v in todo]
+        a, b = np.array(todo, dtype=np.int64).T
+        assert shortest_path_length(g, a, b).tolist() == expected
+        assert [bruteforce.sp_brute(adj, u, v) for u, v in todo] == expected
+        value = dict(zip(todo, expected))
         for u in range(n):
-            pairs[False].append((u, u))
-            pairs[True].append((u, u))
+            assert value[u, u] == 0
             for v in range(u + 1, n):
-                if (u, v) in edges:
-                    pairs[True] += [(u, v), (v, u)]
-                else:
-                    pairs[False].append((u, v))
-                    pairs[True].append((v, u))
-        value = {}
-        for excl, todo in pairs.items():
-            expected = [sp_reference(adj, u, v, exclude_edge=excl) for u, v in todo]
-            a, b = np.array(todo, dtype=np.int64).T
-            assert shortest_path_length(g, a, b, exclude_edge=excl).tolist() == expected
-            assert [bruteforce.sp_brute(adj, u, v, exclude_edge=excl)
-                    for u, v in todo] == expected
-            value.update({(u, v, excl): d for (u, v), d in zip(todo, expected)})
-        for u in range(n):
-            assert value[u, u, False] == value[u, u, True] == 0
-            for v in range(u + 1, n):
-                if (u, v) not in edges:
-                    assert value[v, u, True] == value[u, v, False]
+                assert value[v, u] == value[u, v] != 1
         if bridge is not None:
-            assert value[(*bridge, True)] == UNREACHABLE
+            assert value[bridge] == UNREACHABLE
 
 
 def heuristic_families(rng):
@@ -255,19 +240,16 @@ class TestBatchedHeuristics:
             pa = preferential_attachment(g, u, v)
             assert cn.tolist() == [bruteforce.cn_brute(adj, a, b) for a, b in pairs]
             assert pa.tolist() == [bruteforce.pa_brute(adj, a, b) for a, b in pairs]
-            for excl in (False, True):
-                sp = shortest_path_length(g, u, v, exclude_edge=excl)
-                assert sp.dtype == np.float64 and sp.shape == u.shape
-                assert sp.tolist() == [sp_reference(adj, a, b, excl) for a, b in pairs]
+            sp = shortest_path_length(g, u, v)
+            assert sp.dtype == np.float64 and sp.shape == u.shape
+            assert sp.tolist() == [sp_reference(adj, a, b) for a, b in pairs]
 
     def test_bidirectional_sp_brute_matches_reference(self):
         rng = np.random.default_rng(14)
         for g, u, v in heuristic_families(rng):
             adj = bruteforce.adjacency_sets(g.num_nodes, g.edges())
             for a, b in zip(u.tolist(), v.tolist()):
-                for excl in (False, True):
-                    assert (bruteforce.sp_brute(adj, a, b, exclude_edge=excl)
-                            == sp_reference(adj, a, b, exclude_edge=excl))
+                assert bruteforce.sp_brute(adj, a, b) == sp_reference(adj, a, b)
 
     def test_zero_d_id_raises(self):
         g = graph_of(5, [(0, 1), (1, 2), (3, 4)])
@@ -277,7 +259,7 @@ class TestBatchedHeuristics:
                     fn(g, u, v)
             assert isinstance(fn(g, [0], [2]), np.ndarray)
         assert shortest_path_length(g, [0], [3]).tolist() == [UNREACHABLE]
-        assert shortest_path_length(g, [2], [2], exclude_edge=True).tolist() == [0]
+        assert shortest_path_length(g, [2], [2]).tolist() == [0]
 
     def test_empty_and_malformed_lists(self):
         g = triangle()
@@ -344,18 +326,15 @@ class TestHeuristicKernelsMatchOracle:
             pairs = list(zip(u.tolist(), v.tolist()))
             assert common_neighbors(g, u, v).tolist() == [
                 bruteforce.cn_brute(adj, a, b) for a, b in pairs], name
-            for excl in (False, True):
-                sp = shortest_path_length(g, u, v, exclude_edge=excl)
-                assert sp.tolist() == [bruteforce.sp_brute(adj, a, b, exclude_edge=excl)
-                                       for a, b in pairs], (name, excl)
-                seen.update(sp.tolist())
-        assert {0, 1, 2, 3, 4, UNREACHABLE} <= seen
+            sp = shortest_path_length(g, u, v)
+            assert sp.tolist() == [bruteforce.sp_brute(adj, a, b) for a, b in pairs], name
+            seen.update(sp.tolist())
+        assert {0, 2, 3, 4, UNREACHABLE} <= seen
 
     def test_named_cases(self):
         cases = {name: (g, u, v) for name, g, u, v in oracle_cases(np.random.default_rng(0))}
         g, u, v = cases["square"]
-        assert shortest_path_length(g, u, v, exclude_edge=True).tolist() == [3] * 4 + [2, 2]
-        assert shortest_path_length(g, u, v).tolist() == [1] * 4 + [2, 2]
+        assert shortest_path_length(g, u, v).tolist() == [3] * 4 + [2, 2]
         g, u, v = cases["isolated"]
         assert shortest_path_length(g, u, v).tolist() == [
             3, UNREACHABLE, 0, UNREACHABLE, UNREACHABLE, 2, UNREACHABLE]
@@ -671,7 +650,6 @@ class TestBatching:
                 self.num_nodes = n
                 self.local_adjacency = np.zeros((n, n))
                 self.labels = np.zeros(n)
-                self.target = (0, 1)
                 self.link_label = 1
 
         batch = make_batch([Stub(2), Stub(5), Stub(3)])
@@ -680,6 +658,14 @@ class TestBatching:
     def test_empty_list_rejected(self):
         with pytest.raises(InputError):
             make_batch([])
+
+    def test_block_under_two_nodes_rejected(self):
+        g = triangle()
+        pair = extract_enclosing_subgraph(g, Edge(0, 1))
+        single = dataclasses.replace(pair, node_map=pair.node_map[:1],
+                                     local_adjacency=np.zeros((1, 1)), labels=np.ones(1))
+        with pytest.raises(InputError, match="two endpoints"):
+            make_batch([pair, single])
 
     def test_stacked_inputs_built_once_per_batch(self):
         g = random_graph(20, 0.3, np.random.default_rng(8))
