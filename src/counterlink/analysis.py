@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cotrain import CotrainConfig, flex_tune, train_subgraphs
-from .errors import ConfigError, InputError
+from .errors import ConfigError, CounterlinkError, InputError
 from .graphs import Csr, Graph
 from .splits import DatasetSplit, heuristic_value
 
@@ -216,8 +216,10 @@ def run_sweep(
     eval_norm is the normalized evaluation adjacency handed to every run;
     when it is None, each run normalizes g's own. No sweepable parameter
     changes subgraph extraction, so each seed's train subgraphs are
-    extracted once and reused at every grid point. Failures are recorded
-    per point and the sweep continues.
+    extracted once and reused at every grid point. Every point's config is
+    built before the first run, so an invalid grid value raises at once; a
+    run that fails with a CounterlinkError is recorded per point and the
+    sweep continues.
     """
     if param not in SWEEPABLE:
         raise ConfigError(f"sweepable parameters are {SWEEPABLE}, got {param!r}")
@@ -225,21 +227,22 @@ def run_sweep(
     if not grid:
         raise InputError("sweep grid is empty")
     seeds = list(seeds)
+    points = [replace(base_cfg, **{param: value}) for value in grid]
     subgraphs = {}  # seed -> train subgraphs
     means, stds, per_point, selections = [], [], [], []
     errors = {}
-    for value in grid:
+    for value, point in zip(grid, points):
         vals, errs = [], []
         for seed in seeds:
             try:
-                cfg = replace(base_cfg, **{param: value}, seed=seed)
+                cfg = replace(point, seed=seed)
                 if seed not in subgraphs:
                     subgraphs[seed] = train_subgraphs(g, split, cfg)
                 result = flex_tune(gnn_params, ggm_params, g, split, cfg,
                                    eval_norm=eval_norm, subgraphs=subgraphs[seed])
                 vals.append(result.test_hits)
                 selections.append({"value": value, "seed": seed, **result.selection()})
-            except Exception as exc:  # recorded, sweep continues
+            except CounterlinkError as exc:  # recorded, sweep continues
                 errs.append(f"{type(exc).__name__}: {exc}")
         per_point.append(vals)
         if errs:

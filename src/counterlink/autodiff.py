@@ -405,12 +405,13 @@ def bce_with_logits(logits, targets) -> Tensor:
 # Adam and the epoch loop
 
 
+# Adam's moment decay rates and the guard added to its denominator.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -422,20 +423,19 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
         if np.isnan(g).any() or np.isinf(g).any():
             raise NumericError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    correct1 = 1.0 - b1 ** state.step
-    correct2 = 1.0 - b2 ** state.step
+    correct1 = 1.0 - ADAM_BETA1 ** state.step
+    correct2 = 1.0 - ADAM_BETA2 ** state.step
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError("adam_step", f"{name}: grad {g.shape} vs param {p.shape}")
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
     return params
 
 

@@ -3,7 +3,7 @@
 Every command reads files, writes files plus a JSON manifest (input hashes,
 config, seed, wall clock, metrics), and is re-runnable: identical inputs and
 seed produce identical outputs. Configuration precedence is flags over
-config-file section over built-in defaults.
+config-file section over defaults, which COMMANDS and the config classes hold.
 
 Exit codes: 0 success, 2 config error, 3 dependency error, 4 numeric error,
 5 validation error.
@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .autodiff import load_params, save_params
 from .cotrain import CotrainConfig, flex_tune, generate_samples
-from .errors import ConfigError, CounterlinkError
+from .errors import ConfigError, CounterlinkError, InputError
 from .generator import (GgmTrainConfig, NoiseSpec, SiviParams, dump_samples, load_samples,
                         pretrain_ggm)
 from .gnn import GcnParams, TrainConfig, evaluate_hits, pretrain_gnn
@@ -35,53 +35,41 @@ from .manifest import require_artifact, staleness_warnings, write_manifest
 from .splits import SplitSpec, generate_split, load_split, save_split, verify_split
 from .synth import SyntheticGraphSpec, synth_graph, write_graph_files
 
-DEFAULTS = {
-    "synth": {
-        "family": "sbm", "n": 100, "blocks": 2, "p_in": 0.1, "p_out": 0.01,
-        "m": 2, "p": 0.1, "feature_mode": "degree-onehot:16", "seed": 0,
-        "out": "out",
-    },
-    "split": {
-        "edges": None, "features": None, "heuristic": "CN",
-        "direction": "forward", "t1": 1.0, "t2": 2.0, "neg_ratio": 1,
-        "seed": 0, "out": "out",
-    },
-    "pretrain-gnn": {
-        "edges": None, "features": None, "split": None, "epochs": 1000,
-        "patience": 20, "lr": 1e-3, "dropout": 0.1, "batch_size": 0,
-        "hidden": 128, "layers": 2, "eval_k": 20, "seed": 0,
-        "full_adjacency_eval": False, "out": "out",
-    },
-    "pretrain-ggm": {
-        "edges": None, "features": None, "split": None, "epochs": 2000,
-        "patience": 100, "lr": 1e-3, "batch_size": 64, "noise_dim": 8,
-        "num_psi": 3, "hop_k": 1, "max_nodes": 1000, "seed": 0, "out": "out",
-    },
-    "flex-tune": {
-        "edges": None, "features": None, "split": None, "gnn_ckpt": None,
-        "ggm_ckpt": None, "alpha": 1.05, "tau": None, "tau_offset": 1.0,
-        "gamma": 0.9, "lr_gnn": 1e-5, "lr_ggm": 1e-5, "epochs": 5,
-        "batch_size": 64, "patience": 2, "update_rule": "check_mode",
-        "num_psi": 3, "eval_k": 20, "hop_k": 1, "max_nodes": 1000,
-        "seed": 0, "full_adjacency_eval": False, "out": "out",
-    },
-    "eval": {
-        "edges": None, "features": None, "split": None, "ckpt": None,
-        "k": 20, "full_adjacency_eval": False, "out": "out",
-    },
-    "analyze": {
-        "edges": None, "features": None, "split": None, "samples": None,
-        "out": "out",
-    },
+GRAPH = ("edges", "features")
+SPLIT = GRAPH + ("split",)
+TUNING = SPLIT + ("gnn_ckpt", "ggm_ckpt")
+# Per command: its input path flags, in the order run_stage checks them; the
+# config classes whose fields are its flags, with the fields' defaults; and
+# its own flags.
+COMMANDS = {
+    "synth": ((), (SyntheticGraphSpec,), {}),
+    "split": (GRAPH, (SplitSpec,), {}),
+    "pretrain-gnn": (SPLIT, (TrainConfig,),
+                     {"hidden": 128, "layers": 2, "full_adjacency_eval": False}),
+    "pretrain-ggm": (SPLIT, (GgmTrainConfig, NoiseSpec), {}),
+    "flex-tune": (TUNING, (CotrainConfig, NoiseSpec), {"full_adjacency_eval": False}),
+    "eval": (SPLIT + ("ckpt",), (), {"k": 20, "full_adjacency_eval": False}),
+    "analyze": (SPLIT + ("samples",), (), {}),
+    "sweep": (TUNING, (CotrainConfig, NoiseSpec),
+              {"full_adjacency_eval": False, "param": "gamma",
+               "grid": "0.0,0.25,0.5,0.75,0.9,0.9999", "seeds": "0,1,2"}),
 }
-DEFAULTS["sweep"] = {
-    **DEFAULTS["flex-tune"], "param": "gamma",
-    "grid": "0.0,0.25,0.5,0.75,0.9,0.9999", "seeds": "0,1,2",
-}
+
+
+def _defaults(paths, classes, own):
+    """A command's flags and their defaults: its input paths, the fields of
+    its config classes, its own flags, then --out. zero_noise and the nested
+    noise are never flags, nor is noise_dim where a ggm checkpoint fixes it."""
+    skip = {"zero_noise", "noise", *(["noise_dim"] if "ggm_ckpt" in paths else [])}
+    return {**dict.fromkeys(paths),
+            **{f.name: f.default for cls in classes for f in fields(cls) if f.name not in skip},
+            **own, "out": "out"}
+
+
+DEFAULTS = {command: _defaults(*spec) for command, spec in COMMANDS.items()}
 # Comma-separated list flags and the type of their items.
 LIST_ITEMS = {"grid": float, "seeds": int}
-# Path flags of input files, and the stage that writes each; a command's
-# manifest records its path flags, in the order its DEFAULTS list them.
+# The stage that writes each input path flag's file.
 PRODUCED_BY = {
     "edges": "synth", "features": "synth", "split": "split",
     "gnn_ckpt": "pretrain-gnn", "ggm_ckpt": "pretrain-ggm",
@@ -201,12 +189,12 @@ def _outcome(run, k, valid=""):
             f"delta {run['test_delta']:+.4f})")
 
 
-def _write_csv(path, rows, columns):
+def _write_csv(path, rows):
+    """rows as CSV under a header of the first row's keys."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in columns})
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +234,7 @@ def cmd_pretrain_gnn(cfg, graph, split):
     save_params(ckpt, result.params,
                 extra_meta={"best_valid": result.best_valid, "test_hits": result.test_hits})
     trace_path = os.path.join(cfg["out"], "gnn_trace.csv")
-    _write_csv(trace_path, result.trace,
-               ["epoch", "train_loss", "valid_hits", "seconds"])
+    _write_csv(trace_path, result.trace)
     return ({"checkpoint": ckpt, "trace": trace_path},
             {"best_epoch": result.best_epoch, "valid_hits": result.best_valid,
              "test_hits": result.test_hits},
@@ -264,7 +251,7 @@ def cmd_pretrain_ggm(cfg, graph, split):
     save_params(ckpt, result.params,
                 extra_meta={"final_kl": result.final_kl, "best_loss": result.best_loss})
     trace_path = os.path.join(cfg["out"], "ggm_trace.csv")
-    _write_csv(trace_path, result.trace, ["epoch", "loss", "kl", "seconds"])
+    _write_csv(trace_path, result.trace)
     return ({"checkpoint": ckpt, "trace": trace_path},
             {"best_epoch": result.best_epoch, "best_loss": result.best_loss,
              "final_kl": result.final_kl},
@@ -272,12 +259,17 @@ def cmd_pretrain_ggm(cfg, graph, split):
              f"loss {result.best_loss:.4f}, kl {result.final_kl:.4f}"])
 
 
-def _pretrained(cfg):
+def _pretrained(cfg, graph):
     """Both pre-trained models, warnings about their upstream manifests, and
     the co-tuning config; an unset tau is the generator's final KL plus
     tau_offset."""
     gnn_params, _ = load_params(cfg["gnn_ckpt"], GcnParams)
     ggm_params, ggm_meta = load_params(cfg["ggm_ckpt"], SiviParams)
+    rows, width = ggm_params.w_in.shape[0], graph.features.shape[1]
+    if rows != width + 1 + ggm_params.noise_dim:
+        raise InputError(f"{cfg['ggm_ckpt']}: checkpoint entry 'meta.noise_dim' is "
+                         f"{ggm_params.noise_dim}, but 'ggm.w_in' has {rows} rows, not "
+                         f"{width} feature columns + 1 + meta.noise_dim")
     for key, stage in (("gnn_ckpt", "pretrain-gnn"), ("ggm_ckpt", "pretrain-ggm")):
         for note in staleness_warnings(cfg[key], stage, {"split": cfg["split"]}):
             print(f"warning: {note}", file=sys.stderr)
@@ -289,7 +281,7 @@ def _pretrained(cfg):
 
 
 def cmd_flex_tune(cfg, graph, split):
-    gnn_params, ggm_params, run_cfg = _pretrained(cfg)
+    gnn_params, ggm_params, run_cfg = _pretrained(cfg, graph)
     result = flex_tune(gnn_params, ggm_params, split.observed_graph, split,
                        run_cfg, eval_norm=_eval_norm(cfg, graph, split))
     gnn_out = os.path.join(cfg["out"], "gnn_tuned.ckpt")
@@ -298,9 +290,7 @@ def cmd_flex_tune(cfg, graph, split):
                 extra_meta={"best_valid": result.best_valid, "test_hits": result.test_hits})
     save_params(ggm_out, result.ggm, extra_meta={"tau": result.tau})
     trace_path = os.path.join(cfg["out"], "cotrain_trace.csv")
-    _write_csv(trace_path, result.trace,
-               ["epoch", "lp_loss", "sivi_loss", "kl_estimate", "penalty",
-                "mean_generated_cn", "valid_hits", "seconds"])
+    _write_csv(trace_path, result.trace)
     samples = generate_samples(result.ggm, split.observed_graph, split, run_cfg,
                                bucket="train")
     samples_path = os.path.join(cfg["out"], "samples.json")
@@ -322,9 +312,7 @@ def cmd_eval(cfg, graph, split):
     test = evaluate_hits(params, a_norm, graph.features, split.test_pos,
                          split.test_neg, cfg["k"])
     csv_path = os.path.join(cfg["out"], "eval.csv")
-    _write_csv(csv_path,
-               [{"bucket": "valid", "hits": valid}, {"bucket": "test", "hits": test}],
-               ["bucket", "hits"])
+    _write_csv(csv_path, [{"bucket": "valid", "hits": valid}, {"bucket": "test", "hits": test}])
     return ({"csv": csv_path}, {"valid_hits": valid, "test_hits": test},
             [f"Hits@{cfg['k']} valid: {valid:.6f}", f"Hits@{cfg['k']} test: {test:.6f}"])
 
@@ -349,9 +337,9 @@ def cmd_analyze(cfg, graph, split):
     for h in (train_hist, valid_hist, gen_hist):
         for lo, count in zip(h.bucket_edges[:-1], h.counts):
             rows.append({"source": h.source, "bucket_start": lo, "count": int(count)})
-    _write_csv(hist_csv, rows, ["source", "bucket_start", "count"])
+    _write_csv(hist_csv, rows)
     scatter_csv = os.path.join(cfg["out"], "degree_bias.csv")
-    _write_csv(scatter_csv, scan.as_rows(), ["mean_cn", "num_nodes"])
+    _write_csv(scatter_csv, scan.as_rows())
     return ({"analysis": json_path, "cn_distribution": hist_csv,
              "degree_bias": scatter_csv},
             {"gen_gap": report.gen_gap, "train_gap": report.train_gap,
@@ -361,7 +349,7 @@ def cmd_analyze(cfg, graph, split):
 
 
 def cmd_sweep(cfg, graph, split):
-    gnn_params, ggm_params, base = _pretrained(cfg)
+    gnn_params, ggm_params, base = _pretrained(cfg, graph)
     result = run_sweep(cfg["param"], _csv_list(cfg, "grid"), base,
                        _csv_list(cfg, "seeds"), gnn_params, ggm_params,
                        split.observed_graph, split,
@@ -370,12 +358,8 @@ def cmd_sweep(cfg, graph, split):
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(result.as_dict(), fh, indent=2)
     csv_path = os.path.join(cfg["out"], "sweep.csv")
-    _write_csv(
-        csv_path,
-        [{"value": v, "mean_hits": m, "std_hits": s}
-         for v, m, s in zip(result.grid, result.means, result.stds)],
-        ["value", "mean_hits", "std_hits"],
-    )
+    _write_csv(csv_path, [{"value": v, "mean_hits": m, "std_hits": s}
+                          for v, m, s in zip(result.grid, result.means, result.stds)])
     lines = [f"sweep {cfg['param']}={v}: Hits@{cfg['eval_k']} {m:.4f} +/- {s:.4f}"
              for v, m, s in zip(result.grid, result.means, result.stds)]
     lines += [f"sweep {cfg['param']}={run['value']} seed {run['seed']}: "
@@ -404,7 +388,7 @@ def run_stage(command, cfg):
     the split loaded and verified once --split passes; --out is created
     (exit 2 if it cannot be); the handler runs under the clock; then the
     manifest is written and the handler's lines are printed."""
-    paths = [key for key in DEFAULTS[command] if key in PRODUCED_BY]
+    paths = COMMANDS[command][0]
     for key in paths:
         if cfg[key] is None:
             raise ConfigError(f"--{key.replace('_', '-')} is required")

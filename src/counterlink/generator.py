@@ -55,9 +55,9 @@ class SiviParams:
     b_mu: np.ndarray
     w_lv: np.ndarray
     b_lv: np.ndarray
-    hidden: int = 32
-    zdim: int = 16
-    noise_dim: int = 8
+    hidden: int
+    zdim: int
+    noise_dim: int
 
     def named(self):
         return {
@@ -137,9 +137,7 @@ class GeneratedSample:
         return sum(int(np.count_nonzero(np.triu(p, 1) > 0)) for p in self.edge_probs)
 
 
-def init_sivi_params(d_in, hidden=32, zdim=16, noise_dim=8, rng=None) -> SiviParams:
-    if rng is None:
-        rng = np.random.default_rng(0)
+def init_sivi_params(d_in, hidden=32, zdim=16, noise_dim=8, *, rng) -> SiviParams:
     full_in = d_in + 1 + noise_dim  # features + label channel + noise
 
     def glorot(a, b):
@@ -168,8 +166,6 @@ def _input_product(x_in, col, eps, w):
     sees the bytes and layout a fresh [features | label | noise] array has.
     """
     w = w if isinstance(w, ad.Tensor) else ad.Tensor(w)
-    if x_in.shape[1] != w.shape[0]:
-        raise ShapeError("matmul", f"{x_in.shape} @ {w.shape}")
     if eps is not None:
         x_in[:, col:] = eps
 
@@ -202,7 +198,10 @@ def encode_semi_implicit(
     named = leaves if leaves is not None else params.named()
     feats = batch.stacked_features()
     col = feats.shape[1] + 1
-    x_in = np.zeros((batch.total_nodes, col + spec.noise_dim))
+    x_shape = (batch.total_nodes, col + spec.noise_dim)
+    if x_shape[1] != named["ggm.w_in"].shape[0]:  # before x_in is allocated
+        raise ShapeError("matmul", f"{x_shape} @ {named['ggm.w_in'].shape}")
+    x_in = np.zeros(x_shape)
     x_in[:, : col - 1] = feats
     x_in[:, col - 1] = batch.stacked_labels()
     a_norm = batch.normalized_adjacency()

@@ -31,8 +31,8 @@ class GcnParams:
 
     weights: list
     biases: list
-    dropout: float = 0.1
-    hidden: int = 128
+    dropout: float
+    hidden: int
 
     @property
     def layer_count(self):
@@ -83,14 +83,12 @@ class TrainConfig:
             raise InputError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-def init_gcn_params(d_in, hidden=128, layers=2, dropout=0.1, rng=None):
+def init_gcn_params(d_in, hidden=128, layers=2, dropout=0.1, *, rng):
     """Glorot-initialized stack d_in -> hidden -> ... -> hidden."""
     if layers < 1:
         raise InputError("layer count must be >= 1")
     if hidden < 1:
         raise InputError(f"hidden width must be >= 1, got {hidden}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     dims = [d_in] + [hidden] * layers
     weights, biases = [], []
     for a, b in zip(dims[:-1], dims[1:]):
@@ -280,8 +278,8 @@ def pretrain_gnn(
     g: Graph,
     split: DatasetSplit,
     cfg: TrainConfig,
-    hidden=128,
-    layers=2,
+    hidden,
+    layers,
     eval_norm: Csr = None,
 ) -> GnnPretrainResult:
     """Train on the observed adjacency; return the best-validation params.

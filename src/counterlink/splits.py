@@ -31,10 +31,10 @@ BUCKETS = ("train", "valid", "test")
 
 @dataclass(frozen=True)
 class SplitSpec:
-    heuristic: str
-    direction: str
-    t1: float
-    t2: float
+    heuristic: str = "CN"
+    direction: str = "forward"
+    t1: float = 1.0
+    t2: float = 2.0
     neg_ratio: int = 1
     seed: int = 0
 

@@ -14,8 +14,8 @@ FAMILIES = ("sbm", "ba", "er")
 
 @dataclass(frozen=True)
 class SyntheticGraphSpec:
-    family: str
-    n: int
+    family: str = "sbm"
+    n: int = 100
     feature_mode: str = "degree-onehot:16"
     seed: int = 0
     blocks: int = 2

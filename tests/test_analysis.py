@@ -19,9 +19,9 @@ from counterlink.analysis import (
     samples_from_generated,
     SweepResult,
 )
-from counterlink import cotrain
+from counterlink import analysis, cotrain
 from counterlink.cotrain import CotrainConfig, flex_tune
-from counterlink.errors import ConfigError, InputError
+from counterlink.errors import ConfigError, InputError, NumericError
 from counterlink.generator import GgmTrainConfig, NoiseSpec, generate, pretrain_ggm
 from counterlink.gnn import TrainConfig, evaluate_hits, normalize_adjacency, pretrain_gnn
 from counterlink.graphs import Graph
@@ -256,13 +256,36 @@ class TestSweep:
         assert all(r["base_test_hits"] == base for r in runs)
         assert all(r["test_delta"] == r["test_hits"] - base for r in runs)
 
-    def test_failures_recorded_and_sweep_continues(self):
+    def test_failures_recorded_and_sweep_continues(self, monkeypatch):
         g, split, obs, gnn, ggm, cfg = self.fixture()
+        real = analysis.flex_tune
 
-        sweep = run_sweep("gamma", [0.5, 2.0], cfg, [7], gnn, ggm, obs, split)
-        assert "2.0" in sweep.errors
+        def diverges_at_0_9(*args, **kwargs):
+            if args[4].gamma == 0.9:
+                raise NumericError("loss diverged")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "flex_tune", diverges_at_0_9)
+        sweep = run_sweep("gamma", [0.5, 0.9], cfg, [7], gnn, ggm, obs, split)
+        assert sweep.errors == {"0.9": ["NumericError: loss diverged"]}
         assert np.isfinite(sweep.means[0])
         assert math.isnan(sweep.means[1])
+
+    def test_invalid_grid_value_raises_before_any_run(self, monkeypatch):
+        g, split, obs, gnn, ggm, cfg = self.fixture()
+        monkeypatch.setattr(analysis, "flex_tune", lambda *a, **kw: pytest.fail("ran"))
+        with pytest.raises(InputError, match="gamma must be in"):
+            run_sweep("gamma", [0.5, 2.0], cfg, [7], gnn, ggm, obs, split)
+
+    def test_programming_error_is_not_recorded(self, monkeypatch):
+        g, split, obs, gnn, ggm, cfg = self.fixture()
+
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a failed run")
+
+        monkeypatch.setattr(analysis, "flex_tune", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            run_sweep("gamma", [0.5], cfg, [7], gnn, ggm, obs, split)
 
     def test_unknown_param_rejected(self):
         g, split, obs, gnn, ggm, cfg = self.fixture()

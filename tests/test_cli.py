@@ -411,6 +411,53 @@ class TestMalformedStructure:
         assert "samples.json" in err and "Traceback" not in err
 
 
+# Every command's flags and their defaults; None marks an input path, or an
+# unset tau.
+PINNED_FLAGS = {
+    "synth": {
+        "family": "sbm", "n": 100, "blocks": 2, "p_in": 0.1, "p_out": 0.01,
+        "m": 2, "p": 0.1, "feature_mode": "degree-onehot:16", "seed": 0,
+        "out": "out",
+    },
+    "split": {
+        "edges": None, "features": None, "heuristic": "CN",
+        "direction": "forward", "t1": 1.0, "t2": 2.0, "neg_ratio": 1,
+        "seed": 0, "out": "out",
+    },
+    "pretrain-gnn": {
+        "edges": None, "features": None, "split": None, "epochs": 1000,
+        "patience": 20, "lr": 1e-3, "dropout": 0.1, "batch_size": 0,
+        "hidden": 128, "layers": 2, "eval_k": 20, "seed": 0,
+        "full_adjacency_eval": False, "out": "out",
+    },
+    "pretrain-ggm": {
+        "edges": None, "features": None, "split": None, "epochs": 2000,
+        "patience": 100, "lr": 1e-3, "batch_size": 64, "noise_dim": 8,
+        "num_psi": 3, "hop_k": 1, "max_nodes": 1000, "seed": 0, "out": "out",
+    },
+    "flex-tune": {
+        "edges": None, "features": None, "split": None, "gnn_ckpt": None,
+        "ggm_ckpt": None, "alpha": 1.05, "tau": None, "tau_offset": 1.0,
+        "gamma": 0.9, "lr_gnn": 1e-5, "lr_ggm": 1e-5, "epochs": 5,
+        "batch_size": 64, "patience": 2, "update_rule": "check_mode",
+        "num_psi": 3, "eval_k": 20, "hop_k": 1, "max_nodes": 1000,
+        "seed": 0, "full_adjacency_eval": False, "out": "out",
+    },
+    "eval": {
+        "edges": None, "features": None, "split": None, "ckpt": None,
+        "k": 20, "full_adjacency_eval": False, "out": "out",
+    },
+    "analyze": {
+        "edges": None, "features": None, "split": None, "samples": None,
+        "out": "out",
+    },
+}
+PINNED_FLAGS["sweep"] = {
+    **PINNED_FLAGS["flex-tune"], "param": "gamma",
+    "grid": "0.0,0.25,0.5,0.75,0.9,0.9999", "seeds": "0,1,2",
+}
+
+
 class TestConfigPrecedence:
     def test_flags_beat_file_beat_defaults(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -455,29 +502,32 @@ class TestConfigPrecedence:
                 with pytest.raises(ConfigError, match=f"{command}.{key} must be"):
                     merged(command, key, wrong)
 
-    def test_defaults_match_the_config_dataclass_defaults(self):
-        # Commands build their config objects from the flags named like the
-        # fields, so a flag default must not drift from its field's default.
-        from dataclasses import MISSING, fields
+    def test_flags_and_defaults_are_pinned(self):
+        # The CLI derives most flags from the config dataclasses; this table
+        # keeps a derived flag from appearing, vanishing, or changing its
+        # type or default unnoticed.
+        import argparse
 
-        from counterlink.cli import DEFAULTS
-        from counterlink.cotrain import CotrainConfig
-        from counterlink.generator import GgmTrainConfig, NoiseSpec
-        from counterlink.gnn import TrainConfig
-        from counterlink.splits import SplitSpec
-        from counterlink.synth import SyntheticGraphSpec
+        from counterlink.cli import build_parser, merge_config
 
-        built = {"synth": [SyntheticGraphSpec], "split": [SplitSpec],
-                 "pretrain-gnn": [TrainConfig], "pretrain-ggm": [GgmTrainConfig, NoiseSpec],
-                 "flex-tune": [CotrainConfig, NoiseSpec], "sweep": [CotrainConfig, NoiseSpec]}
-        compared = 0
-        for command, classes in built.items():
-            for cls in classes:
-                for f in fields(cls):
-                    if f.name in DEFAULTS[command] and f.default is not MISSING:
-                        assert DEFAULTS[command][f.name] == f.default, (command, f.name)
-                        compared += 1
-        assert compared == 55
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert list(commands) == list(PINNED_FLAGS)
+        for command, pinned in PINNED_FLAGS.items():
+            actions = {a.dest: a for a in commands[command]._actions
+                       if a.dest not in ("help", "config")}
+            assert sorted(actions) == sorted(pinned), command
+            for key, default in pinned.items():
+                action = actions[key]
+                assert action.help == f"(default {default})", (command, key)
+                if isinstance(default, bool):
+                    assert action.const is True and action.type is None, (command, key)
+                else:
+                    kind = type(default) if default is not None else (
+                        float if key == "tau" else str)
+                    assert action.type is kind, (command, key)
+            assert merge_config(command, parser.parse_args([command])) == pinned, command
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -877,6 +927,42 @@ class TestMalformedCheckpoint:
         assert code == 2, err
         assert f"{bad}: checkpoint" in err and repr(entry) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["flex-tune", "sweep"])
+    @pytest.mark.parametrize("noise_dim", [5, 1e15], ids=["one_too_many", "1e15"])
+    def test_noise_width_that_does_not_fit_the_weights_is_2(self, pretrained, tmp_path,
+                                                            command, noise_dim):
+        # The generator was trained with noise_dim 4. Unchecked, 5 failed in
+        # the input product without naming the file, and 1e15 in allocating
+        # the input with a traceback.
+        d, flags = pretrained
+        named = load_checkpoint(d["ggm"] / "ggm.ckpt")
+        named["meta.noise_dim"] = np.array([noise_dim])
+        bad = tmp_path / "ggm.ckpt"
+        save_checkpoint(bad, named)
+        sweep = ["--grid", "0.5", "--seeds", "0"] if command == "sweep" else []
+        code, err = run_child([command, *flags[:8], "--ggm-ckpt", bad, *TUNE_FLAGS, *sweep,
+                               "--out", tmp_path / "out"])
+        assert code == 2, err
+        assert f"{bad}: checkpoint entry 'meta.noise_dim' is {int(noise_dim)}" in err
+        assert "Traceback" not in err
+
+
+class TestSweepGridValues:
+    @pytest.mark.parametrize("param,value,message", [
+        ("gamma", "1.5", "gamma must be in [0, 1]"),
+        ("lr_gnn", "-1", "lr_gnn must be a finite number >= 0, got -1.0"),
+        ("alpha", "nan", "alpha must be a finite number >= 0, got nan"),
+    ])
+    def test_invalid_value_is_2_before_any_run(self, pretrained, tmp_path, param, value,
+                                               message):
+        _, flags = pretrained
+        out = tmp_path / "out"
+        code, err = run_child(["sweep", *flags, *TUNE_FLAGS, "--param", param,
+                               f"--grid=0.5,{value}", "--seeds", "0", "--out", out])
+        assert code == 2, err
+        assert message in err and "Traceback" not in err
+        assert not (out / "sweep.json").exists()
 
 
 class TestReadingStagesVerifySplit:

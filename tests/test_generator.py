@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from counterlink import autodiff as ad
-from counterlink.errors import ConfigError, InputError, ValidationError
+from counterlink.errors import ConfigError, InputError, ShapeError, ValidationError
 from counterlink.generator import (
     GgmTrainConfig,
     NoiseSpec,
@@ -362,6 +362,15 @@ class TestFirstDrawLogits:
         first_draw_logits(params, batch, NoiseSpec(noise_dim=3, num_psi=3),
                           stream_rng(21, "noise"))
         assert len(calls) == 1  # one encoder propagation, not one per draw
+
+    def test_noise_width_that_does_not_fit_w_in_fails_before_allocating(self):
+        g, batch, _ = small_batch(seed=2, n_links=4)
+        params = init_sivi_params(g.features.shape[1], hidden=8, zdim=4, noise_dim=3,
+                                  rng=np.random.default_rng(5))
+        params.noise_dim = 10**15  # [features | label | noise] would not fit in memory
+        with pytest.raises(ShapeError, match="matmul"):
+            first_draw_logits(params, batch, NoiseSpec(noise_dim=10**15, num_psi=1),
+                              stream_rng(21, "noise"))
 
 
 class TestThreshold:
