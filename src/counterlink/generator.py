@@ -137,7 +137,7 @@ class GeneratedSample:
         return sum(int(np.count_nonzero(np.triu(p, 1) > 0)) for p in self.edge_probs)
 
 
-def init_sivi_params(d_in, hidden=32, zdim=16, noise_dim=8, *, rng) -> SiviParams:
+def init_sivi_params(d_in, hidden=32, zdim=16, *, noise_dim, rng) -> SiviParams:
     full_in = d_in + 1 + noise_dim  # features + label channel + noise
 
     def glorot(a, b):

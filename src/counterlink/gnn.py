@@ -59,7 +59,7 @@ class GcnParams:
             raise InputError("checkpoint holds no encoder weights")
         weights = [named[f"gnn.w{i}"] for i in range(layers)]
         biases = [named[f"gnn.b{i}"] for i in range(layers)]
-        dropout = float(named.get("meta.dropout", np.array([0.1]))[0])
+        dropout = float(named["meta.dropout"][0])
         hidden = int(named.get("meta.hidden", np.array([weights[0].shape[1]]))[0])
         return GcnParams(weights=weights, biases=biases, dropout=dropout, hidden=hidden)
 
@@ -83,7 +83,7 @@ class TrainConfig:
             raise InputError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-def init_gcn_params(d_in, hidden=128, layers=2, dropout=0.1, *, rng):
+def init_gcn_params(d_in, hidden, layers, dropout, *, rng):
     """Glorot-initialized stack d_in -> hidden -> ... -> hidden."""
     if layers < 1:
         raise InputError("layer count must be >= 1")

@@ -315,7 +315,7 @@ def _expand(g: Graph, mask):
     return out.reshape(mask.shape)
 
 
-def _meet_in_middle(g: Graph, u, v):
+def _meet_in_middle(g: Graph, u, v, bound):
     """Distances of pairs with no path of length 3 or less, leaving out the
     edge (u, v): 4 or more, or UNREACHABLE.
 
@@ -324,7 +324,8 @@ def _meet_in_middle(g: Graph, u, v):
     the new level meets the other side's frontier: the two visited sets were
     disjoint before, so the distance exceeds the two depths' sum and this
     path is a shortest one. A side whose level comes out empty has exhausted
-    its component, so the pair is unreachable.
+    its component, so the pair is unreachable. No level is grown past depth
+    bound - 1: a pair still open there reads UNREACHABLE, at least bound.
     """
     p = u.size
     rows = np.arange(p)
@@ -338,7 +339,7 @@ def _meet_in_middle(g: Graph, u, v):
     dist = np.full(p, UNREACHABLE)
     live = rows
     depth = 2
-    while live.size:
+    while live.size and depth + 1 < bound:
         side = (front[0].sum(axis=1) > front[1].sum(axis=1)).astype(np.int64)
         rows = np.arange(live.size)
         grown = _expand(g, front[side, rows]) & ~seen[side, rows]
@@ -360,9 +361,9 @@ def common_neighbors(g: Graph, u, v):
     return _shared_counts(g, u, v)
 
 
-def shortest_path_length(g: Graph, u, v):
+def shortest_path_length(g: Graph, u, v, bound=math.inf):
     """BFS hop count of each pair (u[i], v[i]), UNREACHABLE when
-    disconnected, as a float array.
+    disconnected, capped at bound, as a float array: min(exact, bound).
 
     The edge (u, v) itself is always left out, so existing edges do not
     trivially score 1. Whole levels are settled over the list with
@@ -370,19 +371,26 @@ def shortest_path_length(g: Graph, u, v):
     is a path of length 2, and a walk u-w-x-v with w != v and x != u
     (_three_hop) one of length 3; neither uses the edge (u, v). Only the
     pairs still open meet in the middle (_meet_in_middle), in chunks of
-    _HEURISTIC_CELLS mask cells.
+    _HEURISTIC_CELLS mask cells. A level at or past bound is never
+    searched: the split reads nothing beyond its upper threshold.
     """
     u, v = _pairs(g, u, v)
-    dist = np.where(_shared_counts(g, u, v) > 0, 2.0, UNREACHABLE)
+    dist = np.full(u.size, UNREACHABLE)
     dist[u == v] = 0.0
-    far = np.flatnonzero(dist == UNREACHABLE)
-    near = _three_hop(g, u[far], v[far])
-    dist[far[near]] = 3.0
-    far = far[~near]
-    for lo, hi in _spans(np.full(far.size, g.num_nodes)):
-        at = far[lo:hi]
-        dist[at] = _meet_in_middle(g, u[at], v[at])
-    return dist
+    far = np.flatnonzero(u != v)
+    if bound > 2:
+        near = _shared_counts(g, u[far], v[far]) > 0
+        dist[far[near]] = 2.0
+        far = far[~near]
+    if bound > 3:
+        near = _three_hop(g, u[far], v[far])
+        dist[far[near]] = 3.0
+        far = far[~near]
+    if bound > 4:
+        for lo, hi in _spans(np.full(far.size, g.num_nodes)):
+            at = far[lo:hi]
+            dist[at] = _meet_in_middle(g, u[at], v[at], bound)
+    return np.minimum(dist, bound)
 
 
 def preferential_attachment(g: Graph, u, v):

@@ -11,6 +11,13 @@ are treated as sorted bucket boundaries (lo, hi):
 so values grow from train to test in forward splits and shrink in backward
 ones regardless of the order the two parameters are written in. Unreachable
 SP values sort above every threshold.
+
+A split reads SP only to tell those ranges apart, so every value at or past
+hi, inf included, lands in the same bucket: generating and verifying an SP
+split search paths only up to depth hi and read min(exact, hi), which
+places every edge as the exact value does. A positive found outside its
+range is evaluated again without the bound, so the violation shows its
+exact value.
 """
 
 import json
@@ -83,16 +90,24 @@ class DatasetSplit:
         return getattr(self, f"{bucket}_neg")
 
 
-def heuristic_value(g: Graph, u, v, name: str):
+def heuristic_value(g: Graph, u, v, name: str, bound=math.inf):
     """Production-path heuristic of each pair (u[i], v[i]), one call per edge
-    list; SP leaves each pair's own edge out."""
+    list; SP leaves each pair's own edge out and is capped at bound."""
     if name == "CN":
         return common_neighbors(g, u, v)
     if name == "SP":
-        return shortest_path_length(g, u, v)
+        return shortest_path_length(g, u, v, bound)
     if name == "PA":
         return preferential_attachment(g, u, v)
     raise InputError(f"unknown heuristic {name!r}")
+
+
+def _read_bound(spec: SplitSpec):
+    """How far the split reads its heuristic: SP up to the upper threshold,
+    since every value at or past it, inf included, lands in the bucket that
+    starts there, so min(exact, hi) places every edge as the exact value
+    does; CN and PA in full."""
+    return max(float(spec.t1), float(spec.t2)) if spec.heuristic == "SP" else math.inf
 
 
 def _in_range(values, lo, hi):
@@ -144,13 +159,16 @@ def sample_negatives(g: Graph, count: int, rng):
         pick = rng.choice(pool, size=count, replace=False)
         return _non_edges_at(g, np.sort(pick))
     e = g.edges()
-    edge_keys = e[:, 0] * n + e[:, 1]
+    # Ascending, as edges() is sorted, and closed by the sentinel n * n above
+    # every pair key, so each searchsorted position indexes a key.
+    edge_keys = np.append(e[:, 0] * n + e[:, 1], n * n)
     chosen = np.empty(0, dtype=np.int64)
     while chosen.size < count:
         need = count - chosen.size
         u, v = rng.integers(0, n, size=2 * need).reshape(-1, 2).T
         keys = np.minimum(u, v) * n + np.maximum(u, v)
-        keys = keys[(u != v) & ~np.isin(keys, edge_keys) & ~np.isin(keys, chosen)]
+        is_edge = edge_keys[np.searchsorted(edge_keys, keys)] == keys
+        keys = keys[(u != v) & ~is_edge & ~np.isin(keys, chosen)]
         _, first = np.unique(keys, return_index=True)
         chosen = np.concatenate([chosen, keys[np.sort(first)][:need]])
     return np.stack([chosen // n, chosen % n], axis=1)
@@ -160,14 +178,15 @@ def generate_split(g: Graph, spec: SplitSpec) -> DatasetSplit:
     """Bucket every edge by its heuristic value; sample negatives per bucket.
 
     Heuristics are computed on the full source graph before any edges are
-    hidden. The observed graph keeps only train positives, so validation and
-    test structure never enters message passing by default.
+    hidden, and only as far as the buckets read them (_read_bound). The
+    observed graph keeps only train positives, so validation and test
+    structure never enters message passing by default.
     """
     if g.edge_count < 1:
         raise InputError("cannot split a graph with no edges")
     ranges = spec.bucket_ranges()
     edges = g.edges()
-    values = heuristic_value(g, edges[:, 0], edges[:, 1], spec.heuristic)
+    values = heuristic_value(g, edges[:, 0], edges[:, 1], spec.heuristic, _read_bound(spec))
     pos = {}
     for b in BUCKETS:
         lo, hi = ranges[b]
@@ -206,12 +225,12 @@ class SplitReport:
     interpretation: str
 
 
-def reference_value(g: Graph, u, v, name: str):
+def reference_value(g: Graph, u, v, name: str, bound=math.inf):
     """heuristic_value from the set/BFS references in bruteforce, one pair at
     a time: an independent re-check of the production path."""
     adj = bruteforce.adjacency_sets(g.num_nodes, g.edges())
     return np.array(
-        [bruteforce.heuristic_brute(adj, a, b, name)
+        [bruteforce.heuristic_brute(adj, a, b, name, bound)
          for a, b in zip(u.tolist(), v.tolist())],
         dtype=np.float64,
     )
@@ -239,9 +258,12 @@ def _first_index(keys):
 def verify_split(g: Graph, split: DatasetSplit, heuristic=reference_value) -> SplitReport:
     """Recheck every bucket assignment against heuristic values of g.
 
-    `heuristic(g, u, v, name)` gives the value of each pair (u[i], v[i]):
-    by default `reference_value`, a check that shares no code with the
-    production path, or `heuristic_value` for the batched path. Raises ValidationError on any violated
+    `heuristic(g, u, v, name, bound=...)` gives the value of each pair
+    (u[i], v[i]), capped at bound: by default `reference_value`, a check that
+    shares no code with the production path, or `heuristic_value` for the
+    batched path. The positives are read only as far as the buckets need
+    (_read_bound); those outside their range are evaluated again uncapped,
+    so a violation shows the exact value. Raises ValidationError on any violated
     membership, on a negative that is an edge, a self-pair or a repeat of an
     earlier negative (in any bucket), and on an empty negative set. Buckets
     are checked in order; within one, positive violations come first, then
@@ -251,7 +273,13 @@ def verify_split(g: Graph, split: DatasetSplit, heuristic=reference_value) -> Sp
     spec = split.spec
     ranges = spec.bucket_ranges()
     pos, pos_owner = _stacked([split.pos(b) for b in BUCKETS])
-    values = np.asarray(heuristic(g, pos[:, 0], pos[:, 1], spec.heuristic), dtype=np.float64)
+    bound = _read_bound(spec)
+    values = np.asarray(heuristic(g, pos[:, 0], pos[:, 1], spec.heuristic, bound=bound),
+                        dtype=np.float64)
+    lo, hi = np.array([ranges[b] for b in BUCKETS]).T
+    outside = ~_in_range(values, lo[pos_owner], hi[pos_owner])
+    if bound < math.inf and outside.any():
+        values[outside] = heuristic(g, pos[outside, 0], pos[outside, 1], spec.heuristic)
     neg, owner = _stacked([split.neg(b) for b in BUCKETS])
     keys = _pair_keys(neg, g.num_nodes)
     first = _first_index(keys)
@@ -261,9 +289,8 @@ def verify_split(g: Graph, split: DatasetSplit, heuristic=reference_value) -> Sp
     counts = {}
     for k, bucket in enumerate(BUCKETS):
         counts[bucket] = int(split.pos(bucket).shape[0])
-        vals = values[pos_owner == k]
-        outside = ~_in_range(vals, *ranges[bucket])
-        for (u, v), val in zip(split.pos(bucket)[outside].tolist(), vals[outside].tolist()):
+        wrong = outside & (pos_owner == k)
+        for (u, v), val in zip(pos[wrong].tolist(), values[wrong].tolist()):
             violations.append({"bucket": bucket, "edge": [u, v], "value": val})
         if split.neg(bucket).shape[0] == 0:
             raise ValidationError(f"{bucket} negative set is empty")

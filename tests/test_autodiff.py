@@ -421,8 +421,9 @@ class TestCheckpoint:
         from counterlink.gnn import GcnParams, init_gcn_params
 
         rng = np.random.default_rng(3)
-        for params, cls in ((init_gcn_params(4, hidden=5, rng=rng), GcnParams),
-                            (init_sivi_params(4, hidden=5, zdim=2, rng=rng), SiviParams)):
+        for params, cls in (
+                (init_gcn_params(4, hidden=5, layers=2, dropout=0.1, rng=rng), GcnParams),
+                (init_sivi_params(4, hidden=5, zdim=2, noise_dim=8, rng=rng), SiviParams)):
             path = tmp_path / "model.ckpt"
             ad.save_params(path, params, extra_meta={"best_valid": 0.25})
             # The bytes of the named arrays, meta and extra meta written directly.

@@ -889,6 +889,7 @@ class TestTrainingValuesInRange:
 # a replacement of None drops the entry.
 BAD_CHECKPOINTS = {
     "missing_weight": ("gnn", "gnn.b1", None),
+    "missing_dropout": ("gnn", "meta.dropout", None),
     "nan_hidden": ("gnn", "meta.hidden", np.array([np.nan])),
     "empty_hidden": ("gnn", "meta.hidden", np.array([])),
     "missing_head": ("ggm", "ggm.w_mu", None),
@@ -902,7 +903,8 @@ class TestMalformedCheckpoint:
     is not one finite number, exits 2 naming the file and the entry."""
 
     @pytest.mark.parametrize("command,case", [
-        *(("eval", case) for case in ("missing_weight", "nan_hidden", "empty_hidden")),
+        *(("eval", case) for case in ("missing_weight", "missing_dropout", "nan_hidden",
+                                      "empty_hidden")),
         *(("flex-tune", case) for case in BAD_CHECKPOINTS),
         *(("sweep", case) for case in BAD_CHECKPOINTS),
     ])

@@ -99,7 +99,7 @@ class TestStackedDenseKernels:
         a, rng = self.stack(k, m, seed=m + 1)
         prop, _ = normalize_dense_adjacency(a)
         x = rng.standard_normal((k, m, 5))
-        params = init_gcn_params(5, hidden=4, layers=3, rng=rng)
+        params = init_gcn_params(5, hidden=4, layers=3, dropout=0.1, rng=rng)
         for b in params.biases:
             b[:] = rng.standard_normal(b.shape)
         g = rng.standard_normal((k, m, 4))
@@ -121,7 +121,8 @@ class TestStackedDenseKernels:
 class TestForward:
     def test_zero_weights_zero_embeddings(self):
         g = graph_of(3, [(0, 1), (1, 2)])
-        params = init_gcn_params(3, hidden=4, layers=2, rng=np.random.default_rng(0))
+        params = init_gcn_params(3, hidden=4, layers=2, dropout=0.1,
+                                 rng=np.random.default_rng(0))
         for w in params.weights:
             w[:] = 0.0
         h = gcn_forward(params, normalize_adjacency(g.adjacency), g.features)
@@ -129,7 +130,8 @@ class TestForward:
 
     def test_single_node_single_layer_is_xw(self):
         g = Graph.from_edge_array(1, np.empty((0, 2)), np.array([[2.0, -1.0]]))
-        params = init_gcn_params(2, hidden=3, layers=1, rng=np.random.default_rng(1))
+        params = init_gcn_params(2, hidden=3, layers=1, dropout=0.1,
+                                 rng=np.random.default_rng(1))
         h = gcn_forward(params, normalize_adjacency(g.adjacency), g.features)
         assert np.allclose(h.value, g.features @ params.weights[0])
 
@@ -139,7 +141,7 @@ class TestForward:
         a = np.triu(a, 1)
         a = a + a.T
         x = rng.standard_normal((10, 5))
-        params = init_gcn_params(5, hidden=6, layers=2, rng=rng)
+        params = init_gcn_params(5, hidden=6, layers=2, dropout=0.1, rng=rng)
         perm = rng.permutation(10)
         p = np.eye(10)[perm]
 
@@ -151,7 +153,8 @@ class TestForward:
 
     def test_shape_mismatch(self):
         g = graph_of(3, [(0, 1)])
-        params = init_gcn_params(3, hidden=4, rng=np.random.default_rng(0))
+        params = init_gcn_params(3, hidden=4, layers=2, dropout=0.1,
+                                 rng=np.random.default_rng(0))
         with pytest.raises(InputError):
             gcn_forward(params, normalize_adjacency(g.adjacency), np.ones((5, 3)))
 

@@ -314,7 +314,8 @@ def oracle_cases(rng):
 
 class TestHeuristicKernelsMatchOracle:
     """The mask kernels behind CN and SP equal the bruteforce oracle pair by
-    pair, with the work arrays cut to 64 cells and at the default bound."""
+    pair, with the work arrays cut to 64 cells and at the default bound. SP
+    bounded at a depth, on either path, is the exact value capped there."""
 
     @pytest.mark.parametrize("cells", [64, None])
     def test_match_bruteforce(self, monkeypatch, cells):
@@ -326,10 +327,16 @@ class TestHeuristicKernelsMatchOracle:
             pairs = list(zip(u.tolist(), v.tolist()))
             assert common_neighbors(g, u, v).tolist() == [
                 bruteforce.cn_brute(adj, a, b) for a, b in pairs], name
-            sp = shortest_path_length(g, u, v)
-            assert sp.tolist() == [bruteforce.sp_brute(adj, a, b) for a, b in pairs], name
-            seen.update(sp.tolist())
-        assert {0, 2, 3, 4, UNREACHABLE} <= seen
+            exact = [bruteforce.sp_brute(adj, a, b) for a, b in pairs]
+            assert shortest_path_length(g, u, v).tolist() == exact, name
+            for bound in (2, 3, 4, 5, 6):
+                want = [min(x, bound) for x in exact]
+                assert shortest_path_length(g, u, v, bound).tolist() == want, (name, bound)
+                assert [bruteforce.sp_brute(adj, a, b, bound) for a, b in pairs] == want, \
+                    (name, bound)
+            seen.update(exact)
+        # Every bound cuts some finite distance and some unreachable pair.
+        assert {0, 2, 3, 4, 5, 6, 7, UNREACHABLE} <= seen
 
     def test_named_cases(self):
         cases = {name: (g, u, v) for name, g, u, v in oracle_cases(np.random.default_rng(0))}

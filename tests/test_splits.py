@@ -445,6 +445,48 @@ class TestVerifyMatchesReference:
         assert "'bucket': 'valid'" in batched and "'value': inf" in batched
 
 
+class TestSplitReadsOnlyToItsBound:
+    """An SP split reads each value only up to its upper threshold hi, so no
+    search goes deeper: with hi = 4 no pair meets in the middle, and with
+    hi = 6 no level grows past combined depth 5. The work is counted in
+    search levels, never in seconds, and the buckets are those of the exact
+    values."""
+
+    def test_levels_stop_at_the_upper_threshold(self, monkeypatch):
+        from counterlink import graphs
+
+        depths = []  # per _meet_in_middle call, the combined depth it reached
+        meet, expand = graphs._meet_in_middle, graphs._expand
+
+        def counted_meet(*args):
+            depths.append(1)
+            return meet(*args)
+
+        def counted_expand(*args):
+            # The first call grows both sides to depth 1, each later one
+            # grows one side by a level.
+            depths[-1] += 1
+            return expand(*args)
+
+        monkeypatch.setattr(graphs, "_meet_in_middle", counted_meet)
+        monkeypatch.setattr(graphs, "_expand", counted_expand)
+        g = synth_graph(SyntheticGraphSpec("er", 2000, p=4 / 1999, seed=0))
+        e = g.edges()
+        exact = graphs.shortest_path_length(g, e[:, 0], e[:, 1])
+        assert max(depths) > 5 and (exact == math.inf).any()
+        for (t1, t2), deepest in (((3, 4), None), ((5, 6), 5)):
+            for direction in DIRECTIONS:
+                depths.clear()
+                spec = SplitSpec("SP", direction, t1, t2, seed=1)
+                split = generate_split(g, spec)
+                verify_split(g, split, heuristic=heuristic_value)
+                assert max(depths, default=None) == deepest, (t1, t2)
+                for b in ("train", "valid", "test"):
+                    lo, hi = spec.bucket_ranges()[b]
+                    want = e[(lo <= exact) & ((exact < hi) | (hi == math.inf))]
+                    assert np.array_equal(split.pos(b), want), (t1, t2, direction, b)
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         g = sbm_graph([40, 40], 0.25, 0.02, seed=9)
