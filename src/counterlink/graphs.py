@@ -114,6 +114,26 @@ def normalize_adjacency(a: Csr) -> Csr:
     return Csr.from_coo(n, rows, cols, dinv[rows] * vals * dinv[cols])
 
 
+def pair_keys(pairs, n):
+    """Each row (u, v) of an (m, 2) array of ids below n as the key
+    min * n + max, so reversed endpoints name the same pair."""
+    return np.minimum(pairs[:, 0], pairs[:, 1]) * n + np.maximum(pairs[:, 0], pairs[:, 1])
+
+
+def first_index(keys):
+    """Position of the first occurrence of each key; a later occurrence is a repeat."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def sorted_lookup(sorted_keys, keys):
+    """Each key's searchsorted position in the ascending sorted_keys, and whether it is there."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < sorted_keys.size
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return at, found
+
+
 @dataclass(frozen=True)
 class Edge:
     u: int
@@ -143,21 +163,14 @@ class Graph:
             raise InputError(
                 f"feature rows ({features.shape[0]}) != num_nodes ({num_nodes})"
             )
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= num_nodes:
-                raise InputError("edge endpoint out of range")
-            if np.any(edges[:, 0] == edges[:, 1]):
-                raise InputError("self-loops are not allowed")
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            keys = lo * num_nodes + hi
-            if np.unique(keys).size != keys.size:
-                raise InputError("duplicate edges are not allowed")
-            rows = np.concatenate([lo, hi])
-            cols = np.concatenate([hi, lo])
-        else:
-            rows = cols = np.empty(0, dtype=np.int64)
-        adj = Csr.from_coo(num_nodes, rows, cols)
+        if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
+            raise InputError("edge endpoint out of range")
+        if np.any(edges[:, 0] == edges[:, 1]):
+            raise InputError("self-loops are not allowed")
+        keys = pair_keys(edges, num_nodes)
+        if np.any(first_index(keys) != np.arange(keys.size)):
+            raise InputError("duplicate edges are not allowed")
+        adj = Csr.from_coo(num_nodes, edges.ravel(), edges[:, ::-1].ravel())
         return Graph(num_nodes, features, adj, int(edges.shape[0]))
 
     def _check_node(self, u):
@@ -170,10 +183,16 @@ class Graph:
     def has_edge(self, u, v):
         self._check_node(u)
         self._check_node(v)
-        a = self.adjacency
-        row = a.indices[a.indptr[u] : a.indptr[u + 1]]
-        i = np.searchsorted(row, v)
-        return bool(i < row.size and row[i] == v)
+        return bool(self.is_edge(pair_keys(np.array([[u, v]]), self.num_nodes))[0])
+
+    @functools.cached_property
+    def edge_keys(self):
+        """The pair key of every edge, ascending, as edges() is sorted."""
+        return pair_keys(self.edges(), self.num_nodes)
+
+    def is_edge(self, keys):
+        """Whether each pair key names an edge of the graph."""
+        return sorted_lookup(self.edge_keys, keys)[1]
 
     def edges(self):
         """(m, 2) array with u < v, lexicographically sorted."""
@@ -450,6 +469,8 @@ def _extract(g: Graph, links, k, max_nodes, exclude, rng_of) -> list:
     for _ in range(k):
         pos, counts = _row_entries(g, level % n)
         level = np.setdiff1d(np.repeat(level - level % n, counts) + indices[pos], ball)
+        if not level.size:
+            break  # no ball grew, so no later level can
         ball = np.union1d(ball, level)
     rest = np.setdiff1d(ball, end_keys, assume_unique=True)
     rest_sizes = np.bincount(rest // n, minlength=num)
@@ -489,9 +510,7 @@ def _extract(g: Graph, links, k, max_nodes, exclude, rng_of) -> list:
         span = np.arange(bounds[lo], bounds[min(lo + _LOOKUP_LINKS, num)])
         pos, counts = _row_entries(g, nodes[span])
         row = np.repeat(span, counts)
-        nbr = owner[row] * n + indices[pos]
-        at = np.minimum(np.searchsorted(members, nbr), members.size - 1)
-        hit = members[at] == nbr
+        at, hit = sorted_lookup(members, owner[row] * n + indices[pos])
         row, col = row[hit], order[at[hit]]
         blk = owner[row]
         adj[cell_offsets[blk] + local[row] * sizes[blk] + local[col]] = 1.0
@@ -704,11 +723,10 @@ def _text_lines(path):
 
 
 def load_edge_list(path):
-    """Parse "u<TAB>v" lines, 0-based ids; rejects self-loops and duplicates
-    with their line numbers."""
-    edges = []
-    seen = {}
-    bad = []
+    """Parse "u<TAB>v" lines, 0-based ids below 2**63, into (min, max) rows;
+    a malformed line raises at once, then self-loops and duplicates are
+    rejected together with their line numbers."""
+    parsed = []
     for lineno, line in _text_lines(path):
         line = line.strip()
         if not line:
@@ -722,19 +740,21 @@ def load_edge_list(path):
             raise InputError(f"{path}:{lineno}: non-integer node id in {line!r}")
         if u < 0 or v < 0:
             raise InputError(f"{path}:{lineno}: negative node id")
-        if u == v:
-            bad.append((lineno, "self-loop"))
-            continue
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            bad.append((lineno, f"duplicate of line {seen[key]}"))
-            continue
-        seen[key] = lineno
-        edges.append(key)
+        if max(u, v) >= 1 << 63:
+            raise InputError(f"{path}:{lineno}: node id too large for int64 in {line!r}")
+        parsed.append((lineno, u, v))
+    parsed = np.array(parsed, dtype=np.int64).reshape(-1, 3)
+    linenos, rows = parsed[:, 0], np.sort(parsed[:, 1:], axis=1)
+    # Keys over the ids' ranks: ids may reach 2**63 - 1 before the features fix n.
+    ids, ranks = np.unique(rows, return_inverse=True)
+    first = first_index(pair_keys(ranks.reshape(rows.shape), ids.size))
+    loop = rows[:, 0] == rows[:, 1]
+    bad = [f"line {linenos[i]}: self-loop" if loop[i]
+           else f"line {linenos[i]}: duplicate of line {linenos[first[i]]}"
+           for i in np.flatnonzero(loop | (first != np.arange(first.size)))]
     if bad:
-        detail = "; ".join(f"line {ln}: {why}" for ln, why in bad[:20])
-        raise InputError(f"{path}: rejected {len(bad)} line(s): {detail}")
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+        raise InputError(f"{path}: rejected {len(bad)} line(s): {'; '.join(bad[:20])}")
+    return rows
 
 
 def save_edge_list(path, edges):

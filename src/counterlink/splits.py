@@ -28,7 +28,8 @@ import numpy as np
 
 from . import bruteforce
 from .errors import DegenerateSplitError, InputError, ValidationError
-from .graphs import Graph, common_neighbors, preferential_attachment, shortest_path_length
+from .graphs import (Graph, common_neighbors, first_index, pair_keys, preferential_attachment,
+                     shortest_path_length, sorted_lookup)
 from .rng import stream_rng
 
 HEURISTICS = ("CN", "SP", "PA")
@@ -120,19 +121,14 @@ def _non_edges_at(g: Graph, ranks):
     """The non-edges (u, v), u < v, at the given sorted ranks of row-major
     upper-triangle order, in O(n + m + len(ranks)) memory."""
     n = g.num_nodes
+    row_start = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2  # the rank of (u, u + 1)
     e = g.edges()
-    upper_deg = np.bincount(e[:, 0], minlength=n)
-    per_row = (n - 1 - np.arange(n)) - upper_deg
-    row_end = np.cumsum(per_row)
-    u = np.searchsorted(row_end, ranks, side="right")
-    k = ranks - (row_end[u] - per_row[u])
-    # Row u's upper neighbour b_i has s_i = b_i - u - 1 - i non-edges before
-    # it, and lies left of the k-th non-edge exactly when s_i <= k. Keys
-    # row * n + s_i are sorted, so one searchsorted counts those neighbours.
-    first = np.cumsum(upper_deg) - upper_deg
-    s = e[:, 1] - e[:, 0] - 1 - (np.arange(e.shape[0]) - first[e[:, 0]])
-    left = np.searchsorted(e[:, 0] * n + s, u * n + k, side="right") - first[u]
-    return np.stack([u, u + 1 + k + left], axis=1)
+    # Edge i, at upper-triangle rank r_i, has r_i - i non-edges before it, so
+    # the k-th non-edge follows exactly the edges with r_i - i <= k.
+    before = row_start[e[:, 0]] + e[:, 1] - e[:, 0] - 1 - np.arange(e.shape[0])
+    at = ranks + np.searchsorted(before, ranks, side="right")
+    u = np.searchsorted(row_start, at, side="right") - 1
+    return np.stack([u, u + 1 + at - row_start[u]], axis=1)
 
 
 def sample_negatives(g: Graph, count: int, rng):
@@ -158,19 +154,14 @@ def sample_negatives(g: Graph, count: int, rng):
     if count * 3 > pool:
         pick = rng.choice(pool, size=count, replace=False)
         return _non_edges_at(g, np.sort(pick))
-    e = g.edges()
-    # Ascending, as edges() is sorted, and closed by the sentinel n * n above
-    # every pair key, so each searchsorted position indexes a key.
-    edge_keys = np.append(e[:, 0] * n + e[:, 1], n * n)
     chosen = np.empty(0, dtype=np.int64)
     while chosen.size < count:
         need = count - chosen.size
-        u, v = rng.integers(0, n, size=2 * need).reshape(-1, 2).T
-        keys = np.minimum(u, v) * n + np.maximum(u, v)
-        is_edge = edge_keys[np.searchsorted(edge_keys, keys)] == keys
-        keys = keys[(u != v) & ~is_edge & ~np.isin(keys, chosen)]
-        _, first = np.unique(keys, return_index=True)
-        chosen = np.concatenate([chosen, keys[np.sort(first)][:need]])
+        pairs = rng.integers(0, n, size=2 * need).reshape(-1, 2)
+        keys = pair_keys(pairs, n)
+        keys = keys[(pairs[:, 0] != pairs[:, 1]) & ~g.is_edge(keys) & ~np.isin(keys, chosen)]
+        keys = keys[first_index(keys) == np.arange(keys.size)]
+        chosen = np.concatenate([chosen, keys[:need]])
     return np.stack([chosen // n, chosen % n], axis=1)
 
 
@@ -236,23 +227,11 @@ def reference_value(g: Graph, u, v, name: str, bound=math.inf):
     )
 
 
-def _pair_keys(pairs, n):
-    """Each pair (u, v) as the key min * n + max, so reversed endpoints name
-    the same pair."""
-    return np.minimum(pairs[:, 0], pairs[:, 1]) * n + np.maximum(pairs[:, 0], pairs[:, 1])
-
-
 def _stacked(parts):
     """The (k, 2) pair arrays as one, and the index of the part each row
     came from."""
     owner = np.repeat(np.arange(len(parts)), [p.shape[0] for p in parts])
     return np.concatenate(parts), owner
-
-
-def _first_index(keys):
-    """Position of the first occurrence of each key."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first[inverse]
 
 
 def verify_split(g: Graph, split: DatasetSplit, heuristic=reference_value) -> SplitReport:
@@ -281,10 +260,10 @@ def verify_split(g: Graph, split: DatasetSplit, heuristic=reference_value) -> Sp
     if bound < math.inf and outside.any():
         values[outside] = heuristic(g, pos[outside, 0], pos[outside, 1], spec.heuristic)
     neg, owner = _stacked([split.neg(b) for b in BUCKETS])
-    keys = _pair_keys(neg, g.num_nodes)
-    first = _first_index(keys)
+    keys = pair_keys(neg, g.num_nodes)
+    first = first_index(keys)
     bad = (neg[:, 0] == neg[:, 1]) | (first != np.arange(keys.size))
-    is_edge = np.isin(keys, _pair_keys(g.edges(), g.num_nodes))
+    is_edge = g.is_edge(keys)
     violations = []
     counts = {}
     for k, bucket in enumerate(BUCKETS):
@@ -348,12 +327,13 @@ def _edge_array(rows, num_nodes, key):
     """(m, 2) int64 array from a JSON list of [u, v] node-id pairs.
 
     Raises ValueError unless every entry is an integer pair of ids in
-    [0, num_nodes); floats are rejected, not truncated.
+    [0, num_nodes); floats and booleans are rejected, not read as integers.
     """
     arr = np.array(rows)
     if arr.size == 0 and arr.ndim == 1:
         return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+    if (arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu"
+            or any(isinstance(x, bool) for pair in rows for x in pair)):
         raise ValueError(f"{key} must be a list of [u, v] integer pairs")
     if arr.min() < 0 or arr.max() >= num_nodes:
         raise ValueError(f"{key} holds a node id outside [0, {num_nodes})")
@@ -365,12 +345,11 @@ def _check_positives(path, g: Graph, arrays):
     pairs, hold every edge of g exactly once; the message names the first
     bucket and pair at fault in list order, or else the first missing edge."""
     pos, owner = _stacked([arrays[f"{b}_pos"] for b in BUCKETS])
-    keys = _pair_keys(pos, g.num_nodes)
-    edge_keys = _pair_keys(g.edges(), g.num_nodes)  # ascending: edges() is sorted
-    if np.array_equal(np.sort(keys), edge_keys):
+    keys = pair_keys(pos, g.num_nodes)
+    if np.array_equal(np.sort(keys), g.edge_keys):
         return
-    first = _first_index(keys)
-    stray = np.flatnonzero(~np.isin(keys, edge_keys) | (first != np.arange(keys.size)))
+    first = first_index(keys)
+    stray = np.flatnonzero(~g.is_edge(keys) | (first != np.arange(keys.size)))
     if stray.size:
         i = stray[0]
         u, v = pos[i].tolist()
@@ -382,7 +361,7 @@ def _check_positives(path, g: Graph, arrays):
         raise ValidationError(
             f"{path}: {BUCKETS[owner[i]]}_pos holds {[u, v]}, which is not an edge of the graph"
         )
-    u, v = g.edges()[~np.isin(edge_keys, keys)][0].tolist()
+    u, v = g.edges()[~sorted_lookup(np.sort(keys), g.edge_keys)[1]][0].tolist()
     raise ValidationError(f"{path}: the graph's edge {[u, v]} is in no positive bucket")
 
 

@@ -116,6 +116,18 @@ class TestExitCodes:
         assert code == 2
         assert "features.csv:3" in err and "Traceback" not in err
 
+    def test_edge_id_too_large_for_int64_is_2(self, tmp_path):
+        d = pipeline_dirs(tmp_path)
+        assert run(synth_args(d["graph"])) == 0
+        edges = d["graph"] / "edges.tsv"
+        lines = edges.read_text().splitlines()
+        lines[3] = "0\t99999999999999999999"
+        edges.write_text("\n".join(lines) + "\n")
+        code, err = run_child(["split", "--edges", edges,
+                               "--features", d["graph"] / "features.csv", "--out", d["split"]])
+        assert code == 2, err
+        assert "edges.tsv:4: node id too large for int64" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("cell", ["nan", "1e400"])
     def test_non_finite_feature_cell_is_2(self, tmp_path, cell):
         d = pipeline_dirs(tmp_path)
@@ -374,6 +386,23 @@ class TestMalformedStructure:
                                "--split", split, "--out", d["gnn"]])
         assert code == 5, err
         assert "split.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["train_pos", "valid_neg"])
+    def test_boolean_in_a_pair_list_is_5(self, tmp_path, key):
+        # numpy reads [true, v] beside integer pairs as [1, v].
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        split = d["split"] / "split.json"
+        doc = json.loads(split.read_text())
+        doc["edges"][key][0][0] = True
+        split.write_text(json.dumps(doc))
+        code, err = run_child(["pretrain-gnn", "--edges", d["graph"] / "edges.tsv",
+                               "--features", d["graph"] / "features.csv",
+                               "--split", split, "--epochs", 1, "--patience", 1,
+                               "--eval-k", 3, "--hidden", 8, "--out", d["gnn"]])
+        assert code == 5, err
+        assert f"{key} must be a list of [u, v] integer pairs" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("doc", [
         {"records": []},

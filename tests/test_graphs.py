@@ -424,6 +424,24 @@ class TestExtraction:
         for a, b in zip(fwd, reversed(rev)):
             assert a.node_map.tolist() == b.node_map.tolist()
 
+    def test_balls_stop_growing_once_a_level_comes_out_empty(self, monkeypatch):
+        # On a path of 8 nodes the ball around (0, 1) gains one node per
+        # level: 6 levels grow, the 7th comes out empty and ends the loop, and
+        # one more gather looks up the block's induced edges.
+        calls = []
+        row_entries = graphs._row_entries
+
+        def counting_row_entries(g, nodes):
+            calls.append(nodes.size)
+            return row_entries(g, nodes)
+
+        g = path_graph(8)
+        whole = extract_for_links(g, [Edge(0, 1)], k=6)
+        monkeypatch.setattr(graphs, "_row_entries", counting_row_entries)
+        [deep] = extract_for_links(g, [Edge(0, 1)], k=50)
+        assert len(calls) == 8
+        assert_same_subgraph(deep, whole[0])
+
     def test_bad_inputs(self):
         g = triangle()
         with pytest.raises(InputError):
@@ -802,6 +820,14 @@ class TestIngestion:
         p.write_text("0\t1\n1\t0\n", encoding="utf-8")
         with pytest.raises(InputError, match="line 2"):
             load_edge_list(p)
+
+    def test_rejects_id_too_large_for_int64_with_line_number(self, tmp_path):
+        p = tmp_path / "edges.tsv"
+        p.write_text("0\t1\n0\t99999999999999999999\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"edges\.tsv:2: node id too large"):
+            load_edge_list(p)
+        p.write_text(f"0\t{2**63 - 1}\n", encoding="utf-8")
+        assert load_edge_list(p).tolist() == [[0, 2**63 - 1]]
 
     def test_feature_csv_roundtrip(self, tmp_path):
         from counterlink.graphs import load_features_csv
