@@ -16,13 +16,14 @@ keeps only the gradients of wrt. Asking it for any other tensor's gradient
 is an error, not zeros. Without wrt every gradient is kept.
 
 emit(op, value, inputs, backward_fn) is how an op records itself, and a
-fused op outside this module does the same: the generator's encoder input
-product, block decoder and reconstruction loss and co-tuning's
-generated-graph predictor each record once per draw or batch and, inside
+fused op outside this module does the same. The GCN records once per call
+and the generator's encoder layer once per draw, both through
+gnn.gcn_layers; the generator's block decoder and reconstruction loss and
+co-tuning's generated-graph predictor record once per batch and, inside
 their forward and backward, run one stacked numpy product per distinct
-block size, so the tape does not grow with the number of blocks. A fused op
-recorded with selective=True is also told which of its inputs need a
-gradient, so it can skip the others' work.
+block size, so the tape does not grow with the number of blocks or layers.
+A fused op recorded with selective=True is also told which of its inputs
+need a gradient, so it can skip the others' work.
 
 A backward_fn holds arrays and flags, never a Tensor. A Tensor refers to its
 tape, so a closure holding one puts the tape in a reference cycle that keeps
@@ -30,8 +31,7 @@ every array of its step alive until the cyclic garbage collector runs;
 without one a step's tape is freed as soon as the step drops it, which a test
 checks with the collector off.
 
-Sparse support is a single op, symmetric CSR x dense, which is all the graph
-propagation here needs; everything else is dense numpy.
+The ops here are dense; graph propagation happens inside those fused ops.
 """
 
 import math
@@ -274,16 +274,6 @@ def matmul(a, b) -> Tensor:
     return emit("matmul", av @ bv, [a, b], back)
 
 
-def sparse_matmul(csr, x) -> Tensor:
-    """Symmetric CSR (n x n, non-differentiable) times dense (n x d); the
-    backward multiplies by the same matrix, its own transpose."""
-    x = _as_tensor(x)
-    if x.value.ndim != 2 or csr.shape[1] != x.shape[0]:
-        raise ShapeError("sparse_matmul", f"{csr.shape} @ {x.shape}")
-    out = csr.matmul_dense(x.value)
-    return emit("sparse_matmul", out, [x], lambda g: (csr.matmul_dense(g),))
-
-
 def concat(tensors, axis=0) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
     if not ts:
@@ -351,12 +341,6 @@ def stable_sigmoid(x, e):
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.value > 0
-    return emit("relu", a.value * mask, [a], lambda g: (g * mask,))
-
-
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.value)
@@ -375,16 +359,6 @@ def clip(a, lo, hi) -> Tensor:
     av = a.value
     mask = (av >= lo) & (av <= hi)
     return emit("clip", np.clip(av, lo, hi), [a], lambda g: (g * mask,))
-
-
-def dropout(a, rate, rng) -> Tensor:
-    if not 0.0 <= rate < 1.0:
-        raise InputError(f"dropout rate must be in [0, 1), got {rate}")
-    a = _as_tensor(a)
-    if rate == 0.0:
-        return a
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return emit("dropout", a.value * mask, [a], lambda g: (g * mask,))
 
 
 def bce_with_logits(logits, targets) -> Tensor:
@@ -568,3 +542,27 @@ def load_params(path, cls):
         return cls.from_named({**named, **meta}), {k[5:]: float(v[0]) for k, v in meta.items()}
     except KeyError as exc:
         raise InputError(f"{path}: checkpoint is missing entry {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def require_shapes(named, axes, meta):
+    """InputError naming the first checkpoint entry whose shape does not fit.
+
+    axes maps each array entry to the names of its axes in order: the first
+    entry with a name fixes that axis's length, and a None axis is free. meta
+    maps meta entries to the axis whose length each must hold.
+    """
+    length = {}
+    for key, names in axes.items():
+        shape = named[key].shape
+        if len(shape) != len(names):
+            raise InputError(f"checkpoint entry {key!r} has shape {shape}, not {len(names)} axes")
+        for name, n in zip(names, shape):
+            if name is not None and length.setdefault(name, n) != n:
+                raise InputError(f"checkpoint entry {key!r} has shape {shape}: its {name} "
+                                 f"axis is {n}, not {length[name]}")
+    for key, name in meta.items():
+        if named[key][0] != length[name]:
+            raise InputError(f"checkpoint entry {key!r} is {named[key][0]:g}, but the "
+                             f"arrays' {name} axis is {length[name]}")

@@ -259,11 +259,22 @@ def cmd_pretrain_ggm(cfg, graph, split):
              f"loss {result.best_loss:.4f}, kl {result.final_kl:.4f}"])
 
 
+def _load_gnn(path, graph):
+    """The predictor in the checkpoint at path; its first layer must take the
+    graph's feature columns."""
+    params, _ = load_params(path, GcnParams)
+    rows, width = params.weights[0].shape[0], graph.features.shape[1]
+    if rows != width:
+        raise InputError(f"{path}: checkpoint entry 'gnn.w0' has {rows} rows, not the "
+                         f"{width} feature columns")
+    return params
+
+
 def _pretrained(cfg, graph):
     """Both pre-trained models, warnings about their upstream manifests, and
     the co-tuning config; an unset tau is the generator's final KL plus
     tau_offset."""
-    gnn_params, _ = load_params(cfg["gnn_ckpt"], GcnParams)
+    gnn_params = _load_gnn(cfg["gnn_ckpt"], graph)
     ggm_params, ggm_meta = load_params(cfg["ggm_ckpt"], SiviParams)
     rows, width = ggm_params.w_in.shape[0], graph.features.shape[1]
     if rows != width + 1 + ggm_params.noise_dim:
@@ -305,7 +316,7 @@ def cmd_flex_tune(cfg, graph, split):
 
 
 def cmd_eval(cfg, graph, split):
-    params, _ = load_params(cfg["ckpt"], GcnParams)
+    params = _load_gnn(cfg["ckpt"], graph)
     a_norm = _eval_norm(cfg, graph, split)
     valid = evaluate_hits(params, a_norm, graph.features, split.valid_pos,
                           split.valid_neg, cfg["k"])

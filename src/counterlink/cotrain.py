@@ -45,8 +45,8 @@ from .generator import (NoiseSpec, SiviParams, encode_semi_implicit, first_draw_
                         kl_gaussian, sivi_elbo)
 from .gnn import (
     GcnParams,
-    dense_gcn_forward,
     evaluate_hits,
+    gcn_layers,
     lp_loss,
     normalize_adjacency,
     normalize_dense_adjacency,
@@ -152,8 +152,7 @@ def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=No
     for grp in batch.size_groups():
         k, m = grp.blocks.size, grp.m
         prop, prop_vjp = normalize_dense_adjacency(kept[grp.cells].reshape(k, m, m))
-        emb, gcn_vjp = dense_gcn_forward(weights, biases, prop,
-                                         x[grp.rows].reshape(k, m, -1))
+        emb, gcn_vjp = gcn_layers(weights, biases, prop, x[grp.rows].reshape(k, m, -1))
         hu, hv = emb[:, 0], emb[:, 1]
         target_logits[grp.blocks] = (hu * hv).sum(axis=1)
         block_mask = mask[grp.cells].reshape(k, m, m)

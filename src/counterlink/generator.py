@@ -16,8 +16,9 @@ plain variational graph auto-encoder. The mixing draws are independent, so a
 caller that reads one draw (co-tuning's predictor step) encodes only that
 one and just draws the others' noise to keep the random stream aligned.
 The draws differ only in their noise columns, so one encoder call builds one
-[features | label | noise] input, and each draw's input product (one tape
-record) writes its own noise there, forward and backward.
+[features | label | noise] input, and each draw's hidden layer, one
+gnn.gcn_layers layer recorded as one tape op, writes its own noise there,
+forward and backward.
 
 Every block holds its link's endpoints as local nodes 0 and 1, so none has
 fewer than two nodes. Generated samples keep their block's node count and
@@ -34,6 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import (ConfigError, InputError, NumericError, ShapeError, ValidationError,
                      require_extraction, require_finite, require_schedule)
+from .gnn import gcn_layers
 from .graphs import (Edge, Graph, LabeledSubgraphBatch, POSITIVE, extract_for_links,
                      make_batch, once_per_batch)
 from .rng import stream_rng
@@ -81,6 +83,10 @@ class SiviParams:
 
     @staticmethod
     def from_named(named):
+        ad.require_shapes(named, {"ggm.w_in": (None, "hidden"), "ggm.b_in": ("hidden",),
+                                  "ggm.w_mu": ("hidden", "zdim"), "ggm.b_mu": ("zdim",),
+                                  "ggm.w_lv": ("hidden", "zdim"), "ggm.b_lv": ("zdim",)},
+                          {"meta.hidden": "hidden", "meta.zdim": "zdim"})
         return SiviParams(
             w_in=named["ggm.w_in"],
             b_in=named["ggm.b_in"],
@@ -157,24 +163,26 @@ def init_sivi_params(d_in, hidden=32, zdim=16, *, noise_dim, rng) -> SiviParams:
     )
 
 
-def _input_product(x_in, col, eps, w):
-    """x_in @ w with one draw's noise eps written into x_in's columns from
-    col on (none under zero noise), as one tape record.
+def _encoder_layer(x_in, col, eps, a_norm, w, b):
+    """relu(a_norm (x_in @ w) + b) with one draw's noise eps written into
+    x_in's columns from col on (none under zero noise), as one tape record.
 
     The draws share x_in and each writes its own noise, so the backward
     writes this draw's noise back before it forms x_in^T @ g. Every product
     sees the bytes and layout a fresh [features | label | noise] array has.
     """
-    w = w if isinstance(w, ad.Tensor) else ad.Tensor(w)
+    w, b = (t if isinstance(t, ad.Tensor) else ad.Tensor(t) for t in (w, b))
     if eps is not None:
         x_in[:, col:] = eps
+    hid, vjp = gcn_layers([w.value], [b.value], a_norm, x_in, relu_last=True)
 
     def back(g):
+        _, g_z, (_, g_b) = vjp(g)
         if eps is not None:
             x_in[:, col:] = eps
-        return (x_in.T @ g,)
+        return x_in.T @ g_z, g_b
 
-    return ad.emit("encoder_input", x_in @ w.value, [w], back)
+    return ad.emit("encoder_layer", hid, [w, b], back)
 
 
 def encode_semi_implicit(
@@ -209,8 +217,7 @@ def encode_semi_implicit(
     moments = []
     for _ in range(spec.num_psi):
         eps = None if spec.zero_noise else rng.standard_normal(shape)
-        product = _input_product(x_in, col, eps, named["ggm.w_in"])
-        hid = ad.relu(ad.add(ad.sparse_matmul(a_norm, product), named["ggm.b_in"]))
+        hid = _encoder_layer(x_in, col, eps, a_norm, named["ggm.w_in"], named["ggm.b_in"])
         # Heads are linear, not convolutional: a second propagation round
         # smooths dense blocks into near-constant latents, which destroys
         # the per-pair separability the inner-product decoder relies on.
@@ -282,7 +289,8 @@ def decode_node_aware(h, batch) -> GeneratedSample:
     probs = []
     for at, m in zip(batch.offsets.tolist(), batch.block_sizes.tolist()):
         z = h[at : at + m]
-        p = 1.0 / (1.0 + np.exp(-(z @ z.T)))
+        with np.errstate(over="ignore"):  # exp(-logit) is inf below -709: p is 0.0
+            p = 1.0 / (1.0 + np.exp(-(z @ z.T)))
         np.fill_diagonal(p, 0.0)
         probs.append(p)
     return GeneratedSample(

@@ -5,11 +5,12 @@ predictor is the inner product of the two endpoint embeddings. Training is
 minibatched over positive edges with fresh uniform negatives every epoch,
 model selection by validation Hits@K with early stopping.
 
-Co-tuning runs the same stack on each generated block's dense, normalized
-adjacency. normalize_dense_adjacency and dense_gcn_forward do that in plain
-numpy, on one block or on a [k, m, m] stack of same-size blocks, and hand
-back their backward, so the caller can record a whole batch of blocks as one
-tape op.
+gcn_layers is the program's one such stack, in plain numpy with its
+backward. It propagates over a symmetric Csr (gcn_forward, one tape record
+for the whole stack, and the generator's one-layer encoder) or over dense
+normalized adjacencies: co-tuning runs it on each generated block, one
+[k, m, m] stack of same-size blocks at a time, with normalize_dense_adjacency,
+so the caller can record a whole batch of blocks as one tape op.
 """
 
 import copy
@@ -34,10 +35,6 @@ class GcnParams:
     dropout: float
     hidden: int
 
-    @property
-    def layer_count(self):
-        return len(self.weights)
-
     def named(self):
         out = {}
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -57,11 +54,15 @@ class GcnParams:
         layers = sum(1 for k in named if k.startswith("gnn.w"))
         if layers == 0:
             raise InputError("checkpoint holds no encoder weights")
-        weights = [named[f"gnn.w{i}"] for i in range(layers)]
-        biases = [named[f"gnn.b{i}"] for i in range(layers)]
-        dropout = float(named["meta.dropout"][0])
-        hidden = int(named.get("meta.hidden", np.array([weights[0].shape[1]]))[0])
-        return GcnParams(weights=weights, biases=biases, dropout=dropout, hidden=hidden)
+        axes = {}
+        for i in range(layers):
+            axes[f"gnn.w{i}"] = (None if i == 0 else "hidden", "hidden")
+            axes[f"gnn.b{i}"] = ("hidden",)
+        ad.require_shapes(named, axes, {"meta.hidden": "hidden"})
+        return GcnParams(weights=[named[f"gnn.w{i}"] for i in range(layers)],
+                         biases=[named[f"gnn.b{i}"] for i in range(layers)],
+                         dropout=float(named["meta.dropout"][0]),
+                         hidden=int(named["meta.hidden"][0]))
 
 
 @dataclass
@@ -124,58 +125,80 @@ def normalize_dense_adjacency(a):
 
 
 def gcn_forward(params, a_norm: Csr, x, rng=None, leaves=None) -> ad.Tensor:
-    """Embeddings for every node; pass tape leaves to make it differentiable.
+    """Embeddings for every node as one tape record; pass tape leaves to make
+    it differentiable in the parameters (never in x).
 
-    Dropout runs between layers only while training, which passes its rng.
+    Dropout runs between layers only while training, which passes its rng;
+    the masks are drawn up front, in layer order.
     """
+    if getattr(x, "tape", None) is not None:
+        raise InputError("gcn_forward does not differentiate its features")
+    x = x.value if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
     named = leaves if leaves is not None else params.named()
-    h = x if isinstance(x, ad.Tensor) else ad.Tensor(x)
-    n = h.shape[0]
+    tensors = [t if isinstance(t, ad.Tensor) else ad.Tensor(t)
+               for t in (named[k] for k in params.named())]
+    weights = [t.value for t in tensors[0::2]]
     order = a_norm.shape[0]
-    if order != n:
-        raise InputError(f"adjacency order {order} != feature rows {n}")
-    for i in range(params.layer_count):
-        z = ad.matmul(h, named[f"gnn.w{i}"])
-        h = ad.add(ad.sparse_matmul(a_norm, z), named[f"gnn.b{i}"])
-        if i < params.layer_count - 1:
-            h = ad.relu(h)
-            if rng is not None:
-                h = ad.dropout(h, params.dropout, rng)
-    return h
+    if order != x.shape[0]:
+        raise InputError(f"adjacency order {order} != feature rows {x.shape[0]}")
+    if weights[0].shape[0] != x.shape[1]:
+        raise InputError(f"'gnn.w0' has {weights[0].shape[0]} rows, not the "
+                         f"{x.shape[1]} feature columns")
+    dropout = []
+    if rng is not None and params.dropout > 0.0:
+        keep = 1.0 - params.dropout
+        dropout = [(rng.random((order, w.shape[1])) >= params.dropout) / keep
+                   for w in weights[:-1]]
+    h, vjp = gcn_layers(weights, [t.value for t in tensors[1::2]], a_norm, x, dropout)
+
+    def back(g):
+        _, g_z, g_params = vjp(g)
+        g_params[0] = x.T @ g_z
+        return g_params
+
+    return ad.emit("gcn_forward", h, tensors, back)
 
 
-def dense_gcn_forward(weights, biases, prop, x):
-    """gcn_forward without dropout over dense propagation matrices, with its backward.
+def gcn_layers(weights, biases, prop, x, dropout=(), relu_last=False):
+    """The propagate-transform-ReLU stack in plain numpy, with its backward.
 
-    prop is one block's [m, m] matrix with its [m, d] feature rows x, or a
-    [k, m, m] stack of same-size blocks with their [k, m, d] rows; every
-    slice comes out as that block alone would. Plain numpy, for a caller
-    that records a whole batch as one op. Returns (emb, vjp): vjp(g,
-    need_prop, need_params=True) returns the gradient of prop (None unless
-    need_prop), the gradient of the first layer's product x @ weights[0],
-    and the per-slice gradients of every parameter in GcnParams.named()
-    order except the first weight's, which is None; without need_params the
-    last two are None and a list of Nones. x is not kept, so it may be a
-    temporary gather; the caller forms the first weight's gradient as x^T
-    times the product's gradient.
+    prop is a symmetric Csr over x's [n, d] rows, one block's dense [m, m]
+    matrix over its [m, d] rows, or a [k, m, m] stack of same-size blocks
+    over [k, m, d] rows, each slice computed as that block alone would be.
+    dropout holds the mask applied after each hidden layer's ReLU (none if
+    empty); relu_last rectifies the last layer too. Returns (out, vjp):
+    vjp(g, need_prop=False, need_params=True) gives the gradient of a dense
+    prop (None unless need_prop), that of the first layer's product
+    x @ weights[0] (None without need_params), and the list of per-slice
+    parameter gradients in GcnParams.named() order, all None without
+    need_params and the first weight's always: the caller forms it as x^T
+    times the product's gradient, so x may be a temporary gather.
     """
+    sparse = isinstance(prop, Csr)
+    prop_t = prop if sparse else np.swapaxes(prop, -1, -2)  # a Csr is symmetric
     count = len(weights)
     inputs, zs, masks = [None], [], []
     h = x
     for i in range(count):
         z = h @ weights[i]
-        zs.append(z)
+        if not sparse:  # only a dense prop has a gradient, which needs z
+            zs.append(z)
         h = prop @ z + biases[i]
-        if i < count - 1:
+        if i < count - 1 or relu_last:
             masks.append(h > 0)
             h = h * masks[i]
+        if i < count - 1:
+            if dropout:
+                h = h * dropout[i]
             inputs.append(h)
 
-    def vjp(g, need_prop, need_params=True):
+    def vjp(g, need_prop=False, need_params=True):
         g_prop = None
         g_params = [None] * (2 * count)
         for i in reversed(range(count)):
-            if i < count - 1:
+            if i < count - 1 and dropout:
+                g = g * dropout[i]
+            if i < len(masks):
                 g = g * masks[i]
             if need_params:
                 g_params[2 * i + 1] = g.sum(axis=-2)
@@ -183,9 +206,8 @@ def dense_gcn_forward(weights, biases, prop, x):
                 g_p = g @ np.swapaxes(zs[i], -1, -2)
                 g_prop = g_p if g_prop is None else g_prop + g_p
             if i == 0:
-                g_z = np.swapaxes(prop, -1, -2) @ g if need_params else None
-                return g_prop, g_z, g_params
-            g_z = np.swapaxes(prop, -1, -2) @ g
+                return g_prop, prop_t @ g if need_params else None, g_params
+            g_z = prop_t @ g
             if need_params:
                 g_params[2 * i] = np.swapaxes(inputs[i], -1, -2) @ g_z
             g = g_z @ weights[i].T

@@ -76,6 +76,9 @@ class Csr:
         return (rank, live.tolist(), bounds.tolist(), int(np.count_nonzero(live > 1)),
                 self.indices[entries], self.data[entries])
 
+    def __matmul__(self, x):
+        return self.matmul_dense(x)
+
     def matmul_dense(self, x):
         """Each output row sums its entries' products left to right from 0.0.
 

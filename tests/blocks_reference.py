@@ -2,19 +2,21 @@
 
 `generator.decode_logits`, `generator.recon_loss` and `cotrain.predictor_loss`
 each put one record per batch on the tape and run one stacked numpy product
-per distinct block size, forward and backward. These are the implementations
-they replaced: chains of tape ops per block. `encode_semi_implicit` is the
-encoder as it was before its draws shared one input array: a fresh
-[features | label | noise] concatenation and a plain matmul per draw. The ops only they used (`reshape`,
-`slice_rows`, `transpose`, `sigmoid`, `log`) and the tape-op forms of
-`gnn.normalize_dense_adjacency` and of the dense branch of `gnn.gcn_forward`
-moved here with them, as did the weighted and "sum"/"none" forms of
-`autodiff.bce_with_logits`. Losses and gradients must match these
-byte for byte.
+per distinct block size, forward and backward; `gnn.gcn_forward` puts one
+record per call. These are the implementations they replaced: chains of tape
+ops per block or per layer. `encode_semi_implicit` is the encoder as it was
+before its draws shared one input array and its hidden layer became one
+record: a fresh [features | label | noise] concatenation, a plain matmul,
+propagation, bias and ReLU per draw. The ops only they used (`reshape`,
+`slice_rows`, `transpose`, `sigmoid`, `log`, `sparse_matmul`, `relu`,
+`dropout`) and the tape-op forms of `gnn.normalize_dense_adjacency` and of
+`gnn.gcn_forward`'s sparse and dense branches moved here with them, as did
+the weighted and "sum"/"none" forms of `autodiff.bce_with_logits`. Losses and
+gradients must match these byte for byte.
 
-`use_reference_blocks()` swaps the four functions into the package, so the
-package's own `sivi_elbo`, `first_draw_logits` and `cotrain_losses` run the
-old per-block path.
+`use_reference_blocks()` swaps the five functions into the package, so the
+package's own `pretrain_gnn`, `sivi_elbo`, `first_draw_logits` and
+`cotrain_losses` run the old per-block, per-layer path.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ import contextlib
 import numpy as np
 
 from counterlink import autodiff as ad
-from counterlink import cotrain, generator
+from counterlink import cotrain, generator, gnn
 from counterlink.errors import InputError, NumericError, ShapeError
 from counterlink.gnn import lp_loss
 from counterlink.graphs import Csr, NEGATIVE, POSITIVE
@@ -74,6 +76,32 @@ def log(a) -> ad.Tensor:
     a = _as_tensor(a)
     av = a.value
     return ad.emit("log", np.log(av), [a], lambda g: (g / av,))
+
+
+def sparse_matmul(csr, x) -> ad.Tensor:
+    """Symmetric CSR (n x n, non-differentiable) times dense (n x d); the
+    backward multiplies by the same matrix, its own transpose."""
+    x = _as_tensor(x)
+    if x.value.ndim != 2 or csr.shape[1] != x.shape[0]:
+        raise ShapeError("sparse_matmul", f"{csr.shape} @ {x.shape}")
+    out = csr.matmul_dense(x.value)
+    return ad.emit("sparse_matmul", out, [x], lambda g: (csr.matmul_dense(g),))
+
+
+def relu(a) -> ad.Tensor:
+    a = _as_tensor(a)
+    mask = a.value > 0
+    return ad.emit("relu", a.value * mask, [a], lambda g: (g * mask,))
+
+
+def dropout(a, rate, rng) -> ad.Tensor:
+    if not 0.0 <= rate < 1.0:
+        raise InputError(f"dropout rate must be in [0, 1), got {rate}")
+    a = _as_tensor(a)
+    if rate == 0.0:
+        return a
+    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    return ad.emit("dropout", a.value * mask, [a], lambda g: (g * mask,))
 
 
 def bce_with_logits(logits, targets, weights=None, reduction="mean") -> ad.Tensor:
@@ -177,11 +205,12 @@ def normalize_dense_adjacency(a) -> ad.Tensor:
     return ad.mul(scaled, reshape(dinv, (n, 1)))  # row scaling
 
 
-def gcn_forward(params, a_norm, x, rng=None, training=False, leaves=None) -> ad.Tensor:
+def gcn_forward(params, a_norm, x, rng=None, leaves=None) -> ad.Tensor:
     """Embeddings for every node; pass tape leaves to make it differentiable.
 
     a_norm is either a Csr (fixed propagation) or a Tensor (generated,
-    differentiable, dense). Dropout runs between layers only while training.
+    differentiable, dense). Dropout runs between layers only while training,
+    which passes its rng.
     """
     named = leaves if leaves is not None else params.named()
     h = x if isinstance(x, ad.Tensor) else ad.Tensor(x)
@@ -190,16 +219,15 @@ def gcn_forward(params, a_norm, x, rng=None, training=False, leaves=None) -> ad.
     if order != n:
         raise InputError(f"adjacency order {order} != feature rows {n}")
     sparse = isinstance(a_norm, Csr)
-    for i in range(params.layer_count):
+    layers = len(params.weights)
+    for i in range(layers):
         z = ad.matmul(h, named[f"gnn.w{i}"])
-        prop = ad.sparse_matmul(a_norm, z) if sparse else ad.matmul(a_norm, z)
+        prop = sparse_matmul(a_norm, z) if sparse else ad.matmul(a_norm, z)
         h = ad.add(prop, named[f"gnn.b{i}"])
-        if i < params.layer_count - 1:
-            h = ad.relu(h)
-            if training and params.dropout > 0.0:
-                if rng is None:
-                    raise InputError("training-mode dropout needs an rng")
-                h = ad.dropout(h, params.dropout, rng)
+        if i < layers - 1:
+            h = relu(h)
+            if rng is not None:
+                h = dropout(h, params.dropout, rng)
     return h
 
 
@@ -243,7 +271,7 @@ def encode_semi_implicit(params, batch, spec, rng, leaves=None) -> list:
         eps = np.zeros(shape) if spec.zero_noise else rng.standard_normal(shape)
         x_in = np.concatenate([*cols, eps], axis=1)
         z = ad.matmul(x_in, named["ggm.w_in"])
-        hid = ad.relu(ad.add(ad.sparse_matmul(a_norm, z), named["ggm.b_in"]))
+        hid = relu(ad.add(sparse_matmul(a_norm, z), named["ggm.b_in"]))
         mu = ad.add(ad.matmul(hid, named["ggm.w_mu"]), named["ggm.b_mu"])
         log_var = ad.clip(ad.add(ad.matmul(hid, named["ggm.w_lv"]), named["ggm.b_lv"]),
                           -generator.LOG_VAR_CLAMP, generator.LOG_VAR_CLAMP)
@@ -257,7 +285,8 @@ def use_reference_blocks():
     swaps = [(generator, "encode_semi_implicit", encode_semi_implicit),
              (generator, "decode_logits", decode_logits),
              (generator, "recon_loss", recon_loss),
-             (cotrain, "predictor_loss", predictor_loss)]
+             (cotrain, "predictor_loss", predictor_loss),
+             (gnn, "gcn_forward", gcn_forward)]
     saved = [(mod, name, getattr(mod, name)) for mod, name, _ in swaps]
     try:
         for mod, name, fn in swaps:

@@ -7,10 +7,10 @@ import pytest
 
 from counterlink import autodiff as ad
 from counterlink.errors import InputError, NumericError, ShapeError
-from counterlink.gnn import gcn_forward, init_gcn_params
+from counterlink.gnn import GcnParams, gcn_forward, init_gcn_params
 from counterlink.graphs import Graph, normalize_adjacency
 from counterlink.rng import stream_rng
-from blocks_reference import bce_with_logits, sigmoid
+from blocks_reference import bce_with_logits, relu, sigmoid, sparse_matmul
 from graphs_reference import csr_from_dense, matmul_dense_reference
 
 
@@ -69,8 +69,7 @@ class TestForward:
         want = matmul_dense_reference(csr, x)
         assert csr.matmul_dense(x).tobytes() == want.tobytes()
         assert np.allclose(want, dense @ x)
-        out = ad.sparse_matmul(csr, ad.Tensor(x))
-        assert out.value.tobytes() == want.tobytes()
+        assert (csr @ x).tobytes() == want.tobytes()
 
     def test_sigmoid_and_bce_match_the_three_exp_forms(self):
         # The one-exp forms must reproduce the branchwise three-exp formulas
@@ -187,7 +186,7 @@ class TestBackward:
         leaves = tape.leaves({"a": rng.standard_normal((3, 4)),
                               "b": rng.standard_normal((4, 2)),
                               "unused": np.ones(2)})
-        hidden = ad.relu(ad.matmul(leaves["a"], leaves["b"]))
+        hidden = relu(ad.matmul(leaves["a"], leaves["b"]))
         loss = ad.tsum(ad.mul(hidden, hidden))
         full = ad.backward(loss)
         for wrt in ({"b": leaves["b"]}, leaves):
@@ -247,7 +246,7 @@ class TestBackward:
         def run(arrs, collect=False):
             tape = ad.Tape()
             leaves = tape.leaves(arrs)
-            h = ad.relu(ad.add(ad.matmul(ad.Tensor(x), leaves["w1"]), leaves["b1"]))
+            h = relu(ad.add(ad.matmul(ad.Tensor(x), leaves["w1"]), leaves["b1"]))
             logits = ad.matmul(h, leaves["w2"])
             loss = ad.bce_with_logits(logits, t)
             if collect:
@@ -270,7 +269,7 @@ class TestBackward:
         def run(arrs, collect=False):
             tape = ad.Tape()
             leaves = tape.leaves(arrs)
-            prop = ad.sparse_matmul(csr, leaves["x"])
+            prop = sparse_matmul(csr, leaves["x"])
             joined = ad.concat([prop, leaves["y"]], axis=0)
             picked = ad.gather_rows(joined, np.array([0, 2, 2, 6]))
             quad = ad.matmul(picked, leaves["w"])
@@ -509,11 +508,18 @@ class TestDropout:
         assert not np.array_equal(out, gcn_forward(params, a_norm, g.features, rng=rng).value)
 
     def test_mask_scaling_and_grad(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.ones((200, 5)))
-        out = ad.dropout(x, 0.25, np.random.default_rng(1))
+        # No edges, one-hot features and all-ones first weights: the hidden
+        # layer is all ones, so the output is gcn_forward's dropout mask, and
+        # each node's row of the first weight's gradient is that node's.
+        n = 200
+        g = Graph.from_edge_array(n, np.empty((0, 2)), np.eye(n))
+        params = GcnParams(weights=[np.ones((n, 5)), np.eye(5)], biases=[np.zeros(5)] * 2,
+                           dropout=0.25, hidden=5)
+        leaves = ad.Tape().leaves(params.named())
+        out = gcn_forward(params, normalize_adjacency(g.adjacency), g.features,
+                          rng=np.random.default_rng(1), leaves=leaves)
         kept = out.value[out.value > 0]
         assert np.allclose(kept, 1.0 / 0.75)
-        loss = ad.tmean(out)
-        g = ad.backward(loss).of(x)
-        assert np.allclose(g[out.value == 0], 0.0)
+        g_w0 = ad.backward(ad.tmean(out)).of(leaves["gnn.w0"])
+        assert np.allclose(g_w0[out.value == 0], 0.0)
+        assert np.allclose(g_w0[out.value > 0], 1.0 / 0.75 / out.value.size)

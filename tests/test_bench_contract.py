@@ -92,9 +92,9 @@ SMALL = {
 # give as the benchmark's graphs do: they count ops, not blocks or nodes. A
 # fused op must replace the ops it fuses one for one or fewer, never more.
 RECORDS_PER_STEP = {
-    "pipeline-cn300": {"pretrain-gnn": 18, "pretrain-ggm": 76, "flex-tune": 46.5,
-                       "sweep": 46.5},
-    "split-sp1500": {"pretrain-gnn": 18},
+    "pipeline-cn300": {"pretrain-gnn": 11, "pretrain-ggm": 67, "flex-tune": 42,
+                       "sweep": 42},
+    "split-sp1500": {"pretrain-gnn": 11},
 }
 
 

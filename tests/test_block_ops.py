@@ -1,8 +1,10 @@
 """The batch ops that replaced per-block tape chains: decode_logits, recon_loss
-and predictor_loss.
+and predictor_loss; and the fused layers that replaced per-layer ones:
+gcn_forward and the encoder's hidden layer.
 
 Each must reproduce the per-block implementations in blocks_reference.py
-byte for byte (losses and every leaf gradient of the three training steps),
+byte for byte (losses and every leaf gradient of the training steps, and the
+checkpoints both pre-training stages write),
 match central finite differences, and keep a step's tape the same length
 whatever the batch size. A finished step's tape is freed without the cyclic
 garbage collector.
@@ -16,15 +18,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from counterlink import autodiff as ad
-from counterlink import cotrain, generator
+from counterlink import cotrain, generator, gnn
 from counterlink.cotrain import CotrainConfig
 from counterlink.generator import NoiseSpec, decode_logits, init_sivi_params, recon_loss
 from counterlink.gnn import init_gcn_params
-from counterlink.graphs import LabeledSubgraph, make_batch
+from counterlink.graphs import Graph, LabeledSubgraph, make_batch, normalize_adjacency
 from counterlink.rng import stream_rng
 
 from blocks_reference import use_reference_blocks
 from test_autodiff import finite_diff, max_rel_err
+from test_cli import pipeline_dirs, run, run_pipeline_through_split
 
 FEATURES = 3
 
@@ -170,6 +173,63 @@ class TestByteIdenticalToPerBlockOps:
         new = decoder_step(batch, gnn, h, gamma, with_predictor)
         with use_reference_blocks():
             old = decoder_step(batch, gnn, h, gamma, with_predictor)
+        assert new == old
+
+
+class TestFusedLayers:
+    """gcn_forward records one op per call and the encoder's hidden layer one
+    per draw, where the reference records matmul, propagation, bias, ReLU and
+    dropout one by one."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1, 0.5])
+    def test_gcn_forward_step(self, layers, dropout):
+        # pretrain_gnn's step, on a graph with isolated nodes. Random biases
+        # leave some hidden units dead, yet every parameter gets a gradient.
+        rng = np.random.default_rng(layers)
+        n = 30
+        edges = np.unique(np.sort(rng.integers(0, n - 3, (40, 2)), axis=1), axis=0)
+        g = Graph.from_edge_array(n, edges[edges[:, 0] != edges[:, 1]],
+                                  rng.random((n, FEATURES)))
+        a_norm = normalize_adjacency(g.adjacency)
+        params = init_gcn_params(FEATURES, hidden=4, layers=layers, dropout=dropout, rng=rng)
+        for b in params.biases:
+            b[:] = rng.standard_normal(b.shape) * 0.5
+        pos, neg = rng.integers(0, n, (2, 12, 2))
+
+        def step():
+            leaves = ad.Tape().leaves(params.named())
+            h = gnn.gcn_forward(params, a_norm, g.features, rng=stream_rng(layers, "dropout"),
+                                leaves=leaves)
+            loss = gnn.lp_loss(gnn.score_pairs(h, pos), gnn.score_pairs(h, neg))
+            grads = ad.backward(loss, wrt=leaves).named(leaves)
+            return [loss.value.tobytes()] + [grads[k].tobytes() for k in sorted(grads)]
+
+        new = step()
+        with use_reference_blocks():
+            old = step()
+        assert new == old
+
+    def test_pretrained_checkpoints(self, tmp_path):
+        # Both pre-training stages end to end, with dropout and three mixing
+        # draws: every Adam step's bytes go into the checkpoints.
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        graph = ["--edges", d["graph"] / "edges.tsv", "--features", d["graph"] / "features.csv",
+                 "--split", d["split"] / "split.json"]
+
+        def pretrain(out):
+            assert run(["pretrain-gnn", *graph, "--epochs", 3, "--patience", 3,
+                        "--batch-size", 16, "--dropout", 0.1, "--hidden", 8, "--eval-k", 3,
+                        "--out", out / "gnn"]) == 0
+            assert run(["pretrain-ggm", *graph, "--epochs", 2, "--patience", 2,
+                        "--batch-size", 16, "--noise-dim", 4, "--num-psi", 3,
+                        "--out", out / "ggm"]) == 0
+            return [(out / m / f"{m}.ckpt").read_bytes() for m in ("gnn", "ggm")]
+
+        new = pretrain(tmp_path / "fused")
+        with use_reference_blocks():
+            old = pretrain(tmp_path / "reference")
         assert new == old
 
 

@@ -916,24 +916,38 @@ class TestTrainingValuesInRange:
 
 # Checkpoint corruptions that still parse: (model, entry, replacement), where
 # a replacement of None drops the entry.
+def drop_row(w):
+    return w[1:]
+
+
+# (model, entry, its new value: None deletes it, a function maps the old one)
 BAD_CHECKPOINTS = {
     "missing_weight": ("gnn", "gnn.b1", None),
     "missing_dropout": ("gnn", "meta.dropout", None),
     "nan_hidden": ("gnn", "meta.hidden", np.array([np.nan])),
     "empty_hidden": ("gnn", "meta.hidden", np.array([])),
+    "short_bias": ("gnn", "gnn.b0", np.zeros(1)),
+    "short_second_weight": ("gnn", "gnn.w1", drop_row),
+    "first_weight_not_feature_width": ("gnn", "gnn.w0", drop_row),
+    "hidden_not_the_weights": ("gnn", "meta.hidden", np.array([7.0])),
     "missing_head": ("ggm", "ggm.w_mu", None),
     "nan_noise_dim": ("ggm", "meta.noise_dim", np.array([np.nan])),
     "empty_noise_dim": ("ggm", "meta.noise_dim", np.array([])),
+    "short_input_bias": ("ggm", "ggm.b_in", np.zeros(1)),
+    "two_axis_head_bias": ("ggm", "ggm.b_lv", np.zeros((1, 16))),
+    "zdim_not_the_heads": ("ggm", "meta.zdim", np.array([3.0])),
 }
 
 
 class TestMalformedCheckpoint:
-    """A checkpoint that parses but lacks an entry, or holds a meta value that
-    is not one finite number, exits 2 naming the file and the entry."""
+    """A checkpoint that parses but lacks an entry, holds a meta value that is
+    not one finite number, or holds an array whose shape does not fit the
+    others, the meta values or the features, exits 2 naming the file and the
+    entry."""
 
     @pytest.mark.parametrize("command,case", [
-        *(("eval", case) for case in ("missing_weight", "missing_dropout", "nan_hidden",
-                                      "empty_hidden")),
+        *(("eval", case) for case, (model, _, _) in BAD_CHECKPOINTS.items()
+          if model == "gnn"),
         *(("flex-tune", case) for case in BAD_CHECKPOINTS),
         *(("sweep", case) for case in BAD_CHECKPOINTS),
     ])
@@ -944,7 +958,7 @@ class TestMalformedCheckpoint:
         if value is None:
             del named[entry]
         else:
-            named[entry] = value
+            named[entry] = value(named[entry]) if callable(value) else value
         bad = tmp_path / f"{model}.ckpt"
         save_checkpoint(bad, named)
         ckpts = {"gnn": d["gnn"] / "gnn.ckpt", "ggm": d["ggm"] / "ggm.ckpt", model: bad}

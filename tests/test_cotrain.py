@@ -18,7 +18,8 @@ from counterlink.cotrain import (
 )
 from counterlink.errors import ConfigError, InputError
 from counterlink.generator import GgmTrainConfig, NoiseSpec, first_draw_logits, pretrain_ggm
-from counterlink.gnn import TrainConfig, evaluate_hits, normalize_adjacency, pretrain_gnn
+from counterlink.gnn import (TrainConfig, evaluate_hits, gcn_forward, init_gcn_params,
+                             normalize_adjacency, pretrain_gnn, score_pairs)
 from counterlink.graphs import Edge, Graph, NEGATIVE, POSITIVE, extract_for_links, make_batch
 from counterlink.rng import stream_rng
 from counterlink.splits import SplitSpec, generate_split
@@ -350,3 +351,39 @@ class TestAblation:
                             eval_k=3, seed=4)
         out = ablation_run(gnn, ggm, obs, split, cfg, switch="no_sivi")
         assert out.trace[-1]["epoch"] >= 0  # ran to completion
+
+
+class TestBlockPredictorMatchesFullGraph:
+    def test_real_blocks_score_as_the_full_graph_without_the_link(self, monkeypatch):
+        # Logits of +-40 turn into kept weights of exactly 1 and 0, so at gamma
+        # 0.5 the predictor propagates over each real block. With hop_k =
+        # layers + 1 a block holds every node within `layers` hops of an
+        # endpoint and every degree among them, so its target logit is the
+        # full-graph GCN's score with the link's edge removed.
+        layers = 2
+        g = sbm_graph([15, 15, 15], 0.15, 0.01, seed=4)
+        g = Graph.from_edge_array(g.num_nodes, g.edges(),
+                                  np.random.default_rng(4).standard_normal((g.num_nodes, 3)))
+        params = init_gcn_params(3, hidden=5, layers=layers, dropout=0.0,
+                                 rng=np.random.default_rng(6))
+        for b in params.biases:
+            b[:] = np.random.default_rng(7).standard_normal(b.shape) * 0.3
+        edges = g.edges()
+        picked = edges[:: max(1, len(edges) // 12)]
+        subs = extract_for_links(g, [Edge(int(u), int(v), POSITIVE) for u, v in picked],
+                                 k=layers + 1, max_nodes=g.num_nodes)
+        batch = make_batch(subs)
+        assert min(batch.block_sizes) < g.num_nodes  # blocks are not the whole graph
+        logits = np.concatenate([np.where(a > 0, 40.0, -40.0).ravel()
+                                 for a in batch.block_adjacencies()])
+        scored = []
+        lp_loss = cotrain.lp_loss
+        monkeypatch.setattr(cotrain, "lp_loss",
+                            lambda pos, neg: scored.append(pos.value) or lp_loss(pos, neg))
+        predictor_loss(params, batch, ad.Tensor(logits), 0.5)
+        for (u, v), got in zip(picked, scored[0]):
+            rest = edges[(edges[:, 0] != u) | (edges[:, 1] != v)]
+            without = Graph.from_edge_array(g.num_nodes, rest, g.features)
+            h = gcn_forward(params, normalize_adjacency(without.adjacency), g.features)
+            want = score_pairs(h, [[u, v]]).value[0]
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from counterlink.generator import (
     threshold_edges,
 )
 from counterlink.gnn import normalize_adjacency
-from counterlink.graphs import (Edge, Graph, LabeledSubgraph, common_neighbors,
+from counterlink.graphs import (Csr, Edge, Graph, LabeledSubgraph, common_neighbors,
                                extract_for_links, make_batch)
 from counterlink.rng import stream_rng
 from counterlink.splits import SplitSpec, generate_split
@@ -243,6 +244,15 @@ class TestDecode:
         with pytest.raises(InputError):
             decode_node_aware(np.zeros((5, 2)), adjacency_batch([np.zeros((3, 3))] * 2))
 
+    def test_logits_below_exp_range_give_zero_without_a_warning(self):
+        # The pair's logit is -900: exp(900) overflows to inf, and the
+        # probability is exactly 0.0, which needs no warning.
+        h = np.array([[30.0, 0.0], [-30.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = decode_node_aware(h, adjacency_batch([np.zeros((2, 2))]))
+        assert sample.edge_probs[0].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
     def test_targets_and_labels_come_from_the_batch(self):
         _, batch, _ = small_batch(n_links=3)
         sample = decode_node_aware(np.zeros((batch.total_nodes, 2)), batch)
@@ -356,9 +366,9 @@ class TestFirstDrawLogits:
         params = init_sivi_params(g.features.shape[1], hidden=8, zdim=4, noise_dim=3,
                                   rng=np.random.default_rng(5))
         calls = []
-        sparse_matmul = ad.sparse_matmul
-        monkeypatch.setattr(ad, "sparse_matmul",
-                            lambda *a: calls.append(1) or sparse_matmul(*a))
+        matmul_dense = Csr.matmul_dense
+        monkeypatch.setattr(Csr, "matmul_dense",
+                            lambda *a: calls.append(1) or matmul_dense(*a))
         first_draw_logits(params, batch, NoiseSpec(noise_dim=3, num_psi=3),
                           stream_rng(21, "noise"))
         assert len(calls) == 1  # one encoder propagation, not one per draw

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from counterlink import autodiff as ad
 from counterlink import gnn
 from counterlink.errors import InputError, NumericError
 from counterlink.gnn import (
     GcnParams,
     TrainConfig,
-    dense_gcn_forward,
     embed,
     evaluate_hits,
     gcn_forward,
+    gcn_layers,
     hits_at_k,
     init_gcn_params,
     lp_loss,
@@ -103,11 +104,11 @@ class TestStackedDenseKernels:
         for b in params.biases:
             b[:] = rng.standard_normal(b.shape)
         g = rng.standard_normal((k, m, 4))
-        emb, vjp = dense_gcn_forward(params.weights, params.biases, prop, x)
+        emb, vjp = gcn_layers(params.weights, params.biases, prop, x)
         g_prop, g_first, g_params = vjp(g, need_prop)
         assert g_params[0] is None
         for i in range(k):
-            emb_i, vjp_i = dense_gcn_forward(params.weights, params.biases, prop[i], x[i])
+            emb_i, vjp_i = gcn_layers(params.weights, params.biases, prop[i], x[i])
             g_prop_i, g_first_i, g_params_i = vjp_i(g[i], need_prop)
             assert emb[i].tobytes() == emb_i.tobytes()
             assert g_first[i].tobytes() == g_first_i.tobytes()
@@ -116,6 +117,26 @@ class TestStackedDenseKernels:
                 assert g_prop[i].tobytes() == g_prop_i.tobytes()
             for got, want in zip(g_params[1:], g_params_i[1:]):
                 assert got[i].tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("relu_last", [False, True])
+    def test_csr_matches_its_dense_matrix(self, relu_last):
+        a, rng = self.stack(1, 9, seed=3)
+        a = np.triu(a[0], 1)
+        prop = normalize_dense_adjacency(a + a.T)[0]
+        x = rng.standard_normal((9, 5))
+        params = init_gcn_params(5, hidden=4, layers=2, dropout=0.0, rng=rng)
+        g = rng.standard_normal((9, 4))
+        dense, dense_vjp = gcn_layers(params.weights, params.biases, prop, x,
+                                      relu_last=relu_last)
+        sparse, sparse_vjp = gcn_layers(params.weights, params.biases, csr_from_dense(prop),
+                                        x, relu_last=relu_last)
+        assert np.allclose(sparse, dense, atol=1e-12)
+        _, g_first, g_params = dense_vjp(g)
+        _, g_first_sparse, g_params_sparse = sparse_vjp(g)
+        assert np.allclose(g_first_sparse, g_first, atol=1e-12)
+        for got, want in zip(g_params_sparse[1:], g_params[1:]):
+            assert np.allclose(got, want, atol=1e-12)
 
 
 class TestForward:
@@ -157,6 +178,23 @@ class TestForward:
                                  rng=np.random.default_rng(0))
         with pytest.raises(InputError):
             gcn_forward(params, normalize_adjacency(g.adjacency), np.ones((5, 3)))
+
+    def test_first_weight_must_take_the_feature_width(self):
+        g = graph_of(3, [(0, 1)])
+        params = init_gcn_params(4, hidden=4, layers=2, dropout=0.1,
+                                 rng=np.random.default_rng(0))
+        with pytest.raises(InputError, match="'gnn.w0' has 4 rows, not the 3 feature columns"):
+            gcn_forward(params, normalize_adjacency(g.adjacency), g.features)
+
+    def test_traced_features_rejected(self):
+        g = graph_of(3, [(0, 1)])
+        params = init_gcn_params(3, hidden=4, layers=2, dropout=0.1,
+                                 rng=np.random.default_rng(0))
+        a_norm = normalize_adjacency(g.adjacency)
+        with pytest.raises(InputError, match="features"):
+            gcn_forward(params, a_norm, ad.Tape().leaf(g.features))
+        untraced = gcn_forward(params, a_norm, ad.Tensor(g.features)).value
+        assert untraced.tobytes() == gcn_forward(params, a_norm, g.features).value.tobytes()
 
 
 class TestScoring:
