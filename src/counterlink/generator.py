@@ -24,8 +24,13 @@ Every block holds its link's endpoints as local nodes 0 and 1, so none has
 fewer than two nodes. Generated samples keep their block's node count and
 link label; node features stay on the batch the samples were drawn from. The
 threshold removes low-confidence edges, which keeps generation from densifying.
+
+A sample dump is read back block by block, each block's edge list checked
+as arrays (ends, distinct ends, probabilities in [0, 1]); it is walked edge
+by edge only when that check fails, to name the first bad edge.
 """
 
+import contextlib
 import copy
 import json
 from dataclasses import dataclass, replace
@@ -87,6 +92,10 @@ class SiviParams:
                                   "ggm.w_mu": ("hidden", "zdim"), "ggm.b_mu": ("zdim",),
                                   "ggm.w_lv": ("hidden", "zdim"), "ggm.b_lv": ("zdim",)},
                           {"meta.hidden": "hidden", "meta.zdim": "zdim"})
+        noise_dim = float(named["meta.noise_dim"][0])
+        if noise_dim < 0 or noise_dim != int(noise_dim):
+            raise InputError(f"checkpoint entry 'meta.noise_dim' is {noise_dim:g}, "
+                             "not an integer >= 0")
         return SiviParams(
             w_in=named["ggm.w_in"],
             b_in=named["ggm.b_in"],
@@ -96,7 +105,7 @@ class SiviParams:
             b_lv=named["ggm.b_lv"],
             hidden=int(named["meta.hidden"][0]),
             zdim=int(named["meta.zdim"][0]),
-            noise_dim=int(named["meta.noise_dim"][0]),
+            noise_dim=int(noise_dim),
         )
 
 
@@ -547,11 +556,41 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _edge_ends(edges, m):
+    """The (2, k) int64 ends of a block's k [i, j, p] edges, checked as
+    arrays: each end an integer in [0, m), the two distinct, p a number in
+    [0, 1]. Where any edge breaks a rule, _edge_ends_by_edge names the first."""
+    ends = probs = None
+    if type(edges) is list and set(map(type, edges)) == {list} and set(map(len, edges)) == {3}:
+        i, j, p = zip(*edges)
+        if set(map(type, i + j)) == {int} and set(map(type, p)) <= {int, float}:
+            with contextlib.suppress(OverflowError):  # an int beyond int64 or float
+                ends, probs = np.array((i, j), dtype=np.int64), np.array(p, dtype=np.float64)
+    if (ends is None or ends.min() < 0 or ends.max() >= m or (ends[0] == ends[1]).any()
+            or not ((probs >= 0) & (probs <= 1)).all()):
+        return _edge_ends_by_edge(edges, m)
+    return ends
+
+
+def _edge_ends_by_edge(edges, m):
+    """_edge_ends one edge at a time: a ValueError names the first bad edge."""
+    ends = []
+    for i, j, p in edges:
+        if not all(_is_int(t) and 0 <= t < m for t in (i, j)) or i == j:
+            raise ValueError(f"edge ({i}, {j}) is not two distinct integers in [0, {m})")
+        if type(p) not in (int, float) or not 0 <= p <= 1:
+            raise ValueError(f"edge ({i}, {j}) has probability {p!r}, not a number in [0, 1]")
+        ends.append((i, j))
+    return np.array(ends, dtype=np.int64).reshape(-1, 2).T
+
+
 def load_samples(path, num_nodes):
     """Rebuild per-block records from a sample dump of a graph with
     num_nodes nodes. Each block_size must be an integer in [1, num_nodes],
-    the target and each edge's two distinct ends integers in [0, block_size);
-    anything else is a ValidationError naming the file."""
+    the target and each edge's two distinct ends integers in [0, block_size),
+    and each edge's probability a JSON number in [0, 1]; anything else is a
+    ValidationError naming the file. Each block's edge list is checked as
+    arrays, and read edge by edge only to name the first bad edge."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -567,11 +606,8 @@ def load_samples(path, num_nodes):
                     and all(_is_int(t) and 0 <= t < m for t in target)):
                 raise ValueError(f"target {target!r} is not two integers in [0, {m})")
             adj = np.zeros((m, m))
-            for i, j, p in rec["edges"]:
-                if not all(_is_int(t) and 0 <= t < m for t in (i, j)) or i == j:
-                    raise ValueError(f"edge ({i}, {j}) is not two distinct integers in [0, {m})")
-                adj[i, j] = adj[j, i] = 1.0
-                float(p)  # an edge's probability must be a number
+            i, j = _edge_ends(rec["edges"], m)
+            adj[i, j] = adj[j, i] = 1.0
             out.append(
                 {
                     "block_size": m,

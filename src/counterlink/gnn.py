@@ -59,10 +59,12 @@ class GcnParams:
             axes[f"gnn.w{i}"] = (None if i == 0 else "hidden", "hidden")
             axes[f"gnn.b{i}"] = ("hidden",)
         ad.require_shapes(named, axes, {"meta.hidden": "hidden"})
+        dropout = float(named["meta.dropout"][0])
+        if not 0.0 <= dropout < 1.0:  # TrainConfig's rule
+            raise InputError(f"checkpoint entry 'meta.dropout' is {dropout:g}, not in [0, 1)")
         return GcnParams(weights=[named[f"gnn.w{i}"] for i in range(layers)],
                          biases=[named[f"gnn.b{i}"] for i in range(layers)],
-                         dropout=float(named["meta.dropout"][0]),
-                         hidden=int(named["meta.hidden"][0]))
+                         dropout=dropout, hidden=int(named["meta.hidden"][0]))
 
 
 @dataclass

@@ -9,10 +9,18 @@ node_map and a reference to the graph's one feature matrix, and a batch
 gathers its blocks' rows from that matrix once (the SEAL / PyTorch Geometric
 layout). Extraction memory therefore grows with the subgraphs' adjacency,
 not with subgraph size times feature width.
+
+The edge list and the feature CSV are each parsed in one pass of numpy's C
+text reader and checked as arrays. The line readers (_edge_lines,
+_feature_lines) define the grammar and its messages; they run only on a
+file that pass refuses or whose arrays break a rule, and there either name
+the first bad line or accept the file, so the accepted files and every
+message are theirs.
 """
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -714,23 +722,59 @@ def make_batch(subgraphs) -> LabeledSubgraphBatch:
 # File ingestion
 
 
-def _text_lines(path):
-    """(line number, line) pairs of a text file; a byte that is not UTF-8 is
-    an InputError naming the file."""
+def _read_text(path):
+    """A text file's contents; a byte that is not UTF-8 is an InputError
+    naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}")
-    return enumerate(text.split("\n"), start=1)
+
+
+def _whole_array(text, delimiter, dtype):
+    """Every line of text parsed in one pass by numpy's C reader, as a 2-D
+    array, or None where that reader raises or warns (an empty file, a ragged
+    row, a token it does not take; older numpy reads 1.0 as an int with only
+    a DeprecationWarning). Every token it takes, int() and float() take too,
+    with the same value; the line readers decide the rest."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(text.split("\n"), dtype=dtype, delimiter=delimiter,
+                              comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
 
 
 def load_edge_list(path):
-    """Parse "u<TAB>v" lines, 0-based ids below 2**63, into (min, max) rows;
-    a malformed line raises at once, then self-loops and duplicates are
-    rejected together with their line numbers."""
+    """Parse "u<TAB>v" lines, 0-based ids below 2**63, into (min, max) rows.
+
+    The whole file is parsed as one array and checked with array operations.
+    A file that parse refuses, or whose rows break a rule (a negative id, a
+    self-loop, a repeated pair) or hold an id of 2**31 or more (past which a
+    pair key min * n + max can overflow int64), is read again by _edge_lines,
+    which defines the grammar: it names the first bad line, or accepts what
+    numpy's reader does not take but int() does (1_000, non-ASCII digits).
+    """
+    text = _read_text(path)
+    rows = _whole_array(text, "\t", np.int64)
+    if rows is None or rows.shape[1] != 2:
+        return _edge_lines(path, text)
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    if lo.min() < 0 or hi.max() >= 1 << 31:
+        return _edge_lines(path, text)
+    keys = np.sort(pair_keys(rows, int(hi.max()) + 1))
+    if (lo == hi).any() or (keys[1:] == keys[:-1]).any():
+        return _edge_lines(path, text)
+    return np.stack((lo, hi), axis=1)
+
+
+def _edge_lines(path, text):
+    """load_edge_list line by line: a malformed line raises at once, then
+    self-loops and duplicates are rejected together with their line numbers."""
     parsed = []
-    for lineno, line in _text_lines(path):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -767,9 +811,22 @@ def save_edge_list(path, edges):
 
 
 def load_features_csv(path):
+    """Parse comma-separated rows of finite numbers, all of one width, into a
+    float64 matrix: one array pass, read again line by line by _feature_lines
+    (which names the first bad line) when that pass refuses the file or
+    finds a value that is not finite."""
+    text = _read_text(path)
+    x = _whole_array(text, ",", np.float64)
+    if x is None or not np.isfinite(x).all():
+        return _feature_lines(path, text)
+    return x
+
+
+def _feature_lines(path, text):
+    """load_features_csv line by line."""
     rows = []
     width = None
-    for lineno, line in _text_lines(path):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

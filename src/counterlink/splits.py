@@ -18,8 +18,13 @@ split search paths only up to depth hi and read min(exact, hi), which
 places every edge as the exact value does. A positive found outside its
 range is evaluated again without the bound, so the violation shows its
 exact value.
+
+A persisted split's pair lists are read as whole arrays: one numpy
+conversion per list, and one C-level pass over the entries' types to turn
+away JSON booleans, which numpy would read as 0 and 1.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -333,7 +338,7 @@ def _edge_array(rows, num_nodes, key):
     if arr.size == 0 and arr.ndim == 1:
         return np.empty((0, 2), dtype=np.int64)
     if (arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu"
-            or any(isinstance(x, bool) for pair in rows for x in pair)):
+            or bool in set(map(type, itertools.chain.from_iterable(rows)))):
         raise ValueError(f"{key} must be a list of [u, v] integer pairs")
     if arr.min() < 0 or arr.max() >= num_nodes:
         raise ValueError(f"{key} holds a node id outside [0, {num_nodes})")

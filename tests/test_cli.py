@@ -439,6 +439,24 @@ class TestMalformedStructure:
         assert code == 5, err
         assert "samples.json" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("p", ["0.5", True, 7.5, -3, float("nan")],
+                             ids=["string", "bool", "above_one", "negative", "nan"])
+    def test_sample_probability_not_in_0_1_is_5(self, tmp_path, p):
+        d = pipeline_dirs(tmp_path)
+        run_pipeline_through_split(d)
+        samples = d["tuned"] / "samples.json"
+        samples.write_text(json.dumps({"samples": [{
+            "block_size": 4, "label": 1, "target": [0, 1], "gamma": 0.5,
+            "edges": [[0, 1, 0.75], [1, 2, p]]}]}))
+        code, err = run_child(["analyze", "--edges", d["graph"] / "edges.tsv",
+                               "--features", d["graph"] / "features.csv",
+                               "--split", d["split"] / "split.json",
+                               "--samples", samples, "--out", d["analysis"]])
+        assert code == 5, err
+        assert (f"{samples}: malformed samples: edge (1, 2) has probability {p!r}, "
+                "not a number in [0, 1]") in err
+        assert "Traceback" not in err
+
 
 # Every command's flags and their defaults; None marks an input path, or an
 # unset tau.
@@ -936,6 +954,9 @@ BAD_CHECKPOINTS = {
     "short_input_bias": ("ggm", "ggm.b_in", np.zeros(1)),
     "two_axis_head_bias": ("ggm", "ggm.b_lv", np.zeros((1, 16))),
     "zdim_not_the_heads": ("ggm", "meta.zdim", np.array([3.0])),
+    "fractional_noise_dim": ("ggm", "meta.noise_dim", np.array([4.5])),
+    "dropout_above_one": ("gnn", "meta.dropout", np.array([1.5])),
+    "negative_dropout": ("gnn", "meta.dropout", np.array([-0.1])),
 }
 
 
