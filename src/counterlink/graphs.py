@@ -732,12 +732,22 @@ def _read_text(path):
         raise InputError(f"{path}: not UTF-8 text: {exc}")
 
 
+_UNIT_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 def _whole_array(text, delimiter, dtype):
     """Every line of text parsed in one pass by numpy's C reader, as a 2-D
     array, or None where that reader raises or warns (an empty file, a ragged
     row, a token it does not take; older numpy reads 1.0 as an int with only
     a DeprecationWarning). Every token it takes, int() and float() take too,
-    with the same value; the line readers decide the rest."""
+    with the same value; the line readers decide the rest.
+
+    Text that is not ASCII, or holds an ASCII separator \x1c-\x1f, is not
+    parsed here: numpy's reader strips those separators from a cell where
+    int() and float() refuse them, and reads some non-ASCII letters as
+    digits ("\u0761" as 1841)."""
+    if not text.isascii() or any(c in text for c in _UNIT_SEPARATORS):
+        return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

@@ -36,12 +36,12 @@ from test_pair_rules import run_cli
 # Tokens next to the grammar's edge: some both readers take, some only int()
 # or float() takes (the line reader then accepts), some neither takes.
 NEAR_IDS = ["+1", "01", "-0", "-1", "1_000", "١", "１", " 1 ", "1\x0c", "\xa02",
-            "1\x1c", "1.0", "1e3", str(2**31), str(2**63 - 1), str(2**63), "nan", "inf",
-            "True", "", "0x1", "\r"]
+            "1\x1c", "1\u0761", "1.0", "1e3", str(2**31), str(2**63 - 1), str(2**63),
+            "nan", "inf", "True", "", "0x1", "\r"]
 NEAR_FLOATS = ["+1", "01", "1_000", "١", "١.٥", " 1 ", "1.0", "1e3", ".5", "5.",
                "nan", "-nan", "inf", "-inf", "infinity", "1e400", "-1e400", "1e-400", "-0.0",
                "5e-324", "2.2250738585072e-308", "0x1p3", "1d5", "1,5", "", "\x0c", "\r",
-               "1.5j"]
+               "1.5j", "1\x1f", "\u0761"]
 SHAPES = ["", "  ", "\t", " \t ", "\x0b"]  # lines both readers must skip or refuse
 
 
@@ -155,6 +155,20 @@ class TestWholeArrayMatchesLineReaders:
         got, want, fell_back = both_ways(graphs.load_edge_list, "_edge_lines", "edges.tsv", text)
         assert got == want and fell_back
         assert got[0] == "array" if message is None else got[1].endswith(message)
+
+    @pytest.mark.parametrize("loader,line_reader,name,text", [
+        (graphs.load_edge_list, "_edge_lines", "edges.tsv", "1\x1c\t0\n0\t2\n"),
+        (graphs.load_edge_list, "_edge_lines", "edges.tsv", "0\t\x1f2\n"),
+        (graphs.load_edge_list, "_edge_lines", "edges.tsv", "1\u0761\t2\n"),
+        (graphs.load_features_csv, "_feature_lines", "x.csv", "1.5\x1d,2\n"),
+        (graphs.load_features_csv, "_feature_lines", "x.csv", "1.5,\x1e2\n"),
+    ])
+    def test_what_numpy_misreads_the_line_reader_refuses(self, loader, line_reader, name,
+                                                         text):
+        # numpy's reader strips \x1c-\x1f inside a cell and reads U+0761 as a
+        # digit; int() and float() refuse both.
+        got, want, fell_back = both_ways(loader, line_reader, name, text)
+        assert got == want and fell_back and got[0] == "error"
 
     def test_synth_files_skip_the_line_readers(self, tmp_path, monkeypatch):
         g = synth_graph(SyntheticGraphSpec("sbm", 200, blocks=4, p_in=0.1, p_out=0.01,
