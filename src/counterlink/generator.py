@@ -25,12 +25,10 @@ fewer than two nodes. Generated samples keep their block's node count and
 link label; node features stay on the batch the samples were drawn from. The
 threshold removes low-confidence edges, which keeps generation from densifying.
 
-A sample dump is read back block by block, each block's edge list checked
-as arrays (ends, distinct ends, probabilities in [0, 1]); it is walked edge
-by edge only when that check fails, to name the first bad edge.
+A sample dump is read back block by block; each edge must have two distinct
+ends inside its block and a probability that is a JSON number in [0, 1].
 """
 
-import contextlib
 import copy
 import json
 from dataclasses import dataclass, replace
@@ -557,23 +555,9 @@ def _is_int(x):
 
 
 def _edge_ends(edges, m):
-    """The (2, k) int64 ends of a block's k [i, j, p] edges, checked as
-    arrays: each end an integer in [0, m), the two distinct, p a number in
-    [0, 1]. Where any edge breaks a rule, _edge_ends_by_edge names the first."""
-    ends = probs = None
-    if type(edges) is list and set(map(type, edges)) == {list} and set(map(len, edges)) == {3}:
-        i, j, p = zip(*edges)
-        if set(map(type, i + j)) == {int} and set(map(type, p)) <= {int, float}:
-            with contextlib.suppress(OverflowError):  # an int beyond int64 or float
-                ends, probs = np.array((i, j), dtype=np.int64), np.array(p, dtype=np.float64)
-    if (ends is None or ends.min() < 0 or ends.max() >= m or (ends[0] == ends[1]).any()
-            or not ((probs >= 0) & (probs <= 1)).all()):
-        return _edge_ends_by_edge(edges, m)
-    return ends
-
-
-def _edge_ends_by_edge(edges, m):
-    """_edge_ends one edge at a time: a ValueError names the first bad edge."""
+    """The (2, k) int64 ends of a block's k [i, j, p] edges: each end an
+    integer in [0, m), the two distinct, p a number in [0, 1]. A ValueError
+    names the first edge that breaks a rule."""
     ends = []
     for i, j, p in edges:
         if not all(_is_int(t) and 0 <= t < m for t in (i, j)) or i == j:
@@ -589,8 +573,7 @@ def load_samples(path, num_nodes):
     num_nodes nodes. Each block_size must be an integer in [1, num_nodes],
     the target and each edge's two distinct ends integers in [0, block_size),
     and each edge's probability a JSON number in [0, 1]; anything else is a
-    ValidationError naming the file. Each block's edge list is checked as
-    arrays, and read edge by edge only to name the first bad edge."""
+    ValidationError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

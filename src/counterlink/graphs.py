@@ -15,7 +15,8 @@ text reader and checked as arrays. The line readers (_edge_lines,
 _feature_lines) define the grammar and its messages; they run only on a
 file that pass refuses or whose arrays break a rule, and there either name
 the first bad line or accept the file, so the accepted files and every
-message are theirs.
+message are theirs. That pass's parity with the line readers was checked on
+numpy 2.4; with an older numpy the line readers read every file.
 """
 
 import functools
@@ -733,20 +734,23 @@ def _read_text(path):
 
 
 _UNIT_SEPARATORS = "\x1c\x1d\x1e\x1f"
+# numpy's text reader was checked against int() and float() on numpy 2.4;
+# with an older numpy every file is read by the line readers.
+_ARRAY_PASS = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
 
 
 def _whole_array(text, delimiter, dtype):
     """Every line of text parsed in one pass by numpy's C reader, as a 2-D
     array, or None where that reader raises or warns (an empty file, a ragged
-    row, a token it does not take; older numpy reads 1.0 as an int with only
-    a DeprecationWarning). Every token it takes, int() and float() take too,
-    with the same value; the line readers decide the rest.
+    row, a token it does not take). Every token it takes, int() and float()
+    take too, with the same value; the line readers decide the rest.
 
     Text that is not ASCII, or holds an ASCII separator \x1c-\x1f, is not
     parsed here: numpy's reader strips those separators from a cell where
     int() and float() refuse them, and reads some non-ASCII letters as
-    digits ("\u0761" as 1841)."""
-    if not text.isascii() or any(c in text for c in _UNIT_SEPARATORS):
+    digits ("\u0761" as 1841). Nor is any text parsed here with a numpy
+    older than 2.4, on which that parity was never checked."""
+    if not _ARRAY_PASS or not text.isascii() or any(c in text for c in _UNIT_SEPARATORS):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")

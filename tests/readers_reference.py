@@ -3,12 +3,12 @@
 
 `_edge_array` looks for booleans among a pair list's entries with one
 C-level pass over their types; `edge_array_reference` is the Python
-generator it replaced. `load_samples` checks each block's edge list as
-arrays and walks it edge by edge only to name the first bad edge;
-`load_samples_reference` is the loop it replaced, one check per end and
-probability, with the probability rule the array check brought in: a JSON
-number, not a bool or a string, in [0, 1]. Each pair must accept the same
-documents with the same bytes and reject the rest with the same message.
+generator it replaced. `load_samples` collects each block's edge ends and
+sets them in one step; `load_samples_reference` is the loop it replaced,
+setting each edge as it is checked, with the probability rule both now
+keep: a JSON number, not a bool or a string, in [0, 1]. Each pair must
+accept the same documents with the same bytes and reject the rest with the
+same message.
 """
 
 import json
