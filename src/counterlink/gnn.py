@@ -11,6 +11,11 @@ for the whole stack, and the generator's one-layer encoder) or over dense
 normalized adjacencies: co-tuning runs it on each generated block, one
 [k, m, m] stack of same-size blocks at a time, with normalize_dense_adjacency,
 so the caller can record a whole batch of blocks as one tape op.
+
+score_pairs is the one link score, for the pre-training loss and every
+Hits@K: one tape record per pair list, so a pre-training step records 5 ops
+(gcn_forward, a score_pairs per side, their concatenation and the loss) and
+holds no pairs x width array from its forward to its backward.
 """
 
 import copy
@@ -218,14 +223,33 @@ def gcn_layers(weights, biases, prop, x, dropout=(), relu_last=False):
 
 
 def score_pairs(h, pairs) -> ad.Tensor:
-    """Dot-product logit per candidate link; its sigmoid is the edge probability."""
+    """Dot-product logit per candidate link; its sigmoid is the edge probability.
+
+    One tape record that keeps only the pair ids and h's value; its backward
+    re-reads each pair's other endpoint from h and scatters g * h[other] into
+    the endpoint's rows. h is listed twice as the op's inputs, v's side
+    first, so the tape adds the sides, and the calls, in the order of the
+    gather, multiply and sum records this op replaced.
+    """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     h = h if isinstance(h, ad.Tensor) else ad.Tensor(h)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= h.shape[0]):
         raise InputError(f"pair id out of range for {h.shape[0]} embeddings")
-    hu = ad.gather_rows(h, pairs[:, 0])
-    hv = ad.gather_rows(h, pairs[:, 1])
-    return ad.tsum(ad.mul(hu, hv), axis=1)
+    u, v = pairs[:, 0].copy(), pairs[:, 1].copy()
+    hv = h.value
+
+    def scatter(ends, others, g):
+        # One bincount per column adds each cell's picks in pick order from
+        # 0.0, as autodiff.gather_rows's backward does; the result is
+        # C-ordered like the gather's, so the GCN backward's products run
+        # on the same layout.
+        out = np.empty(hv.shape)
+        for c, col in enumerate(hv.T):
+            out[:, c] = np.bincount(ends, weights=col[others] * g, minlength=hv.shape[0])
+        return out
+
+    return ad.emit("score_pairs", (hv[u] * hv[v]).sum(axis=1), [h, h],
+                   lambda g: (scatter(v, u, g), scatter(u, v, g)))
 
 
 def lp_loss(pos_logits, neg_logits) -> ad.Tensor:
@@ -268,11 +292,7 @@ def embed(params: GcnParams, a_norm: Csr, x) -> np.ndarray:
 
 def evaluate_hits(params, a_norm, x, pos_edges, neg_edges, k) -> float:
     h = embed(params, a_norm, x)
-    pos = np.asarray(pos_edges, dtype=np.int64).reshape(-1, 2)
-    neg = np.asarray(neg_edges, dtype=np.int64).reshape(-1, 2)
-    pos_scores = (h[pos[:, 0]] * h[pos[:, 1]]).sum(axis=1)
-    neg_scores = (h[neg[:, 0]] * h[neg[:, 1]]).sum(axis=1)
-    return hits_at_k(pos_scores, neg_scores, k)
+    return hits_at_k(score_pairs(h, pos_edges).value, score_pairs(h, neg_edges).value, k)
 
 
 @dataclass

@@ -53,11 +53,12 @@ class Csr:
             vals = np.ones(rows.shape[0], dtype=np.float64)
         else:
             vals = np.asarray(vals, dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
+        # Ids below n make the key row * n + col order entries by row, then
+        # column; the stable sort keeps a repeated entry's input order.
+        order = np.argsort(rows * n + cols, kind="stable")
+        cols, vals = cols[order], vals[order]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return Csr(indptr, cols, vals, (n, n))
 
     def degrees(self):
@@ -120,8 +121,7 @@ def normalize_adjacency(a: Csr) -> Csr:
     rows = np.concatenate([a.row_ids(), np.arange(n)])
     cols = np.concatenate([a.indices, np.arange(n)])
     vals = np.concatenate([a.data, np.ones(n)])
-    deg = np.zeros(n)
-    np.add.at(deg, rows, vals)
+    deg = np.bincount(rows, weights=vals, minlength=n)  # adds in entry order from 0.0
     dinv = 1.0 / np.sqrt(deg)
     return Csr.from_coo(n, rows, cols, dinv[rows] * vals * dinv[cols])
 

@@ -387,8 +387,8 @@ def load_split(path, g: Graph) -> DatasetSplit:
         }
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}")
-    except InputError:
-        raise
+    except InputError as exc:  # a spec value SplitSpec rejects, as a flag would be
+        raise InputError(f"{path}: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed split: {exc}")
     _check_positives(path, g, arrays)
@@ -397,5 +397,8 @@ def load_split(path, g: Graph) -> DatasetSplit:
         spec=spec,
         **arrays,
     )
-    verify_split(g, split, heuristic=heuristic_value)
+    try:
+        verify_split(g, split, heuristic=heuristic_value)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return split

@@ -2,21 +2,23 @@
 
 `generator.decode_logits`, `generator.recon_loss` and `cotrain.predictor_loss`
 each put one record per batch on the tape and run one stacked numpy product
-per distinct block size, forward and backward; `gnn.gcn_forward` puts one
-record per call. These are the implementations they replaced: chains of tape
-ops per block or per layer. `encode_semi_implicit` is the encoder as it was
-before its draws shared one input array and its hidden layer became one
-record: a fresh [features | label | noise] concatenation, a plain matmul,
-propagation, bias and ReLU per draw. The ops only they used (`reshape`,
-`slice_rows`, `transpose`, `sigmoid`, `log`, `sparse_matmul`, `relu`,
-`dropout`) and the tape-op forms of `gnn.normalize_dense_adjacency` and of
-`gnn.gcn_forward`'s sparse and dense branches moved here with them, as did
-the weighted and "sum"/"none" forms of `autodiff.bce_with_logits`. Losses and
-gradients must match these byte for byte.
+per distinct block size, forward and backward; `gnn.gcn_forward` and
+`gnn.score_pairs` put one record per call. These are the implementations
+they replaced: chains of tape ops per block, per layer or per pair list.
+`encode_semi_implicit` is the encoder as it was before its draws shared one
+input array and its hidden layer became one record: a fresh [features |
+label | noise] concatenation, a plain matmul, propagation, bias and ReLU per
+draw. The ops only they used (`reshape`, `slice_rows`, `transpose`,
+`sigmoid`, `log`, `sparse_matmul`, `relu`, `dropout`) and the tape-op forms
+of `gnn.normalize_dense_adjacency` and of `gnn.gcn_forward`'s sparse and
+dense branches moved here with them, as did the weighted and "sum"/"none"
+forms of `autodiff.bce_with_logits`. Losses and gradients must match these
+byte for byte.
 
-`use_reference_blocks()` swaps the five functions into the package, so the
-package's own `pretrain_gnn`, `sivi_elbo`, `first_draw_logits` and
-`cotrain_losses` run the old per-block, per-layer path.
+`use_reference_blocks()` swaps the six functions into the package, so the
+package's own `pretrain_gnn`, `evaluate_hits`, `sivi_elbo`,
+`first_draw_logits` and `cotrain_losses` run the old per-block, per-layer
+path.
 """
 
 import contextlib
@@ -231,6 +233,18 @@ def gcn_forward(params, a_norm, x, rng=None, leaves=None) -> ad.Tensor:
     return h
 
 
+def score_pairs(h, pairs) -> ad.Tensor:
+    """Dot-product logit per candidate link as four tape records: a gather of
+    each endpoint's rows, their product and its row sums."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    h = _as_tensor(h)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= h.shape[0]):
+        raise InputError(f"pair id out of range for {h.shape[0]} embeddings")
+    hu = ad.gather_rows(h, pairs[:, 0])
+    hv = ad.gather_rows(h, pairs[:, 1])
+    return ad.tsum(ad.mul(hu, hv), axis=1)
+
+
 def predictor_loss(gnn_params, batch, logit_blocks, gamma: float, leaves=None):
     """(classification loss, mean generated CN of the targets) of the predictor
     run per block over its thresholded edge probabilities; the batch's link
@@ -286,7 +300,8 @@ def use_reference_blocks():
              (generator, "decode_logits", decode_logits),
              (generator, "recon_loss", recon_loss),
              (cotrain, "predictor_loss", predictor_loss),
-             (gnn, "gcn_forward", gcn_forward)]
+             (gnn, "gcn_forward", gcn_forward),
+             (gnn, "score_pairs", score_pairs)]
     saved = [(mod, name, getattr(mod, name)) for mod, name, _ in swaps]
     try:
         for mod, name, fn in swaps:

@@ -9,7 +9,11 @@ and `LabeledSubgraphBatch.block_diag_csr` takes one `flatnonzero` over the
 concatenated blocks. These are the implementations they replaced: one
 `np.add.at` scatter; one link at a time with per-neighbour Python sets plus
 a dict from global to local ids; one `np.nonzero` per block and a sort in
-`Csr.from_coo`. Every result must match these byte for byte.
+`Csr.from_coo`. `from_coo` orders entries by a stable argsort of
+`row * n + column` and counts rows with one `np.bincount`, and
+`normalize_adjacency` sums degrees with a weighted `np.bincount`; the lexsort
+and `np.add.at` scatters they replaced are kept here too. Every result must
+match these byte for byte.
 
 The dense and per-row views of a `Csr` that only tests read live here too.
 """
@@ -40,6 +44,32 @@ def csr_row(csr, i) -> np.ndarray:
 def neighbors(g: Graph, u) -> np.ndarray:
     g._check_node(u)
     return csr_row(g.adjacency, u)
+
+
+def from_coo_reference(n, rows, cols, vals) -> Csr:
+    """Entries ordered by a lexsort on (row, column), row pointers counted by
+    an np.add.at scatter."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return Csr(indptr, cols, vals, (n, n))
+
+
+def normalize_adjacency_reference(a: Csr) -> Csr:
+    """D^-1/2 (A + I) D^-1/2 with the degrees summed by an np.add.at scatter."""
+    n = a.shape[0]
+    rows = np.concatenate([a.row_ids(), np.arange(n)])
+    cols = np.concatenate([a.indices, np.arange(n)])
+    vals = np.concatenate([a.data, np.ones(n)])
+    deg = np.zeros(n)
+    np.add.at(deg, rows, vals)
+    dinv = 1.0 / np.sqrt(deg)
+    return from_coo_reference(n, rows, cols, dinv[rows] * vals * dinv[cols])
 
 
 def matmul_dense_reference(csr, x):

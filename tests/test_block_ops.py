@@ -1,6 +1,7 @@
 """The batch ops that replaced per-block tape chains: decode_logits, recon_loss
-and predictor_loss; and the fused layers that replaced per-layer ones:
-gcn_forward and the encoder's hidden layer.
+and predictor_loss; the fused layers that replaced per-layer ones:
+gcn_forward and the encoder's hidden layer; and score_pairs, one record in
+place of a gather per endpoint, a product and a row sum.
 
 Each must reproduce the per-block implementations in blocks_reference.py
 byte for byte (losses and every leaf gradient of the training steps, and the
@@ -25,7 +26,7 @@ from counterlink.gnn import init_gcn_params
 from counterlink.graphs import Graph, LabeledSubgraph, make_batch, normalize_adjacency
 from counterlink.rng import stream_rng
 
-from blocks_reference import use_reference_blocks
+from blocks_reference import score_pairs as chained_score_pairs, use_reference_blocks
 from test_autodiff import finite_diff, max_rel_err
 from test_cli import pipeline_dirs, run, run_pipeline_through_split
 
@@ -231,6 +232,64 @@ class TestFusedLayers:
         with use_reference_blocks():
             old = pretrain(tmp_path / "reference")
         assert new == old
+
+
+def pair_lists(n):
+    """Pair lists over n nodes, with a pair repeated, reversed or made a
+    self-pair as hypothesis chooses; a list may hold one pair."""
+    node = st.integers(0, n - 1)
+
+    @st.composite
+    def draw(data):
+        pairs = data(st.lists(st.tuples(node, node), min_size=1, max_size=12))
+        for edit, i, w in data(st.lists(st.tuples(
+                st.sampled_from(["repeat", "reverse", "self"]), st.integers(0, 99), node),
+                max_size=4)):
+            u, v = pairs[i % len(pairs)]
+            pairs.insert(i % (len(pairs) + 1),
+                         {"repeat": (u, v), "reverse": (v, u), "self": (w, w)}[edit])
+        return np.array(pairs, dtype=np.int64)
+
+    return draw()
+
+
+class TestScorePairs:
+    """score_pairs records once per call and re-reads h in its backward; the
+    link loss's gradients must be the bytes of the gather, multiply and sum
+    chain it replaced, and C-ordered like them."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_link_loss_gradients_byte_identical(self, data):
+        n = data.draw(st.integers(1, 9), label="n")
+        layers = data.draw(st.integers(1, 2), label="layers")
+        hidden = data.draw(st.integers(1, 5), label="hidden")
+        pos = data.draw(pair_lists(n), label="pos")
+        neg = data.draw(pair_lists(n), label="neg")
+        rng = np.random.default_rng(n * 10 + hidden)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        g = Graph.from_edge_array(n, edges, rng.random((n, FEATURES)))
+        a_norm = normalize_adjacency(g.adjacency)
+        params = init_gcn_params(FEATURES, hidden=hidden, layers=layers, dropout=0.2, rng=rng)
+
+        def step(score):
+            leaves = ad.Tape().leaves(params.named())
+            h = gnn.gcn_forward(params, a_norm, g.features, rng=stream_rng(n, "dropout"),
+                                leaves=leaves)
+            loss = gnn.lp_loss(score(h, pos), score(h, neg))
+            grads = ad.backward(loss)
+            return [loss.value, grads.of(h)] + [grads.of(leaves[k]) for k in sorted(leaves)]
+
+        new = step(gnn.score_pairs)
+        old = step(chained_score_pairs)
+        assert [a.tobytes() for a in new] == [a.tobytes() for a in old]
+        assert all(a.flags.c_contiguous for a in new[1:])
+
+    def test_one_record_per_call(self):
+        tape = ad.Tape()
+        h = tape.leaf(np.random.default_rng(0).standard_normal((5, 3)))
+        gnn.score_pairs(h, [(0, 1), (2, 2), (1, 0)])
+        assert len(tape._records) == 1
 
 
 # Batches that stress the size groups: one group, one group per block, pairs

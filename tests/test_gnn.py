@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from counterlink.gnn import (
     score_pairs,
 )
 from counterlink.graphs import Graph
+from counterlink.rng import stream_rng
 from counterlink.splits import SplitSpec, generate_split
+from counterlink.synth import SyntheticGraphSpec, synth_graph
 from graphs_reference import csr_from_dense, csr_to_dense
 
 
@@ -195,6 +198,37 @@ class TestForward:
             gcn_forward(params, a_norm, ad.Tape().leaf(g.features))
         untraced = gcn_forward(params, a_norm, ad.Tensor(g.features)).value
         assert untraced.tobytes() == gcn_forward(params, a_norm, g.features).value.tobytes()
+
+
+class TestFullBatchStepMemory:
+    def test_step_holds_no_pairs_by_width_array(self):
+        # Far more pairs than graph entries, so the pair-sized arrays set the
+        # peak. score_pairs's forward briefly holds two pairs x width arrays
+        # and keeps none for its backward; the gather, multiply and sum
+        # records it replaced kept three per call until the backward, which
+        # then scattered through a pairs x width key array (about ten in all).
+        g = synth_graph(SyntheticGraphSpec("er", 200, p=0.02))
+        rng = np.random.default_rng(0)
+        pairs, width = 12_000, 16
+        pos, neg = rng.integers(0, g.num_nodes, (2, pairs, 2))
+        a_norm = normalize_adjacency(g.adjacency)
+        params = init_gcn_params(g.features.shape[1], hidden=width, layers=2, dropout=0.1,
+                                 rng=rng)
+        state = ad.AdamState()
+
+        def step():
+            return gnn._train_batch(params, a_norm, g.features, pos, neg, state,
+                                    stream_rng(0, "dropout"))
+
+        step()  # Adam's moments and the propagation plan exist from here on
+        tracemalloc.start()
+        try:
+            assert np.isfinite(step())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        graph_cells = (g.num_nodes + a_norm.indices.size) * max(width, g.features.shape[1])
+        assert peak < 8 * (3 * pairs * width + 16 * graph_cells)
 
 
 class TestScoring:

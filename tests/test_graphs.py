@@ -37,7 +37,9 @@ from graphs_reference import (
     csr_row,
     csr_to_dense,
     extract_reference,
+    from_coo_reference,
     matmul_dense_reference,
+    normalize_adjacency_reference,
 )
 from sp_reference import sp_reference
 
@@ -562,6 +564,39 @@ class TestExtractionMatchesReference:
                                  exclude_target_edge=False)
         assert got.num_nodes == 7 and got.local_adjacency[0, 1] == 1.0
         assert_same_subgraph(got, want)
+
+
+def same_csr(got, want):
+    return (got.shape == want.shape
+            and all(getattr(got, f).tobytes() == getattr(want, f).tobytes()
+                    and getattr(got, f).dtype == getattr(want, f).dtype
+                    for f in ("indptr", "indices", "data")))
+
+
+class TestCsrBuildMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_from_coo_byte_identical_to_lexsort(self, data):
+        # Entries in any order, repeated cells included (a stable sort keeps
+        # their input order) and rows left empty.
+        n = data.draw(st.integers(1, 30), label="n")
+        cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=60), label="cells")
+        vals = data.draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False, width=64),
+                                  min_size=len(cells), max_size=len(cells)), label="vals")
+        rows = [r for r, _ in cells]
+        cols = [c for _, c in cells]
+        assert same_csr(Csr.from_coo(n, rows, cols, vals),
+                        from_coo_reference(n, rows, cols, vals))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.booleans())
+    def test_normalize_adjacency_byte_identical_to_add_at(self, n, p, seed, weighted):
+        rng = np.random.default_rng(seed)
+        a = random_graph(n, p, rng).adjacency
+        if weighted:
+            a = Csr(a.indptr, a.indices, rng.random(a.indices.size), a.shape)
+        assert same_csr(normalize_adjacency(a), normalize_adjacency_reference(a))
 
 
 class TestCsrMatmulMatchesReference:

@@ -15,7 +15,10 @@ loops they replaced in `readers_reference.py` the same way.
 Corrupted `edges.tsv` and `features.csv` files, truncated or with one byte
 replaced, go through every subcommand that reads them: each exits 2 when the
 graph files no longer parse and 5 when they parse to other edges than
-`split.json` holds, with no traceback.
+`split.json` holds, with no traceback. Corrupted `split.json` and
+`samples.json` files go through every subcommand that reads them the same
+way: each exits with the code of the error its reader raises, 2 or 5, with a
+message naming the file and no traceback.
 """
 
 import json
@@ -28,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from counterlink import generator, graphs, splits
-from counterlink.errors import InputError, ValidationError
+from counterlink.errors import CounterlinkError, InputError, ValidationError
 from counterlink.synth import SyntheticGraphSpec, synth_graph, write_graph_files
 from readers_reference import edge_array_reference, load_samples_reference
 from test_cli import TUNE_FLAGS, pretrained_dirs, run_child
@@ -271,6 +274,20 @@ def pipeline(tmp_path_factory):
     return d
 
 
+def sample_dump(rng, blocks):
+    """A samples.json body as generator.dump_samples writes it: blocks of 3
+    to 6 nodes, each with its upper-triangle edges and their probabilities."""
+    records = []
+    for b in range(blocks):
+        m = int(rng.integers(3, 7))
+        iu, ju = np.triu_indices(m, 1)
+        keep = rng.random(iu.size) < 0.5
+        records.append({"block_size": m, "label": b % 2, "target": [0, 1], "gamma": 0.5,
+                        "edges": [[int(i), int(j), float(rng.uniform(0.5, 1.0))]
+                                  for i, j in zip(iu[keep], ju[keep])]})
+    return json.dumps({"samples": records}).encode()
+
+
 READERS = ("split", "pretrain-gnn", "pretrain-ggm", "flex-tune", "eval", "analyze", "sweep")
 
 
@@ -299,12 +316,12 @@ REPLACEMENTS = b"\xff\x00x\t,\n-. e90"
 
 
 @st.composite
-def corruptions(draw, size):
+def corruptions(draw, size, replacements=REPLACEMENTS):
     """(cut, at, byte): the file truncated to cut bytes, or with the byte at
-    `at` replaced."""
+    `at` replaced by one of replacements."""
     if draw(st.booleans()):
         return draw(st.integers(0, size - 1)), None, None
-    return None, draw(st.integers(0, size - 1)), draw(st.sampled_from(REPLACEMENTS))
+    return None, draw(st.integers(0, size - 1)), draw(st.sampled_from(replacements))
 
 
 class TestCorruptedGraphFilesThroughEveryReader:
@@ -360,3 +377,91 @@ class TestCorruptedGraphFilesThroughEveryReader:
         assert code == want, err
         assert str(paths[name] if want == 2 else "split.json") in err
         assert "Traceback" not in err
+
+
+# Replacement bytes for the JSON files: not UTF-8, a NUL, a letter, JSON's
+# punctuation, a sign, a point, a space, an exponent and three digits.
+JSON_REPLACEMENTS = b'\xff\x00x"[]{},:-. e901'
+# Who reads each JSON artifact, after the graph.
+JSON_READERS = {"split.json": READERS[1:], "samples.json": ("analyze",)}
+
+
+def json_args(d, command, paths, out):
+    """stage_args on the pipeline's graph, with the split and samples paths given."""
+    args = stage_args(d, command, d["graph"] / "edges.tsv", d["graph"] / "features.csv", out)
+    args[args.index("--split") + 1] = paths["split.json"]
+    if command == "analyze":
+        args[args.index("--samples") + 1] = paths["samples.json"]
+    return args
+
+
+def reader_error(d, paths, name):
+    """The error the file's own reader raises, or None if it reads the file."""
+    graph = graphs.load_graph(d["graph"] / "edges.tsv", d["graph"] / "features.csv")
+    try:
+        if name == "split.json":
+            splits.load_split(paths[name], graph)
+        else:
+            generator.load_samples(paths[name], graph.num_nodes)
+    except CounterlinkError as exc:
+        return exc
+    return None
+
+
+class TestCorruptedJsonFilesThroughEveryReader:
+    """Each corruption of split.json or samples.json that its reader refuses
+    makes every subcommand that reads the file exit with that error's code (2
+    for a split spec its config rejects, else 5) and a message naming the
+    file. A corruption the reader takes is a valid file, and is not drawn."""
+
+    @pytest.fixture(scope="class")
+    def files(self, pipeline, tmp_path_factory):
+        dump = tmp_path_factory.mktemp("dump") / "samples.json"
+        dump.write_bytes(sample_dump(np.random.default_rng(0), 3))
+        return {"split.json": pipeline["split"] / "split.json", "samples.json": dump}
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def test_exit_2_or_5_without_a_traceback(self, pipeline, files, data):
+        name = data.draw(st.sampled_from(sorted(JSON_READERS)), label="file")
+        raw = files[name].read_bytes()
+        cut, at, byte = data.draw(corruptions(len(raw), JSON_REPLACEMENTS), label="corruption")
+        bad = raw[:cut] if at is None else raw[:at] + bytes([byte]) + raw[at + 1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {**files, name: os.path.join(tmp, name)}
+            with open(paths[name], "wb") as fh:
+                fh.write(bad)
+            exc = reader_error(pipeline, paths, name)
+            assume(exc is not None)
+            event(f"{name} exit {exc.exit_code}")
+            for command in JSON_READERS[name]:
+                code, err = run_cli(json_args(pipeline, command, paths,
+                                              os.path.join(tmp, command)))
+                assert code == exc.exit_code in (2, 5), (command, err)
+                assert err == f"error: {exc}\n" and name in err, command
+
+    @pytest.mark.parametrize("old,new", [(b'"CN"', b'"Cx"'), (b'"backward"', b'"bxckward"')])
+    def test_spec_its_config_rejects_is_2(self, pipeline, files, tmp_path, old, new):
+        # The spec is about 1% of the file, so the fuzz seldom lands there.
+        raw = files["split.json"].read_bytes()
+        assert raw.count(old) == 1
+        paths = {**files, "split.json": tmp_path / "split.json"}
+        paths["split.json"].write_bytes(raw.replace(old, new))
+        for command in JSON_READERS["split.json"]:
+            code, err = run_cli(json_args(pipeline, command, paths, tmp_path / command))
+            assert code == 2, (command, err)
+            assert err.startswith(f"error: {paths['split.json']}: ") and new.decode()[1:-1] in err
+
+    @pytest.mark.parametrize("name,command", [("split.json", "flex-tune"),
+                                              ("samples.json", "analyze")])
+    def test_in_a_child_process(self, pipeline, files, tmp_path, name, command):
+        # The split is cut inside its pair lists; the dump's first "[" after
+        # its first record's edges key becomes "{".
+        raw = files[name].read_bytes()
+        at = raw.index(b"[", raw.index(b'"edges"'))
+        paths = {**files, name: tmp_path / name}
+        paths[name].write_bytes(raw[: len(raw) // 2] if name == "split.json"
+                                else raw[:at] + b"{" + raw[at + 1:])
+        code, err = run_child(json_args(pipeline, command, paths, tmp_path / "out"))
+        assert code == 5, err
+        assert name in err and "Traceback" not in err
