@@ -25,7 +25,7 @@ from .analysis import (
     run_sweep,
 )
 from .autodiff import load_params, save_params
-from .cotrain import CotrainConfig, flex_tune, generate_samples
+from .cotrain import CotrainConfig, flex_tune, generate_samples, train_subgraphs
 from .errors import ConfigError, CounterlinkError, InputError
 from .generator import (GgmTrainConfig, NoiseSpec, SiviParams, dump_samples, load_samples,
                         pretrain_ggm)
@@ -293,8 +293,9 @@ def _pretrained(cfg, graph):
 
 def cmd_flex_tune(cfg, graph, split):
     gnn_params, ggm_params, run_cfg = _pretrained(cfg, graph)
+    subgraphs = train_subgraphs(split.observed_graph, split, run_cfg)
     result = flex_tune(gnn_params, ggm_params, split.observed_graph, split,
-                       run_cfg, eval_norm=_eval_norm(cfg, graph, split))
+                       run_cfg, eval_norm=_eval_norm(cfg, graph, split), subgraphs=subgraphs)
     gnn_out = os.path.join(cfg["out"], "gnn_tuned.ckpt")
     ggm_out = os.path.join(cfg["out"], "ggm_tuned.ckpt")
     save_params(gnn_out, result.gnn,
@@ -303,7 +304,7 @@ def cmd_flex_tune(cfg, graph, split):
     trace_path = os.path.join(cfg["out"], "cotrain_trace.csv")
     _write_csv(trace_path, result.trace)
     samples = generate_samples(result.ggm, split.observed_graph, split, run_cfg,
-                               bucket="train")
+                               bucket="train", subgraphs=subgraphs[: len(split.train_pos)])
     samples_path = os.path.join(cfg["out"], "samples.json")
     dump_samples(samples, samples_path)
     cfg["tau"] = result.tau  # the manifest records the tau the run used

@@ -398,14 +398,22 @@ def generate_samples(
     split: DatasetSplit,
     cfg: CotrainConfig,
     bucket: str = "train",
+    subgraphs: list = None,
 ):
-    """Generated samples conditioned on one bucket's positive links."""
+    """Generated samples conditioned on one bucket's positive links.
+
+    subgraphs, when given, are those links' labeled subgraphs as
+    extract_for_links takes them with cfg's hop_k, max_nodes and seed: for
+    the train bucket, the positive prefix of train_subgraphs(g, split, cfg).
+    """
     from .generator import generate
 
-    links = [Edge(int(u), int(v), POSITIVE) for u, v in split.pos(bucket)]
-    subs = extract_for_links(
-        g, links, k=cfg.hop_k, max_nodes=cfg.max_nodes, seed=cfg.seed
-    )
+    subs = subgraphs
+    if subs is None:
+        links = [Edge(int(u), int(v), POSITIVE) for u, v in split.pos(bucket)]
+        subs = extract_for_links(
+            g, links, k=cfg.hop_k, max_nodes=cfg.max_nodes, seed=cfg.seed
+        )
     size = cfg.batch_size or len(subs)
     out = []
     for bi in range(0, len(subs), size):

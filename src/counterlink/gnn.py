@@ -14,8 +14,11 @@ so the caller can record a whole batch of blocks as one tape op.
 
 score_pairs is the one link score, for the pre-training loss and every
 Hits@K: one tape record per pair list, so a pre-training step records 5 ops
-(gcn_forward, a score_pairs per side, their concatenation and the loss) and
-holds no pairs x width array from its forward to its backward.
+(gcn_forward, a score_pairs per side, their concatenation and the loss).
+Its forward runs in slices of as many pairs as there are nodes, and the
+propagation (Csr.matmul_dense) in chunks of at most that many entries, so
+no temporary of a full-graph step grows with pairs x width or entries x
+width: its memory follows the node count.
 """
 
 import copy
@@ -225,11 +228,12 @@ def gcn_layers(weights, biases, prop, x, dropout=(), relu_last=False):
 def score_pairs(h, pairs) -> ad.Tensor:
     """Dot-product logit per candidate link; its sigmoid is the edge probability.
 
-    One tape record that keeps only the pair ids and h's value; its backward
-    re-reads each pair's other endpoint from h and scatters g * h[other] into
-    the endpoint's rows. h is listed twice as the op's inputs, v's side
-    first, so the tape adds the sides, and the calls, in the order of the
-    gather, multiply and sum records this op replaced.
+    One tape record that keeps only the pair ids and h's value. The forward
+    scores h.shape[0] pairs at a time, so its temporaries are no larger than
+    h. The backward re-reads each pair's other endpoint from h and scatters
+    g * h[other] into the endpoint's rows. h is listed twice as the op's
+    inputs, v's side first, so the tape adds the sides, and the calls, in
+    the order of the gather, multiply and sum records this op replaced.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     h = h if isinstance(h, ad.Tensor) else ad.Tensor(h)
@@ -248,7 +252,12 @@ def score_pairs(h, pairs) -> ad.Tensor:
             out[:, c] = np.bincount(ends, weights=col[others] * g, minlength=hv.shape[0])
         return out
 
-    return ad.emit("score_pairs", (hv[u] * hv[v]).sum(axis=1), [h, h],
+    logits = np.empty(u.size)
+    step = max(hv.shape[0], 1)
+    for at in range(0, u.size, step):
+        part = slice(at, at + step)
+        logits[part] = (hv[u[part]] * hv[v[part]]).sum(axis=1)
+    return ad.emit("score_pairs", logits, [h, h],
                    lambda g: (scatter(v, u, g), scatter(u, v, g)))
 
 

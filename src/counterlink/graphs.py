@@ -73,7 +73,12 @@ class Csr:
         position in falling-degree order (rank), how many rows are live in
         each pass (those with a k-th entry, a prefix of that order), where
         each pass starts among the entries, how many passes have two or more
-        live rows, and every entry's column and value in pass-major order."""
+        live rows, every entry's column and value in pass-major order, and
+        the chunks (first pass, end pass) whose products matmul_dense
+        gathers at once: runs of whole passes holding at most n entries
+        each, with the shared passes and the single-row tail never in one
+        chunk."""
+        n = self.shape[0]
         deg = np.diff(self.indptr)
         order = np.argsort(-deg, kind="stable")
         rank = np.empty_like(order)
@@ -82,9 +87,17 @@ class Csr:
         k = np.arange(self.indices.size) - self.indptr[rows]
         entries = np.lexsort((rank[rows], k))
         live = np.bincount(k)
-        bounds = np.concatenate([[0], np.cumsum(live)])
-        return (rank, live.tolist(), bounds.tolist(), int(np.count_nonzero(live > 1)),
-                self.indices[entries], self.data[entries])
+        bounds = np.concatenate([[0], np.cumsum(live)]).tolist()
+        shared = int(np.count_nonzero(live > 1))
+        chunks, first = [], 0
+        for end in range(1, shared + 1):
+            if end == shared or bounds[end + 1] - bounds[first] > n:
+                chunks.append((first, end))
+                first = end
+        # Tail passes hold one entry each; an n = 0 matrix has none.
+        chunks += [(p, min(p + n, live.size)) for p in range(shared, live.size, max(n, 1))]
+        return (rank, live.tolist(), bounds, shared,
+                self.indices[entries], self.data[entries], chunks)
 
     def __matmul__(self, x):
         return self.matmul_dense(x)
@@ -95,23 +108,27 @@ class Csr:
         Rows are visited in falling-degree order (self.plan), so the rows that
         still have a k-th entry are a prefix and pass k adds all of them in
         one step. Once a single row is left, its remaining entries are added
-        in one sequential accumulate instead of one pass each.
+        in sequential accumulates instead of one pass each. Products are
+        gathered one plan chunk at a time, so no temporary is larger than
+        the n-row output, however many entries there are.
         """
         x = np.asarray(x, dtype=np.float64)
         n = self.shape[0]
-        if not self.indices.size:
-            return np.zeros((n, x.shape[1]), dtype=np.float64)
-        rank, live, bounds, shared, cols, vals = self.plan
-        prod = np.take(x, cols, axis=0)
-        prod *= vals[:, None]
+        rank, live, bounds, shared, cols, vals, chunks = self.plan
         acc = np.zeros((n, x.shape[1]), dtype=np.float64)
-        for k in range(shared):
-            acc[: live[k]] += prod[bounds[k] : bounds[k + 1]]
-        if shared < len(live):
-            # add.reduce would sum a single column pairwise; accumulate keeps
-            # the left-to-right order for every width.
-            tail = np.concatenate([acc[:1], prod[bounds[shared] :]])
-            acc[0] = np.add.accumulate(tail, axis=0)[-1]
+        for first, end in chunks:
+            at, stop = bounds[first], bounds[end]
+            prod = np.take(x, cols[at:stop], axis=0)
+            prod *= vals[at:stop, None]
+            if first < shared:
+                for k in range(first, end):
+                    acc[: live[k]] += prod[bounds[k] - at : bounds[k + 1] - at]
+            else:
+                # add.reduce would sum a single column pairwise; accumulate
+                # keeps the left-to-right order for every width, and the
+                # chunk's first product starts from the row's running sum.
+                prod[0] += acc[0]
+                acc[0] = np.add.accumulate(prod, axis=0)[-1]
         return np.take(acc, rank, axis=0)
 
 

@@ -164,7 +164,8 @@ def sample_negatives(g: Graph, count: int, rng):
         need = count - chosen.size
         pairs = rng.integers(0, n, size=2 * need).reshape(-1, 2)
         keys = pair_keys(pairs, n)
-        keys = keys[(pairs[:, 0] != pairs[:, 1]) & ~g.is_edge(keys) & ~np.isin(keys, chosen)]
+        _, taken = sorted_lookup(np.sort(chosen), keys)
+        keys = keys[(pairs[:, 0] != pairs[:, 1]) & ~g.is_edge(keys) & ~taken]
         keys = keys[first_index(keys) == np.arange(keys.size)]
         chosen = np.concatenate([chosen, keys[:need]])
     return np.stack([chosen // n, chosen % n], axis=1)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -9,9 +10,13 @@ import numpy as np
 import pytest
 
 import counterlink
+from counterlink import cotrain
 from counterlink.autodiff import load_checkpoint, save_checkpoint
-from counterlink.cli import main
+from counterlink.cli import COMMANDS, _from_flags, build_parser, main, merge_config
 from counterlink.manifest import read_manifest, sha256_file
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts"))
+from readme_run import readme_commands  # noqa: E402
 
 
 def run(args):
@@ -582,6 +587,22 @@ class TestConfigPrecedence:
         assert run(["synth", "--config", cfg_file, "--out", tmp_path]) == 2
 
 
+class TestReadmeCommands:
+    def test_complete_run_is_found(self):
+        commands = [shlex.split(cmd)[1] for cmd in readme_commands()]
+        for command in COMMANDS:
+            assert command in commands
+
+    @pytest.mark.parametrize("cmd", readme_commands())
+    def test_config_builds(self, cmd):
+        # Parse the flags and build every config class the command's flags
+        # feed, as run_stage would before it reads any file.
+        args = build_parser().parse_args(shlex.split(cmd)[1:])
+        cfg = merge_config(args.command, args)
+        for cls in COMMANDS[args.command][1]:
+            _from_flags(cls, cfg)
+
+
 class TestPipeline:
     def test_full_pipeline_end_to_end(self, tmp_path):
         started = time.perf_counter()
@@ -644,7 +665,8 @@ class TestPipeline:
         assert eval_manifest["metrics"]["valid_hits"] == train_manifest["metrics"]["valid_hits"]
         assert eval_manifest["metrics"]["test_hits"] == train_manifest["metrics"]["test_hits"]
 
-    def test_flex_tune_reports_test_hits_against_pretrained(self, tmp_path, capsys):
+    def test_flex_tune_reports_test_hits_against_pretrained(self, tmp_path, capsys,
+                                                            monkeypatch):
         d = pipeline_dirs(tmp_path)
         run_pipeline_through_split(d)
         graph_flags = ["--edges", d["graph"] / "edges.tsv",
@@ -655,12 +677,18 @@ class TestPipeline:
         assert run(["pretrain-ggm", *graph_flags, "--epochs", 2, "--patience", 2,
                     "--noise-dim", 4, "--num-psi", 1, "--out", d["ggm"]]) == 0
         capsys.readouterr()
+        extracted = []
+        real_extract = cotrain.extract_for_links
+        monkeypatch.setattr(cotrain, "extract_for_links",
+                            lambda *a, **kw: extracted.append(1) or real_extract(*a, **kw))
         assert run(["flex-tune", *graph_flags,
                     "--gnn-ckpt", d["gnn"] / "gnn.ckpt",
                     "--ggm-ckpt", d["ggm"] / "ggm.ckpt",
                     "--epochs", 1, "--patience", 1, "--batch-size", 32,
                     "--lr-gnn", 1e-2, "--num-psi", 1, "--eval-k", 3,
                     "--out", d["tuned"]]) == 0
+        # Tuning and the sample dump share one extraction of the train links.
+        assert len(extracted) == 1
         printed = capsys.readouterr().out
         tuned = read_manifest(d["tuned"] / "flex-tune.manifest.json")["metrics"]
         # The pre-trained predictor's test Hits@K on the same eval adjacency.

@@ -11,13 +11,16 @@ from counterlink.cotrain import (
     flex_objective,
     flex_tune,
     gen_loss,
+    generate_samples,
     ggm_step,
     gnn_step,
     predictor_loss,
     resolve_tau,
+    train_subgraphs,
 )
 from counterlink.errors import ConfigError, InputError
-from counterlink.generator import GgmTrainConfig, NoiseSpec, first_draw_logits, pretrain_ggm
+from counterlink.generator import (GgmTrainConfig, NoiseSpec, dump_samples, first_draw_logits,
+                                   pretrain_ggm)
 from counterlink.gnn import (TrainConfig, evaluate_hits, gcn_forward, init_gcn_params,
                              normalize_adjacency, pretrain_gnn, score_pairs)
 from counterlink.graphs import Edge, Graph, NEGATIVE, POSITIVE, extract_for_links, make_batch
@@ -308,6 +311,16 @@ class TestFlexTune:
             "test_hits": hits(out.gnn), "base_test_hits": hits(gnn),
             "test_delta": hits(out.gnn) - hits(gnn),
         }
+
+    def test_generate_samples_takes_the_positive_prefix(self, tmp_path):
+        g, split, obs, gnn, ggm, spec = pipeline_fixture()
+        # max_nodes 6 subsamples the larger balls, each from its link's stream.
+        cfg = CotrainConfig(gamma=0.5, batch_size=16, noise=spec, seed=9, max_nodes=6)
+        prefix = train_subgraphs(obs, split, cfg)[: len(split.train_pos)]
+        for name, given in (("own", None), ("given", prefix)):
+            dump_samples(generate_samples(ggm, obs, split, cfg, subgraphs=given),
+                         tmp_path / name)
+        assert (tmp_path / "own").read_bytes() == (tmp_path / "given").read_bytes()
 
     def test_resolve_tau_prefers_explicit(self):
         g, split, obs, gnn, ggm, spec = pipeline_fixture()

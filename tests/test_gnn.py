@@ -201,15 +201,19 @@ class TestForward:
 
 
 class TestFullBatchStepMemory:
-    def test_step_holds_no_pairs_by_width_array(self):
-        # Far more pairs than graph entries, so the pair-sized arrays set the
-        # peak. score_pairs's forward briefly holds two pairs x width arrays
-        # and keeps none for its backward; the gather, multiply and sum
-        # records it replaced kept three per call until the backward, which
-        # then scattered through a pairs x width key array (about ten in all).
-        g = synth_graph(SyntheticGraphSpec("er", 200, p=0.02))
+    @pytest.mark.parametrize("n,p,pairs", [(200, 0.02, 12_000), (300, 0.5, 300)],
+                             ids=["pairs_dominate", "entries_dominate"])
+    def test_step_memory_follows_nodes(self, n, p, pairs):
+        # Far more pairs than graph entries, then far more graph entries
+        # (45,000) than nodes. score_pairs and Csr.matmul_dense work in
+        # slices of at most n pairs or n entries, so the bound has no pairs
+        # x width or entries x width term: only pair-length vectors and
+        # node-sized arrays. Gathering every entry's product row at once, or
+        # scoring every pair in one product, peaked at 1.6x (pairs) and
+        # 6.5x (entries) the bound.
+        g = synth_graph(SyntheticGraphSpec("er", n, p=p))
         rng = np.random.default_rng(0)
-        pairs, width = 12_000, 16
+        width = 32
         pos, neg = rng.integers(0, g.num_nodes, (2, pairs, 2))
         a_norm = normalize_adjacency(g.adjacency)
         params = init_gcn_params(g.features.shape[1], hidden=width, layers=2, dropout=0.1,
@@ -227,8 +231,8 @@ class TestFullBatchStepMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        graph_cells = (g.num_nodes + a_norm.indices.size) * max(width, g.features.shape[1])
-        assert peak < 8 * (3 * pairs * width + 16 * graph_cells)
+        node_cells = g.num_nodes * max(width, g.features.shape[1])
+        assert peak < 8 * (32 * pairs + 24 * node_cells)
 
 
 class TestScoring:
@@ -256,6 +260,16 @@ class TestScoring:
         out = score_pairs(h, pairs).value
         for i, (u, v) in enumerate(pairs):
             assert out[i] == pytest.approx(h[u] @ h[v])
+
+    @pytest.mark.parametrize("count", [0, 3, 7, 14, 23])
+    def test_sliced_forward_matches_one_product(self, count):
+        # 7 embeddings score 7 pairs per slice: none, part of one slice,
+        # exactly one, exactly two, and a partial last slice.
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((7, 32))
+        pairs = rng.integers(0, 7, size=(count, 2))
+        want = (h[pairs[:, 0]] * h[pairs[:, 1]]).sum(axis=1)
+        assert score_pairs(h, pairs).value.tobytes() == want.tobytes()
 
     def test_out_of_range_pair_rejected(self):
         with pytest.raises(InputError):

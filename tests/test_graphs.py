@@ -659,6 +659,7 @@ class TestCsrMatmulMatchesReference:
         assert not np.signbit(got).any()
 
     def test_empty_rows_and_empty_csr(self):
+        assert Csr.from_coo(0, [], []).matmul_dense(np.zeros((0, 2))).shape == (0, 2)
         x = np.random.default_rng(5).standard_normal((7, 2))
         for csr in (Csr.from_coo(7, [], []),
                     Csr.from_coo(7, [2, 2, 5], [1, 6, 0], [1.0, -3.0, 0.25])):
@@ -680,6 +681,46 @@ class TestCsrMatmulMatchesReference:
             _, g_z, _ = vjp(np.ones((30, 4)))
             assert g_z.tobytes() == csr.matmul_dense(np.ones((30, 4))).tobytes()
         assert built == [csr]
+
+
+def chunked_csrs():
+    """Matrices whose plan chunks end inside the run of passes."""
+    # A 41-entry hub beside 40 two-entry leaves: two shared passes, then a
+    # 39-entry tail.
+    hub = normalize_adjacency(star(40).adjacency)
+    # A 6-clique beside 6 isolated nodes: a 12-row pass, then 6-row passes
+    # that pair up into 12-entry chunks.
+    clique = normalize_adjacency(graph_of(12, [(i, j) for i in range(6)
+                                               for j in range(i + 1, 6)]).adjacency)
+    # A cycle: every pass holds exactly n entries, so each chunk ends at a
+    # multiple of n.
+    cycle = normalize_adjacency(graph_of(9, [(i, (i + 1) % 9) for i in range(9)]).adjacency)
+    # One row repeating its columns: a 27-entry tail, cut at n, 2n and 3n.
+    repeats = Csr.from_coo(8, [3] * 28 + [5, 6], list(range(8)) * 3 + [1, 2, 0, 4, 7, 7],
+                           np.linspace(-2.0, 3.0, 30))
+    return {"hub": hub, "clique": clique, "cycle": cycle, "repeats": repeats}
+
+
+class TestCsrMatmulChunks:
+    @pytest.mark.parametrize("name", list(chunked_csrs()))
+    def test_chunks_tile_the_passes(self, name):
+        csr = chunked_csrs()[name]
+        n = csr.shape[0]
+        _, live, bounds, shared, _, _, chunks = csr.plan
+        # Consecutive runs of whole passes from the first to the last.
+        assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
+        assert chunks[-1][1] == len(live)
+        for first, end in chunks:
+            assert first < end and bounds[end] - bounds[first] <= n
+            assert first >= shared or end <= shared  # shared and tail apart
+        assert len(chunks) > 1
+
+    @pytest.mark.parametrize("d", [1, 32])
+    @pytest.mark.parametrize("name", list(chunked_csrs()))
+    def test_byte_identical_to_add_at(self, name, d):
+        csr = chunked_csrs()[name]
+        x = np.random.default_rng(9).standard_normal((csr.shape[0], d))
+        assert csr.matmul_dense(x).tobytes() == matmul_dense_reference(csr, x).tobytes()
 
 
 class TestBatching:
