@@ -4,10 +4,7 @@ early-stopped epoch loop the three trainers share.
 A Tape owns one forward pass: parameters are wrapped with tape.leaf(...),
 ops record themselves when any input is being traced, and backward(loss)
 returns a gradient map for that tape only. Gradients of tensors that were
-never put on the tape are never written, by construction. Constant inputs
-get no gradient computed either: matmul and mul return None for an input
-whose tape is None (a fixed feature matrix, a constant propagation matrix),
-so backward does no product whose result it would throw away.
+never put on the tape are never written, by construction.
 
 backward(loss, wrt=leaves) goes further for a training step that updates
 some of a tape's leaves: it walks only the records that lead back to them,
@@ -16,14 +13,17 @@ keeps only the gradients of wrt. Asking it for any other tensor's gradient
 is an error, not zeros. Without wrt every gradient is kept.
 
 emit(op, value, inputs, backward_fn) is how an op records itself, and a
-fused op outside this module does the same. The GCN records once per call
-and the generator's encoder layer once per draw, both through
-gnn.gcn_layers; the generator's block decoder and reconstruction loss and
-co-tuning's generated-graph predictor record once per batch and, inside
-their forward and backward, run one stacked numpy product per distinct
-block size, so the tape does not grow with the number of blocks or layers.
-A fused op recorded with selective=True is also told which of its inputs
-need a gradient, so it can skip the others' work.
+fused op outside this module does the same. backward calls every
+backward_fn(g_out, need): need[i] is False for an input whose gradient no
+one uses, a constant (a fixed feature matrix or propagation matrix) or,
+under wrt, a tensor that leads to none of wrt. matmul, mul and the fused ops
+skip such an input's products; other ops may ignore need, as backward drops
+any gradient nobody asked for. The GCN records once per call and the
+generator's encoder layer once per draw, both through gnn.gcn_layers; the
+generator's block decoder and reconstruction loss and co-tuning's
+generated-graph predictor record once per batch and, inside their forward
+and backward, run one stacked numpy product per distinct block size, so the
+tape does not grow with the number of blocks or layers.
 
 A backward_fn holds arrays and flags, never a Tensor. A Tensor refers to its
 tape, so a closure holding one puts the tape in a reference cycle that keeps
@@ -70,7 +70,6 @@ class Tape:
 
     def __init__(self):
         self._records = []
-        self._selective = set()  # out ids of records whose backward_fn takes need
         self._next_id = 0
 
     def _fresh(self):
@@ -84,11 +83,9 @@ class Tape:
     def leaves(self, named: dict) -> dict:
         return {k: self.leaf(v) for k, v in named.items()}
 
-    def record(self, out_value, inputs, backward_fn, selective=False) -> Tensor:
+    def record(self, out_value, inputs, backward_fn) -> Tensor:
         out = Tensor(out_value, tape=self, node_id=self._fresh())
         self._records.append((out.node_id, [t.node_id for t in inputs], backward_fn))
-        if selective:
-            self._selective.add(out.node_id)
         return out
 
 
@@ -154,9 +151,7 @@ def backward(loss: Tensor, wrt=None) -> Grads:
             g_out = table.get(out_id) if out_id in wanted else table.pop(out_id, None)
         if g_out is None:
             continue
-        grads = (backward_fn(g_out, need) if out_id in tape._selective
-                 else backward_fn(g_out))
-        for nid, g, used in zip(in_ids, grads, need):
+        for nid, g, used in zip(in_ids, backward_fn(g_out, need), need):
             if g is None or not used:
                 continue
             acc = table.get(nid)
@@ -168,10 +163,8 @@ def backward(loss: Tensor, wrt=None) -> Grads:
 # Op plumbing
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _tape_of(op, *tensors):
@@ -184,20 +177,20 @@ def _tape_of(op, *tensors):
     return tape
 
 
-def emit(op, out_value, inputs, backward_fn, selective=False) -> Tensor:
+def emit(op, out_value, inputs, backward_fn) -> Tensor:
     """Record one op on its inputs' tape, or return a constant if none is traced.
 
-    backward_fn(g_out) returns one gradient (or None) per input, in order;
-    with selective=True it is called as backward_fn(g_out, need), need[i]
-    telling whether input i's gradient will be used. It must hold arrays and
-    flags, not Tensors: a Tensor refers to its tape, so the tape would sit in
-    a reference cycle and keep every array of its step alive until the cyclic
-    garbage collector happens to run.
+    backward_fn(g_out, need) returns one gradient per input, in order; need[i]
+    tells whether input i's gradient will be used, and where it is False the
+    gradient may be None. backward_fn must hold arrays and flags, not Tensors:
+    a Tensor refers to its tape, so the tape would sit in a reference cycle
+    and keep every array of its step alive until the cyclic garbage collector
+    happens to run.
     """
     tape = _tape_of(op, *inputs)
     if tape is None:
         return Tensor(out_value)
-    return tape.record(out_value, inputs, backward_fn, selective)
+    return tape.record(out_value, inputs, backward_fn)
 
 
 def unbroadcast(grad, shape):
@@ -216,66 +209,59 @@ def unbroadcast(grad, shape):
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     try:
         out = a.value + b.value
     except ValueError:
         raise ShapeError("add", f"{a.shape} vs {b.shape}")
     sa, sb = a.shape, b.shape
-    return emit("add", out, [a, b], lambda g: (unbroadcast(g, sa), unbroadcast(g, sb)))
+    return emit("add", out, [a, b], lambda g, _: (unbroadcast(g, sa), unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     try:
         out = a.value - b.value
     except ValueError:
         raise ShapeError("sub", f"{a.shape} vs {b.shape}")
     sa, sb = a.shape, b.shape
-    return emit("sub", out, [a, b], lambda g: (unbroadcast(g, sa), unbroadcast(-g, sb)))
+    return emit("sub", out, [a, b], lambda g, _: (unbroadcast(g, sa), unbroadcast(-g, sb)))
 
 
 def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return emit("neg", -a.value, [a], lambda g: (-g,))
+    a = as_tensor(a)
+    return emit("neg", -a.value, [a], lambda g, _: (-g,))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     try:
         out = a.value * b.value
     except ValueError:
         raise ShapeError("mul", f"{a.shape} vs {b.shape}")
     av, bv = a.value, b.value
-    a_const, b_const = a.tape is None, b.tape is None
 
-    def back(g):
-        return (
-            None if a_const else unbroadcast(g * bv, av.shape),
-            None if b_const else unbroadcast(g * av, bv.shape),
-        )
+    def back(g, need):
+        return (unbroadcast(g * bv, av.shape) if need[0] else None,
+                unbroadcast(g * av, bv.shape) if need[1] else None)
 
     return emit("mul", out, [a, b], back)
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", f"{a.shape} @ {b.shape}")
     av, bv = a.value, b.value
-    a_const, b_const = a.tape is None, b.tape is None
 
-    def back(g):
-        return (
-            None if a_const else g @ bv.T,
-            None if b_const else av.T @ g,
-        )
+    def back(g, need):
+        return (g @ bv.T if need[0] else None, av.T @ g if need[1] else None)
 
     return emit("matmul", av @ bv, [a, b], back)
 
 
 def concat(tensors, axis=0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
+    ts = [as_tensor(t) for t in tensors]
     if not ts:
         raise InputError("concat: empty input list")
     try:
@@ -284,36 +270,40 @@ def concat(tensors, axis=0) -> Tensor:
         raise ShapeError("concat", f"{[t.shape for t in ts]} along axis {axis}")
     sizes = [t.shape[axis] for t in ts]
     splits = np.cumsum(sizes)[:-1]
-    return emit(
-        "concat", out, ts, lambda g: tuple(np.split(g, splits, axis=axis))
-    )
+    return emit("concat", out, ts, lambda g, _: tuple(np.split(g, splits, axis=axis)))
 
 
 def gather_rows(a, idx) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError("gather_rows", f"index out of range for {a.shape[0]} rows")
     av = a.value
+    width = math.prod(av.shape[1:])
 
-    def back(g):
-        # One bincount over the keys row * width + column of the row-major
-        # gradient adds each cell's terms in pick order from 0.0, as
-        # np.add.at does.
-        width = int(np.prod(av.shape[1:]))
-        keys = (idx[:, None] * width + np.arange(width)).ravel()
-        full = np.bincount(keys, weights=g.ravel(), minlength=av.size)
-        return (full.reshape(av.shape),)
+    def back(g, _):
+        return (scatter_rows(idx, g.reshape(idx.size, width).T, av.shape),)
 
     return emit("gather_rows", av[idx], [a], back)
 
 
+def scatter_rows(index, columns, shape):
+    """The C-ordered [shape] array whose row r adds, from 0.0 and in pick
+    order, the picks i with index[i] == r, as np.add.at does. columns yields
+    each column's pick values in turn (a row's cells in row-major order), one
+    bincount each, so no picks x width array need exist."""
+    out = np.empty((shape[0], math.prod(shape[1:])))
+    for c, col in enumerate(columns):
+        out[:, c] = np.bincount(index, weights=col, minlength=shape[0])
+    return out.reshape(shape)
+
+
 def tsum(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     av = a.value
     out = av.sum(axis=axis)
 
-    def back(g):
+    def back(g, _):
         if axis is None:
             return (np.full(av.shape, g),)
         return (np.broadcast_to(np.expand_dims(g, axis), av.shape).copy(),)
@@ -322,12 +312,12 @@ def tsum(a, axis=None) -> Tensor:
 
 
 def tmean(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     av = a.value
     count = av.size if axis is None else av.shape[axis]
     out = av.mean(axis=axis)
 
-    def back(g):
+    def back(g, _):
         if axis is None:
             return (np.full(av.shape, g / count),)
         return (np.broadcast_to(np.expand_dims(g, axis), av.shape).copy() / count,)
@@ -342,29 +332,29 @@ def stable_sigmoid(x, e):
 
 
 def exp(a) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out = np.exp(a.value)
-    return emit("exp", out, [a], lambda g: (g * out,))
+    return emit("exp", out, [a], lambda g, _: (g * out,))
 
 
 def square(a) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     av = a.value
-    return emit("square", av * av, [a], lambda g: (g * 2.0 * av,))
+    return emit("square", av * av, [a], lambda g, _: (g * 2.0 * av,))
 
 
 def clip(a, lo, hi) -> Tensor:
     """Value clamp; gradient is zero outside [lo, hi]."""
-    a = _as_tensor(a)
+    a = as_tensor(a)
     av = a.value
     mask = (av >= lo) & (av <= hi)
-    return emit("clip", np.clip(av, lo, hi), [a], lambda g: (g * mask,))
+    return emit("clip", np.clip(av, lo, hi), [a], lambda g, _: (g * mask,))
 
 
 def bce_with_logits(logits, targets) -> Tensor:
     """Mean numerically stable binary cross-entropy on logits; targets are
     constants with the logits' shape."""
-    logits = _as_tensor(logits)
+    logits = as_tensor(logits)
     lv = logits.value
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != lv.shape:
@@ -372,7 +362,7 @@ def bce_with_logits(logits, targets) -> Tensor:
     e = np.exp(-np.abs(lv))
     out = (np.maximum(lv, 0.0) - lv * t + np.log1p(e)).mean()
     base = stable_sigmoid(lv, e) - t
-    return emit("bce_with_logits", out, [logits], lambda g: (g * base / lv.size,))
+    return emit("bce_with_logits", out, [logits], lambda g, _: (g * base / lv.size,))
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +508,8 @@ def load_checkpoint(path):
         if flag != 0:
             raise InputError(f"{path}: corrupt checkpoint: optimizer-state flag is "
                              f"{flag}, only parameters are stored")
+        if fh.read(1):
+            raise InputError(f"{path}: corrupt checkpoint: bytes follow its closing flag")
     return named
 
 
@@ -530,20 +522,29 @@ def save_params(path, params, extra_meta: dict = None):
     save_checkpoint(path, named)
 
 
+# The run summaries save_params's callers store beside a model's meta.
+RUN_SUMMARIES = {f"meta.{k}" for k in ("best_valid", "test_hits", "final_kl", "best_loss", "tau")}
+
+
 def load_params(path, cls):
     """(cls.from_named of the checkpoint, its `meta.<key>` values as floats); a
-    missing entry or a meta entry that is not one finite number is an InputError."""
+    missing entry, an entry neither the model's nor a run summary, or a meta
+    entry that is not one finite number is an InputError."""
     named = load_checkpoint(path)
     meta = {k: v.reshape(-1) for k, v in named.items() if k.startswith("meta.")}
     for key, value in meta.items():
         if value.size != 1 or not math.isfinite(value[0]):
             raise InputError(f"{path}: checkpoint entry {key!r} is not one finite number")
     try:
-        return cls.from_named({**named, **meta}), {k[5:]: float(v[0]) for k, v in meta.items()}
+        params = cls.from_named({**named, **meta})
     except KeyError as exc:
         raise InputError(f"{path}: checkpoint is missing entry {exc}") from None
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+    unknown = sorted(set(named) - {*params.named(), *params.meta(), *RUN_SUMMARIES})
+    if unknown:
+        raise InputError(f"{path}: checkpoint holds an unknown entry {unknown[0]!r}")
+    return params, {k[5:]: float(v[0]) for k, v in meta.items()}
 
 
 def require_shapes(named, axes, meta):

@@ -35,38 +35,6 @@ from .manifest import require_artifact, staleness_warnings, write_manifest
 from .splits import SplitSpec, generate_split, load_split, save_split, verify_split
 from .synth import SyntheticGraphSpec, synth_graph, write_graph_files
 
-GRAPH = ("edges", "features")
-SPLIT = GRAPH + ("split",)
-TUNING = SPLIT + ("gnn_ckpt", "ggm_ckpt")
-# Per command: its input path flags, in the order run_stage checks them; the
-# config classes whose fields are its flags, with the fields' defaults; and
-# its own flags.
-COMMANDS = {
-    "synth": ((), (SyntheticGraphSpec,), {}),
-    "split": (GRAPH, (SplitSpec,), {}),
-    "pretrain-gnn": (SPLIT, (TrainConfig,),
-                     {"hidden": 128, "layers": 2, "full_adjacency_eval": False}),
-    "pretrain-ggm": (SPLIT, (GgmTrainConfig, NoiseSpec), {}),
-    "flex-tune": (TUNING, (CotrainConfig, NoiseSpec), {"full_adjacency_eval": False}),
-    "eval": (SPLIT + ("ckpt",), (), {"k": 20, "full_adjacency_eval": False}),
-    "analyze": (SPLIT + ("samples",), (), {}),
-    "sweep": (TUNING, (CotrainConfig, NoiseSpec),
-              {"full_adjacency_eval": False, "param": "gamma",
-               "grid": "0.0,0.25,0.5,0.75,0.9,0.9999", "seeds": "0,1,2"}),
-}
-
-
-def _defaults(paths, classes, own):
-    """A command's flags and their defaults: its input paths, the fields of
-    its config classes, its own flags, then --out. zero_noise and the nested
-    noise are never flags, nor is noise_dim where a ggm checkpoint fixes it."""
-    skip = {"zero_noise", "noise", *(["noise_dim"] if "ggm_ckpt" in paths else [])}
-    return {**dict.fromkeys(paths),
-            **{f.name: f.default for cls in classes for f in fields(cls) if f.name not in skip},
-            **own, "out": "out"}
-
-
-DEFAULTS = {command: _defaults(*spec) for command, spec in COMMANDS.items()}
 # Comma-separated list flags and the type of their items.
 LIST_ITEMS = {"grid": float, "seeds": int}
 # The stage that writes each input path flag's file.
@@ -123,7 +91,8 @@ def merge_config(command, args) -> dict:
             )
         unknown = set(section) - set(cfg)
         if unknown:
-            raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+            raise ConfigError(f"{args.config}: unknown config keys for {command}: "
+                              f"{sorted(unknown)}")
         for key, val in section.items():
             cfg[key] = _config_value(args.config, command, key, val)
     for key in DEFAULTS[command]:
@@ -131,8 +100,8 @@ def merge_config(command, args) -> dict:
         if val is not None:
             cfg[key] = val
     for key in LIST_ITEMS:
-        if key in cfg:
-            _csv_list(cfg, key)
+        if key in cfg:  # a value no flag set is the config file's or the default
+            _csv_list(cfg, key, args.config if getattr(args, key) is None else None)
     return cfg
 
 
@@ -150,16 +119,17 @@ def _config_value(path, command, key, val):
     return float(val) if kind is float else val
 
 
-def _csv_list(cfg, key):
-    """A non-empty comma-separated flag value, parsed item by item."""
+def _csv_list(cfg, key, source=None):
+    """A non-empty comma-separated flag value, parsed item by item; an error
+    names the source file, if the value came from one."""
     kind = LIST_ITEMS[key]
     try:
         items = [kind(x) for x in str(cfg[key]).split(",") if x != ""]
     except ValueError:
         items = []
     if not items:
-        raise ConfigError(f"--{key} must be a non-empty comma-separated list of "
-                          f"{kind.__name__} values, got {cfg[key]!r}")
+        raise ConfigError(f"{source + ': ' if source else ''}--{key} must be a non-empty "
+                          f"comma-separated list of {kind.__name__} values, got {cfg[key]!r}")
     return items
 
 
@@ -381,16 +351,39 @@ def cmd_sweep(cfg, graph, split):
             lines)
 
 
-HANDLERS = {
-    "synth": cmd_synth,
-    "split": cmd_split,
-    "pretrain-gnn": cmd_pretrain_gnn,
-    "pretrain-ggm": cmd_pretrain_ggm,
-    "flex-tune": cmd_flex_tune,
-    "eval": cmd_eval,
-    "analyze": cmd_analyze,
-    "sweep": cmd_sweep,
+GRAPH = ("edges", "features")
+SPLIT = GRAPH + ("split",)
+TUNING = SPLIT + ("gnn_ckpt", "ggm_ckpt")
+# Per command: its handler; its input path flags, in the order run_stage
+# checks them; the config classes whose fields are its flags, with the
+# fields' defaults; and its own flags.
+COMMANDS = {
+    "synth": (cmd_synth, (), (SyntheticGraphSpec,), {}),
+    "split": (cmd_split, GRAPH, (SplitSpec,), {}),
+    "pretrain-gnn": (cmd_pretrain_gnn, SPLIT, (TrainConfig,),
+                     {"hidden": 128, "layers": 2, "full_adjacency_eval": False}),
+    "pretrain-ggm": (cmd_pretrain_ggm, SPLIT, (GgmTrainConfig, NoiseSpec), {}),
+    "flex-tune": (cmd_flex_tune, TUNING, (CotrainConfig, NoiseSpec),
+                  {"full_adjacency_eval": False}),
+    "eval": (cmd_eval, SPLIT + ("ckpt",), (), {"k": 20, "full_adjacency_eval": False}),
+    "analyze": (cmd_analyze, SPLIT + ("samples",), (), {}),
+    "sweep": (cmd_sweep, TUNING, (CotrainConfig, NoiseSpec),
+              {"full_adjacency_eval": False, "param": "gamma",
+               "grid": "0.0,0.25,0.5,0.75,0.9,0.9999", "seeds": "0,1,2"}),
 }
+
+
+def _defaults(paths, classes, own):
+    """A command's flags and their defaults: its input paths, the fields of
+    its config classes, its own flags, then --out. zero_noise and the nested
+    noise are never flags, nor is noise_dim where a ggm checkpoint fixes it."""
+    skip = {"zero_noise", "noise", *(["noise_dim"] if "ggm_ckpt" in paths else [])}
+    return {**dict.fromkeys(paths),
+            **{f.name: f.default for cls in classes for f in fields(cls) if f.name not in skip},
+            **own, "out": "out"}
+
+
+DEFAULTS = {command: _defaults(*spec[1:]) for command, spec in COMMANDS.items()}
 
 
 def run_stage(command, cfg):
@@ -400,7 +393,7 @@ def run_stage(command, cfg):
     the split loaded and verified once --split passes; --out is created
     (exit 2 if it cannot be); the handler runs under the clock; then the
     manifest is written and the handler's lines are printed."""
-    paths = COMMANDS[command][0]
+    handler, paths = COMMANDS[command][:2]
     for key in paths:
         if cfg[key] is None:
             raise ConfigError(f"--{key.replace('_', '-')} is required")
@@ -417,7 +410,7 @@ def run_stage(command, cfg):
         raise ConfigError(f"--out {cfg['out']!r} is not a usable directory: "
                           f"{exc.strerror or exc}")
     t0 = time.perf_counter()
-    outputs, metrics, lines = HANDLERS[command](cfg, **loaded)
+    outputs, metrics, lines = handler(cfg, **loaded)
     write_manifest(cfg["out"], command, cfg, cfg.get("seed", 0),
                    {key: cfg[key] for key in paths}, outputs,
                    time.perf_counter() - t0, metrics=metrics)

@@ -137,8 +137,7 @@ def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=No
     _, diagonal = batch.packed_layout()
     x = batch.stacked_features()
     named = leaves if leaves is not None else gnn_params.named()
-    params = [t if isinstance(t, ad.Tensor) else ad.Tensor(t)
-              for t in (named[k] for k in gnn_params.named())]
+    params = [ad.as_tensor(named[k]) for k in gnn_params.named()]
     weights = [t.value for t in params[0::2]]
     biases = [t.value for t in params[1::2]]
     lv = logits.value
@@ -197,8 +196,7 @@ def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=No
         g_params = [g_w0] + [np.add.accumulate(acc[::-1])[-1] for acc in per_block]
         return (g_logits, *(gk if n else None for n, gk in zip(need[1:], g_params)))
 
-    joined = ad.emit("predictor_loss", target_logits, [logits, *params], back,
-                     selective=True)
+    joined = ad.emit("predictor_loss", target_logits, [logits, *params], back)
     labels = batch.batch_labels
     pos_idx = np.nonzero(labels == POSITIVE)[0]
     neg_idx = np.nonzero(labels == NEGATIVE)[0]

@@ -178,12 +178,12 @@ def _encoder_layer(x_in, col, eps, a_norm, w, b):
     writes this draw's noise back before it forms x_in^T @ g. Every product
     sees the bytes and layout a fresh [features | label | noise] array has.
     """
-    w, b = (t if isinstance(t, ad.Tensor) else ad.Tensor(t) for t in (w, b))
+    w, b = ad.as_tensor(w), ad.as_tensor(b)
     if eps is not None:
         x_in[:, col:] = eps
     hid, vjp = gcn_layers([w.value], [b.value], a_norm, x_in, relu_last=True)
 
-    def back(g):
+    def back(g, _):
         _, g_z, (_, g_b) = vjp(g)
         if eps is not None:
             x_in[:, col:] = eps
@@ -274,7 +274,7 @@ def decode_logits(h, batch) -> ad.Tensor:
         out[grp.cells] = (z @ zt).ravel()
         zts.append(zt)
 
-    def back(g):
+    def back(g, _):
         g_h = np.empty_like(hv)
         for grp, zt in zip(batch.size_groups(), zts):
             z = hv[grp.rows].reshape(zt.shape[0], grp.m, -1)
@@ -290,7 +290,7 @@ def decode_logits(h, batch) -> ad.Tensor:
 def decode_node_aware(h, batch) -> GeneratedSample:
     """Edge probabilities per block of the batch from raw latents (no tape
     needed); link labels come from the batch."""
-    h = h.value if isinstance(h, ad.Tensor) else np.asarray(h, dtype=np.float64)
+    h = ad.as_tensor(h).value
     if batch.total_nodes != h.shape[0]:
         raise InputError(f"block sizes sum to {batch.total_nodes} but h has {h.shape[0]} rows")
     probs = []
@@ -356,7 +356,7 @@ def recon_loss(logits, batch) -> ad.Tensor:
     total = np.add.accumulate(sums * (1.0 / sizes))[-1]
     scale = 1.0 / sizes.size
 
-    def back(g):
+    def back(g, _):
         per_block = (g * scale) * (1.0 / sizes)
         return (np.repeat(per_block, sizes * sizes) * base,)
 

@@ -143,10 +143,9 @@ def gcn_forward(params, a_norm: Csr, x, rng=None, leaves=None) -> ad.Tensor:
     """
     if getattr(x, "tape", None) is not None:
         raise InputError("gcn_forward does not differentiate its features")
-    x = x.value if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
+    x = ad.as_tensor(x).value
     named = leaves if leaves is not None else params.named()
-    tensors = [t if isinstance(t, ad.Tensor) else ad.Tensor(t)
-               for t in (named[k] for k in params.named())]
+    tensors = [ad.as_tensor(named[k]) for k in params.named()]
     weights = [t.value for t in tensors[0::2]]
     order = a_norm.shape[0]
     if order != x.shape[0]:
@@ -161,7 +160,7 @@ def gcn_forward(params, a_norm: Csr, x, rng=None, leaves=None) -> ad.Tensor:
                    for w in weights[:-1]]
     h, vjp = gcn_layers(weights, [t.value for t in tensors[1::2]], a_norm, x, dropout)
 
-    def back(g):
+    def back(g, _):
         _, g_z, g_params = vjp(g)
         g_params[0] = x.T @ g_z
         return g_params
@@ -236,21 +235,14 @@ def score_pairs(h, pairs) -> ad.Tensor:
     the order of the gather, multiply and sum records this op replaced.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    h = h if isinstance(h, ad.Tensor) else ad.Tensor(h)
+    h = ad.as_tensor(h)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= h.shape[0]):
         raise InputError(f"pair id out of range for {h.shape[0]} embeddings")
     u, v = pairs[:, 0].copy(), pairs[:, 1].copy()
     hv = h.value
 
     def scatter(ends, others, g):
-        # One bincount per column adds each cell's picks in pick order from
-        # 0.0, as autodiff.gather_rows's backward does; the result is
-        # C-ordered like the gather's, so the GCN backward's products run
-        # on the same layout.
-        out = np.empty(hv.shape)
-        for c, col in enumerate(hv.T):
-            out[:, c] = np.bincount(ends, weights=col[others] * g, minlength=hv.shape[0])
-        return out
+        return ad.scatter_rows(ends, (col[others] * g for col in hv.T), hv.shape)
 
     logits = np.empty(u.size)
     step = max(hv.shape[0], 1)
@@ -258,7 +250,7 @@ def score_pairs(h, pairs) -> ad.Tensor:
         part = slice(at, at + step)
         logits[part] = (hv[u[part]] * hv[v[part]]).sum(axis=1)
     return ad.emit("score_pairs", logits, [h, h],
-                   lambda g: (scatter(v, u, g), scatter(u, v, g)))
+                   lambda g, _: (scatter(v, u, g), scatter(u, v, g)))
 
 
 def lp_loss(pos_logits, neg_logits) -> ad.Tensor:
@@ -270,7 +262,7 @@ def lp_loss(pos_logits, neg_logits) -> ad.Tensor:
     for logits, t in ((pos_logits, 1.0), (neg_logits, 0.0)):
         if logits is None:
             continue
-        logits = logits if isinstance(logits, ad.Tensor) else ad.Tensor(logits)
+        logits = ad.as_tensor(logits)
         if logits.value.size == 0:
             continue
         parts.append(logits)

@@ -76,8 +76,8 @@ class Csr:
         live rows, every entry's column and value in pass-major order, and
         the chunks (first pass, end pass) whose products matmul_dense
         gathers at once: runs of whole passes holding at most n entries
-        each, with the shared passes and the single-row tail never in one
-        chunk."""
+        each, with the shared passes and the single-row tail (one entry a
+        pass) never in one chunk."""
         n = self.shape[0]
         deg = np.diff(self.indptr)
         order = np.argsort(-deg, kind="stable")
@@ -89,13 +89,8 @@ class Csr:
         live = np.bincount(k)
         bounds = np.concatenate([[0], np.cumsum(live)]).tolist()
         shared = int(np.count_nonzero(live > 1))
-        chunks, first = [], 0
-        for end in range(1, shared + 1):
-            if end == shared or bounds[end + 1] - bounds[first] > n:
-                chunks.append((first, end))
-                first = end
-        # Tail passes hold one entry each; an n = 0 matrix has none.
-        chunks += [(p, min(p + n, live.size)) for p in range(shared, live.size, max(n, 1))]
+        chunks = [*runs(live[:shared], n),
+                  *((shared + a, shared + b) for a, b in runs(live[shared:], n))]
         return (rank, live.tolist(), bounds, shared,
                 self.indices[entries], self.data[entries], chunks)
 
@@ -260,15 +255,15 @@ def _row_entries(g: Graph, nodes):
 _HEURISTIC_CELLS = 1 << 18
 
 
-def _spans(costs):
-    """(start, stop) runs of consecutive items whose costs sum to at most
-    _HEURISTIC_CELLS; an item that costs more alone gets a run of its own."""
+def runs(costs, budget):
+    """(start, stop) runs that tile the items in order, each as long as its
+    costs sum to at most budget; an item that costs more alone gets a run of
+    its own."""
     ends = np.cumsum(costs)
     start = 0
     while start < ends.size:
         base = int(ends[start - 1]) if start else 0
-        stop = int(np.searchsorted(ends, base + _HEURISTIC_CELLS, side="right"))
-        stop = max(stop, start + 1)
+        stop = max(int(np.searchsorted(ends, base + budget, side="right")), start + 1)
         yield start, stop
         start = stop
 
@@ -315,7 +310,7 @@ def _shared_counts(g: Graph, u, v):
     swap = deg[u] > deg[v]
     low, other = np.where(swap, v, u), np.where(swap, u, v)
     counts = np.zeros(u.size, dtype=np.int64)
-    for lo, hi in _spans(np.full(u.size, n)):
+    for lo, hi in runs(np.full(u.size, n), _HEURISTIC_CELLS):
         mask = _neighbour_mask(g, other[lo:hi])
         row, w = _gather(g, low[lo:hi])
         counts[lo:hi] = np.bincount(row[mask[row * n + w]], minlength=hi - lo)
@@ -338,7 +333,7 @@ def _three_hop(g: Graph, u, v):
     swap = two_hop[u] > two_hop[v]
     walk, mark = np.where(swap, v, u), np.where(swap, u, v)
     met = np.zeros(u.size, dtype=bool)
-    for lo, hi in _spans(np.maximum(two_hop[walk], n).astype(np.int64)):
+    for lo, hi in runs(np.maximum(two_hop[walk], n).astype(np.int64), _HEURISTIC_CELLS):
         mask = _neighbour_mask(g, mark[lo:hi])
         mask[np.arange(hi - lo) * n + walk[lo:hi]] = False
         row, w = _gather(g, walk[lo:hi])
@@ -357,7 +352,7 @@ def _expand(g: Graph, mask):
     cells = np.flatnonzero(mask)
     node = cells % n
     row_start = cells - node
-    for lo, hi in _spans(g.degrees()[node]):
+    for lo, hi in runs(g.degrees()[node], _HEURISTIC_CELLS):
         pos, per = _row_entries(g, node[lo:hi])
         out[np.repeat(row_start[lo:hi], per) + g.adjacency.indices[pos]] = True
     return out.reshape(mask.shape)
@@ -435,7 +430,7 @@ def shortest_path_length(g: Graph, u, v, bound=math.inf):
         dist[far[near]] = 3.0
         far = far[~near]
     if bound > 4:
-        for lo, hi in _spans(np.full(far.size, g.num_nodes)):
+        for lo, hi in runs(np.full(far.size, g.num_nodes), _HEURISTIC_CELLS):
             at = far[lo:hi]
             dist[at] = _meet_in_middle(g, u[at], v[at], bound)
     return np.minimum(dist, bound)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import Graph, build_features, save_edge_list, save_features_csv
+from .graphs import Graph, build_features, runs, save_edge_list, save_features_csv
 from .rng import stream_rng
 
 FAMILIES = ("sbm", "ba", "er")
@@ -51,21 +51,16 @@ _PAIR_RUN = 1 << 14
 def _bernoulli_pairs(n, prob, rng):
     """(m, 2) edges: each pair i < j, in row-major order, kept when its
     rng.random() draw is below prob(i, j), evaluated on one run's arrays."""
-    row_ends = np.cumsum(np.arange(n - 1, 0, -1))
     edges = [np.empty((0, 2), dtype=np.int64)]
-    start = 0
-    while start < n - 1:
-        base = int(row_ends[start - 1]) if start else 0
-        stop = max(int(np.searchsorted(row_ends, base + _PAIR_RUN, side="right")), start + 1)
+    for start, stop in runs(np.arange(n - 1, 0, -1), _PAIR_RUN):
         rows = np.arange(start, stop)
         counts = n - 1 - rows
         # Row r's pairs (r, r + 1), ..., (r, n - 1) start at first[r] in the run.
-        first = row_ends[start:stop] - counts - base
+        first = np.cumsum(counts) - counts
         iu = np.repeat(rows, counts)
         ju = np.arange(iu.size) + np.repeat(rows + 1 - first, counts)
         mask = rng.random(iu.size) < prob(iu, ju)
         edges.append(np.stack([iu[mask], ju[mask]], axis=1))
-        start = stop
     return np.concatenate(edges)
 
 
@@ -133,11 +128,11 @@ def synth_graph(spec: SyntheticGraphSpec) -> Graph:
         edges = ba_edges(spec.n, spec.m, rng)
     else:
         edges = er_edges(spec.n, spec.p, rng)
-    scaffold = Graph.from_edge_array(spec.n, edges, np.zeros((spec.n, 1)))
     if spec.feature_mode == "node-onehot":
         feats = np.eye(spec.n)
     else:
-        feats = build_features(spec.feature_mode, spec.n, degrees=scaffold.degrees())
+        degrees = np.bincount(edges.ravel(), minlength=spec.n)
+        feats = build_features(spec.feature_mode, spec.n, degrees=degrees)
     return Graph.from_edge_array(spec.n, edges, feats)
 
 

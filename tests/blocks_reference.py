@@ -32,28 +32,24 @@ from counterlink.gnn import lp_loss
 from counterlink.graphs import Csr, NEGATIVE, POSITIVE
 
 
-def _as_tensor(x) -> ad.Tensor:
-    return x if isinstance(x, ad.Tensor) else ad.Tensor(x)
-
-
 def reshape(a, shape) -> ad.Tensor:
-    a = _as_tensor(a)
+    a = ad.as_tensor(a)
     try:
         out = a.value.reshape(shape)
     except ValueError:
         raise ShapeError("reshape", f"{a.shape} -> {shape}")
     src = a.shape
-    return ad.emit("reshape", out.copy(), [a], lambda g: (g.reshape(src),))
+    return ad.emit("reshape", out.copy(), [a], lambda g, _: (g.reshape(src),))
 
 
 def slice_rows(a, start, stop) -> ad.Tensor:
-    a = _as_tensor(a)
+    a = ad.as_tensor(a)
     n = a.shape[0]
     if not (0 <= start <= stop <= n):
         raise ShapeError("slice_rows", f"[{start}:{stop}] of {n} rows")
     av = a.value
 
-    def back(g):
+    def back(g, _):
         full = np.zeros_like(av)
         full[start:stop] = g
         return (full,)
@@ -62,48 +58,48 @@ def slice_rows(a, start, stop) -> ad.Tensor:
 
 
 def transpose(a) -> ad.Tensor:
-    a = _as_tensor(a)
+    a = ad.as_tensor(a)
     if a.value.ndim != 2:
         raise ShapeError("transpose", f"expected 2-d, got {a.shape}")
-    return ad.emit("transpose", a.value.T.copy(), [a], lambda g: (g.T,))
+    return ad.emit("transpose", a.value.T.copy(), [a], lambda g, _: (g.T,))
 
 
 def sigmoid(a) -> ad.Tensor:
-    a = _as_tensor(a)
+    a = ad.as_tensor(a)
     out = ad.stable_sigmoid(a.value, np.exp(-np.abs(a.value)))
-    return ad.emit("sigmoid", out, [a], lambda g: (g * out * (1.0 - out),))
+    return ad.emit("sigmoid", out, [a], lambda g, _: (g * out * (1.0 - out),))
 
 
 def log(a) -> ad.Tensor:
-    a = _as_tensor(a)
+    a = ad.as_tensor(a)
     av = a.value
-    return ad.emit("log", np.log(av), [a], lambda g: (g / av,))
+    return ad.emit("log", np.log(av), [a], lambda g, _: (g / av,))
 
 
 def sparse_matmul(csr, x) -> ad.Tensor:
     """Symmetric CSR (n x n, non-differentiable) times dense (n x d); the
     backward multiplies by the same matrix, its own transpose."""
-    x = _as_tensor(x)
+    x = ad.as_tensor(x)
     if x.value.ndim != 2 or csr.shape[1] != x.shape[0]:
         raise ShapeError("sparse_matmul", f"{csr.shape} @ {x.shape}")
     out = csr.matmul_dense(x.value)
-    return ad.emit("sparse_matmul", out, [x], lambda g: (csr.matmul_dense(g),))
+    return ad.emit("sparse_matmul", out, [x], lambda g, _: (csr.matmul_dense(g),))
 
 
 def relu(a) -> ad.Tensor:
-    a = _as_tensor(a)
+    a = ad.as_tensor(a)
     mask = a.value > 0
-    return ad.emit("relu", a.value * mask, [a], lambda g: (g * mask,))
+    return ad.emit("relu", a.value * mask, [a], lambda g, _: (g * mask,))
 
 
 def dropout(a, rate, rng) -> ad.Tensor:
     if not 0.0 <= rate < 1.0:
         raise InputError(f"dropout rate must be in [0, 1), got {rate}")
-    a = _as_tensor(a)
+    a = ad.as_tensor(a)
     if rate == 0.0:
         return a
     mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return ad.emit("dropout", a.value * mask, [a], lambda g: (g * mask,))
+    return ad.emit("dropout", a.value * mask, [a], lambda g, _: (g * mask,))
 
 
 def bce_with_logits(logits, targets, weights=None, reduction="mean") -> ad.Tensor:
@@ -113,7 +109,7 @@ def bce_with_logits(logits, targets, weights=None, reduction="mean") -> ad.Tenso
     logits; reduction is "mean", "sum", or "none". `autodiff.bce_with_logits`
     keeps only the unweighted mean.
     """
-    logits = _as_tensor(logits)
+    logits = ad.as_tensor(logits)
     lv = logits.value
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != lv.shape:
@@ -140,7 +136,7 @@ def bce_with_logits(logits, targets, weights=None, reduction="mean") -> ad.Tenso
     if w is not None:
         base = base * w
 
-    def back(g):
+    def back(g, _):
         if reduction == "mean":
             return (g * base / lv.size,)
         return (g * base,)
@@ -198,7 +194,7 @@ def recon_loss(logits_blocks, batch) -> ad.Tensor:
 
 def normalize_dense_adjacency(a) -> ad.Tensor:
     """Differentiable D^-1/2 (A + I) D^-1/2 for generated weighted blocks."""
-    a = a if isinstance(a, ad.Tensor) else ad.Tensor(a)
+    a = ad.as_tensor(a)
     n = a.shape[0]
     m = ad.add(a, ad.Tensor(np.eye(n)))
     d = ad.tsum(m, axis=1)
@@ -215,7 +211,7 @@ def gcn_forward(params, a_norm, x, rng=None, leaves=None) -> ad.Tensor:
     which passes its rng.
     """
     named = leaves if leaves is not None else params.named()
-    h = x if isinstance(x, ad.Tensor) else ad.Tensor(x)
+    h = ad.as_tensor(x)
     n = h.shape[0]
     order = a_norm.shape[0]
     if order != n:
@@ -237,7 +233,7 @@ def score_pairs(h, pairs) -> ad.Tensor:
     """Dot-product logit per candidate link as four tape records: a gather of
     each endpoint's rows, their product and its row sums."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    h = _as_tensor(h)
+    h = ad.as_tensor(h)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= h.shape[0]):
         raise InputError(f"pair id out of range for {h.shape[0]} embeddings")
     hu = ad.gather_rows(h, pairs[:, 0])

@@ -119,12 +119,35 @@ class TestBackward:
             out = op()
             out_id, in_ids, back = tape._records[-1]
             assert out_id == out.node_id
-            grads = back(np.ones(out.shape))
+            # backward tells the op that a constant's gradient is not needed.
+            grads = back(np.ones(out.shape), [nid is not None for nid in in_ids])
             const, traced = (grads[0], grads[1]) if const_first else (grads[1], grads[0])
             assert const is None
             assert traced.shape == w.shape
         g = ad.backward(ad.tsum(ad.matmul(x, w))).of(w)
         assert np.array_equal(g, x.value.T @ np.ones((4, 3)))
+
+    def test_taped_input_off_the_path_to_wrt_gets_none(self):
+        # Both inputs are on the tape, so only need can tell mul and matmul
+        # that one of them leads to no tensor of wrt.
+        rng = np.random.default_rng(8)
+        for op, shapes in ((ad.matmul, ((2, 3), (3, 4))), (ad.mul, ((2, 3), (2, 3)))):
+            tape = ad.Tape()
+            a, b = (tape.leaf(rng.standard_normal(s)) for s in shapes)
+            loss = ad.tsum(op(a, b))
+            out_id, in_ids, back = tape._records[-2]
+            seen = []
+
+            def spy(g, need, back=back):
+                seen.append(back(g, need))
+                return seen[-1]
+
+            tape._records[-2] = (out_id, in_ids, spy)
+            ad.backward(loss, wrt={"b": b})
+            ad.backward(loss)
+            (off_a, off_b), (full_a, full_b) = seen
+            assert off_a is None and full_a.shape == a.shape
+            assert off_b.tobytes() == full_b.tobytes()
 
     def test_gather_rows_backward_matches_add_at(self):
         # Repeated picks must add in pick order from 0.0, as np.add.at does:
@@ -143,7 +166,7 @@ class TestBackward:
             g[rng.random(g.shape) < 0.3] = -0.0
             expected = np.zeros(shape)
             np.add.at(expected, idx, g)
-            assert back(g)[0].tobytes() == expected.tobytes()
+            assert back(g, [True])[0].tobytes() == expected.tobytes()
 
     def test_square_at_three(self):
         tape = ad.Tape()
@@ -202,7 +225,7 @@ class TestBackward:
                 grads.of(t)
         assert full.of(hidden).shape == hidden.shape
 
-    def test_selective_op_is_told_which_inputs_need_a_gradient(self):
+    def test_op_is_told_which_inputs_need_a_gradient(self):
         tape = ad.Tape()
         x, y = tape.leaf(np.array(2.0)), tape.leaf(np.array(3.0))
         xv, yv = x.value, y.value
@@ -212,7 +235,7 @@ class TestBackward:
             needs.append(list(need))
             return (g * yv if need[0] else None, g * xv if need[1] else None, None)
 
-        loss = ad.emit("product", xv * yv, [x, y, ad.Tensor(1.0)], back, selective=True)
+        loss = ad.emit("product", xv * yv, [x, y, ad.Tensor(1.0)], back)
         assert ad.backward(loss, wrt={"y": y}).of(y) == 2.0
         assert ad.backward(loss).of(x) == 3.0
         assert needs == [[False, True, False], [True, True, False]]
@@ -454,6 +477,22 @@ class TestCheckpoint:
         raw[-1] = 1
         path.write_bytes(bytes(raw))
         with pytest.raises(InputError, match="model.ckpt: corrupt checkpoint"):
+            ad.load_checkpoint(path)
+
+    @pytest.mark.parametrize("corruption", ["byte_appended", "rank_zeroed"])
+    def test_bytes_after_the_flag_rejected_with_its_name(self, tmp_path, corruption):
+        # A rank of 0 reads the 8 shape bytes as a scalar's value and the
+        # first byte of the 0.0 after them as the flag, leaving 7 bytes.
+        path = tmp_path / "model.ckpt"
+        ad.save_checkpoint(path, {"t": np.zeros(1)})
+        raw = bytearray(path.read_bytes())
+        if corruption == "byte_appended":
+            raw.append(0)
+        else:
+            assert raw[19] == 1  # the rank of "t"
+            raw[19] = 0
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InputError, match="model.ckpt: corrupt checkpoint: bytes follow"):
             ad.load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):

@@ -599,7 +599,7 @@ class TestReadmeCommands:
         # feed, as run_stage would before it reads any file.
         args = build_parser().parse_args(shlex.split(cmd)[1:])
         cfg = merge_config(args.command, args)
-        for cls in COMMANDS[args.command][1]:
+        for cls in COMMANDS[args.command][2]:
             _from_flags(cls, cfg)
 
 
@@ -775,7 +775,7 @@ class TestSweepCommand:
         def boom(cfg):
             raise NumericError("loss diverged")
 
-        monkeypatch.setitem(cli.HANDLERS, "synth", boom)
+        monkeypatch.setitem(cli.COMMANDS, "synth", (boom, *cli.COMMANDS["synth"][1:]))
         assert run(["synth", "--out", tmp_path]) == 4
 
     def test_single_point_sweep(self, tmp_path, capsys):

@@ -723,6 +723,21 @@ class TestCsrMatmulChunks:
         assert csr.matmul_dense(x).tobytes() == matmul_dense_reference(csr, x).tobytes()
 
 
+class TestRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=30), st.integers(0, 60))
+    def test_runs_tile_the_items_within_the_budget(self, costs, budget):
+        spans = list(graphs.runs(np.array(costs, dtype=np.int64), budget))
+        # In order from the first item to the last, none empty.
+        ends = [0] + [hi for _, hi in spans]
+        assert [lo for lo, _ in spans] == ends[:-1] and ends[-1] == len(costs)
+        for lo, hi in spans:
+            assert lo < hi
+            assert sum(costs[lo:hi]) <= budget or hi - lo == 1
+            # As long as the budget allows: the next item would not fit.
+            assert hi == len(costs) or sum(costs[lo:hi + 1]) > budget
+
+
 class TestBatching:
     def test_two_triangles(self):
         g = graph_of(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])

@@ -18,11 +18,14 @@ graph files no longer parse and 5 when they parse to other edges than
 `split.json` holds, with no traceback. Corrupted `split.json` and
 `samples.json` files go through every subcommand that reads them the same
 way: each exits with the code of the error its reader raises, 2 or 5, with a
-message naming the file and no traceback.
+message naming the file and no traceback. So do corrupted checkpoints and
+`--config` files: each exits 2 with a message naming the file.
 """
 
 import json
+import math
 import os
+import struct
 import tempfile
 from unittest import mock
 
@@ -31,7 +34,8 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 from counterlink import generator, graphs, splits
-from counterlink.errors import CounterlinkError, InputError, ValidationError
+from counterlink.cli import build_parser, merge_config
+from counterlink.errors import ConfigError, CounterlinkError, InputError, ValidationError
 from counterlink.synth import SyntheticGraphSpec, synth_graph, write_graph_files
 from readers_reference import edge_array_reference, load_samples_reference
 from test_cli import TUNE_FLAGS, pretrained_dirs, run_child
@@ -465,3 +469,134 @@ class TestCorruptedJsonFilesThroughEveryReader:
         code, err = run_child(json_args(pipeline, command, paths, tmp_path / "out"))
         assert code == 5, err
         assert name in err and "Traceback" not in err
+
+
+def framing(raw):
+    """Offsets of every byte of a checkpoint except its arrays' float values:
+    the magic, version and count, each array's name, rank and shape, and the
+    closing flag."""
+    (count,) = struct.unpack_from("<I", raw, 12)
+    at, keep = 16, list(range(16))
+    for _ in range(count):
+        (size,) = struct.unpack_from("<H", raw, at)
+        ndim = raw[at + 2 + size]
+        head = 3 + size + 8 * ndim
+        keep += range(at, at + head)
+        at += head + 8 * math.prod(struct.unpack_from(f"<{ndim}q", raw, at + 3 + size))
+    return keep + [at]
+
+
+# Who reads each checkpoint, after the graph and the split.
+CKPT_READERS = {"gnn.ckpt": ("eval", "flex-tune", "sweep"), "ggm.ckpt": ("flex-tune", "sweep")}
+# Replacement bytes for a checkpoint: not UTF-8, a NUL, a one, a letter that
+# turns one entry name into another, a letter, a point and two digits.
+CKPT_REPLACEMENTS = b"\xff\x00\x01bx.09"
+
+
+def ckpt_args(d, command, paths, out):
+    """stage_args on the pipeline's graph, with the checkpoint paths given."""
+    args = stage_args(d, command, d["graph"] / "edges.tsv", d["graph"] / "features.csv", out)
+    for flag, name in (("--gnn-ckpt", "gnn.ckpt"), ("--ggm-ckpt", "ggm.ckpt"),
+                       ("--ckpt", "gnn.ckpt")):
+        if flag in args:
+            args[args.index(flag) + 1] = paths[name]
+    return args
+
+
+class TestCorruptedCheckpointsThroughEveryReader:
+    """A checkpoint truncated anywhere, or with one byte of its framing
+    replaced, makes every subcommand that reads it exit 2 with a message
+    naming the file. A changed float value is not drawn: the format holds no
+    checksum, so it reads as another model."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_exit_2_naming_the_file(self, pipeline, data):
+        name = data.draw(st.sampled_from(sorted(CKPT_READERS)), label="file")
+        raw = (pipeline[name[:3]] / name).read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            bad = raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+        else:
+            at = data.draw(st.sampled_from(framing(raw)), label="at")
+            byte = data.draw(st.sampled_from(CKPT_REPLACEMENTS).filter(lambda b: b != raw[at]),
+                             label="byte")
+            bad = raw[:at] + bytes([byte]) + raw[at + 1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {n: pipeline[n[:3]] / n for n in CKPT_READERS}
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "wb") as fh:
+                fh.write(bad)
+            for command in CKPT_READERS[name]:
+                code, err = run_cli(ckpt_args(pipeline, command, paths,
+                                              os.path.join(tmp, command)))
+                assert code == 2, (command, err)
+                assert err.startswith(f"error: {paths[name]}: "), (command, err)
+
+    @pytest.mark.parametrize("name,command", [("gnn.ckpt", "eval"), ("ggm.ckpt", "flex-tune")])
+    def test_in_a_child_process(self, pipeline, tmp_path, name, command):
+        # The predictor is cut inside its first array; the generator's first
+        # array name, ggm.b_in, becomes ggm.x_in.
+        raw = (pipeline[name[:3]] / name).read_bytes()
+        paths = {n: pipeline[n[:3]] / n for n in CKPT_READERS}
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(raw[:40] if name == "gnn.ckpt"
+                                else raw.replace(b"ggm.b_in", b"ggm.x_in"))
+        code, err = run_child(ckpt_args(pipeline, command, paths, tmp_path / "out"))
+        assert code == 2, err
+        assert str(paths[name]) in err and "Traceback" not in err
+
+
+# A config file with a section for every subcommand, each value of its
+# flag's type.
+CONFIG = {
+    "synth": {"family": "sbm", "n": 60, "p_in": 0.5},
+    "split": {"heuristic": "CN", "t1": 2.0},
+    "pretrain-gnn": {"epochs": 5, "hidden": 8, "full_adjacency_eval": False},
+    "pretrain-ggm": {"noise_dim": 4, "lr": 0.01},
+    "flex-tune": {"gamma": 0.5, "tau": None},
+    "eval": {"k": 3},
+    "analyze": {"out": "analysis"},
+    "sweep": {"grid": "0.5,0.9", "seeds": "0,1"},
+}
+
+
+def config_error(parser, command, path):
+    """The error merge_config raises for command's section of the file, or None."""
+    try:
+        merge_config(command, parser.parse_args([command, "--config", path]))
+    except ConfigError as exc:
+        return exc
+    return None
+
+
+class TestCorruptedConfigThroughEveryReader:
+    """A --config file truncated, or with one byte replaced, makes every
+    subcommand whose section merge_config refuses exit 2 with that message,
+    which names the file. A corruption every subcommand reads is a valid
+    config, and is not drawn."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def test_exit_2_naming_the_file(self, data):
+        parser = build_parser()
+        raw = json.dumps(CONFIG, indent=1).encode()
+        cut, at, byte = data.draw(corruptions(len(raw), JSON_REPLACEMENTS), label="corruption")
+        bad = raw[:cut] if at is None else raw[:at] + bytes([byte]) + raw[at + 1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.json")
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            refused = {c: exc for c in CONFIG if (exc := config_error(parser, c, path))}
+            assume(refused)
+            for command, exc in refused.items():
+                code, err = run_cli([command, "--config", path, "--out",
+                                     os.path.join(tmp, command)])
+                assert code == 2, (command, err)
+                assert err == f"error: {exc}\n" and path in err, (command, err)
+
+    def test_in_a_child_process(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(CONFIG)[:50])
+        code, err = run_child(["sweep", "--config", path, "--out", tmp_path / "out"])
+        assert code == 2, err
+        assert str(path) in err and "Traceback" not in err
