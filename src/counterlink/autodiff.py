@@ -92,10 +92,10 @@ class Tape:
 class Grads:
     """Gradient map keyed by tape node id; zeros for untouched leaves.
 
-    wanted is the node ids backward was asked for, or None for all of them.
+    wanted is the node ids backward was asked for.
     """
 
-    def __init__(self, tape, table, wanted=None):
+    def __init__(self, tape, table, wanted):
         self._tape = tape
         self._table = table
         self._wanted = wanted
@@ -103,7 +103,7 @@ class Grads:
     def of(self, tensor: Tensor) -> np.ndarray:
         if tensor.tape is not self._tape or tensor.node_id is None:
             raise InputError("tensor does not belong to this tape")
-        if self._wanted is not None and tensor.node_id not in self._wanted:
+        if tensor.node_id not in self._wanted:
             raise InputError("tensor is not among the ones backward was asked for")
         g = self._table.get(tensor.node_id)
         if g is None:
@@ -119,36 +119,29 @@ def backward(loss: Tensor, wrt=None) -> Grads:
 
     wrt, a dict of tensors on the loss's tape such as tape.leaves returns,
     limits the pass to what their gradients need; their gradients are the
-    same bytes as without it.
+    same bytes as without it. Without wrt, every tensor on the tape so far
+    is wanted.
     """
     if loss.tape is None:
         raise InputError("loss is not attached to a tape")
     if loss.value.size != 1:
         raise InputError(f"loss must be scalar, got shape {loss.shape}")
     tape = loss.tape
-    wanted = reach = None
-    if wrt is not None:
-        wanted = set()
-        for t in wrt.values():
-            if t.tape is not tape or t.node_id is None:
-                raise InputError("wrt tensor does not belong to the loss's tape")
-            wanted.add(t.node_id)
-        # Node ids that depend on a wanted tensor: only their gradients flow
-        # back to one.
-        reach = set(wanted)
-        for out_id, in_ids, _ in tape._records:
-            if not reach.isdisjoint(in_ids):
-                reach.add(out_id)
+    if wrt is not None and any(t.tape is not tape or t.node_id is None for t in wrt.values()):
+        raise InputError("wrt tensor does not belong to the loss's tape")
+    wanted = set(range(tape._next_id)) if wrt is None else {t.node_id for t in wrt.values()}
+    # Node ids that depend on a wanted tensor: only their gradients flow back
+    # to one.
+    reach = set(wanted)
+    for out_id, in_ids, _ in tape._records:
+        if not reach.isdisjoint(in_ids):
+            reach.add(out_id)
     table = {loss.node_id: np.ones_like(loss.value)}
     for out_id, in_ids, backward_fn in reversed(tape._records):
-        if reach is None:
-            need = [nid is not None for nid in in_ids]
-            g_out = table.get(out_id)
-        else:
-            need = [nid in reach for nid in in_ids]
-            if not any(need):
-                continue
-            g_out = table.get(out_id) if out_id in wanted else table.pop(out_id, None)
+        need = [nid in reach for nid in in_ids]
+        if not any(need):
+            continue
+        g_out = table.get(out_id) if out_id in wanted else table.pop(out_id, None)
         if g_out is None:
             continue
         for nid, g, used in zip(in_ids, backward_fn(g_out, need), need):

@@ -77,7 +77,12 @@ def build_parser():
 
 
 def merge_config(command, args) -> dict:
+    """Defaults, then the config file's section for command, then flags. The
+    command's config classes are built from the result; a refused value's
+    message names the file when the class would take the same values with
+    the file's at their defaults."""
     cfg = dict(DEFAULTS[command])
+    section = {}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -89,19 +94,33 @@ def merge_config(command, args) -> dict:
             raise ConfigError(
                 f"{args.config}: expected a JSON object whose {command!r} section is an object"
             )
+        strays = set(doc) - set(COMMANDS)
+        if strays:
+            raise ConfigError(f"{args.config}: config sections {sorted(strays)} name no "
+                              f"subcommand; expected some of {list(COMMANDS)}")
         unknown = set(section) - set(cfg)
         if unknown:
             raise ConfigError(f"{args.config}: unknown config keys for {command}: "
                               f"{sorted(unknown)}")
         for key, val in section.items():
             cfg[key] = _config_value(args.config, command, key, val)
-    for key in DEFAULTS[command]:
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
+    flags = {key: getattr(args, key) for key in DEFAULTS[command]
+             if getattr(args, key) is not None}
+    cfg.update(flags)
     for key in LIST_ITEMS:
         if key in cfg:  # a value no flag set is the config file's or the default
-            _csv_list(cfg, key, args.config if getattr(args, key) is None else None)
+            _csv_list(cfg, key, None if key in flags else args.config)
+    file_at_defaults = {**cfg, **{key: DEFAULTS[command][key]
+                                  for key in set(section) - set(flags)}}
+    for cls in COMMANDS[command][2]:
+        try:
+            _from_flags(cls, cfg)
+        except CounterlinkError as exc:
+            try:
+                _from_flags(cls, file_at_defaults)
+            except CounterlinkError:
+                raise exc from None
+            raise ConfigError(f"{args.config}: {exc}") from None
     return cfg
 
 

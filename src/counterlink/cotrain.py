@@ -42,16 +42,15 @@ from . import autodiff as ad
 from .errors import (ConfigError, InputError, NumericError, require_extraction, require_finite,
                      require_schedule)
 from .generator import (NoiseSpec, SiviParams, encode_semi_implicit, first_draw_logits,
-                        kl_gaussian, sivi_elbo)
+                        generate, kl_gaussian, sivi_elbo)
 from .gnn import (
     GcnParams,
     evaluate_hits,
     gcn_layers,
-    lp_loss,
     normalize_adjacency,
     normalize_dense_adjacency,
 )
-from .graphs import Csr, Edge, Graph, NEGATIVE, POSITIVE, extract_for_links, make_batch
+from .graphs import Csr, Graph, NEGATIVE, POSITIVE, link_subgraphs, make_batch
 from .rng import stream_rng
 from .splits import DatasetSplit
 
@@ -198,12 +197,10 @@ def predictor_loss(gnn_params: GcnParams, batch, logits, gamma: float, leaves=No
 
     joined = ad.emit("predictor_loss", target_logits, [logits, *params], back)
     labels = batch.batch_labels
-    pos_idx = np.nonzero(labels == POSITIVE)[0]
-    neg_idx = np.nonzero(labels == NEGATIVE)[0]
-    lp = lp_loss(
-        ad.gather_rows(joined, pos_idx) if pos_idx.size else None,
-        ad.gather_rows(joined, neg_idx) if neg_idx.size else None,
-    )
+    # Positives first, then negatives, as gnn.lp_loss orders its samples.
+    order = np.concatenate([np.flatnonzero(labels == POSITIVE),
+                            np.flatnonzero(labels == NEGATIVE)])
+    lp = ad.bce_with_logits(ad.gather_rows(joined, order), labels[order])
     if not np.isfinite(lp.value):
         raise NumericError("classification loss is not finite")
     return lp, float(np.mean(cns))
@@ -317,14 +314,8 @@ class CotrainResult:
 
 
 def train_subgraphs(g: Graph, split: DatasetSplit, cfg: CotrainConfig) -> list:
-    """Labeled subgraphs of the split's train positives, then its train
-    negatives; they depend on cfg only through hop_k, max_nodes and seed."""
-    links = [Edge(int(u), int(v), POSITIVE) for u, v in split.train_pos] + [
-        Edge(int(u), int(v), NEGATIVE) for u, v in split.train_neg
-    ]
-    return extract_for_links(
-        g, links, k=cfg.hop_k, max_nodes=cfg.max_nodes, seed=cfg.seed
-    )
+    """link_subgraphs of the split's train positives, then its negatives."""
+    return link_subgraphs(g, cfg, split.train_pos, split.train_neg)
 
 
 def flex_tune(
@@ -401,17 +392,10 @@ def generate_samples(
     """Generated samples conditioned on one bucket's positive links.
 
     subgraphs, when given, are those links' labeled subgraphs as
-    extract_for_links takes them with cfg's hop_k, max_nodes and seed: for
-    the train bucket, the positive prefix of train_subgraphs(g, split, cfg).
+    link_subgraphs takes them: for the train bucket, the positive prefix of
+    train_subgraphs(g, split, cfg).
     """
-    from .generator import generate
-
-    subs = subgraphs
-    if subs is None:
-        links = [Edge(int(u), int(v), POSITIVE) for u, v in split.pos(bucket)]
-        subs = extract_for_links(
-            g, links, k=cfg.hop_k, max_nodes=cfg.max_nodes, seed=cfg.seed
-        )
+    subs = subgraphs if subgraphs is not None else link_subgraphs(g, cfg, split.pos(bucket))
     size = cfg.batch_size or len(subs)
     out = []
     for bi in range(0, len(subs), size):

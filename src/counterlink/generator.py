@@ -39,8 +39,7 @@ from . import autodiff as ad
 from .errors import (ConfigError, InputError, NumericError, ShapeError, ValidationError,
                      require_extraction, require_finite, require_schedule)
 from .gnn import gcn_layers
-from .graphs import (Edge, Graph, LabeledSubgraphBatch, POSITIVE, extract_for_links,
-                     make_batch, once_per_batch)
+from .graphs import Graph, LabeledSubgraphBatch, link_subgraphs, make_batch, once_per_batch
 from .rng import stream_rng
 from .splits import DatasetSplit
 
@@ -317,12 +316,12 @@ def kl_gaussian(mu, log_var) -> ad.Tensor:
 
 @once_per_batch
 def recon_targets(batch):
-    """recon_loss's packed constants for one batch: the blocks' adjacencies
-    as targets, and the weights, which upweight a block's edges by its
+    """recon_loss's packed constants for one batch: the packed adjacency as
+    targets, and the weights, which upweight a block's edges by its
     non-edge/edge ratio and mask out every diagonal."""
     sizes = batch.block_sizes
     offsets, diagonal = batch.packed_layout()
-    t = np.concatenate([b.local_adjacency.ravel() for b in batch.blocks])
+    t = batch.packed_adjacency()
     edges = np.add.reduceat(t, offsets[:-1])  # whole numbers: exact in any order
     pos_w = np.ones(sizes.size)
     np.divide(sizes * (sizes - 1) - edges, edges, out=pos_w, where=edges > 0)
@@ -499,10 +498,7 @@ def pretrain_ggm(
     loss, lower is better; final_kl is the selected epoch's draw-averaged
     KL, which co-training uses to center its divergence target.
     """
-    links = [Edge(int(u), int(v), POSITIVE) for u, v in split.train_pos]
-    subs = extract_for_links(
-        g, links, k=cfg.hop_k, max_nodes=cfg.max_nodes, seed=cfg.seed
-    )
+    subs = link_subgraphs(g, cfg, split.train_pos)
     d_in = g.features.shape[1]
     params = init_sivi_params(
         d_in, noise_dim=spec.noise_dim, rng=stream_rng(cfg.seed, "init")

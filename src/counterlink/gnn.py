@@ -256,12 +256,10 @@ def score_pairs(h, pairs) -> ad.Tensor:
 def lp_loss(pos_logits, neg_logits) -> ad.Tensor:
     """Mean BCE over all samples, targets 1 for positives and 0 for negatives.
 
-    Either side may be empty (mixed-label co-training batches), not both.
+    Either side may be empty, not both.
     """
     parts, targets = [], []
     for logits, t in ((pos_logits, 1.0), (neg_logits, 0.0)):
-        if logits is None:
-            continue
         logits = ad.as_tensor(logits)
         if logits.value.size == 0:
             continue
@@ -287,12 +285,8 @@ def hits_at_k(pos_scores, neg_scores, k) -> float:
     return float(np.mean(pos > threshold))
 
 
-def embed(params: GcnParams, a_norm: Csr, x) -> np.ndarray:
-    return gcn_forward(params, a_norm, x).value
-
-
 def evaluate_hits(params, a_norm, x, pos_edges, neg_edges, k) -> float:
-    h = embed(params, a_norm, x)
+    h = gcn_forward(params, a_norm, x).value
     return hits_at_k(score_pairs(h, pos_edges).value, score_pairs(h, neg_edges).value, k)
 
 

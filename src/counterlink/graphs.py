@@ -597,6 +597,14 @@ def extract_for_links(
     )
 
 
+def link_subgraphs(g: Graph, cfg, pos, neg=()):
+    """extract_for_links on the (k, 2) pair arrays pos, as positive links,
+    then neg, as negative ones, with cfg's hop_k, max_nodes and seed."""
+    links = [Edge(u, v, POSITIVE) for u, v in np.asarray(pos).tolist()] + [
+        Edge(u, v, NEGATIVE) for u, v in np.asarray(neg).tolist()]
+    return extract_for_links(g, links, k=cfg.hop_k, max_nodes=cfg.max_nodes, seed=cfg.seed)
+
+
 def once_per_batch(method):
     """Compute a batch method's result, or a function's of one batch, on the
     first call and return that same object on later calls for that batch, so
@@ -661,15 +669,19 @@ class LabeledSubgraphBatch:
         return [b.local_adjacency for b in self.blocks]
 
     @once_per_batch
+    def packed_adjacency(self):
+        """Every block's local_adjacency, row-major, in packed_layout."""
+        return np.concatenate([b.local_adjacency.ravel() for b in self.blocks])
+
+    @once_per_batch
     def block_diag_csr(self) -> Csr:
-        """One pass over the row-major concatenated blocks: their nonzero cells
-        come out sorted by (row, col), so no sort is needed."""
+        """One pass over the packed adjacency: its nonzero cells come out
+        sorted by (row, col), so no sort is needed."""
         sizes = self.block_sizes
-        starts = np.concatenate([[0], np.cumsum(sizes * sizes)[:-1]])
-        cells = np.flatnonzero(np.concatenate(
-            [b.local_adjacency.ravel() for b in self.blocks]))
-        block = np.searchsorted(starts, cells, side="right") - 1
-        local_row, local_col = np.divmod(cells - starts[block], sizes[block])
+        cell_offsets, _ = self.packed_layout()
+        cells = np.flatnonzero(self.packed_adjacency())
+        block = np.searchsorted(cell_offsets, cells, side="right") - 1
+        local_row, local_col = np.divmod(cells - cell_offsets[block], sizes[block])
         rows = local_row + self.offsets[block]
         indptr = np.zeros(self.total_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.total_nodes), out=indptr[1:])

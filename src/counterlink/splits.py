@@ -217,9 +217,12 @@ def generate_split(g: Graph, spec: SplitSpec) -> DatasetSplit:
 
 @dataclass
 class SplitReport:
+    """A split's bucket sizes and how its thresholds were read; verify_split
+    raises on any violation, so violations is always empty."""
+
     bucket_counts: dict
-    violations: list
     interpretation: str
+    violations = ()
 
 
 def reference_value(g: Graph, u, v, name: str, bound=math.inf):
@@ -290,21 +293,19 @@ def verify_split(g: Graph, split: DatasetSplit, heuristic=reference_value) -> Sp
             )
         for u, v in neg[is_edge & (owner == k)].tolist():
             violations.append({"bucket": f"{bucket}_neg", "edge": [u, v], "value": None})
-    report = SplitReport(
+    if violations:
+        shown = violations[:10]
+        raise ValidationError(
+            f"{len(violations)} bucket violation(s), first {len(shown)}: {shown}"
+        )
+    return SplitReport(
         bucket_counts=counts,
-        violations=violations,
         interpretation=(
             f"{spec.heuristic} {spec.direction} thresholds ({spec.t1}, {spec.t2}) "
             f"resolved as sorted boundaries lo={min(spec.t1, spec.t2)}, "
             f"hi={max(spec.t1, spec.t2)}"
         ),
     )
-    if violations:
-        shown = violations[:10]
-        raise ValidationError(
-            f"{len(violations)} bucket violation(s), first {len(shown)}: {shown}"
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ each put one record per batch on the tape and run one stacked numpy product
 per distinct block size, forward and backward; `gnn.gcn_forward` and
 `gnn.score_pairs` put one record per call. These are the implementations
 they replaced: chains of tape ops per block, per layer or per pair list.
+The reference predictor also keeps the label split the package replaced with
+one gather (`split_label_loss`).
 `encode_semi_implicit` is the encoder as it was before its draws shared one
 input array and its hidden layer became one record: a fresh [features |
 label | noise] concatenation, a plain matmul, propagation, bias and ReLU per
@@ -258,17 +260,23 @@ def predictor_loss(gnn_params, batch, logit_blocks, gamma: float, leaves=None):
         hv = ad.gather_rows(emb, np.array([v]))
         logits.append(ad.tsum(ad.mul(hu, hv), axis=1))
         cns.append(float((mask[u] * mask[v]).sum()))
-    joined = ad.concat(logits, axis=0)
-    labels = batch.batch_labels
-    pos_idx = np.nonzero(labels == POSITIVE)[0]
-    neg_idx = np.nonzero(labels == NEGATIVE)[0]
-    lp = lp_loss(
-        ad.gather_rows(joined, pos_idx) if pos_idx.size else None,
-        ad.gather_rows(joined, neg_idx) if neg_idx.size else None,
-    )
+    lp = split_label_loss(ad.concat(logits, axis=0), batch.batch_labels)
     if not np.isfinite(lp.value):
         raise NumericError("classification loss is not finite")
     return lp, float(np.mean(cns))
+
+
+def split_label_loss(joined, labels):
+    """The classification loss of every block's target logit as it was
+    composed before cotrain.predictor_loss gathered them in one (positives,
+    negatives) pick: the positives and the negatives gathered apart, then
+    joined again by gnn.lp_loss (an empty side not gathered at all)."""
+    pos_idx = np.nonzero(labels == POSITIVE)[0]
+    neg_idx = np.nonzero(labels == NEGATIVE)[0]
+    return lp_loss(
+        ad.gather_rows(joined, pos_idx) if pos_idx.size else np.empty(0),
+        ad.gather_rows(joined, neg_idx) if neg_idx.size else np.empty(0),
+    )
 
 
 def encode_semi_implicit(params, batch, spec, rng, leaves=None) -> list:

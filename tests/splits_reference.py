@@ -103,18 +103,16 @@ def verify_split_reference(g: Graph, split: DatasetSplit) -> SplitReport:
             negative_bucket[key] = bucket
             if v in adj[u]:
                 violations.append({"bucket": f"{bucket}_neg", "edge": [u, v], "value": None})
-    report = SplitReport(
+    if violations:
+        shown = violations[:10]
+        raise ValidationError(
+            f"{len(violations)} bucket violation(s), first {len(shown)}: {shown}"
+        )
+    return SplitReport(
         bucket_counts=counts,
-        violations=violations,
         interpretation=(
             f"{spec.heuristic} {spec.direction} thresholds ({spec.t1}, {spec.t2}) "
             f"resolved as sorted boundaries lo={min(spec.t1, spec.t2)}, "
             f"hi={max(spec.t1, spec.t2)}"
         ),
     )
-    if violations:
-        shown = violations[:10]
-        raise ValidationError(
-            f"{len(violations)} bucket violation(s), first {len(shown)}: {shown}"
-        )
-    return report

@@ -19,7 +19,7 @@ from counterlink.analysis import (
     samples_from_generated,
     SweepResult,
 )
-from counterlink import analysis, cotrain
+from counterlink import analysis, graphs
 from counterlink.cotrain import CotrainConfig, flex_tune
 from counterlink.errors import ConfigError, InputError, NumericError
 from counterlink.generator import GgmTrainConfig, NoiseSpec, generate, pretrain_ggm
@@ -233,8 +233,8 @@ class TestSweep:
         cfg = replace(cfg, max_nodes=6)  # subsampling makes extraction seed-dependent
         grid, seeds = [0.3, 0.5, 0.9], [7, 8]
         calls = []
-        real = cotrain.extract_for_links
-        monkeypatch.setattr(cotrain, "extract_for_links",
+        real = graphs.extract_for_links
+        monkeypatch.setattr(graphs, "extract_for_links",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         sweep = run_sweep("gamma", grid, cfg, seeds, gnn, ggm, obs, split)
         assert len(calls) == len(seeds)

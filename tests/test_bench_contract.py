@@ -92,8 +92,8 @@ SMALL = {
 # give as the benchmark's graphs do: they count ops, not blocks or nodes. A
 # fused op must replace the ops it fuses one for one or fewer, never more.
 RECORDS_PER_STEP = {
-    "pipeline-cn300": {"pretrain-gnn": 5, "pretrain-ggm": 67, "flex-tune": 42,
-                       "sweep": 42},
+    "pipeline-cn300": {"pretrain-gnn": 5, "pretrain-ggm": 67, "flex-tune": 40,
+                       "sweep": 40},
     "split-sp1500": {"pretrain-gnn": 5},
 }
 

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from counterlink import autodiff as ad
 from counterlink import cotrain, generator, gnn
 from counterlink.cotrain import CotrainConfig
+from counterlink.errors import InputError
 from counterlink.generator import NoiseSpec, decode_logits, init_sivi_params, recon_loss
 from counterlink.gnn import init_gcn_params
 from counterlink.graphs import Graph, LabeledSubgraph, make_batch, normalize_adjacency
@@ -175,6 +176,50 @@ class TestByteIdenticalToPerBlockOps:
         with use_reference_blocks():
             old = decoder_step(batch, gnn, h, gamma, with_predictor)
         assert new == old
+
+
+class TestLabelSplit:
+    """predictor_loss picks every target logit in one (positives, negatives)
+    gather for one BCE; split_label_loss, the reference's two gathers joined
+    by lp_loss, gives the same loss and leaf gradient bytes whichever labels
+    the batch holds. The loss's mean sums in pick order, so a mixed batch
+    shows another order in the bytes for some seeds (4 of these 12)."""
+
+    @pytest.mark.parametrize("labels", [[1, 0, 0, 1, 0, 1], [1] * 6, [0] * 6],
+                             ids=["mixed", "positives", "negatives"])
+    @pytest.mark.parametrize("step", [predictor_step, generator_step])
+    def test_same_bytes_as_two_gathers(self, labels, step):
+        spec = NoiseSpec(noise_dim=2, num_psi=3)
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            batch = batch_of(rng, rng.integers(2, 12, len(labels)), [0.3] * len(labels),
+                             labels)
+            ggm, gnn = models(seed, spec)
+            new = step(batch, gnn, ggm, spec, 0.5, seed)
+            with use_reference_blocks():
+                old = step(batch, gnn, ggm, spec, 0.5, seed)
+            assert new == old
+
+
+class TestBackwardWithoutWrt:
+    def test_same_bytes_as_every_leaf(self):
+        # A co-tuning generator step's tape: every gradient backward keeps
+        # without wrt is the one it gives for wrt = every leaf, and an
+        # intermediate's gradient still answers.
+        spec = NoiseSpec(noise_dim=2, num_psi=3)
+        rng = np.random.default_rng(5)
+        batch = batch_of(rng, rng.integers(2, 12, 6), [0.3] * 6, [1, 0, 0, 1, 0, 1])
+        ggm, gnn = models(5, spec)
+        bundle = cotrain.cotrain_losses(gnn, ggm, batch, CotrainConfig(noise=spec), 2.0,
+                                        stream_rng(5, "noise"))
+        descend = ad.sub(ad.mul(bundle.lp, ad.Tensor(1.05)), bundle.gen)
+        leaves = {**bundle.ggm_leaves, **bundle.gnn_leaves}
+        full, every = ad.backward(descend), ad.backward(descend, wrt=leaves)
+        for name, leaf in leaves.items():
+            assert full.of(leaf).tobytes() == every.of(leaf).tobytes(), name
+        assert full.of(bundle.lp).tobytes() == np.float64(1.05).tobytes()
+        with pytest.raises(InputError):
+            every.of(bundle.lp)
 
 
 class TestFusedLayers:

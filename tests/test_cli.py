@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import counterlink
-from counterlink import cotrain
+from counterlink import graphs
 from counterlink.autodiff import load_checkpoint, save_checkpoint
-from counterlink.cli import COMMANDS, _from_flags, build_parser, main, merge_config
+from counterlink.cli import COMMANDS, build_parser, main, merge_config
+from counterlink.errors import ConfigError
 from counterlink.manifest import read_manifest, sha256_file
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts"))
@@ -586,6 +587,58 @@ class TestConfigPrecedence:
         cfg_file.write_text(json.dumps({"synth": {"wings": 2}}))
         assert run(["synth", "--config", cfg_file, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("doc", [{"evxl": {"k": 3}},
+                                     {"eval": {"k": 3}, "evxl": {"k": 3}},
+                                     {"synth": {"n": 40}, "evxl": {}}])
+    def test_section_naming_no_subcommand_rejected(self, tmp_path, capsys, doc):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(doc))
+        assert run(["eval", "--config", cfg_file, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg_file) in err and "'evxl'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sections_of_other_subcommands_allowed(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"eval": {"k": 3}, "synth": {"n": 40, "seed": 9}}))
+        args = build_parser().parse_args(["synth", "--config", str(cfg_file)])
+        cfg = merge_config("synth", args)
+        assert cfg["n"] == 40 and cfg["seed"] == 9 and "k" not in cfg
+
+    def test_value_refused_by_its_config_class(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+
+        def error(doc, *flags):
+            cfg_file.write_text(json.dumps(doc))
+            code = run(["pretrain-gnn", "--config", cfg_file, *flags,
+                        "--out", tmp_path / "out"])
+            return code, capsys.readouterr().err
+
+        # The file's value: the message starts with the file.
+        assert error({"pretrain-gnn": {"lr": -0.01}}) == (
+            2, f"error: {cfg_file}: lr must be a finite number >= 0, got -0.01\n")
+        # A flag's value: the message is the config class's alone.
+        assert error({"pretrain-gnn": {"epochs": 60}}, "--lr", -0.01) == (
+            2, "error: lr must be a finite number >= 0, got -0.01\n")
+        assert error({}, "--patience", 70, "--epochs", 60) == (
+            2, "error: patience must be between 0 and epochs (60), got 70\n")
+        # Refused only with the file's value, though a flag set the other side.
+        assert error({"pretrain-gnn": {"epochs": 60}}, "--patience", 70) == (
+            2, f"error: {cfg_file}: patience must be between 0 and epochs (60), got 70\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_file_value_checked_with_the_flags(self, tmp_path):
+        # epochs 60 alone is refused next to the default patience of 100.
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"pretrain-ggm": {"epochs": 60}}))
+        parser = build_parser()
+        with pytest.raises(ConfigError, match="patience must be between 0 and epochs"):
+            merge_config("pretrain-ggm", parser.parse_args(
+                ["pretrain-ggm", "--config", str(cfg_file)]))
+        cfg = merge_config("pretrain-ggm", parser.parse_args(
+            ["pretrain-ggm", "--config", str(cfg_file), "--patience", "60"]))
+        assert (cfg["epochs"], cfg["patience"]) == (60, 60)
+
 
 class TestReadmeCommands:
     def test_complete_run_is_found(self):
@@ -595,12 +648,10 @@ class TestReadmeCommands:
 
     @pytest.mark.parametrize("cmd", readme_commands())
     def test_config_builds(self, cmd):
-        # Parse the flags and build every config class the command's flags
-        # feed, as run_stage would before it reads any file.
+        # merge_config builds every config class the command's flags feed,
+        # before any file is read.
         args = build_parser().parse_args(shlex.split(cmd)[1:])
-        cfg = merge_config(args.command, args)
-        for cls in COMMANDS[args.command][2]:
-            _from_flags(cls, cfg)
+        merge_config(args.command, args)
 
 
 class TestPipeline:
@@ -678,8 +729,8 @@ class TestPipeline:
                     "--noise-dim", 4, "--num-psi", 1, "--out", d["ggm"]]) == 0
         capsys.readouterr()
         extracted = []
-        real_extract = cotrain.extract_for_links
-        monkeypatch.setattr(cotrain, "extract_for_links",
+        real_extract = graphs.extract_for_links
+        monkeypatch.setattr(graphs, "extract_for_links",
                             lambda *a, **kw: extracted.append(1) or real_extract(*a, **kw))
         assert run(["flex-tune", *graph_flags,
                     "--gnn-ckpt", d["gnn"] / "gnn.ckpt",
@@ -957,7 +1008,7 @@ class TestTrainingValuesInRange:
         code, err = run_child([command, *args, flag, value, "--out", out])
         assert code == 2, err
         assert flag[2:].replace("-", "_") in err and "Traceback" not in err
-        assert not any(out.iterdir())
+        assert not out.exists()  # refused before --out is made
 
 
 # Checkpoint corruptions that still parse: (model, entry, replacement), where

@@ -10,7 +10,6 @@ from counterlink.errors import InputError, NumericError
 from counterlink.gnn import (
     GcnParams,
     TrainConfig,
-    embed,
     evaluate_hits,
     gcn_forward,
     gcn_layers,

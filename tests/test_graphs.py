@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from counterlink import bruteforce, graphs
+from counterlink.cotrain import CotrainConfig
 from counterlink.errors import InputError
+from counterlink.generator import GgmTrainConfig
 from counterlink.gnn import gcn_layers
 from counterlink.graphs import (
     Csr,
@@ -553,6 +555,31 @@ class TestExtractionMatchesReference:
         else:
             assert made
 
+    @pytest.mark.parametrize("max_nodes", [1000, 6])
+    def test_link_subgraphs_match_the_old_call_sites(self, max_nodes):
+        # pretrain_ggm and generate_samples extracted a bucket's positives,
+        # train_subgraphs the train positives then negatives, each as an Edge
+        # list through extract_for_links with its config's hop_k, max_nodes
+        # and seed. At max_nodes 6 some balls are subsampled, each with its
+        # link's own stream.
+        g = random_graph(40, 0.2, np.random.default_rng(6))
+        pos, neg = g.edges()[::5], np.array([[0, 39], [17, 5], [3, 30], [0, 39]])
+        cfgs = (GgmTrainConfig(hop_k=2, max_nodes=max_nodes, seed=9),
+                CotrainConfig(hop_k=2, max_nodes=max_nodes, seed=9))
+        for cfg, with_neg in zip(cfgs, (False, True)):
+            links = [Edge(int(u), int(v), POSITIVE) for u, v in pos]
+            if with_neg:
+                links += [Edge(int(u), int(v), NEGATIVE) for u, v in neg]
+            want = extract_for_links(g, links, k=cfg.hop_k, max_nodes=cfg.max_nodes,
+                                     seed=cfg.seed)
+            got = (graphs.link_subgraphs(g, cfg, pos, neg) if with_neg
+                   else graphs.link_subgraphs(g, cfg, pos))
+            assert len(got) == len(want) == len(links)
+            for a, b in zip(got, want):
+                assert_same_subgraph(a, b)
+            whole = extract_for_links(g, links, k=cfg.hop_k)
+            assert any(w.num_nodes > max_nodes for w in whole) == (max_nodes == 6)
+
     def test_subsampling_and_kept_negative_edge_are_exercised(self):
         g = random_graph(40, 0.5, np.random.default_rng(5))
         u, v = g.edges()[0].tolist()
@@ -789,11 +816,15 @@ class TestBatching:
         links = [Edge(0, 1), Edge(2, 3, NEGATIVE), Edge(0, 1)]
         subs = extract_for_links(g, links, k=1, max_nodes=1000)
         batch = make_batch(subs)
-        for name in ("stacked_features", "stacked_labels", "block_diag_csr",
+        for name in ("stacked_features", "stacked_labels", "packed_adjacency", "block_diag_csr",
                      "normalized_adjacency", "packed_layout", "size_groups"):
             first = getattr(batch, name)()
             assert getattr(batch, name)() is first, name
             assert getattr(make_batch(subs), name)() is not first, name
+        offsets, _ = batch.packed_layout()
+        for b, sub in enumerate(subs):
+            packed = batch.packed_adjacency()[offsets[b] : offsets[b + 1]]
+            assert np.array_equal(packed, sub.local_adjacency.ravel())
         assert np.array_equal(csr_to_dense(batch.block_diag_csr()), batch.to_dense_adjacency())
         want = normalize_adjacency(batch.block_diag_csr())
         got = batch.normalized_adjacency()

@@ -550,8 +550,8 @@ class TestCorruptedCheckpointsThroughEveryReader:
 # flag's type.
 CONFIG = {
     "synth": {"family": "sbm", "n": 60, "p_in": 0.5},
-    "split": {"heuristic": "CN", "t1": 2.0},
-    "pretrain-gnn": {"epochs": 5, "hidden": 8, "full_adjacency_eval": False},
+    "split": {"heuristic": "CN", "t1": 3.0},
+    "pretrain-gnn": {"epochs": 30, "hidden": 8, "full_adjacency_eval": False},
     "pretrain-ggm": {"noise_dim": 4, "lr": 0.01},
     "flex-tune": {"gamma": 0.5, "tau": None},
     "eval": {"k": 3},

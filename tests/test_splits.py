@@ -294,7 +294,7 @@ class TestVerify:
     def test_fresh_split_clean(self):
         g, split = self.make_split()
         report = verify_split(g, split)
-        assert report.violations == []
+        assert len(report.violations) == 0
         assert report.bucket_counts["train"] == split.train_pos.shape[0]
         assert "sorted boundaries" in report.interpretation
 
